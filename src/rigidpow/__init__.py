@@ -5,108 +5,15 @@ The package decides, in exact integer arithmetic, whether the rational
 function attached to a matrix of weights and signs is constant; computes
 Chern numbers of such data by the Bott residue formula; classifies the
 two-fixed-point families; and exhaustively searches bounded weight spaces
-with canonical-form enumeration and a sound sample-point pre-filter (with
-a compiled kernel when available).
+with canonical-form enumeration and a sound sample-point pre-filter.
+
+The top level exports the names of the README example; everything else is
+imported from its module (``rigidpow.rigidity``, ``rigidpow.search``, ...).
 """
 
-from .algebra import (
-    BivarPoly,
-    DenomFactors,
-    LaurentPoly,
-    LaurentRational,
-    PoleAtSamplePoint,
-    ZeroBase,
-)
-from .bott import (
-    ClassLabel,
-    Violation,
-    WrongFixedPointCount,
-    chern_number,
-    classify_two_fixed_points,
-    elementary_symmetric,
-    exponent_tuples,
-    is_boundary_candidate,
-    kosniowski_bound,
-    realizability_screen,
-    weighted_degree,
-)
-from .rigidity import (
-    DuplicateEntries,
-    RigidityVerdict,
-    Row,
-    WeightMatrix,
-    Witness,
-    ZeroWeight,
-    candidate_constant,
-    is_l_rigid,
-    is_rigid,
-    l_series,
-    normalize_signs,
-    pair_partition,
-    parity_check,
-    quasilinear,
-    t_series,
-    term_fraction,
-)
-from .search import (
-    BudgetExceeded,
-    Find,
-    SearchReport,
-    SearchSpec,
-    SweepStats,
-    WrongShape,
-    canonical_form,
-    quasilinearity_test,
-    row_universe,
-    sweep,
-    triple_identity_search,
-)
+from .rigidity import is_rigid, quasilinear
+from .search import SearchSpec, sweep
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivarPoly",
-    "BudgetExceeded",
-    "ClassLabel",
-    "DenomFactors",
-    "DuplicateEntries",
-    "Find",
-    "LaurentPoly",
-    "LaurentRational",
-    "PoleAtSamplePoint",
-    "RigidityVerdict",
-    "Row",
-    "SearchReport",
-    "SearchSpec",
-    "SweepStats",
-    "Violation",
-    "WeightMatrix",
-    "Witness",
-    "WrongFixedPointCount",
-    "WrongShape",
-    "ZeroBase",
-    "ZeroWeight",
-    "candidate_constant",
-    "canonical_form",
-    "chern_number",
-    "classify_two_fixed_points",
-    "elementary_symmetric",
-    "exponent_tuples",
-    "is_boundary_candidate",
-    "is_l_rigid",
-    "is_rigid",
-    "kosniowski_bound",
-    "l_series",
-    "normalize_signs",
-    "pair_partition",
-    "parity_check",
-    "quasilinear",
-    "quasilinearity_test",
-    "realizability_screen",
-    "row_universe",
-    "sweep",
-    "t_series",
-    "term_fraction",
-    "triple_identity_search",
-    "weighted_degree",
-]
+__all__ = ["SearchSpec", "is_rigid", "quasilinear", "sweep"]

@@ -1,19 +1,20 @@
-"""Exact sparse arithmetic for bivariate integer polynomials and Laurent
-rational functions with factored denominators.
+"""Exact arithmetic for the characteristic functions of weight matrices.
 
-A :class:`BivarPoly` is a polynomial in two indeterminates ``x`` and ``y``
-with arbitrary-precision integer coefficients, stored as a dictionary
-mapping exponent pairs ``(deg_x, deg_y)`` to coefficients.  The zero
-polynomial is the empty dictionary; no stored coefficient is ever zero.
+Every coefficient of those functions is a *binary form*: a homogeneous
+polynomial of one fixed degree ``d`` in ``x`` and ``y`` (each factor
+``x*z^w + y`` has degree 1, so a row of ``n`` factors has degree ``n``).
+A form is stored densely as a tuple of ``d + 1`` integers whose entry
+``k`` is the coefficient of ``x^(d-k) * y^k``; the tuple ``(c,)`` of
+degree 0 is the integer ``c``.  :class:`Form` wraps such a tuple as a
+printable value.
 
-A :class:`LaurentPoly` is a polynomial in ``z`` whose exponents may be
-negative and whose coefficients are :class:`BivarPoly` values.
-
-A :class:`LaurentRational` is a Laurent polynomial numerator over a
+A :class:`LaurentRational` is a polynomial in ``z`` with form coefficients
+(sparse in ``z``: a dict from z-degree to coefficient tuple) over a
 denominator kept as a *factored* multiset of terms ``(z^a - 1)`` with
-``a > 0`` (:class:`DenomFactors`).  Denominators are never expanded except
-on request, and sums are not reduced to lowest terms: the factored pole
-structure is the data every later stage reasons about.
+``a > 0`` (:class:`DenomFactors`).  Exponents of ``z`` are never
+negative.  Denominators are never expanded except on request, and sums
+are not reduced to lowest terms: the factored pole structure is the data
+every later stage reasons about.
 
 All values are immutable after construction and all operations are pure,
 so any number of workers may share them.
@@ -22,14 +23,12 @@ so any number of workers may share them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Tuple
+from operator import add
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-Exponent = Tuple[int, int]
+Coeffs = Tuple[int, ...]
+ZPoly = Dict[int, Coeffs]
 Rational = int | Fraction
-
-
-class ZeroBase(ValueError):
-    """Raised when evaluating at ``z = 0``, where negative powers blow up."""
 
 
 class PoleAtSamplePoint(ZeroDivisionError):
@@ -40,310 +39,101 @@ def _q(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-class BivarPoly:
-    """Sparse exact polynomial in ``x`` and ``y`` over the integers."""
+def _form_value(coeffs: Coeffs, x0: Fraction, y0: Fraction) -> Fraction:
+    d = len(coeffs) - 1
+    return sum((c * x0 ** (d - k) * y0**k for k, c in enumerate(coeffs) if c), Fraction(0))
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Exponent, int] | None = None):
-        clean: Dict[Exponent, int] = {}
-        if terms:
-            for (dx, dy), coeff in terms.items():
-                if dx < 0 or dy < 0:
-                    raise ValueError(f"negative exponent pair {(dx, dy)}")
-                if coeff:
-                    clean[(dx, dy)] = coeff
-        self._terms = clean
+def digit_count(value: int) -> int:
+    """Number of decimal digits of ``|value|``, without converting it."""
+    value = abs(value)
+    count = int(value.bit_length() * 0.30102999566398120) + 1
+    return count - 1 if count > 1 and 10 ** (count - 1) > value else count
 
-    @classmethod
-    def zero(cls) -> "BivarPoly":
-        return cls()
 
-    @classmethod
-    def const(cls, c: int) -> "BivarPoly":
-        return cls({(0, 0): c})
+def _format_int(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's int-to-str digit limit
+        return f"{'-' if value < 0 else ''}<{digit_count(value)} digits>"
 
-    @classmethod
-    def one(cls) -> "BivarPoly":
-        return cls.const(1)
 
-    @classmethod
-    def monomial(cls, dx: int, dy: int, coeff: int = 1) -> "BivarPoly":
-        return cls({(dx, dy): coeff})
+def format_rational(value: Fraction) -> str:
+    """``str(value)``, except that a numerator or denominator too long to
+    convert to text is shown as its digit count, e.g. ``<30104 digits>``."""
+    if value.denominator == 1:
+        return _format_int(value.numerator)
+    return f"{_format_int(value.numerator)}/{_format_int(value.denominator)}"
 
-    @classmethod
-    def sign_count_term(cls, n_plus: int, n_minus: int) -> "BivarPoly":
-        """Return ``x^n_plus * (-y)^n_minus``."""
-        return cls({(n_plus, n_minus): (-1) ** n_minus})
+
+class Form:
+    """A binary form ``sum_k coeffs[k] * x^(d-k) * y^k`` of degree ``d``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[int]):
+        self.coeffs: Coeffs = tuple(coeffs)
 
     @property
-    def terms(self) -> Mapping[Exponent, int]:
-        return dict(self._terms)
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivarPoly):
+        if not isinstance(other, Form):
             return NotImplemented
-        return self._terms == other._terms
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        result = BivarPoly.__new__(BivarPoly)
-        result._terms = out
-        return result
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        if not self._terms or not other._terms:
-            return BivarPoly.zero()
-        out: Dict[Exponent, int] = {}
-        for (ax, ay), ac in self._terms.items():
-            for (bx, by), bc in other._terms.items():
-                e = (ax + bx, ay + by)
-                s = out.get(e, 0) + ac * bc
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        result = BivarPoly.__new__(BivarPoly)
-        result._terms = out
-        return result
-
-    def scaled(self, c: int) -> "BivarPoly":
-        if c == 0:
-            return BivarPoly.zero()
-        return BivarPoly({e: c * v for e, v in self._terms.items()})
-
-    def evaluate(self, x0: Rational, y0: Rational) -> Fraction:
-        x0, y0 = _q(x0), _q(y0)
-        total = Fraction(0)
-        for (dx, dy), c in self._terms.items():
-            total += c * x0**dx * y0**dy
-        return total
+        return self.coeffs == other.coeffs
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self._terms)
+        return self.degree == 0 or self.is_zero()
 
     def constant_value(self) -> int:
-        """The integer value of a constant polynomial."""
-        if not self._terms:
-            return 0
+        """The integer value of a constant form."""
         if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[(0, 0)]
+            raise ValueError(f"not a constant form: {self}")
+        return sum(self.coeffs)
+
+    def evaluate(self, x0: Rational, y0: Rational) -> Fraction:
+        return _form_value(self.coeffs, _q(x0), _q(y0))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         # graded lexicographic order, x before y
-        keys = sorted(self._terms, key=lambda e: (e[0] + e[1], e[0]), reverse=True)
+        d = self.degree
         pieces = []
-        for i, e in enumerate(keys):
-            coeff = self._terms[e]
-            mono = _monomial_str(e)
+        for k, coeff in enumerate(self.coeffs):
+            if not coeff:
+                continue
+            mono = "*".join(
+                f"{v}^{e}" if e > 1 else v for v, e in (("x", d - k), ("y", k)) if e
+            )
             mag = abs(coeff)
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if i == 0:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
+            body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+            if pieces:
                 pieces.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(pieces)
+            else:
+                pieces.append(("-" if coeff < 0 else "") + body)
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
-        return f"BivarPoly({self})"
+        return f"Form({self})"
 
 
-def _monomial_str(e: Exponent) -> str:
-    dx, dy = e
-    parts = []
-    if dx == 1:
-        parts.append("x")
-    elif dx > 1:
-        parts.append(f"x^{dx}")
-    if dy == 1:
-        parts.append("y")
-    elif dy > 1:
-        parts.append(f"y^{dy}")
-    return "*".join(parts)
-
-
-class LaurentPoly:
-    """Polynomial in ``z`` with integer (possibly negative) exponents and
-    :class:`BivarPoly` coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, BivarPoly] | None = None):
-        clean: Dict[int, BivarPoly] = {}
-        if terms:
-            for k, coeff in terms.items():
-                if coeff:
-                    clean[k] = coeff
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def from_const(cls, coeff: BivarPoly, degree: int = 0) -> "LaurentPoly":
-        return cls({degree: coeff})
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: BivarPoly.one()})
-
-    @property
-    def terms(self) -> Mapping[int, BivarPoly]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, BivarPoly.zero()) + c
-            if s:
+def mul_factor(num: Mapping[int, Coeffs], a: int) -> ZPoly:
+    """Multiply a polynomial in ``z`` by ``(z^a - 1)`` exactly; ``a > 0``."""
+    out: ZPoly = {k + a: c for k, c in num.items()}
+    for k, c in num.items():
+        have = out.get(k)
+        if have is None:
+            out[k] = tuple(-v for v in c)
+        else:
+            s = tuple(u - v for u, v in zip(have, c))
+            if any(s):
                 out[k] = s
             else:
-                out.pop(k, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self._terms or not other._terms:
-            return LaurentPoly.zero()
-        out: Dict[int, BivarPoly] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                k = ka + kb
-                s = out.get(k, BivarPoly.zero()) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
-
-    def scaled(self, coeff: BivarPoly) -> "LaurentPoly":
-        if not coeff:
-            return LaurentPoly.zero()
-        out: Dict[int, BivarPoly] = {}
-        for k, c in self._terms.items():
-            s = c * coeff
-            if s:
-                out[k] = s
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
-
-    def mul_factor(self, a: int) -> "LaurentPoly":
-        """Multiply by ``(z^a - 1)`` exactly; ``a`` must be positive."""
-        if a <= 0:
-            raise ValueError(f"factor exponent must be positive, got {a}")
-        out: Dict[int, BivarPoly] = {}
-        for k, c in self._terms.items():
-            s = out.get(k + a, BivarPoly.zero()) + c
-            if s:
-                out[k + a] = s
-            else:
-                out.pop(k + a, None)
-            s = out.get(k, BivarPoly.zero()) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
-
-    def lowest_term(self) -> Tuple[int, BivarPoly] | None:
-        """The lowest z-degree with a nonzero coefficient, or None if zero."""
-        if not self._terms:
-            return None
-        k = min(self._terms)
-        return k, self._terms[k]
-
-    def evaluate(self, z0: Rational, x0: Rational, y0: Rational) -> Fraction:
-        z0 = _q(z0)
-        if z0 == 0 and any(k < 0 for k in self._terms):
-            raise ZeroBase("cannot evaluate negative powers of z at z = 0")
-        total = Fraction(0)
-        for k, c in self._terms.items():
-            total += c.evaluate(x0, y0) * z0**k
-        return total
-
-    def specialized(self, x0: int, y0: int) -> "LaurentPoly":
-        """Substitute integers for ``x`` and ``y``, keeping ``z`` symbolic."""
-        out: Dict[int, BivarPoly] = {}
-        for k, c in self._terms.items():
-            v = c.evaluate(x0, y0)
-            if v:
-                out[k] = BivarPoly.const(int(v))
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for k in sorted(self._terms, reverse=True):
-            c = self._terms[k]
-            if k == 0:
-                pieces.append(f"({c})")
-            elif k == 1:
-                pieces.append(f"({c})*z")
-            else:
-                pieces.append(f"({c})*z^{k}")
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+                del out[k]
+    return out
 
 
 class DenomFactors:
@@ -367,24 +157,10 @@ class DenomFactors:
     def empty(cls) -> "DenomFactors":
         return cls()
 
-    @classmethod
-    def single(cls, a: int, mult: int = 1) -> "DenomFactors":
-        return cls({a: mult})
-
-    @property
-    def multiplicities(self) -> Mapping[int, int]:
-        return dict(self._mult)
-
-    def is_empty(self) -> bool:
-        return not self._mult
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenomFactors):
             return NotImplemented
         return self._mult == other._mult
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return iter(sorted(self._mult.items()))
 
     def __mul__(self, other: "DenomFactors") -> "DenomFactors":
         out = dict(self._mult)
@@ -407,16 +183,14 @@ class DenomFactors:
             if extra > 0:
                 yield a, extra
 
-    def degree(self) -> int:
-        return sum(a * m for a, m in self._mult.items())
-
-    def expand(self) -> LaurentPoly:
-        """The product of all factors as an explicit Laurent polynomial."""
-        poly = LaurentPoly.one()
+    def expand(self) -> Dict[int, int]:
+        """The product of all factors as an integer polynomial in ``z``,
+        a dict from z-degree to nonzero coefficient."""
+        poly: ZPoly = {0: (1,)}
         for a, m in sorted(self._mult.items()):
             for _ in range(m):
-                poly = poly.mul_factor(a)
-        return poly
+                poly = mul_factor(poly, a)
+        return {k: c for k, (c,) in poly.items()}
 
     def evaluate(self, z0: Rational) -> Fraction:
         z0 = _q(z0)
@@ -442,76 +216,58 @@ class DenomFactors:
 
 
 class LaurentRational:
-    """A Laurent polynomial numerator over a factored denominator.
+    """A polynomial in ``z`` with form coefficients over a factored
+    denominator.
 
-    Sums are formed over the per-factor maximum multiplicity and are *not*
-    reduced to lowest terms; the constancy decision downstream never needs
-    the reduced form.
+    ``num`` maps each z-degree to the coefficient tuple of a binary form;
+    all-zero coefficients are dropped.  Sums are formed over the per-factor
+    maximum multiplicity and are *not* reduced to lowest terms; the
+    constancy decision downstream never needs the reduced form.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: DenomFactors | None = None):
-        self.num = num
+    def __init__(self, num: Mapping[int, Sequence[int]], den: DenomFactors | None = None):
+        self.num: ZPoly = {k: tuple(c) for k, c in num.items() if any(c)}
         self.den = den if den is not None else DenomFactors.empty()
-
-    @classmethod
-    def from_poly(cls, poly: LaurentPoly) -> "LaurentRational":
-        return cls(poly, DenomFactors.empty())
-
-    @classmethod
-    def one(cls) -> "LaurentRational":
-        return cls(LaurentPoly.one(), DenomFactors.empty())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentRational):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __neg__(self) -> "LaurentRational":
-        return LaurentRational(-self.num, self.den)
-
     def __add__(self, other: "LaurentRational") -> "LaurentRational":
         den = self.den.lcm(other.den)
-        n1 = _scale_to(self.num, self.den, den)
-        n2 = _scale_to(other.num, other.den, den)
-        return LaurentRational(n1 + n2, den)
-
-    def __sub__(self, other: "LaurentRational") -> "LaurentRational":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentRational") -> "LaurentRational":
-        return LaurentRational(self.num * other.num, self.den * other.den)
-
-    def scaled(self, coeff: BivarPoly) -> "LaurentRational":
-        return LaurentRational(self.num.scaled(coeff), self.den)
-
-    def scaled_int(self, c: int) -> "LaurentRational":
-        return self.scaled(BivarPoly.const(c))
+        total = _scale_to(self.num, self.den, den)
+        for k, c in _scale_to(other.num, other.den, den).items():
+            have = total.get(k)
+            total[k] = c if have is None else tuple(map(add, have, c))
+        return LaurentRational(total, den)
 
     def evaluate(self, z0: Rational, x0: Rational = 1, y0: Rational = 1) -> Fraction:
         """Exact rational value at ``(z0, x0, y0)``.
 
-        ``z0`` must be nonzero and must not be a root of any denominator
-        factor (any ``|z0| >= 2`` is always safe).
+        ``z0`` must not be a root of any denominator factor (any
+        ``|z0| >= 2`` is always safe).
         """
-        z0 = _q(z0)
-        if z0 == 0:
-            raise ZeroBase("z0 = 0 is outside the domain")
-        return self.num.evaluate(z0, x0, y0) / self.den.evaluate(z0)
-
-    def specialized(self, x0: int, y0: int) -> "LaurentRational":
-        return LaurentRational(self.num.specialized(x0, y0), self.den)
+        z0, x0, y0 = _q(z0), _q(x0), _q(y0)
+        top = sum((_form_value(c, x0, y0) * z0**k for k, c in self.num.items()), Fraction(0))
+        return top / self.den.evaluate(z0)
 
     def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
+        pieces = []
+        for k in sorted(self.num, reverse=True):
+            c = Form(self.num[k])
+            pieces.append(f"({c})" if k == 0 else f"({c})*z" if k == 1 else f"({c})*z^{k}")
+        return f"({' + '.join(pieces) or '0'}) / ({self.den})"
 
     def __repr__(self) -> str:
         return f"LaurentRational({self})"
 
 
-def _scale_to(num: LaurentPoly, have: DenomFactors, want: DenomFactors) -> LaurentPoly:
+def _scale_to(num: ZPoly, have: DenomFactors, want: DenomFactors) -> ZPoly:
+    num = dict(num)
     for a, extra in have.missing_from(want):
         for _ in range(extra):
-            num = num.mul_factor(a)
+            num = mul_factor(num, a)
     return num

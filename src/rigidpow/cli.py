@@ -13,7 +13,8 @@ reports can be written as a newline-delimited machine-readable file that is
 byte-identical across runs with the same flags.
 
 Exit codes: 0 success (``check``: rigid), 1 not rigid, 2 input or flag
-error, 3 search budget exceeded.
+error, 3 search budget exceeded, 4 internal error (an unexpected exception,
+reported on one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import sys
 from typing import Iterator, Optional, Sequence
 
-from .algebra import BivarPoly
+from .algebra import Form, format_rational
 from .bott import (
     WrongFixedPointCount,
     chern_number,
@@ -117,18 +118,28 @@ def parse_matrix_json(text: str) -> WeightMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(doc, dict) or "rows" not in doc:
+    except RecursionError:
+        raise ParseError(0, "invalid JSON: nested too deeply") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise ParseError(0, "JSON document must be an object with a 'rows' list")
     rows = []
     for entry in doc["rows"]:
-        try:
-            rows.append(Row(tuple(int(w) for w in entry["weights"]), int(entry["sign"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(0, f"bad row entry {entry!r}: {exc}") from None
+        weights = entry.get("weights") if isinstance(entry, dict) else None
+        sign = entry.get("sign") if isinstance(entry, dict) else None
+        if not isinstance(weights, list) or not all(map(_is_json_int, weights)) \
+                or not _is_json_int(sign):
+            raise ParseError(0, f"bad row entry {entry!r}: expected an object with an "
+                                "integer 'sign' and a list of integer 'weights'")
+        rows.append(Row(tuple(weights), sign))
     try:
         return WeightMatrix(tuple(rows))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
+
+
+def _is_json_int(value) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def render_matrix(matrix: WeightMatrix) -> str:
@@ -152,27 +163,33 @@ def _load_matrix(args) -> WeightMatrix:
 def _cmd_check(args) -> int:
     matrix = _load_matrix(args)
     verdict = is_rigid(matrix) if args.mode == "T" else is_l_rigid(matrix)
+    # Every line is built before any is printed, so a printed verdict is
+    # never followed by a failure.
     if verdict.rigid:
-        constant = verdict.constant
+        code, constant = 0, verdict.constant
         if args.mode == "L":
-            print(f"Rigid, constant = {constant} (integer value {constant.constant_value()})")
-            expected = BivarPoly.const(int(candidate_constant(matrix).evaluate(1, 1)))
+            lines = [f"Rigid, constant = {constant} (integer value {constant.constant_value()})"]
+            expected = Form((int(candidate_constant(matrix).evaluate(1, 1)),))
         else:
-            print(f"Rigid, constant = {constant}")
+            lines = [f"Rigid, constant = {constant}"]
             expected = candidate_constant(matrix)
         state = "match" if expected == constant else "MISMATCH"
-        print(f"cross-check, sign-count constant: {expected} ({state})")
-        return 0
-    print("NotRigid")
-    w = verdict.witness
-    if w.point is not None:
-        z0, x0, y0 = w.point
-        print(
-            f"witness: z0 = {z0}, (x0, y0) = ({x0}, {y0}): "
-            f"value = {w.value_at_point}, expected = {w.expected_at_point}"
+        lines.append(f"cross-check, sign-count constant: {expected} ({state})")
+    else:
+        code, lines, w = 1, ["NotRigid"], verdict.witness
+        if w.point is not None:
+            z0, x0, y0 = w.point
+            lines.append(
+                f"witness: z0 = {z0}, (x0, y0) = ({x0}, {y0}): "
+                f"value = {format_rational(w.value_at_point)}, "
+                f"expected = {format_rational(w.expected_at_point)}"
+            )
+        lines.append(
+            f"residual: lowest z-degree {w.residual_degree}, "
+            f"coefficient {w.residual_coefficient}"
         )
-    print(f"residual: lowest z-degree {w.residual_degree}, coefficient {w.residual_coefficient}")
-    return 1
+    print("\n".join(lines))
+    return code
 
 
 def _cmd_classify(args) -> int:
@@ -200,7 +217,7 @@ def _cmd_chern(args) -> int:
     r = _parse_partition(args.partition, matrix.n)
     value = chern_number(matrix, r)
     kind = "integer" if value.denominator == 1 else "non-integer"
-    print(f"chern number for exponents {r}: {value} ({kind})")
+    print(f"chern number for exponents {r}: {format_rational(value)} ({kind})")
     return 0
 
 
@@ -210,7 +227,7 @@ def _cmd_screen(args) -> int:
     if violations:
         print(f"realizability violations: {len(violations)}")
         for v in violations:
-            print(f"  exponents {v.exponents}: value = {v.value}")
+            print(f"  exponents {v.exponents}: value = {format_rational(v.value)}")
     else:
         print("realizability violations: none")
     if is_boundary_candidate(matrix):
@@ -407,6 +424,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in the program, never a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,37 +1,20 @@
-"""Selection layer for the sweep pre-filter kernel.
-
-Two interchangeable kernels implement the same contract (see
-``_prefilter_pure.filter_chunk``): a compiled extension working in 128-bit
-integers and a pure Python fallback with unbounded integers.  The compiled
-kernel is picked at import time when it built successfully *and* the sweep
-parameters provably fit in 128 bits; otherwise the pure kernel is used.
+"""Exact sample-point pre-filter for the sweeps.
 
 The filter is a sound rejection test: a matrix whose function is constant
 agrees with its forced constant at every valid sample point, so no rigid
 matrix is ever rejected.  Survivors still go through the full symbolic
-check.
+check.  All arithmetic uses unbounded Python integers, so there are no
+size restrictions.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence, Tuple
 
-from ._prefilter_pure import filter_chunk as filter_chunk_pure
-
-try:
-    from ._prefilter_fast import filter_chunk as filter_chunk_fast
-except ImportError:  # extension not built; pure fallback
-    filter_chunk_fast = None
-
-HAVE_COMPILED = filter_chunk_fast is not None
-
 # Exact sample points (z, x, y) used by the sweeps.  Any |z| >= 2 avoids all
 # denominator roots.
 T_POINTS: Tuple[int, ...] = (2, 1, 1, 2, 2, 1, 3, 1, 1, 3, 2, 1)
 L_POINTS: Tuple[int, ...] = (2, 1, 1, 3, 1, 1)
-
-# Leave one bit of slack below the signed 128-bit boundary.
-_INT128_LIMIT = 1 << 126
 
 FilterFn = Callable[..., None]
 
@@ -44,28 +27,55 @@ def sample_points(mode: str) -> Tuple[int, ...]:
     raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
 
 
-def int128_headroom(m: int, n: int, bound: int, points: Sequence[int]) -> bool:
-    """Whether every intermediate the kernel forms fits a signed int128.
+def filter_chunk(weights, signs, m, n, count, points, out):
+    """Mark which candidates match their forced constant at every point.
 
-    The bound is the worst case over candidates with ``m`` rows, ``n``
-    weights per row, all |weights| <= ``bound``, at the given sample
-    points, computed with exact Python integers.
+    ``weights`` is a flat sequence of ``count * m * n`` nonzero integers,
+    ``signs`` a flat sequence of ``count * m`` values in ±1, and ``points``
+    a flat sequence of ``(z, x, y)`` triples with every ``z >= 2``.  For
+    candidate ``c``, ``out[c]`` is set to 1 when the row sum of products of
+    ``(x*z^w + y) / (z^w - 1)`` equals the sign-count constant at every
+    point, and 0 otherwise.  All arithmetic is exact.
     """
-    zmax = max(abs(points[3 * p]) for p in range(len(points) // 3))
-    xmax = max(abs(points[3 * p + 1]) for p in range(len(points) // 3))
-    ymax = max(abs(points[3 * p + 2]) for p in range(len(points) // 3))
-    term_num = max(xmax, ymax) * zmax**bound + max(xmax, ymax)
-    term_den = zmax**bound
-    row_num = term_num**n
-    row_den = term_den**n
-    total_den = row_den**m
-    total_num = m * row_num * row_den ** (m - 1)
-    const_max = m * max(xmax, ymax, 1) ** n
-    return max(total_num, const_max * total_den) < _INT128_LIMIT
+    npts = len(points) // 3
+    rows = m * n
+    for c in range(count):
+        base = c * rows
+        sbase = c * m
+        ok = 1
+        for p in range(npts):
+            z = points[3 * p]
+            xv = points[3 * p + 1]
+            yv = points[3 * p + 2]
+            total_n = 0
+            total_d = 1
+            cval = 0
+            for i in range(m):
+                sign = signs[sbase + i]
+                rn = sign
+                rd = 1
+                ct = sign
+                for j in range(n):
+                    w = weights[base + i * n + j]
+                    if w > 0:
+                        zp = z**w
+                        rn *= xv * zp + yv
+                        ct *= xv
+                    else:
+                        zp = z ** (-w)
+                        rn *= -(xv + yv * zp)
+                        ct *= -yv
+                    rd *= zp - 1
+                total_n = total_n * rd + rn * total_d
+                total_d *= rd
+                cval += ct
+            if total_n != cval * total_d:
+                ok = 0
+                break
+        out[c] = ok
 
 
 def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[FilterFn, str]:
-    """Best kernel for the given sweep parameters, plus its name."""
-    if filter_chunk_fast is not None and int128_headroom(m, n, bound, points):
-        return filter_chunk_fast, "compiled"
-    return filter_chunk_pure, "pure"
+    """The kernel for the given sweep parameters, plus its name.  There is
+    one kernel, so the parameters do not change the choice."""
+    return filter_chunk, "pure"

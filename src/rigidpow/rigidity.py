@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import BivarPoly, DenomFactors, LaurentPoly, LaurentRational
+from .algebra import DenomFactors, Form, LaurentRational, format_rational
 
 # Witness grid for human-readable certificates; the symbolic residual is
 # authoritative, the point is best-effort.
@@ -96,7 +98,7 @@ class Witness:
     """
 
     residual_degree: int
-    residual_coefficient: BivarPoly
+    residual_coefficient: Form
     point: Optional[Tuple[Fraction, Fraction, Fraction]] = None
     value_at_point: Optional[Fraction] = None
     expected_at_point: Optional[Fraction] = None
@@ -105,7 +107,7 @@ class Witness:
 @dataclass(frozen=True)
 class RigidityVerdict:
     rigid: bool
-    constant: Optional[BivarPoly] = None
+    constant: Optional[Form] = None
     witness: Optional[Witness] = None
 
     def describe(self) -> str:
@@ -115,7 +117,8 @@ class RigidityVerdict:
         if w is not None and w.point is not None:
             return (
                 f"not rigid; at (z, x, y) = {tuple(map(str, w.point))} the value is "
-                f"{w.value_at_point}, expected {w.expected_at_point}"
+                f"{format_rational(w.value_at_point)}, "
+                f"expected {format_rational(w.expected_at_point)}"
             )
         if w is not None:
             return (
@@ -125,82 +128,87 @@ class RigidityVerdict:
         return "not rigid"
 
 
-def term_fraction(w: int) -> LaurentRational:
-    """The single-weight factor ``(x*z^w + y) / (z^w - 1)``.
+def _row_term(row: Row, degree: int) -> LaurentRational:
+    """``sign * prod_w (x*z^w + y) / (z^w - 1)`` with coefficients of the
+    given form degree: ``n`` for the T-function, 0 for its ``x = y = 1``
+    collapse.
 
-    Negative weights are normalized at construction: multiplying numerator
-    and denominator of ``(x*z^-a + y) / (z^-a - 1)`` by ``z^a`` gives
-    ``-(x + y*z^a) / (z^a - 1)``, so denominator factors stay positive.
+    Negative weights are normalized: multiplying numerator and denominator
+    of ``(x*z^-a + y) / (z^-a - 1)`` by ``z^a`` gives
+    ``-(x + y*z^a) / (z^a - 1)``, so every factor has a positive ``a``.
+    Multiplying a form by ``x`` keeps its coefficient tuple and by ``y``
+    shifts it one place; in the collapse both are the identity.
     """
+    flips = sum(1 for w in row.weights if w < 0)
+    num = {0: (row.sign * (-1) ** flips,) + (0,) * degree}
+    den: dict[int, int] = {}
+    for w in row.weights:
+        a = abs(w)
+        den[a] = den.get(a, 0) + 1
+        out = {}
+        for k, c in num.items():
+            cy = (0,) + c[:-1] if degree else c
+            for e, v in ((k + a, c if w > 0 else cy), (k, cy if w > 0 else c)):
+                have = out.get(e)
+                out[e] = v if have is None else tuple(map(add, have, v))
+        num = out
+    return LaurentRational(num, DenomFactors(den))
+
+
+def term_fraction(w: int) -> LaurentRational:
+    """The single-weight factor ``(x*z^w + y) / (z^w - 1)``."""
     if w == 0:
         raise ZeroWeight("weights must be nonzero")
-    if w > 0:
-        num = LaurentPoly({w: BivarPoly.monomial(1, 0), 0: BivarPoly.monomial(0, 1)})
-        return LaurentRational(num, DenomFactors.single(w))
-    a = -w
-    num = LaurentPoly({a: BivarPoly.monomial(0, 1, -1), 0: BivarPoly.monomial(1, 0, -1)})
-    return LaurentRational(num, DenomFactors.single(a))
+    return _row_term(Row((w,), 1), 1)
 
 
-def _row_product(row: Row) -> LaurentRational:
-    prod = LaurentRational.one()
-    for w in row.weights:
-        prod = prod * term_fraction(w)
-    return prod.scaled_int(row.sign)
+def _series(matrix: WeightMatrix, degree: int) -> LaurentRational:
+    # The denominator of the sum is the per-factor maximum multiplicity over
+    # all rows; the numerator is scaled accordingly and never reduced.
+    return reduce(add, (_row_term(row, degree) for row in matrix.rows))
 
 
 def t_series(matrix: WeightMatrix) -> LaurentRational:
-    """Sum over rows of sign times the product of weight factors.
-
-    The denominator of the sum is the per-factor maximum multiplicity over
-    all rows; the numerator is scaled accordingly and never reduced.
-    """
-    total: Optional[LaurentRational] = None
-    for row in matrix.rows:
-        term = _row_product(row)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+    """Sum over rows of sign times the product of weight factors; every
+    coefficient is a form of degree ``n``."""
+    return _series(matrix, matrix.n)
 
 
 def l_series(matrix: WeightMatrix) -> LaurentRational:
-    """The T-function specialized at ``x = y = 1`` (signature specialization).
+    """The T-function specialized at ``x = y = 1`` (signature
+    specialization): every coefficient is a form of degree 0, an integer."""
+    return _series(matrix, 0)
 
-    Coefficients degrade to plain integers, which keeps sweep-scale symbolic
-    checks cheap.
-    """
-    total: Optional[LaurentRational] = None
+
+def _candidate(matrix: WeightMatrix, degree: int) -> Form:
+    # Row i contributes sign * x^(#positive weights) * (-y)^(#negative weights),
+    # its termwise limit as z grows; x = y = 1 when degree is 0.
+    coeffs = [0] * (degree + 1)
     for row in matrix.rows:
-        prod = LaurentRational.one()
-        for w in row.weights:
-            prod = prod * term_fraction(w).specialized(1, 1)
-        term = prod.scaled_int(row.sign)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+        flips = sum(1 for w in row.weights if w < 0)
+        coeffs[flips if degree else 0] += row.sign * (-1) ** flips
+    return Form(coeffs)
 
 
-def candidate_constant(matrix: WeightMatrix) -> BivarPoly:
-    """The forced value of a constant T-function.
-
-    Each row contributes ``sign * x^(#positive weights) * (-y)^(#negative
-    weights)``, its termwise limit as ``z`` grows.
-    """
-    total = BivarPoly.zero()
-    for row in matrix.rows:
-        s_plus = sum(1 for w in row.weights if w > 0)
-        s_minus = len(row.weights) - s_plus
-        total = total + BivarPoly.sign_count_term(s_plus, s_minus).scaled(row.sign)
-    return total
+def candidate_constant(matrix: WeightMatrix) -> Form:
+    """The forced value of a constant T-function, a form of degree ``n``."""
+    return _candidate(matrix, matrix.n)
 
 
-def _decide(series: LaurentRational, candidate: BivarPoly,
+def _decide(series: LaurentRational, candidate: Form,
             xy_grid: Sequence[Tuple[int, int]]) -> RigidityVerdict:
+    """Test ``numerator == candidate * expanded_denominator`` coefficient by
+    coefficient, from the lowest z-degree up."""
     expanded = series.den.expand()
-    residual = series.num - expanded.scaled(candidate)
-    if residual.is_zero():
+    cand = candidate.coeffs
+    zero = (0,) * len(cand)
+    for k in sorted(series.num.keys() | expanded.keys()):
+        d = expanded.get(k, 0)
+        coeff = tuple(c - d * v for c, v in zip(series.num.get(k, zero), cand))
+        if any(coeff):
+            break
+    else:
         return RigidityVerdict(rigid=True, constant=candidate)
-    degree, coeff = residual.lowest_term()
     point = value = expected = None
     for z0 in WITNESS_Z_VALUES:
         for x0, y0 in xy_grid:
@@ -212,7 +220,7 @@ def _decide(series: LaurentRational, candidate: BivarPoly,
                 break
         if point is not None:
             break
-    witness = Witness(degree, coeff, point, value, expected)
+    witness = Witness(k, Form(coeff), point, value, expected)
     return RigidityVerdict(rigid=False, witness=witness)
 
 
@@ -223,8 +231,7 @@ def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
 
 def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     """Decide exactly whether the ``x = y = 1`` specialization is constant."""
-    candidate = BivarPoly.const(int(candidate_constant(matrix).evaluate(1, 1)))
-    return _decide(l_series(matrix), candidate, ((1, 1),))
+    return _decide(l_series(matrix), _candidate(matrix, 0), ((1, 1),))
 
 
 def normalize_signs(matrix: WeightMatrix) -> WeightMatrix:

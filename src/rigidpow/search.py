@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import BivarPoly
+from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
 from .prefilter import sample_points, select_filter
 from .rigidity import (
@@ -74,7 +74,6 @@ class SearchSpec:
     bound: int
     mode: str = "T"
     sign_policy: Optional[Tuple[int, ...]] = None
-    canonicalize: bool = True
     enum_budget: int = 10_000_000
     check_budget: int = 100_000
 
@@ -83,8 +82,6 @@ class SearchSpec:
             raise ValueError("m, n and bound must all be at least 1")
         if self.mode not in ("T", "L"):
             raise ValueError(f"mode must be 'T' or 'L', got {self.mode!r}")
-        if not self.canonicalize:
-            raise ValueError("sweeps always enumerate canonical representatives")
         if self.sign_policy is not None:
             policy = tuple(int(s) for s in self.sign_policy)
             if len(policy) != self.m or any(s not in (1, -1) for s in policy):
@@ -108,7 +105,7 @@ class Find:
     """One rigid matrix found by a sweep, with its structural annotations."""
 
     matrix: WeightMatrix
-    constant: BivarPoly
+    constant: Form
     label: Optional[ClassLabel]
     quasilinear_seed: Optional[Tuple[int, ...]]
     kosniowski_ok: bool
@@ -191,7 +188,7 @@ def _shard_rows(universe: Sequence[Row], m: int, shard_index: int, shard_count: 
 
 @dataclass
 class _ShardResult:
-    found: List[Tuple[RowsTuple, BivarPoly]] = field(default_factory=list)
+    found: List[Tuple[RowsTuple, Form]] = field(default_factory=list)
     enumerated: int = 0
     rejected: int = 0
     exact_checks: int = 0
@@ -251,7 +248,7 @@ def _run_shard(spec: SearchSpec, shard_index: int, shard_count: int,
     return result
 
 
-def _annotate(spec: SearchSpec, rows: RowsTuple, constant: BivarPoly) -> Find:
+def _annotate(spec: SearchSpec, rows: RowsTuple, constant: Form) -> Find:
     matrix = WeightMatrix(rows)
     label = classify_two_fixed_points(matrix) if matrix.m == 2 else None
     seed = None

@@ -1,11 +1,25 @@
 """Command-line surface: document parsing, verdict output, exit codes,
 and deterministic report files."""
 
+import contextlib
+import io
 import json
+import sys
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidpow.cli import ParseError, main, parse_matrix_text, render_matrix
+from rigidpow import cli
+from rigidpow.algebra import digit_count
+from rigidpow.cli import (
+    ParseError,
+    main,
+    parse_matrix_json,
+    parse_matrix_text,
+    render_matrix,
+)
 from rigidpow.rigidity import Row, WeightMatrix
 from rigidpow.search import canonical_form
 
@@ -220,3 +234,181 @@ def test_search_problem24(tmp_path, capsys):
 def test_search_missing_flags(capsys):
     code, _, err = run_cli(capsys, "search", "--m", "2")
     assert code == 2
+
+
+# -- strict JSON input ---------------------------------------------------------
+
+
+MALFORMED_JSON = [
+    # a float weight used to be truncated to 1, giving a wrong verdict
+    '{"rows": [{"sign": 1, "weights": [1.7]}, {"sign": 1, "weights": [-1]}]}',
+    # JSON true used to be read as the sign +1
+    '{"rows": [{"sign": true, "weights": [1]}, {"sign": 1, "weights": [-1]}]}',
+    # a non-list rows value used to crash with exit 1, which reads as a verdict
+    '{"rows": 5}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON + ['{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}"])
+def test_check_rejects_malformed_json(text, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_check_json(text):
+    with patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", "-", "--json"])
+    return code, out.getvalue()
+
+
+NON_INTEGERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.text(max_size=3),
+    st.none(), st.lists(st.integers(), max_size=2),
+)
+VALID_WEIGHTS = st.lists(st.integers(-5, 5).filter(bool), min_size=2, max_size=2)
+
+
+@st.composite
+def malformed_json_documents(draw):
+    """A document that is malformed in exactly one, randomly chosen, way."""
+    rows = [{"sign": draw(st.sampled_from((1, -1))), "weights": draw(VALID_WEIGHTS)}
+            for _ in range(draw(st.integers(1, 3)))]
+    i = draw(st.integers(0, len(rows) - 1))
+    flaw = draw(st.sampled_from(
+        ["syntax", "top", "rows", "entry", "weights", "weight", "sign", "sign-value",
+         "zero", "length", "empty"]))
+    if flaw == "syntax":
+        text = json.dumps({"rows": rows})
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = {"rows": rows}
+    if flaw == "top":
+        doc = draw(st.one_of(NON_INTEGERS, st.integers(), st.just({"row": rows})))
+    elif flaw == "rows":
+        doc["rows"] = draw(st.one_of(NON_INTEGERS.filter(lambda v: not isinstance(v, list)),
+                                     st.integers(), st.just({})))
+    elif flaw == "entry":
+        rows[i] = draw(st.one_of(NON_INTEGERS, st.integers(), st.just({"sign": 1})))
+    elif flaw == "weights":
+        rows[i]["weights"] = draw(st.one_of(NON_INTEGERS.filter(lambda v: not isinstance(v, list)),
+                                            st.integers()))
+    elif flaw == "weight":
+        rows[i]["weights"][draw(st.integers(0, 1))] = draw(NON_INTEGERS)
+    elif flaw == "sign":
+        rows[i]["sign"] = draw(NON_INTEGERS)
+    elif flaw == "sign-value":
+        rows[i]["sign"] = draw(st.integers().filter(lambda s: s not in (1, -1)))
+    elif flaw == "zero":
+        rows[i]["weights"][draw(st.integers(0, 1))] = 0
+    elif flaw == "length":
+        rows[i]["weights"] = rows[i]["weights"][:1]
+        if len(rows) == 1:
+            rows.append({"sign": 1, "weights": [1, 2]})
+    else:
+        doc["rows"] = []
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_json_documents())
+def test_no_malformed_json_document_gets_a_verdict(text):
+    code, out = run_check_json(text)
+    assert code == 2
+    assert "Rigid" not in out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(VALID_WEIGHTS, st.sampled_from((1, -1))), min_size=1, max_size=3))
+def test_well_formed_json_matches_text_document(rows):
+    doc = {"rows": [{"sign": s, "weights": ws} for ws, s in rows]}
+    assert parse_matrix_json(json.dumps(doc)) == wm(*rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=3, max_size=3),
+                          st.sampled_from((1, -1))), min_size=1, max_size=4))
+def test_render_parse_round_trip(rows):
+    matrix = wm(*rows)
+    assert parse_matrix_text(render_matrix(matrix)) == matrix
+
+
+# -- exit codes and bounded output ---------------------------------------------
+
+
+needs_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter converts integers of any length to str")
+
+
+def run_cli_with_str_limit(capsys, *argv):
+    """run_cli under Python's default 4300-digit int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_str_limit
+def test_check_huge_witness_prints_digit_counts(tmp_path, capsys):
+    # The witness value at z0 = 2 has over 30000 digits, beyond what Python
+    # converts to str by default; the verdict must still come out whole,
+    # with exit 1.
+    path = tmp_path / "doc.txt"
+    path.write_text("2 1\n+: 99999\n+: 1\n")
+    code, out, err = run_cli_with_str_limit(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "NotRigid",
+        "witness: z0 = 2, (x0, y0) = (1, 1): value = <30104 digits>/<30103 digits>, expected = 2",
+        "residual: lowest z-degree 0, coefficient -2*x - 2*y",
+    ]
+    code, out, _ = run_cli_with_str_limit(capsys, "classify", str(path))
+    assert code == 0 and "value is <30104 digits>/<30103 digits>" in out
+
+
+@needs_str_limit
+def test_chern_huge_value_prints_digit_count(tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text("1 1\n+: 5\n")
+    code, out, err = run_cli_with_str_limit(capsys, "chern", str(path), "--partition", "10000")
+    # c1^10000 / 5 = 5^9999, which has floor(9999 * log10(5)) + 1 = 6990 digits
+    assert (code, err) == (0, "")
+    assert out == "chern number for exponents (10000,): <6990 digits> (integer)\n"
+
+
+@settings(max_examples=200)
+@given(st.integers(-10**60, 10**60))
+def test_digit_count(value):
+    assert digit_count(value) == len(str(abs(value)))
+
+
+def test_digit_count_at_powers_of_ten():
+    for k in range(1, 80):
+        assert digit_count(10**k) == k + 1
+        assert digit_count(10**k - 1) == k
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(matrix):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "is_rigid", broken)
+    path = tmp_path / "doc.txt"
+    path.write_text(QUASILINEAR_DOC)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (4, "")
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_package_exports_the_readme_names():
+    import rigidpow
+
+    assert sorted(rigidpow.__all__) == ["SearchSpec", "is_rigid", "quasilinear", "sweep"]
+    assert str(rigidpow.is_rigid(rigidpow.quasilinear([0, 1, 2])).constant) == "x^2 - x*y + y^2"

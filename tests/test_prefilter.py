@@ -1,27 +1,17 @@
-"""Kernel selection and agreement between the compiled and pure lanes."""
+"""The sample-point pre-filter kernel against the symbolic series."""
 
 import random
 from array import array
 
 import pytest
 
-from rigidpow.prefilter import (
-    HAVE_COMPILED,
-    L_POINTS,
-    T_POINTS,
-    filter_chunk_fast,
-    filter_chunk_pure,
-    int128_headroom,
-    sample_points,
-    select_filter,
-)
+from rigidpow.prefilter import L_POINTS, T_POINTS, filter_chunk, sample_points, select_filter
 from rigidpow.rigidity import Row, WeightMatrix, candidate_constant, t_series
 
 
-def random_batch(rng, m, n, bound, count, positive=False):
+def random_batch(rng, m, n, bound, count):
     weights, signs = array("q"), array("q")
-    low = 1 if positive else -bound
-    values = [v for v in range(low, bound + 1) if v]
+    values = [v for v in range(-bound, bound + 1) if v]
     for _ in range(count):
         for _ in range(m):
             signs.append(rng.choice((1, -1)))
@@ -65,39 +55,13 @@ def test_pure_kernel_matches_symbolic_oracle():
     weights, signs = random_batch(rng, m, n, bound, count)
     points = array("q", T_POINTS)
     got = bytearray(count)
-    filter_chunk_pure(weights, signs, m, n, count, points, got)
+    filter_chunk(weights, signs, m, n, count, points, got)
     assert got == oracle_mask(weights, signs, m, n, count, T_POINTS)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_matches_pure_kernel():
-    rng = random.Random(22)
-    for m, n, bound, mode in ((2, 3, 5, "T"), (3, 2, 8, "L"), (1, 1, 6, "T"), (4, 2, 4, "L")):
-        count = 500
-        weights, signs = random_batch(rng, m, n, bound, count, positive=(mode == "L"))
-        points = array("q", sample_points(mode))
-        assert int128_headroom(m, n, bound, points)
-        fast, pure = bytearray(count), bytearray(count)
-        filter_chunk_fast(weights, signs, m, n, count, points, fast)
-        filter_chunk_pure(weights, signs, m, n, count, points, pure)
-        assert fast == pure
-
-
-def test_headroom_gate():
-    assert int128_headroom(2, 3, 5, T_POINTS)
-    assert int128_headroom(3, 2, 8, L_POINTS)
-    assert not int128_headroom(6, 6, 40, T_POINTS)
-
-
-def test_select_filter_prefers_compiled_within_headroom():
-    kernel, name = select_filter(2, 2, 3, T_POINTS)
-    if HAVE_COMPILED:
-        assert name == "compiled" and kernel is filter_chunk_fast
-    else:
-        assert name == "pure" and kernel is filter_chunk_pure
-    # out-of-headroom parameters always fall back
-    kernel, name = select_filter(6, 6, 40, T_POINTS)
-    assert name == "pure" and kernel is filter_chunk_pure
+def test_select_filter_returns_the_kernel():
+    for m, n, bound in ((2, 2, 3), (6, 6, 40)):
+        assert select_filter(m, n, bound, T_POINTS) == (filter_chunk, "pure")
 
 
 def test_kernels_accept_rigid_matrices():
@@ -113,17 +77,13 @@ def test_kernels_accept_rigid_matrices():
         for mode in ("T", "L"):
             points = array("q", sample_points(mode))
             out = bytearray(1)
-            filter_chunk_pure(weights, signs, m, n, 1, points, out)
+            filter_chunk(weights, signs, m, n, 1, points, out)
             assert out[0] == 1
-            if HAVE_COMPILED:
-                out = bytearray(1)
-                filter_chunk_fast(weights, signs, m, n, 1, points, out)
-                assert out[0] == 1
 
     # and the canonical L image passes the L points as well
     matrix = canonical_form(quasilinear((0, 2, 5)), "L")
     weights = array("q", [w for row in matrix.rows for w in row.weights])
     signs = array("q", [row.sign for row in matrix.rows])
     out = bytearray(1)
-    filter_chunk_pure(weights, signs, matrix.m, matrix.n, 1, array("q", L_POINTS), out)
+    filter_chunk(weights, signs, matrix.m, matrix.n, 1, array("q", L_POINTS), out)
     assert out[0] == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidpow.algebra import BivarPoly, DenomFactors, LaurentPoly
+from rigidpow.algebra import DenomFactors, Form
 from rigidpow.rigidity import (
     DuplicateEntries,
     Row,
@@ -23,17 +23,13 @@ from rigidpow.rigidity import (
     term_fraction,
 )
 
-X = BivarPoly.monomial(1, 0)
-Y = BivarPoly.monomial(0, 1)
-
-
 def wm(*rows):
     return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
 
 
 def prop_constant(n):
     """sum_{k=0..n} x^(n-k) * (-y)^k, the constant of every difference matrix."""
-    return BivarPoly({(n - k, k): (-1) ** k for k in range(n + 1)})
+    return Form((-1) ** k for k in range(n + 1))
 
 
 # -- construction and validation ----------------------------------------------
@@ -52,17 +48,17 @@ def test_matrix_validation():
 
 def test_term_fraction_positive():
     t = term_fraction(1)
-    assert t.num == LaurentPoly({1: X, 0: Y})
+    assert t.num == {1: (1, 0), 0: (0, 1)}
     assert t.den == DenomFactors({1: 1})
 
 
 def test_term_fraction_negative():
     # (x z^-1 + y)/(z^-1 - 1) = (-x - y z)/(z - 1)
     t = term_fraction(-1)
-    assert t.num == LaurentPoly({1: -Y, 0: -X})
+    assert t.num == {1: (0, -1), 0: (-1, 0)}
     assert t.den == DenomFactors({1: 1})
     t2 = term_fraction(-2)
-    assert t2.num == LaurentPoly({2: -Y, 0: -X})
+    assert t2.num == {2: (0, -1), 0: (-1, 0)}
     assert t2.den == DenomFactors({2: 1})
 
 
@@ -87,12 +83,12 @@ def test_term_fraction_matches_defining_formula():
 def test_t_series_two_term_sum():
     series = t_series(wm(([1], 1), ([-1], 1)))
     assert series.den == DenomFactors({1: 1})
-    assert series.num == LaurentPoly({1: X - Y, 0: Y - X})
+    assert series.num == {1: (1, -1), 0: (-1, 1)}
 
 
 def test_t_series_cancelling_rows():
     series = t_series(wm(([1, 2], 1), ([1, 2], -1)))
-    assert series.num.is_zero()
+    assert series.num == {}
 
 
 def test_t_series_difference_matrix_is_constant_function():
@@ -104,7 +100,7 @@ def test_t_series_difference_matrix_is_constant_function():
 
 
 def test_l_series_examples():
-    assert l_series(wm(([2], 1), ([2], -1))).num.is_zero()
+    assert l_series(wm(([2], 1), ([2], -1))).num == {}
 
     series = l_series(quasilinear([0, 1, 2]))
     for z0 in (2, 3, Fraction(1, 2)):
@@ -113,7 +109,7 @@ def test_l_series_examples():
     # (z+1)/(z-1) - (z^2+1)/(z^2-1) = 2z/(z^2-1), not constant
     series = l_series(wm(([1], 1), ([2], -1)))
     assert series.den == DenomFactors({1: 1, 2: 1})
-    assert series.num == LaurentPoly({2: BivarPoly.const(2), 1: BivarPoly.const(-2)})
+    assert series.num == {2: (2,), 1: (-2,)}
     assert series.evaluate(2) == Fraction(4, 3)
     assert series.evaluate(3) != series.evaluate(2)
 
@@ -128,7 +124,7 @@ def test_candidate_constant_difference_matrix():
 def test_candidate_constant_six_sphere_pattern():
     a, b = 2, 3
     matrix = wm(([a, b, -(a + b)], 1), ([-a, -b, a + b], 1))
-    assert candidate_constant(matrix) == BivarPoly({(2, 1): -1, (1, 2): 1})
+    assert candidate_constant(matrix) == Form((0, -1, 1, 0))  # -x^2*y + x*y^2
 
 
 def test_candidate_constant_cancelling_rows():
@@ -151,7 +147,7 @@ def test_not_rigid_witness():
     w = verdict.witness
     # residual numerator is (x+y)z^2 - (x+y)z; lowest degree 1
     assert w.residual_degree == 1
-    assert w.residual_coefficient == -(X + Y)
+    assert w.residual_coefficient == Form((-1, -1))
     assert w.point == (2, 1, 1)
     assert w.value_at_point == Fraction(4, 3)
     assert w.expected_at_point == 0

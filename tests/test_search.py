@@ -213,8 +213,6 @@ def test_sweep_validates_spec():
         SearchSpec(m=1, n=1, bound=1, mode="X")
     with pytest.raises(ValueError):
         SearchSpec(m=2, n=1, bound=1, sign_policy=(1,))
-    with pytest.raises(ValueError):
-        SearchSpec(m=1, n=1, bound=1, canonicalize=False)
 
 
 # -- pre-filter soundness -----------------------------------------------------
