@@ -86,6 +86,9 @@ class Form:
             return NotImplemented
         return self.coeffs == other.coeffs
 
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
     def is_constant(self) -> bool:
         return self.degree == 0 or self.is_zero()
 

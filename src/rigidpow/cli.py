@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -50,6 +51,21 @@ class ParseError(ValueError):
         self.line = line
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(token: str) -> int:
+    """An integer written in ASCII decimal digits with an optional sign.
+
+    Python's ``int`` also takes digit-group underscores (``1_0``) and
+    non-ASCII digits (Arabic-Indic, full-width, ...); every integer the
+    program reads, from a document or a flag, goes through here instead.
+    """
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_matrix_text(text: str) -> WeightMatrix:
     """Parse the line-oriented matrix document; errors carry line numbers.
 
@@ -69,7 +85,7 @@ def parse_matrix_text(text: str) -> WeightMatrix:
         if len(content) > 1:
             raise ParseError(content[1][0], "a seed document is a single line")
         try:
-            seeds = [int(t) for t in head.partition(":")[2].split()]
+            seeds = [integer(t) for t in head.partition(":")[2].split()]
         except ValueError:
             raise ParseError(head_line, f"seed entries must be integers: {head!r}") from None
         try:
@@ -80,7 +96,7 @@ def parse_matrix_text(text: str) -> WeightMatrix:
     if len(fields) != 2:
         raise ParseError(head_line, f"expected header 'm n', got {head!r}")
     try:
-        m, n = int(fields[0]), int(fields[1])
+        m, n = integer(fields[0]), integer(fields[1])
     except ValueError:
         raise ParseError(head_line, f"expected integers in header, got {head!r}") from None
     if m < 1 or n < 1:
@@ -103,7 +119,7 @@ def parse_matrix_text(text: str) -> WeightMatrix:
         if len(tokens) != n:
             raise ParseError(line_no, f"expected {n} weights, found {len(tokens)}")
         try:
-            weights = tuple(int(t) for t in tokens)
+            weights = tuple(integer(t) for t in tokens)
         except ValueError:
             raise ParseError(line_no, f"weights must be integers: {weight_part.strip()!r}") from None
         if any(w == 0 for w in weights):
@@ -204,7 +220,7 @@ def _cmd_classify(args) -> int:
 
 def _parse_partition(text: str, n: int) -> tuple:
     try:
-        r = tuple(int(t) for t in text.split(","))
+        r = tuple(integer(t.strip()) for t in text.split(","))
     except ValueError:
         raise ParseError(0, f"--partition must be comma-separated integers, got {text!r}") from None
     if len(r) != n:
@@ -285,10 +301,7 @@ def _write_records(path: str, records) -> None:
 
 def _print_report(report: SearchReport) -> None:
     spec, stats = report.spec, report.stats
-    print(
-        f"sweep m={spec.m} n={spec.n} bound={spec.bound} mode={spec.mode} "
-        f"kernel={stats.kernel}"
-    )
+    print(f"sweep m={spec.m} n={spec.n} bound={spec.bound} mode={spec.mode}")
     print(
         f"enumerated {stats.enumerated}, pre-filter rejected {stats.rejected}, "
         f"exact checks {stats.exact_checks}, found {len(report.found)}, "
@@ -391,23 +404,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.set_defaults(func=_cmd_screen)
 
     p_search = sub.add_parser("search", help="exhaustive sweep of a bounded weight space")
-    p_search.add_argument("--m", type=int)
-    p_search.add_argument("--n", type=int)
-    p_search.add_argument("--bound", type=int)
+    p_search.add_argument("--m", type=integer)
+    p_search.add_argument("--n", type=integer)
+    p_search.add_argument("--bound", type=integer)
     p_search.add_argument("--mode", choices=("T", "L"), default="T")
-    p_search.add_argument("--budget", type=int, default=100_000,
+    p_search.add_argument("--budget", type=integer, default=100_000,
                           help="exact-check budget (default 100000)")
-    p_search.add_argument("--enum-budget", type=int, default=10_000_000,
+    p_search.add_argument("--enum-budget", type=integer, default=10_000_000,
                           help="enumeration budget (default 10000000)")
-    p_search.add_argument("--shards", type=int, default=1)
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--shards", type=integer, default=1)
+    p_search.add_argument("--workers", type=integer, default=1)
     p_search.add_argument("--out", metavar="PATH", help="write the machine-readable report here")
     p_search.add_argument("--problem24", action="store_true",
                           help="search signature-sum identity triples instead of matrices")
     p_search.set_defaults(func=_cmd_search)
 
     p_quasi = sub.add_parser("quasilinear", help="emit the difference matrix of distinct integers")
-    p_quasi.add_argument("entries", type=int, nargs="+")
+    p_quasi.add_argument("entries", type=integer, nargs="+")
     p_quasi.set_defaults(func=_cmd_quasilinear)
 
     return parser

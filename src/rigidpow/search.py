@@ -19,11 +19,10 @@ changes the outcome of a completed sweep.
 from __future__ import annotations
 
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement, compress, islice, product
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
@@ -97,7 +96,6 @@ class SweepStats:
     rejected: int
     exact_checks: int
     wall_time: float
-    kernel: str
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def canonical_form(matrix: WeightMatrix, mode: str = "T") -> WeightMatrix:
     if mode == "L":
         matrix = normalize_signs(matrix)
     rows = [Row(tuple(sorted(r.weights, reverse=True)), r.sign) for r in matrix.rows]
-    rows.sort(key=lambda r: (r.weights, r.sign))
+    rows.sort()
     return WeightMatrix(tuple(rows))
 
 
@@ -174,7 +172,7 @@ def row_universe(n: int, bound: int, mode: str) -> List[Row]:
     for weights in combinations_with_replacement(values, n):
         for sign in (-1, 1):
             rows.append(Row(weights, sign))
-    rows.sort(key=lambda r: (r.weights, r.sign))
+    rows.sort()
     return rows
 
 
@@ -195,56 +193,51 @@ class _ShardResult:
     exceeded: bool = False
 
 
+def _prefiltered(candidates: Iterable[RowsTuple], m: int, n: int, bound: int,
+                 mode: str) -> Iterator[Tuple[List[RowsTuple], bytearray]]:
+    """The pre-filter stage: ``(chunk, mask)`` for each run of up to ``_CHUNK``
+    candidates, drawn lazily; ``mask[i]`` is 1 when ``chunk[i]`` matches its
+    forced constant at every sample point."""
+    points = sample_points(mode)
+    kernel, _ = select_filter(m, n, bound, points)
+    candidates = iter(candidates)
+    while True:
+        chunk = list(islice(candidates, _CHUNK))
+        if not chunk:
+            return
+        weights = [w for rows in chunk for row in rows for w in row.weights]
+        signs = [row.sign for rows in chunk for row in rows]
+        mask = bytearray(len(chunk))
+        kernel(weights, signs, m, n, len(chunk), points, mask)
+        yield chunk, mask
+
+
 def _run_shard(spec: SearchSpec, shard_index: int, shard_count: int,
                enum_cap: int, check_cap: int) -> _ShardResult:
     universe = row_universe(spec.n, spec.bound, spec.mode)
-    points = sample_points(spec.mode)
-    points_arr = array("q", points)
-    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
-    policy = tuple(sorted(spec.sign_policy)) if spec.sign_policy else None
+    candidates = _shard_rows(universe, spec.m, shard_index, shard_count)
+    if spec.sign_policy:
+        policy = sorted(spec.sign_policy)
+        candidates = (rows for rows in candidates if sorted(r.sign for r in rows) == policy)
 
     result = _ShardResult()
-    chunk: List[RowsTuple] = []
-
-    def flush():
-        if not chunk:
-            return
-        count = len(chunk)
-        wbuf = array("q")
-        sbuf = array("q")
-        for rows in chunk:
-            for row in rows:
-                wbuf.extend(row.weights)
-                sbuf.append(row.sign)
-        mask = bytearray(count)
-        kernel(wbuf, sbuf, spec.m, spec.n, count, points_arr, mask)
+    stage = _prefiltered(islice(candidates, enum_cap), spec.m, spec.n, spec.bound, spec.mode)
+    for chunk, mask in stage:
+        result.enumerated += len(chunk)
         for rows, ok in zip(chunk, mask):
             if not ok:
                 result.rejected += 1
-                continue
-            if result.exact_checks >= check_cap:
+            elif result.exact_checks >= check_cap:
                 result.exceeded = True
-                continue
-            result.exact_checks += 1
-            verdict = decide(WeightMatrix(rows))
-            if verdict.rigid:
-                result.found.append((rows, verdict.constant))
-        chunk.clear()
-
-    for rows in _shard_rows(universe, spec.m, shard_index, shard_count):
-        if policy is not None and tuple(sorted(r.sign for r in rows)) != policy:
-            continue
-        if result.enumerated >= enum_cap:
-            result.exceeded = True
-            break
-        result.enumerated += 1
-        chunk.append(rows)
-        if len(chunk) >= _CHUNK:
-            flush()
-            if result.exceeded:
-                break
-    flush()
+            else:
+                result.exact_checks += 1
+                verdict = decide(WeightMatrix(rows))
+                if verdict.rigid:
+                    result.found.append((rows, verdict.constant))
+        if result.exceeded:
+            return result
+    result.exceeded = next(candidates, None) is not None
     return result
 
 
@@ -282,17 +275,13 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     else:
         results = [_run_shard(spec, s, shards, enum_cap, check_cap) for s in range(shards)]
 
-    pairs = sorted(
-        (pair for r in results for pair in r.found),
-        key=lambda pair: tuple((row.weights, row.sign) for row in pair[0]),
-    )
+    pairs = sorted((pair for r in results for pair in r.found), key=lambda pair: pair[0])
     finds = tuple(_annotate(spec, rows, constant) for rows, constant in pairs)
     stats = SweepStats(
         enumerated=sum(r.enumerated for r in results),
         rejected=sum(r.rejected for r in results),
         exact_checks=sum(r.exact_checks for r in results),
         wall_time=time.perf_counter() - started,
-        kernel=select_filter(spec.m, spec.n, spec.bound, sample_points(spec.mode))[1],
     )
     report = SearchReport(spec, finds, stats)
     if any(r.exceeded for r in results):
@@ -347,29 +336,13 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     """
     if n < 1 or bound < 1:
         raise ValueError("n and bound must be at least 1")
-    multisets = list(combinations_with_replacement(range(1, bound + 1), n))
-    points = sample_points("L")
-    points_arr = array("q", points)
-    kernel, _ = select_filter(3, n, bound, points)
-
+    plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
+    minus = [Row(v.weights, -1) for v in plus]
+    triples = ((plus[i], b, c) for i in range(len(plus)) for b in plus[i:] for c in minus)
     solutions: List[Triple] = []
-    for ai, a in enumerate(multisets):
-        for b in multisets[ai:]:
-            count = len(multisets)
-            wbuf = array("q")
-            sbuf = array("q")
-            for c in multisets:
-                wbuf.extend(a)
-                wbuf.extend(b)
-                wbuf.extend(c)
-                sbuf.extend((1, 1, -1))
-            mask = bytearray(count)
-            kernel(wbuf, sbuf, 3, n, count, points_arr, mask)
-            for c, ok in zip(multisets, mask):
-                if not ok:
-                    continue
-                matrix = WeightMatrix((Row(a, 1), Row(b, 1), Row(c, -1)))
-                verdict = is_l_rigid(matrix)
-                if verdict.rigid and verdict.constant.constant_value() == 1:
-                    solutions.append((a, b, c))
+    for chunk, mask in _prefiltered(triples, 3, n, bound, "L"):
+        for rows in compress(chunk, mask):
+            verdict = is_l_rigid(WeightMatrix(rows))
+            if verdict.rigid and verdict.constant.constant_value() == 1:
+                solutions.append(tuple(row.weights for row in rows))
     return solutions

@@ -371,24 +371,13 @@ def test_criterion_9_permutation_invariance():
 
 
 def test_criterion_9_prefilter_soundness():
-    from array import array
-
-    from rigidpow.prefilter import sample_points, select_filter
-    from rigidpow.search import _shard_rows
+    from rigidpow.search import _prefiltered, _shard_rows
 
     spec = SearchSpec(m=2, n=2, bound=4, mode="T")
     universe = row_universe(spec.n, spec.bound, spec.mode)
-    points = sample_points(spec.mode)
-    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points)
-    points_arr = array("q", points)
-    rejected = []
-    for rows in _shard_rows(universe, spec.m, 0, 1):
-        wbuf = array("q", [w for row in rows for w in row.weights])
-        sbuf = array("q", [row.sign for row in rows])
-        mask = bytearray(1)
-        kernel(wbuf, sbuf, spec.m, spec.n, 1, points_arr, mask)
-        if not mask[0]:
-            rejected.append(rows)
+    stage = _prefiltered(_shard_rows(universe, spec.m, 0, 1),
+                         spec.m, spec.n, spec.bound, spec.mode)
+    rejected = [rows for chunk, mask in stage for rows, ok in zip(chunk, mask) if not ok]
     rng = random.Random(45)
     sample = rng.sample(rejected, max(len(rejected) // 100, 100))
     rigid_rejects = sum(1 for rows in sample if is_rigid(WeightMatrix(rows)).rigid)

@@ -59,6 +59,11 @@ def test_form_equality_and_evaluation():
     assert Form((0, 1)).evaluate(0, 0) == 0
 
 
+def test_equal_forms_hash_equally():
+    assert hash(Form([1, -1, 1])) == hash(Form((1, -1, 1)))
+    assert len({Form((1, 2)), Form([1, 2]), Form((2, 1)), Form((0, 0)), Form((0,))}) == 4
+
+
 # -- polynomials in z ---------------------------------------------------------
 
 

@@ -236,6 +236,66 @@ def test_search_missing_flags(capsys):
     assert code == 2
 
 
+# -- strict integers -----------------------------------------------------------
+
+ARABIC_10 = "١٠"  # Arabic-Indic digits one, zero
+FULL_WIDTH_10 = "１０"  # full-width digits one, zero
+
+NON_ASCII_INTEGER_DOCS = [
+    # int() used to read both weights as 10: "Rigid, constant = 0", exit 0
+    f"2 1\n+: 1_0\n-: {ARABIC_10}\n",
+    "2 1\n+: 1_0\n-: 10\n",
+    f"2 1\n+: {ARABIC_10}\n-: 10\n",
+    f"2 1\n+: {FULL_WIDTH_10}\n-: 10\n",
+    f"2 {FULL_WIDTH_10[0]}\n+: 10\n-: 10\n",
+    "2_0 1\n+: 10\n-: 10\n",
+    f"quasilinear: 0 1_0 {ARABIC_10[0]}\n",
+    f"quasilinear: 0 1 {FULL_WIDTH_10}\n",
+]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_INTEGER_DOCS)
+def test_check_rejects_non_ascii_integers(text, tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    for mode in ("T", "L"):
+        code, out, err = run_cli(capsys, "check", str(path), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["quasilinear", "0", "1_0", ARABIC_10[0]],
+    ["quasilinear", "0", "1", FULL_WIDTH_10],
+    ["search", "--m", "1", "--n", "1", "--bound", "٣"],
+    *(["search", "--m", "2", "--n", "1", "--bound", "3", flag, value]
+      for flag in ("--m", "--n", "--bound", "--budget", "--enum-budget", "--shards", "--workers")
+      # each reads as 1 under int(), so a regression is a quick sweep, not a hang
+      for value in ("0_1", ARABIC_10[0], FULL_WIDTH_10[0])),
+])
+def test_integer_flags_reject_non_ascii_digits(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("partition", ["0,1_0", f"0,{ARABIC_10}", f"{FULL_WIDTH_10[0]},1"])
+def test_chern_partition_rejects_non_ascii_digits(partition, tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text(QUASILINEAR_DOC)
+    code, out, err = run_cli(capsys, "chern", str(path), "--partition", partition)
+    assert (code, out) == (2, "")
+    assert "--partition" in err
+
+
+def test_integer_accepts_signed_ascii_only():
+    assert [cli.integer(t) for t in ("0", "17", "-3", "+4", "007")] == [0, 17, -3, 4, 7]
+    for token in ("", "+", "1.0", " 1", "1 ", "1\n", "0x1", "1_0", ARABIC_10, FULL_WIDTH_10):
+        with pytest.raises(ValueError):
+            cli.integer(token)
+
+
 # -- strict JSON input ---------------------------------------------------------
 
 

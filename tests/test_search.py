@@ -134,6 +134,13 @@ def test_sweep_found_is_sorted_and_unique():
     assert {f.matrix for f in report.found} == z_family(2, 2)
 
 
+def test_finds_and_verdicts_are_hashable():
+    report = sweep(SearchSpec(m=3, n=2, bound=3, mode="L"))
+    assert report.found and len(set(report.found)) == len(report.found)
+    assert hash(is_rigid(quasilinear([0, 1, 2]))) == hash(is_rigid(quasilinear([0, 1, 2])))
+    assert len({is_rigid(wm(([1], 1), ([2], -1)))}) == 1  # not rigid: carries a witness
+
+
 def test_sweep_paired_family_l_mode():
     report = sweep(SearchSpec(m=2, n=1, bound=4, mode="L"))
     expected = {
@@ -220,26 +227,15 @@ def test_sweep_validates_spec():
 
 def test_prefilter_rejects_are_never_rigid():
     # every candidate the sweep rejected must fail the symbolic check too
-    from array import array
-
-    from rigidpow.prefilter import sample_points, select_filter
-    from rigidpow.search import _shard_rows
+    from rigidpow.search import _prefiltered, _shard_rows
 
     spec = SearchSpec(m=2, n=2, bound=3, mode="T")
     universe = row_universe(spec.n, spec.bound, spec.mode)
-    points = sample_points(spec.mode)
-    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points)
-    points_arr = array("q", points)
+    stage = _prefiltered(_shard_rows(universe, spec.m, 0, 1),
+                         spec.m, spec.n, spec.bound, spec.mode)
 
     rng = random.Random(12)
-    rejected = []
-    for rows in _shard_rows(universe, spec.m, 0, 1):
-        wbuf = array("q", [w for row in rows for w in row.weights])
-        sbuf = array("q", [row.sign for row in rows])
-        mask = bytearray(1)
-        kernel(wbuf, sbuf, spec.m, spec.n, 1, points_arr, mask)
-        if not mask[0]:
-            rejected.append(rows)
+    rejected = [rows for chunk, mask in stage for rows, ok in zip(chunk, mask) if not ok]
     assert rejected
     sample = rng.sample(rejected, max(len(rejected) // 20, 50))
     for rows in sample:

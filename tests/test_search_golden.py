@@ -62,7 +62,8 @@ def run(argv, out_path):
     """Exit code and ``--out`` sha256 of one invocation."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv + ["--out", str(out_path)])
-    return {"exit": code, "sha256": hashlib.sha256(out_path.read_bytes()).hexdigest()}
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest() if out_path.exists() else None
+    return {"exit": code, "sha256": digest}
 
 
 RECORDS = json.loads(DATA.read_text()) if DATA.exists() else []
