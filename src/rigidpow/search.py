@@ -21,12 +21,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, compress, islice, product
+from itertools import chain, combinations_with_replacement, compress, islice, product
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
-from .prefilter import sample_points, select_filter
+from .prefilter import exact_int, sample_points, select_filter
 from .rigidity import (
     Row,
     WeightMatrix,
@@ -65,7 +65,9 @@ class SearchSpec:
 
     ``sign_policy`` of None admits every sign pattern; a tuple restricts
     the sweep to candidates whose multiset of row signs equals it.
-    Budgets default to 10**7 enumerations and 10**5 exact checks.
+    Budgets default to 10**7 enumerations and 10**5 exact checks.  Every
+    number must be an ``int`` (``bool`` and floats raise ``ValueError``):
+    ``bound`` sizes the pre-filter's exact denominators.
     """
 
     m: int
@@ -77,12 +79,14 @@ class SearchSpec:
     check_budget: int = 100_000
 
     def __post_init__(self):
+        for name in ("m", "n", "bound", "enum_budget", "check_budget"):
+            exact_int(name, getattr(self, name))
         if self.m < 1 or self.n < 1 or self.bound < 1:
             raise ValueError("m, n and bound must all be at least 1")
         if self.mode not in ("T", "L"):
             raise ValueError(f"mode must be 'T' or 'L', got {self.mode!r}")
         if self.sign_policy is not None:
-            policy = tuple(int(s) for s in self.sign_policy)
+            policy = tuple(exact_int("sign_policy entry", s) for s in self.sign_policy)
             if len(policy) != self.m or any(s not in (1, -1) for s in policy):
                 raise ValueError("sign_policy must list one ±1 sign per row")
             object.__setattr__(self, "sign_policy", policy)
@@ -179,9 +183,8 @@ def row_universe(n: int, bound: int, mode: str) -> List[Row]:
 def _shard_rows(universe: Sequence[Row], m: int, shard_index: int, shard_count: int):
     """Canonical candidates whose first row index is ≡ shard_index mod shard_count."""
     for i in range(shard_index, len(universe), shard_count):
-        head = universe[i]
-        for rest in combinations_with_replacement(universe[i:], m - 1):
-            yield (head, *rest)
+        yield from map((universe[i],).__add__,
+                       combinations_with_replacement(universe[i:], m - 1))
 
 
 @dataclass
@@ -197,7 +200,8 @@ def _prefiltered(candidates: Iterable[RowsTuple], m: int, n: int, bound: int,
                  mode: str) -> Iterator[Tuple[List[RowsTuple], bytearray]]:
     """The pre-filter stage: ``(chunk, mask)`` for each run of up to ``_CHUNK``
     candidates, drawn lazily; ``mask[i]`` is 1 when ``chunk[i]`` matches its
-    forced constant at every sample point."""
+    forced constant at every sample point.  The kernel gets one weight tuple
+    and one sign per row."""
     points = sample_points(mode)
     kernel, _ = select_filter(m, n, bound, points)
     candidates = iter(candidates)
@@ -205,8 +209,7 @@ def _prefiltered(candidates: Iterable[RowsTuple], m: int, n: int, bound: int,
         chunk = list(islice(candidates, _CHUNK))
         if not chunk:
             return
-        weights = [w for rows in chunk for row in rows for w in row.weights]
-        signs = [row.sign for rows in chunk for row in rows]
+        weights, signs = zip(*chain.from_iterable(chunk))
         mask = bytearray(len(chunk))
         kernel(weights, signs, m, n, len(chunk), points, mask)
         yield chunk, mask
@@ -225,18 +228,15 @@ def _run_shard(spec: SearchSpec, shard_index: int, shard_count: int,
     stage = _prefiltered(islice(candidates, enum_cap), spec.m, spec.n, spec.bound, spec.mode)
     for chunk, mask in stage:
         result.enumerated += len(chunk)
-        for rows, ok in zip(chunk, mask):
-            if not ok:
-                result.rejected += 1
-            elif result.exact_checks >= check_cap:
+        result.rejected += mask.count(0)
+        for rows in compress(chunk, mask):
+            if result.exact_checks >= check_cap:
                 result.exceeded = True
-            else:
-                result.exact_checks += 1
-                verdict = decide(WeightMatrix(rows))
-                if verdict.rigid:
-                    result.found.append((rows, verdict.constant))
-        if result.exceeded:
-            return result
+                return result
+            result.exact_checks += 1
+            verdict = decide(WeightMatrix(rows))
+            if verdict.rigid:
+                result.found.append((rows, verdict.constant))
     result.exceeded = next(candidates, None) is not None
     return result
 
@@ -260,7 +260,7 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     across shards; with ``workers > 1`` shards run in separate processes.
     Either way the found set of a completed sweep is identical.
     """
-    if shards < 1 or workers < 1:
+    if exact_int("shards", shards) < 1 or exact_int("workers", workers) < 1:
         raise ValueError("shards and workers must be at least 1")
     started = time.perf_counter()
     enum_cap = max(1, spec.enum_budget // shards)
@@ -334,7 +334,7 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     the constant is then automatically 1, making the rows satisfy
     ``L_a(z) + L_b(z) = L_c(z) + 1`` identically.
     """
-    if n < 1 or bound < 1:
+    if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
         raise ValueError("n and bound must be at least 1")
     plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
     minus = [Row(v.weights, -1) for v in plus]

@@ -2,10 +2,19 @@
 
 import random
 from array import array
+from fractions import Fraction
+from math import prod
 
 import pytest
 
-from rigidpow.prefilter import L_POINTS, T_POINTS, filter_chunk, sample_points, select_filter
+from rigidpow.prefilter import (
+    L_POINTS,
+    T_POINTS,
+    filter_chunk,
+    row_table_layout,
+    sample_points,
+    select_filter,
+)
 from rigidpow.rigidity import Row, WeightMatrix, candidate_constant, t_series
 
 
@@ -59,9 +68,159 @@ def test_pure_kernel_matches_symbolic_oracle():
     assert got == oracle_mask(weights, signs, m, n, count, T_POINTS)
 
 
-def test_select_filter_returns_the_kernel():
-    for m, n, bound in ((2, 2, 3), (6, 6, 40)):
-        assert select_filter(m, n, bound, T_POINTS) == (filter_chunk, "pure")
+def row_buffers(candidates):
+    """The row-table kernel's buffers (one weight tuple per row) and the
+    oracle's flat weight buffer for the same candidates."""
+    rows = [row for candidate in candidates for row in candidate]
+    weights = [tuple(ws) for ws, _ in rows]
+    return weights, [s for _, s in rows], [w for ws in weights for w in ws]
+
+
+def both_masks(candidates, m, n, bound, points):
+    weights, signs, flat = row_buffers(candidates)
+    kernel, name = select_filter(m, n, bound, points)
+    assert name == "row-table"
+    got = bytearray(len(candidates))
+    kernel(weights, signs, m, n, len(candidates), points, got)
+    want = bytearray(len(candidates))
+    filter_chunk(flat, signs, m, n, len(candidates), points, want)
+    return got, want
+
+
+def random_candidates(rng, m, n, bound, count):
+    """Unsorted rows of both signs, plus variants built to pass: a candidate
+    whose rows cancel in pairs, and rows repeated across candidates so the
+    table is read as well as filled."""
+    values = [v for v in range(-bound, bound + 1) if v]
+    pool = [(tuple(rng.choice(values) for _ in range(n)), rng.choice((1, -1)))
+            for _ in range(3 * m)]
+    out = []
+    for _ in range(count):
+        candidate = [rng.choice(pool) for _ in range(m)]
+        out.append(candidate)
+        for i in range(0, m - 1, 2):
+            ws, s = candidate[i]
+            candidate = candidate[:i + 1] + [(ws[::-1], -s)] + candidate[i + 2:]
+        out.append(candidate)
+    return out
+
+
+@pytest.mark.parametrize("points", [T_POINTS, L_POINTS], ids=["T", "L"])
+def test_row_table_kernel_matches_filter_chunk_on_a_grid(points):
+    rng = random.Random(4)
+    passed = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for bound in range(1, 9):
+                candidates = random_candidates(rng, m, n, bound, 6)
+                got, want = both_masks(candidates, m, n, bound, points)
+                assert got == want, (m, n, bound)
+                passed += sum(got)
+    assert passed > 0
+
+
+@pytest.mark.parametrize("m, n, bound, mode", [
+    (2, 1, 5, "T"), (2, 2, 3, "T"), (3, 2, 2, "T"), (3, 2, 3, "L"),
+    (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"),
+])
+def test_row_table_kernel_matches_filter_chunk_on_every_canonical_candidate(m, n, bound, mode):
+    from rigidpow.search import _shard_rows, row_universe
+
+    candidates = list(_shard_rows(row_universe(n, bound, mode), m, 0, 1))
+    got, want = both_masks(candidates, m, n, bound, sample_points(mode))
+    assert got == want
+    assert 0 < sum(got) < len(got)
+
+
+@pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
+def test_row_table_residue_collisions_are_decided_by_exact_keys(monkeypatch, m, n, bound, mode):
+    # modulo 3 most residue sums collide; the exact keys must still give
+    # filter_chunk's mask
+    from rigidpow import prefilter
+    from rigidpow.search import _shard_rows, row_universe
+
+    monkeypatch.setattr(prefilter, "_PRIME", 3)
+    candidates = list(_shard_rows(row_universe(n, bound, mode), m, 0, 1))
+    got, want = both_masks(candidates, m, n, bound, sample_points(mode))
+    assert got == want
+
+
+def unpack(key, shifts):
+    """Split a packed key into its signed per-point digits."""
+    digits = []
+    for shift in shifts:
+        digit = key & ((1 << shift) - 1)
+        if digit >= 1 << (shift - 1):
+            digit -= 1 << shift
+        digits.append(digit)
+        key = (key - digit) >> shift
+    assert key == 0
+    return digits
+
+
+def exact_row_term(weights, sign, z, x, y):
+    value, constant = Fraction(sign), sign
+    for w in weights:
+        zp = Fraction(z) ** abs(w)
+        value *= (x * zp + y) / (zp - 1) if w > 0 else -(x + y * zp) / (zp - 1)
+        constant *= x if w > 0 else -y
+    return value - constant
+
+
+@pytest.mark.parametrize("m, n, bound, mode", [
+    (1, 1, 1, "T"), (2, 2, 4, "T"), (4, 3, 3, "T"), (3, 2, 5, "L"), (4, 4, 2, "L"),
+])
+def test_row_table_entries_unpack_to_exact_row_terms(m, n, bound, mode):
+    from rigidpow.search import row_universe
+
+    points = sample_points(mode)
+    kernel, _ = select_filter(m, n, bound, points)
+    rows = row_universe(n, bound, "T")
+    # every row of the universe, each in its own one-row-repeated candidate
+    weights = [r.weights for r in rows for _ in range(m)]
+    signs = [r.sign for r in rows for _ in range(m)]
+    kernel(weights, signs, m, n, len(rows), points, bytearray(len(rows)))
+    assert set(kernel.table) == {(r.weights, r.sign) for r in rows}
+
+    layout = [points[p:p + 3] for p in range(0, len(points), 3)]
+    denominators = [prod((z**k - 1) ** n for k in range(1, bound + 1)) for z, _, _ in layout]
+    shifts = [shift for *_, shift in row_table_layout(m, n, bound, points)]
+    for (ws, sign), key in kernel.table.items():
+        digits = unpack(key, shifts)
+        for digit, (z, x, y), denom, shift in zip(digits, layout, denominators, shifts):
+            assert digit == exact_row_term(ws, sign, z, x, y) * denom
+            # guard bits: a sum of m such digits stays inside the field
+            assert m * abs(digit) < 1 << (shift - 1)
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (1, 4), (-4, 1), (1, 2, 3), (1,), (1.5, 1)])
+def test_row_table_rejects_rows_outside_its_parameters(bad):
+    m, n, bound = 2, 2, 3
+    kernel, _ = select_filter(m, n, bound, T_POINTS)
+    weights, signs = [(1, -1), (2, 1), (1, 1), bad], [1, -1, 1, 1]
+    mask = bytearray(b"\x07\x07")
+    with pytest.raises(ValueError):
+        kernel(weights, signs, m, n, 2, T_POINTS, mask)
+    assert mask == b"\x07\x07"
+    # nor does a bad row enter the table for a later call to find
+    assert bad not in {ws for ws, _ in kernel.table}
+    with pytest.raises(ValueError):
+        kernel([(1, 1), (1, 2)], [1, 2], m, n, 1, T_POINTS, mask)
+    with pytest.raises(ValueError):
+        kernel([(1, 1), (1, 2)], [1, -1], m + 1, n, 1, T_POINTS, mask)
+    assert mask == b"\x07\x07"
+
+
+@pytest.mark.parametrize("points", [(1, 1, 1), (2, 0, 1), (2, 1, -1), (2, 1), (2.0, 1, 1)])
+def test_select_filter_rejects_points_outside_the_guard_bound(points):
+    with pytest.raises(ValueError):
+        select_filter(2, 2, 3, points)
+
+
+@pytest.mark.parametrize("m, n, bound", [(0, 1, 1), (1, 1, 0), (True, 1, 1), (2, 1, 3.0)])
+def test_select_filter_rejects_bad_parameters(m, n, bound):
+    with pytest.raises(ValueError):
+        select_filter(m, n, bound, T_POINTS)
 
 
 def test_kernels_accept_rigid_matrices():

@@ -222,6 +222,31 @@ def test_sweep_validates_spec():
         SearchSpec(m=2, n=1, bound=1, sign_policy=(1,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 2.0), ("m", True), ("n", 1.0), ("bound", True), ("bound", 3.5),
+    ("enum_budget", 1.5), ("check_budget", 10.0), ("sign_policy", (1.7, -1)),
+    ("sign_policy", (True, -1)), ("sign_policy", ("1", -1)),
+])
+def test_spec_rejects_non_integers(field, value):
+    # a float was truncated or crashed later, and True ran a bound-1 sweep
+    fields = dict(m=2, n=1, bound=3)
+    fields[field] = value
+    with pytest.raises(ValueError):
+        SearchSpec(**fields)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 2.5), (2.0, 3), (True, 3), (2, True)])
+def test_triple_search_rejects_non_integers(n, bound):
+    with pytest.raises(ValueError):
+        triple_identity_search(n, bound)
+
+
+@pytest.mark.parametrize("shards, workers", [(2.0, 1), (1, True)])
+def test_sweep_rejects_non_integer_shards_and_workers(shards, workers):
+    with pytest.raises(ValueError):
+        sweep(SearchSpec(m=2, n=1, bound=2), shards=shards, workers=workers)
+
+
 # -- pre-filter soundness -----------------------------------------------------
 
 
