@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rigidity import WeightMatrix, is_rigid
+from .rigidity import WeightMatrix, exact_int, is_rigid
 
 ChernExponents = Tuple[int, ...]
 
@@ -85,7 +85,7 @@ def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
     ``r`` must have one entry per column.  Integrality is reported, never
     enforced: the caller decides what a non-integer means.
     """
-    r = tuple(int(v) for v in r)
+    r = tuple(exact_int("exponent", v) for v in r)
     if len(r) != matrix.n:
         raise ValueError(f"need {matrix.n} exponents, got {len(r)}")
     if any(v < 0 for v in r):

@@ -3,26 +3,31 @@
 The filter is a sound rejection test: a matrix whose function is constant
 agrees with its forced constant at every valid sample point, so no rigid
 matrix is ever rejected.  Survivors still go through the full symbolic
-check.  All arithmetic uses unbounded Python integers, so there are no
-size restrictions.
+check.  Every mask bit is decided exactly, by unbounded Python integers or
+by a residue sum that is nonzero.
 
 A candidate's function minus its forced constant is the sum, over its
 rows, of each row's value minus that row's constant, and a row's term at a
 sample point does not depend on the other rows.  The kernel that
 :func:`select_filter` returns therefore keeps a table from each row
-``(weights, sign)`` it has seen to one integer key: the row's term at
-every point, scaled by a common denominator to an exact integer and packed
-at a fixed bit offset per point.  A candidate survives when its ``m``
-keys sum to zero; the kernel tests the keys' residues modulo a prime
-first, so that a wide key is only added up when the residues pass.
-:func:`filter_chunk` evaluates every candidate from scratch and is the
-oracle the table kernel is tested against.
+``(weights, sign)`` it has seen to one residue modulo the prime
+``_PRIME``: the row's term at every point, reduced modulo ``_PRIME`` and
+combined with a fixed multiplier per point (a Karp-Rabin fingerprint).
+Reduction modulo a prime is a ring map on the rationals whose denominators
+it does not divide, so a candidate whose terms sum to zero has residues
+that sum to zero; one whose residues do not is rejected, and the rare one
+whose residues do is decided by :func:`filter_chunk`.  That function
+evaluates every candidate from scratch and is the oracle the table kernel
+is tested against.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
 from typing import Callable, Dict, Sequence, Tuple
+
+from .rigidity import exact_int
 
 # Exact sample points (z, x, y) used by the sweeps.  Any |z| >= 2 avoids all
 # denominator roots.
@@ -31,10 +36,13 @@ L_POINTS: Tuple[int, ...] = (2, 1, 1, 3, 1, 1)
 
 FilterFn = Callable[..., None]
 
-# The row-table kernel sums row keys modulo this Mersenne prime first.  A
-# residue sum of 0 is necessary for an exact sum of 0, so any modulus keeps
-# the filter exact; a large prime makes a residue collision rare.
-_PRIME = (1 << 61) - 1
+# A safe prime P = 2q + 1 with q prime: every z with 1 < z < P - 1 has
+# order q or 2q modulo P, so z^w - 1 is invertible modulo P for 0 < w < q.
+# (The Mersenne prime 2^61 - 1 is not safe: 2 has order 61 there.)
+_PRIME = (1 << 61) - 2373
+# Point p of a row's residue is weighted by _BASE**p; any fixed value keeps
+# the filter exact, one far from small integers keeps points from cancelling.
+_BASE = 0x9E3779B97F4A7C1
 
 
 def sample_points(mode: str) -> Tuple[int, ...]:
@@ -95,66 +103,31 @@ def filter_chunk(weights, signs, m, n, count, points, out):
         out[c] = ok
 
 
-def exact_int(name: str, value) -> int:
-    """``value`` itself when it is an ``int``; anything else, ``bool`` and
-    integral floats included, raises ``ValueError``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def row_table_layout(m: int, n: int, bound: int, points: Sequence[int]):
-    """Per point ``(z, x, y, D, shift)`` of the row-table kernel.
-
-    ``D = prod_{k=1..bound} (z^k - 1)^n`` is divisible by the denominator
-    of every row with ``1 <= |w| <= bound``, so a row's term times ``D`` is
-    an integer.  With ``z >= 2`` each factor ``(x z^w + y) / (z^w - 1)``
-    has absolute value at most ``2(x + y)`` and the row's constant at most
-    ``(x + y)^n``, so a sum of ``m`` scaled terms is below
-    ``2 m D (2(x + y))^n`` in absolute value; one more bit of ``shift``
-    keeps that signed sum from reaching into the next point's field.
-    """
-    if min(exact_int("m", m), exact_int("n", n), exact_int("bound", bound)) < 1:
-        raise ValueError("m, n and bound must all be at least 1")
-    if not points or len(points) % 3:
-        raise ValueError("points must be a nonempty flat sequence of (z, x, y) triples")
-    layout = []
-    for p in range(0, len(points), 3):
-        z, x, y = points[p:p + 3]
-        if exact_int("z", z) < 2 or exact_int("x", x) < 1 or exact_int("y", y) < 1:
-            raise ValueError(f"sample point {(z, x, y)} needs z >= 2 and x, y > 0")
-        denom = 1
-        for k in range(1, bound + 1):
-            denom *= (z**k - 1) ** n
-        shift = (2 * m * denom * (2 * (x + y)) ** n).bit_length() + 1
-        layout.append((z, x, y, denom, shift))
-    return tuple(layout)
-
-
-def row_key(weights: Tuple[int, ...], sign: int, n: int, bound: int, layout) -> int:
-    """The packed integer key of one row: its ``(value - constant) * D`` at
-    each point of ``layout``, as signed digits ``shift`` bits apart, the
-    first point lowest.  The value is ``sign`` times the product of the
-    weights' factors and the constant is ``sign`` times the product of
-    ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``)."""
+def row_residue(weights: Tuple[int, ...], sign: int, n: int, bound: int,
+                points: Sequence[int]) -> int:
+    """One row's term minus its constant at every ``(z, x, y)`` of
+    ``points``, reduced modulo ``_PRIME``, point ``p`` weighted by
+    ``_BASE**p``.  The term is ``sign`` times the product of the weights'
+    factors ``(x z^w + y) / (z^w - 1)`` and the constant ``sign`` times the
+    product of ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``)."""
     if len(weights) != n:
         raise ValueError(f"a row needs {n} weights, got {len(weights)}")
     if not all(1 <= abs(exact_int("weight", w)) <= bound for w in weights):
         raise ValueError(f"row weights must be nonzero with |w| <= {bound}: {weights}")
     if exact_int("sign", sign) not in (1, -1):
         raise ValueError(f"a row sign must be 1 or -1, got {sign}")
-    key = 0
-    offset = 0
-    for z, x, y, denom, shift in layout:
+    residue, scale = 0, 1
+    for p in range(0, len(points), 3):
+        z, x, y = points[p:p + 3]
         num, den, const = sign, 1, sign
         for w in weights:
-            zp = z ** abs(w)
-            num *= x * zp + y if w > 0 else -(x + y * zp)
-            den *= zp - 1
+            zp = pow(z, abs(w), _PRIME)
+            num = num * (x * zp + y if w > 0 else -(x + y * zp)) % _PRIME
+            den = den * (zp - 1) % _PRIME
             const *= x if w > 0 else -y
-        key += (num * (denom // den) - const * denom) << offset
-        offset += shift
-    return key
+        residue += scale * (num * pow(den, -1, _PRIME) - const)
+        scale = scale * _BASE % _PRIME
+    return residue % _PRIME
 
 
 def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[FilterFn, str]:
@@ -163,20 +136,30 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[Fi
 
     The kernel has :func:`filter_chunk`'s signature and writes the same
     mask, but it reads each weight entry as a whole row tuple: ``weights``
-    holds ``count * m`` tuples of ``n`` integers.  Row keys (see
-    :func:`row_key`) are computed on first sight and kept for the kernel's
-    life in ``kernel.table``.  A key grows with ``n * bound**2`` bits, so a
-    candidate first sums the keys' residues modulo the prime ``_PRIME``,
-    which costs ``m`` dict lookups and small additions at any bound; only
-    a residue sum divisible by ``_PRIME`` is decided by the exact keys.  A
-    new row that breaks the parameters raises ``ValueError`` before any
-    mask byte is written.  ``perfbench/run.py`` calls this through
-    ``search.select_filter`` and wraps the kernel to trace every call.
+    holds ``count * m`` tuples of ``n`` integers.  Row residues (see
+    :func:`row_residue`) are computed on first sight and kept for the
+    kernel's life in ``kernel.table``, so a candidate costs ``m`` dict
+    lookups and small additions at any bound.  A candidate whose residues
+    sum to a multiple of ``_PRIME`` is passed to :func:`filter_chunk`
+    alone, so the mask is the oracle's byte for byte.  Every point needs
+    ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be below
+    ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes modulo
+    ``_PRIME``.  A new row that breaks the parameters raises
+    ``ValueError`` before any mask byte is written.  ``perfbench/run.py``
+    calls this through ``search.select_filter`` and wraps the kernel to
+    trace every call.
     """
+    if min(exact_int("m", m), exact_int("n", n), exact_int("bound", bound)) < 1:
+        raise ValueError("m, n and bound must all be at least 1")
+    if bound >= (_PRIME - 1) // 2:
+        raise ValueError(f"bound must be below {(_PRIME - 1) // 2}, got {bound}")
     points = tuple(points)
-    layout = row_table_layout(m, n, bound, points)
+    if not points or len(points) % 3:
+        raise ValueError("points must be a nonempty flat sequence of (z, x, y) triples")
+    for z, x, y in zip(*[iter(points)] * 3):
+        if not 2 <= exact_int("z", z) < _PRIME - 1 or min(exact_int("x", x), exact_int("y", y)) < 1:
+            raise ValueError(f"sample point {(z, x, y)} needs 2 <= z < _PRIME - 1 and x, y > 0")
     table: Dict[Tuple[Tuple[int, ...], int], int] = {}
-    residues: Dict[Tuple[Tuple[int, ...], int], int] = {}
     # m residues in [0, _PRIME) sum to a multiple of _PRIME below m * _PRIME
     zero_sums = frozenset(range(0, m * _PRIME, _PRIME))
 
@@ -186,21 +169,21 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[Fi
         if len(weights) != count * m or len(signs) != count * m:
             raise ValueError(f"need {count * m} rows and signs")
         try:
-            keys = list(map(residues.__getitem__, zip(weights, signs)))
+            residues = list(map(table.__getitem__, zip(weights, signs)))
         except KeyError:
             for row in zip(weights, signs):
                 if row not in table:
-                    table[row] = row_key(*row, n, bound, layout)
-                    residues[row] = table[row] % _PRIME
-            keys = list(map(residues.__getitem__, zip(weights, signs)))
-        sums = keys[0::m]
+                    table[row] = row_residue(*row, n, bound, points)
+            residues = list(map(table.__getitem__, zip(weights, signs)))
+        sums = residues[0::m]
         for i in range(1, m):
-            sums = map(add, sums, keys[i::m])
+            sums = map(add, sums, residues[i::m])
         mask = bytearray(map(zero_sums.__contains__, sums))
         c = mask.find(1)
         while c != -1:
-            rows = zip(weights[c * m:(c + 1) * m], signs[c * m:(c + 1) * m])
-            mask[c] = not sum(map(table.__getitem__, rows))
+            rows = slice(c * m, (c + 1) * m)
+            flat = list(chain.from_iterable(weights[rows]))
+            filter_chunk(flat, signs[rows], m, n, 1, points, memoryview(mask)[c:])
             c = mask.find(1, c + 1)
         out[:count] = mask
 

@@ -37,6 +37,14 @@ class DuplicateEntries(ValueError):
     """Seed entries for a difference matrix must be pairwise distinct."""
 
 
+def exact_int(name: str, value) -> int:
+    """``value`` itself when it is an ``int``; anything else, ``bool`` and
+    integral floats included, raises ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class Row(NamedTuple):
     weights: Tuple[int, ...]
     sign: int
@@ -44,12 +52,15 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """``m`` rows of ``n`` nonzero integer weights, each with a sign ±1."""
+    """``m`` rows of ``n`` nonzero integer weights, each with a sign ±1.
+
+    Weights and signs must be ``int`` (see :func:`exact_int`)."""
 
     rows: Tuple[Row, ...]
 
     def __post_init__(self):
-        rows = tuple(Row(tuple(int(w) for w in ws), int(s)) for ws, s in self.rows)
+        rows = tuple(Row(tuple(exact_int("weight", w) for w in ws), exact_int("sign", s))
+                     for ws, s in self.rows)
         if not rows:
             raise ValueError("a weight matrix needs at least one row")
         n = len(rows[0].weights)
@@ -261,7 +272,7 @@ def quasilinear(seed: Sequence[int]) -> WeightMatrix:
     are +1.  This is the weight data of a linear circle action on complex
     projective n-space.
     """
-    seed = [int(v) for v in seed]
+    seed = [exact_int("seed entry", v) for v in seed]
     if len(seed) < 2:
         raise ValueError("need at least two seed entries")
     if len(set(seed)) != len(seed):

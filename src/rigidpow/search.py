@@ -26,10 +26,11 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
-from .prefilter import exact_int, sample_points, select_filter
+from .prefilter import sample_points, select_filter
 from .rigidity import (
     Row,
     WeightMatrix,
+    exact_int,
     is_l_rigid,
     is_rigid,
     normalize_signs,
@@ -63,8 +64,6 @@ class BudgetExceeded(RuntimeError):
 class SearchSpec:
     """Parameters of one exhaustive sweep.
 
-    ``sign_policy`` of None admits every sign pattern; a tuple restricts
-    the sweep to candidates whose multiset of row signs equals it.
     Budgets default to 10**7 enumerations and 10**5 exact checks.  Every
     number must be an ``int`` (``bool`` and floats raise ``ValueError``):
     ``bound`` sizes the pre-filter's exact denominators.
@@ -74,7 +73,6 @@ class SearchSpec:
     n: int
     bound: int
     mode: str = "T"
-    sign_policy: Optional[Tuple[int, ...]] = None
     enum_budget: int = 10_000_000
     check_budget: int = 100_000
 
@@ -85,11 +83,6 @@ class SearchSpec:
             raise ValueError("m, n and bound must all be at least 1")
         if self.mode not in ("T", "L"):
             raise ValueError(f"mode must be 'T' or 'L', got {self.mode!r}")
-        if self.sign_policy is not None:
-            policy = tuple(exact_int("sign_policy entry", s) for s in self.sign_policy)
-            if len(policy) != self.m or any(s not in (1, -1) for s in policy):
-                raise ValueError("sign_policy must list one ±1 sign per row")
-            object.__setattr__(self, "sign_policy", policy)
         if self.enum_budget < 1 or self.check_budget < 1:
             raise ValueError("budgets must be positive")
 
@@ -220,9 +213,6 @@ def _run_shard(spec: SearchSpec, shard_index: int, shard_count: int,
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     candidates = _shard_rows(universe, spec.m, shard_index, shard_count)
-    if spec.sign_policy:
-        policy = sorted(spec.sign_policy)
-        candidates = (rows for rows in candidates if sorted(r.sign for r in rows) == policy)
 
     result = _ShardResult()
     stage = _prefiltered(islice(candidates, enum_cap), spec.m, spec.n, spec.bound, spec.mode)

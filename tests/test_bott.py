@@ -101,6 +101,13 @@ def test_chern_number_validates_exponents():
         chern_number(matrix, (-1, 0))
 
 
+@pytest.mark.parametrize("r", [(0, 1.9), (0, True), (0, "1"), (1.0, 0)])
+def test_chern_number_rejects_non_integer_exponents(r):
+    # (0, 1.9) used to be computed as (0, 1)
+    with pytest.raises(ValueError):
+        chern_number(quasilinear([0, 1, 2]), r)
+
+
 def test_chern_number_permutation_invariance():
     rng = random.Random(2)
     for _ in range(15):

@@ -160,6 +160,12 @@ def test_chern(tmp_path, capsys):
     assert code == 2
 
 
+def test_unreadable_document_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check", str(tmp_path / "absent.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_screen(tmp_path, capsys):
     path = tmp_path / "doc.txt"
     path.write_text(SINGLE_DOC)

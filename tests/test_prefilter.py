@@ -3,15 +3,15 @@
 import random
 from array import array
 from fractions import Fraction
-from math import prod
 
 import pytest
 
+from rigidpow import prefilter
 from rigidpow.prefilter import (
     L_POINTS,
     T_POINTS,
     filter_chunk,
-    row_table_layout,
+    row_residue,
     sample_points,
     select_filter,
 )
@@ -132,30 +132,32 @@ def test_row_table_kernel_matches_filter_chunk_on_every_canonical_candidate(m, n
     assert 0 < sum(got) < len(got)
 
 
-@pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_row_table_residue_collisions_are_decided_by_exact_keys(monkeypatch, m, n, bound, mode):
-    # modulo 3 most residue sums collide; the exact keys must still give
-    # filter_chunk's mask
-    from rigidpow import prefilter
+@pytest.mark.parametrize("m, n, bound", [(2, 1, 130), (1, 1, 500)])
+def test_row_table_kernel_matches_filter_chunk_at_large_bounds(m, n, bound):
+    # these bounds pass w = 61 and w = 122: modulo the Mersenne prime
+    # 2^61 - 1, z = 2 has order 61, so z^w - 1 would have no inverse
     from rigidpow.search import _shard_rows, row_universe
 
-    monkeypatch.setattr(prefilter, "_PRIME", 3)
+    candidates = list(_shard_rows(row_universe(n, bound, "T"), m, 0, 1))
+    got, want = both_masks(candidates, m, n, bound, T_POINTS)
+    assert got == want
+    # no single row is constant; two rows are when they cancel
+    assert (sum(got) > 0) == (m > 1)
+
+
+@pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
+def test_row_table_residue_collisions_are_decided_by_filter_chunk(monkeypatch, m, n, bound, mode):
+    # modulo the safe prime 23 = 2 * 11 + 1 about one candidate in 23
+    # collides; filter_chunk, called on every hit, must still give its mask
+    from rigidpow.search import _shard_rows, row_universe
+
+    monkeypatch.setattr(prefilter, "_PRIME", 23)
+    hits = []
+    monkeypatch.setattr(prefilter, "filter_chunk", lambda *args: hits.append(filter_chunk(*args)))
     candidates = list(_shard_rows(row_universe(n, bound, mode), m, 0, 1))
     got, want = both_masks(candidates, m, n, bound, sample_points(mode))
     assert got == want
-
-
-def unpack(key, shifts):
-    """Split a packed key into its signed per-point digits."""
-    digits = []
-    for shift in shifts:
-        digit = key & ((1 << shift) - 1)
-        if digit >= 1 << (shift - 1):
-            digit -= 1 << shift
-        digits.append(digit)
-        key = (key - digit) >> shift
-    assert key == 0
-    return digits
+    assert len(hits) > sum(got)
 
 
 def exact_row_term(weights, sign, z, x, y):
@@ -170,7 +172,7 @@ def exact_row_term(weights, sign, z, x, y):
 @pytest.mark.parametrize("m, n, bound, mode", [
     (1, 1, 1, "T"), (2, 2, 4, "T"), (4, 3, 3, "T"), (3, 2, 5, "L"), (4, 4, 2, "L"),
 ])
-def test_row_table_entries_unpack_to_exact_row_terms(m, n, bound, mode):
+def test_row_table_entries_are_exact_row_terms_modulo_the_prime(m, n, bound, mode):
     from rigidpow.search import row_universe
 
     points = sample_points(mode)
@@ -182,15 +184,15 @@ def test_row_table_entries_unpack_to_exact_row_terms(m, n, bound, mode):
     kernel(weights, signs, m, n, len(rows), points, bytearray(len(rows)))
     assert set(kernel.table) == {(r.weights, r.sign) for r in rows}
 
+    P = prefilter._PRIME
     layout = [points[p:p + 3] for p in range(0, len(points), 3)]
-    denominators = [prod((z**k - 1) ** n for k in range(1, bound + 1)) for z, _, _ in layout]
-    shifts = [shift for *_, shift in row_table_layout(m, n, bound, points)]
-    for (ws, sign), key in kernel.table.items():
-        digits = unpack(key, shifts)
-        for digit, (z, x, y), denom, shift in zip(digits, layout, denominators, shifts):
-            assert digit == exact_row_term(ws, sign, z, x, y) * denom
-            # guard bits: a sum of m such digits stays inside the field
-            assert m * abs(digit) < 1 << (shift - 1)
+    for (ws, sign), residue in kernel.table.items():
+        assert residue == row_residue(ws, sign, n, bound, points)
+        want = 0
+        for p, (z, x, y) in enumerate(layout):
+            term = exact_row_term(ws, sign, z, x, y)
+            want += pow(prefilter._BASE, p, P) * term.numerator * pow(term.denominator, -1, P)
+        assert residue == want % P
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (1, 4), (-4, 1), (1, 2, 3), (1,), (1.5, 1)])
@@ -221,6 +223,50 @@ def test_select_filter_rejects_points_outside_the_guard_bound(points):
 def test_select_filter_rejects_bad_parameters(m, n, bound):
     with pytest.raises(ValueError):
         select_filter(m, n, bound, T_POINTS)
+
+
+def test_select_filter_keeps_every_z_power_invertible_modulo_the_prime():
+    # z = P - 1 has order 2, and z^q = 1 for every z of order q
+    P = prefilter._PRIME
+    q = (P - 1) // 2
+    with pytest.raises(ValueError):
+        select_filter(2, 1, 3, (P - 1, 1, 1))
+    with pytest.raises(ValueError):
+        select_filter(2, 1, q, T_POINTS)
+    select_filter(2, 1, 3, (P - 2, 1, 1))
+    select_filter(2, 1, q - 1, T_POINTS)
+
+
+def is_prime(n):
+    """Miller-Rabin on the first 12 prime bases: deterministic below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert n < 318665857834031151167461
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_the_prime_is_safe():
+    assert [v for v in range(60) if is_prime(v)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
+    assert is_prime(prefilter._PRIME) and is_prime((prefilter._PRIME - 1) // 2)
+    assert not is_prime(((1 << 61) - 1 - 1) // 2)  # the Mersenne prime is not safe
 
 
 def test_kernels_accept_rigid_matrices():

@@ -46,6 +46,17 @@ def test_matrix_validation():
         WeightMatrix(())
 
 
+@pytest.mark.parametrize("rows", [
+    (((1.7,), 1), ((-1,), 1)), ((("3",), 1),), (((True,), 1),), (((1,), True),),
+    (((1,), 1.0),), (((2.0, 1), -1),),
+])
+def test_matrix_rejects_non_integer_entries(rows):
+    # int() used to truncate: [+: 1.7; +: -1] was read as the rigid
+    # [+: 1; +: -1], and '3' and True as weights 3 and 1
+    with pytest.raises(ValueError):
+        WeightMatrix(tuple(Row(ws, s) for ws, s in rows))
+
+
 def test_term_fraction_positive():
     t = term_fraction(1)
     assert t.num == {1: (1, 0), 0: (0, 1)}
@@ -227,6 +238,13 @@ def test_quasilinear_construction():
 def test_quasilinear_rejects_duplicates():
     with pytest.raises(DuplicateEntries):
         quasilinear([0, 1, 1])
+
+
+@pytest.mark.parametrize("seed", [[0, 1.5, 2], [0, True, 2], [0, "1", 2], [0.0, 1]])
+def test_quasilinear_rejects_non_integer_seeds(seed):
+    # [0, 1.5, 2] used to give the difference matrix of (0, 1, 2)
+    with pytest.raises(ValueError):
+        quasilinear(seed)
 
 
 # -- pair partition -----------------------------------------------------------

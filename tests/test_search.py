@@ -192,14 +192,6 @@ def test_sweep_parallel_workers_match_sequential():
     assert [f.matrix for f in parallel.found] == [f.matrix for f in sequential.found]
 
 
-def test_sweep_sign_policy_restricts_candidates():
-    # only opposite-sign candidates: exactly the cancelling family remains
-    report = sweep(SearchSpec(m=2, n=1, bound=3, mode="T", sign_policy=(1, -1)))
-    assert {f.matrix for f in report.found} == z_family(1, 3)
-    full = sweep(SearchSpec(m=2, n=1, bound=3, mode="T"))
-    assert report.stats.enumerated < full.stats.enumerated
-
-
 def test_sweep_budget_exceeded_carries_partial_report():
     with pytest.raises(BudgetExceeded) as info:
         sweep(SearchSpec(m=2, n=1, bound=6, mode="T", enum_budget=50))
@@ -218,14 +210,11 @@ def test_sweep_validates_spec():
         SearchSpec(m=0, n=1, bound=1)
     with pytest.raises(ValueError):
         SearchSpec(m=1, n=1, bound=1, mode="X")
-    with pytest.raises(ValueError):
-        SearchSpec(m=2, n=1, bound=1, sign_policy=(1,))
 
 
 @pytest.mark.parametrize("field, value", [
     ("m", 2.0), ("m", True), ("n", 1.0), ("bound", True), ("bound", 3.5),
-    ("enum_budget", 1.5), ("check_budget", 10.0), ("sign_policy", (1.7, -1)),
-    ("sign_policy", (True, -1)), ("sign_policy", ("1", -1)),
+    ("enum_budget", 1.5), ("check_budget", 10.0),
 ])
 def test_spec_rejects_non_integers(field, value):
     # a float was truncated or crashed later, and True ran a bound-1 sweep
