@@ -12,9 +12,10 @@ A :class:`LaurentRational` is a polynomial in ``z`` with form coefficients
 (sparse in ``z``: a dict from z-degree to coefficient tuple) over a
 denominator kept as a *factored* multiset of terms ``(z^a - 1)`` with
 ``a > 0`` (:class:`DenomFactors`).  Exponents of ``z`` are never
-negative.  Denominators are never expanded except on request, and sums
-are not reduced to lowest terms: the factored pole structure is the data
-every later stage reasons about.
+negative, and denominators are never expanded except on request.  This
+module holds values and their evaluation only; the one sum the package
+forms, over the rows of a weight matrix, is built in
+``rigidity._series`` with :func:`mul_factor`.
 
 All values are immutable after construction and all operations are pure,
 so any number of workers may share them.
@@ -23,8 +24,7 @@ so any number of workers may share them.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
 ZPoly = Dict[int, Coeffs]
@@ -156,35 +156,10 @@ class DenomFactors:
                     clean[a] = m
         self._mult = clean
 
-    @classmethod
-    def empty(cls) -> "DenomFactors":
-        return cls()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenomFactors):
             return NotImplemented
         return self._mult == other._mult
-
-    def __mul__(self, other: "DenomFactors") -> "DenomFactors":
-        out = dict(self._mult)
-        for a, m in other._mult.items():
-            out[a] = out.get(a, 0) + m
-        return DenomFactors(out)
-
-    def lcm(self, other: "DenomFactors") -> "DenomFactors":
-        """Per-factor maximum multiplicity."""
-        out = dict(self._mult)
-        for a, m in other._mult.items():
-            if m > out.get(a, 0):
-                out[a] = m
-        return DenomFactors(out)
-
-    def missing_from(self, target: "DenomFactors") -> Iterator[Tuple[int, int]]:
-        """Factors (with counts) by which *target* exceeds this multiset."""
-        for a, m in sorted(target._mult.items()):
-            extra = m - self._mult.get(a, 0)
-            if extra > 0:
-                yield a, extra
 
     def expand(self) -> Dict[int, int]:
         """The product of all factors as an integer polynomial in ``z``,
@@ -223,29 +198,22 @@ class LaurentRational:
     denominator.
 
     ``num`` maps each z-degree to the coefficient tuple of a binary form;
-    all-zero coefficients are dropped.  Sums are formed over the per-factor
-    maximum multiplicity and are *not* reduced to lowest terms; the
-    constancy decision downstream never needs the reduced form.
+    all-zero coefficients are dropped.  The value is never reduced to
+    lowest terms: ``rigidity._series`` sums rows over the per-factor
+    maximum multiplicity, and the constancy decision downstream never needs
+    the reduced form.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Mapping[int, Sequence[int]], den: DenomFactors | None = None):
         self.num: ZPoly = {k: tuple(c) for k, c in num.items() if any(c)}
-        self.den = den if den is not None else DenomFactors.empty()
+        self.den = den if den is not None else DenomFactors()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentRational):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __add__(self, other: "LaurentRational") -> "LaurentRational":
-        den = self.den.lcm(other.den)
-        total = _scale_to(self.num, self.den, den)
-        for k, c in _scale_to(other.num, other.den, den).items():
-            have = total.get(k)
-            total[k] = c if have is None else tuple(map(add, have, c))
-        return LaurentRational(total, den)
 
     def evaluate(self, z0: Rational, x0: Rational = 1, y0: Rational = 1) -> Fraction:
         """Exact rational value at ``(z0, x0, y0)``.
@@ -267,10 +235,3 @@ class LaurentRational:
     def __repr__(self) -> str:
         return f"LaurentRational({self})"
 
-
-def _scale_to(num: ZPoly, have: DenomFactors, want: DenomFactors) -> ZPoly:
-    num = dict(num)
-    for a, extra in have.missing_from(want):
-        for _ in range(extra):
-            num = mul_factor(num, a)
-    return num

@@ -23,7 +23,6 @@ is tested against.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import add
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -53,38 +52,29 @@ def sample_points(mode: str) -> Tuple[int, ...]:
     raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
 
 
-def filter_chunk(weights, signs, m, n, count, points, out):
+def filter_chunk(candidates, points, out):
     """Mark which candidates match their forced constant at every point.
 
     This is the exact oracle for the kernel :func:`select_filter` returns:
-    it evaluates every candidate from scratch.  ``weights`` is a flat
-    sequence of ``count * m * n`` nonzero integers, ``signs`` a flat
-    sequence of ``count * m`` values in ±1, and ``points`` a flat sequence
-    of ``(z, x, y)`` triples with every ``z >= 2``.  For candidate ``c``,
-    ``out[c]`` is set to 1 when the row sum of products of
-    ``(x*z^w + y) / (z^w - 1)`` equals the sign-count constant at every
-    point, and 0 otherwise.
+    it evaluates every candidate from scratch.  Each candidate is a
+    sequence of ``(weights, sign)`` rows, with nonzero integer weights and
+    ``sign`` in ±1, and ``points`` a flat sequence of ``(z, x, y)`` triples
+    with every ``z >= 2``.  For candidate ``c``, ``out[c]`` is set to 1
+    when the row sum of products of ``(x*z^w + y) / (z^w - 1)`` equals the
+    sign-count constant at every point, and 0 otherwise.
     """
-    npts = len(points) // 3
-    rows = m * n
-    for c in range(count):
-        base = c * rows
-        sbase = c * m
+    for c, rows in enumerate(candidates):
         ok = 1
-        for p in range(npts):
-            z = points[3 * p]
-            xv = points[3 * p + 1]
-            yv = points[3 * p + 2]
+        for p in range(0, len(points), 3):
+            z, xv, yv = points[p], points[p + 1], points[p + 2]
             total_n = 0
             total_d = 1
             cval = 0
-            for i in range(m):
-                sign = signs[sbase + i]
+            for weights, sign in rows:
                 rn = sign
                 rd = 1
                 ct = sign
-                for j in range(n):
-                    w = weights[base + i * n + j]
+                for w in weights:
                     if w > 0:
                         zp = z**w
                         rn *= xv * zp + yv
@@ -134,10 +124,11 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[Fi
     """The pre-filter kernel for ``m`` rows of ``n`` weights with
     ``|w| <= bound`` at ``points``, plus its name.
 
-    The kernel has :func:`filter_chunk`'s signature and writes the same
-    mask, but it reads each weight entry as a whole row tuple: ``weights``
-    holds ``count * m`` tuples of ``n`` integers.  Row residues (see
-    :func:`row_residue`) are computed on first sight and kept for the
+    The kernel is called as ``kernel(weights, signs, m, n, count, points,
+    out)`` and writes :func:`filter_chunk`'s mask for the ``count``
+    candidates of ``m`` rows each: ``weights`` holds ``count * m`` tuples
+    of ``n`` integers and ``signs`` the matching row signs.  Row residues
+    (see :func:`row_residue`) are computed on first sight and kept for the
     kernel's life in ``kernel.table``, so a candidate costs ``m`` dict
     lookups and small additions at any bound.  A candidate whose residues
     sum to a multiple of ``_PRIME`` is passed to :func:`filter_chunk`
@@ -182,8 +173,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[Fi
         c = mask.find(1)
         while c != -1:
             rows = slice(c * m, (c + 1) * m)
-            flat = list(chain.from_iterable(weights[rows]))
-            filter_chunk(flat, signs[rows], m, n, 1, points, memoryview(mask)[c:])
+            filter_chunk((tuple(zip(weights[rows], signs[rows])),), points, memoryview(mask)[c:])
             c = mask.find(1, c + 1)
         out[:count] = mask
 

@@ -15,13 +15,13 @@ to test ``numerator == candidate * expanded_denominator``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import add
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import DenomFactors, Form, LaurentRational, format_rational
+from .algebra import DenomFactors, Form, LaurentRational, ZPoly, format_rational, mul_factor
 
 # Witness grid for human-readable certificates; the symbolic residual is
 # authoritative, the point is best-effort.
@@ -83,10 +83,6 @@ class WeightMatrix:
     def n(self) -> int:
         return len(self.rows[0].weights)
 
-    def key(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-        """Deterministic sort key (rows as plain tuples)."""
-        return tuple((row.weights, row.sign) for row in self.rows)
-
     def with_signs_negated(self) -> "WeightMatrix":
         return WeightMatrix(tuple(Row(r.weights, -r.sign) for r in self.rows))
 
@@ -139,10 +135,11 @@ class RigidityVerdict:
         return "not rigid"
 
 
-def _row_term(row: Row, degree: int) -> LaurentRational:
-    """``sign * prod_w (x*z^w + y) / (z^w - 1)`` with coefficients of the
-    given form degree: ``n`` for the T-function, 0 for its ``x = y = 1``
-    collapse.
+def _row_term(row: Row, degree: int) -> ZPoly:
+    """The numerator of ``sign * prod_w (x*z^w + y) / (z^w - 1)`` with
+    coefficients of the given form degree: ``n`` for the T-function, 0 for
+    its ``x = y = 1`` collapse.  The denominator is
+    ``prod_w (z^|w| - 1)``.
 
     Negative weights are normalized: multiplying numerator and denominator
     of ``(x*z^-a + y) / (z^-a - 1)`` by ``z^a`` gives
@@ -152,10 +149,8 @@ def _row_term(row: Row, degree: int) -> LaurentRational:
     """
     flips = sum(1 for w in row.weights if w < 0)
     num = {0: (row.sign * (-1) ** flips,) + (0,) * degree}
-    den: dict[int, int] = {}
     for w in row.weights:
         a = abs(w)
-        den[a] = den.get(a, 0) + 1
         out = {}
         for k, c in num.items():
             cy = (0,) + c[:-1] if degree else c
@@ -163,20 +158,36 @@ def _row_term(row: Row, degree: int) -> LaurentRational:
                 have = out.get(e)
                 out[e] = v if have is None else tuple(map(add, have, v))
         num = out
-    return LaurentRational(num, DenomFactors(den))
-
-
-def term_fraction(w: int) -> LaurentRational:
-    """The single-weight factor ``(x*z^w + y) / (z^w - 1)``."""
-    if w == 0:
-        raise ZeroWeight("weights must be nonzero")
-    return _row_term(Row((w,), 1), 1)
+    return num
 
 
 def _series(matrix: WeightMatrix, degree: int) -> LaurentRational:
-    # The denominator of the sum is the per-factor maximum multiplicity over
-    # all rows; the numerator is scaled accordingly and never reduced.
-    return reduce(add, (_row_term(row, degree) for row in matrix.rows))
+    """Sum of the rows' terms over the per-factor maximum multiplicity of
+    their denominators; the numerator is scaled accordingly and never
+    reduced.  The sum runs row by row, so each row is scaled only by the
+    factors the sum so far already has more of."""
+    first, *rest = matrix.rows
+    num = _row_term(first, degree)
+    den = Counter(map(abs, first.weights))
+    for row in rest:
+        term = _row_term(row, degree)
+        need = Counter(map(abs, row.weights))
+        # smallest first: (z^a - 1) lengthens a dense product by a terms,
+        # and every later factor multiplies that length
+        for a in sorted((need - den).elements()):
+            num = mul_factor(num, a)
+        for a in sorted((den - need).elements()):
+            term = mul_factor(term, a)
+        den |= need
+        for k, c in term.items():
+            have = num.get(k)
+            if have is None:
+                num[k] = c
+            elif any(total := tuple(map(add, have, c))):
+                num[k] = total
+            else:
+                del num[k]
+    return LaurentRational(num, DenomFactors(den))
 
 
 def t_series(matrix: WeightMatrix) -> LaurentRational:

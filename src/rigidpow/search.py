@@ -18,6 +18,7 @@ changes the outcome of a completed sweep.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -247,16 +248,19 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
 
     Raises :class:`BudgetExceeded` (carrying the partial report) when a
     budget runs out.  With ``shards > 1`` the budgets are split evenly
-    across shards; with ``workers > 1`` shards run in separate processes.
-    Either way the found set of a completed sweep is identical.
+    across shards; with ``workers > 1`` shards run in separate processes,
+    at most one per shard and one per CPU.  Either way the found set of a
+    completed sweep is identical.
     """
     if exact_int("shards", shards) < 1 or exact_int("workers", workers) < 1:
         raise ValueError("shards and workers must be at least 1")
     started = time.perf_counter()
     enum_cap = max(1, spec.enum_budget // shards)
     check_cap = max(1, spec.check_budget // shards)
-    if workers > 1 and shards > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
+    # the pool forks all its processes at the first submit
+    workers = min(workers, shards, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_shard, spec, s, shards, enum_cap, check_cap)
                 for s in range(shards)

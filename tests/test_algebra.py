@@ -1,5 +1,7 @@
 """Exact arithmetic layer: binary forms, polynomials in z with form
-coefficients, factored-denominator bookkeeping, and evaluation."""
+coefficients, factored-denominator bookkeeping, and evaluation.  Sums of
+series are built and tested with the rows they come from, in
+``test_rigidity``."""
 
 from fractions import Fraction
 
@@ -20,14 +22,6 @@ def forms(degree=2):
 
 def z_polys(degree=2):
     return st.dictionaries(st.integers(0, 3), forms(degree), max_size=3)
-
-
-def denominators():
-    return st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=2).map(DenomFactors)
-
-
-def rationals(degree=2):
-    return st.builds(LaurentRational, z_polys(degree), denominators())
 
 
 # -- Form ---------------------------------------------------------------------
@@ -92,17 +86,16 @@ def test_mul_factor_matches_pointwise_product(p, a, z0):
 # -- DenomFactors -------------------------------------------------------------
 
 
-def test_denominator_lcm_is_per_factor_max():
-    d1 = DenomFactors({1: 2, 2: 1})
-    d2 = DenomFactors({1: 1, 3: 1})
-    assert d1.lcm(d2) == DenomFactors({1: 2, 2: 1, 3: 1})
-    assert d1 * d2 == DenomFactors({1: 3, 2: 1, 3: 1})
+def test_empty_denominator_is_one():
+    assert DenomFactors().expand() == {0: 1}
+    assert DenomFactors({2: 0}) == DenomFactors() and str(DenomFactors()) == "1"
 
 
-def test_multiplicative_identity():
-    d = DenomFactors({2: 3})
-    assert d * DenomFactors.empty() == d
-    assert DenomFactors.empty().expand() == {0: 1}
+def test_denominator_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        DenomFactors({0: 1})
+    with pytest.raises(ValueError):
+        DenomFactors({2: -1})
 
 
 def test_denominator_expand():
@@ -123,63 +116,6 @@ def test_normalization_drops_zero_coefficients():
     r = term_over({1: (0, 0), 0: [0, 2]}, {1: 1})
     assert r.num == {0: (0, 2)}
     assert LaurentRational(r.num, r.den) == r  # normalizing twice = normalizing once
-
-
-def test_additive_inverse_cancels():
-    r = term_over({2: X, 0: Y}, {1: 1})
-    total = r + term_over({2: (-1, 0), 0: (0, -1)}, {1: 1})
-    assert total.num == {}
-    assert total.den == r.den
-
-
-def test_rational_add_same_denominator():
-    # (x*z + y)/(z - 1) + (-x - y*z)/(z - 1): numerators just add
-    r1 = term_over({1: X, 0: Y}, {1: 1})
-    r2 = term_over({1: (0, -1), 0: (-1, 0)}, {1: 1})
-    total = r1 + r2
-    assert total.den == DenomFactors({1: 1})
-    assert total.num == {1: (1, -1), 0: (-1, 1)}
-    # the function is identically x - y
-    for z0 in (2, 3, 5):
-        assert total.evaluate(z0, 4, 7) == 4 - 7
-
-
-def test_rational_add_cancellation():
-    r = term_over({2: X, 0: Y}, {1: 1, 3: 2})
-    negated = term_over({2: (-1, 0), 0: (0, -1)}, {1: 1, 3: 2})
-    total = r + negated
-    assert total.num == {}
-    assert total.den == r.den
-
-
-def test_rational_add_cross_multiplication_oracle():
-    # 1/(z-1) + 1/(z^2-1): factored bookkeeping keeps both factors, so the
-    # sum is (z^2 - 1 + z - 1) / ((z - 1)(z^2 - 1)).
-    r1 = term_over({0: ONE}, {1: 1})
-    r2 = term_over({0: ONE}, {2: 1})
-    out = r1 + r2
-    assert out.den == DenomFactors({1: 1, 2: 1})
-    assert out.num == {2: ONE, 1: ONE, 0: (-2,)}
-    assert str(out) == "((1)*z^2 + (1)*z + (-2)) / ((z - 1)*(z^2 - 1))"
-
-
-@settings(max_examples=40)
-@given(rationals(), rationals(), rationals())
-def test_laurent_ring_laws(p, q, r):
-    assert p + q == q + p
-    assert (p + q) + r == p + (q + r)
-
-
-@settings(max_examples=30)
-@given(st.lists(rationals(), min_size=2, max_size=4))
-def test_rational_add_agrees_with_pointwise_sum(rationals_):
-    total = rationals_[0]
-    for r in rationals_[1:]:
-        total = total + r
-    for z0 in (2, 3, -2, 5, Fraction(3, 2)):
-        for x0, y0 in ((1, 1), (2, 1), (0, 3)):
-            expected = sum(r.evaluate(z0, x0, y0) for r in rationals_)
-            assert total.evaluate(z0, x0, y0) == expected
 
 
 def test_rational_eval_simple():

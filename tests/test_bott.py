@@ -2,6 +2,7 @@
 two-fixed-point family identities."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -250,9 +251,9 @@ def test_three_row_collapsed_identity():
         a2 = a1 + b1
         c1, c2 = a1, b1
         lhs_num = {k: c for k, (c,) in mul_factor({a2: (1,), 0: (1,)}, a1 + b1).items()}
-        lhs_den = DenomFactors({a2: 1}) * DenomFactors({a1: 1}) * DenomFactors({b1: 1})
+        lhs_den = DenomFactors(Counter((a2, a1, b1)))
         rhs_num = {c1 + c2: 1, 0: 1}
-        rhs_den = DenomFactors({c1: 1}) * DenomFactors({c2: 1})
+        rhs_den = DenomFactors(Counter((c1, c2)))
         assert poly_mul(lhs_num, rhs_den.expand()) == poly_mul(rhs_num, lhs_den.expand())
 
 

@@ -4,6 +4,9 @@ and deterministic report files."""
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 from unittest.mock import patch
 
@@ -478,3 +481,14 @@ def test_package_exports_the_readme_names():
 
     assert sorted(rigidpow.__all__) == ["SearchSpec", "is_rigid", "quasilinear", "sweep"]
     assert str(rigidpow.is_rigid(rigidpow.quasilinear([0, 1, 2])).constant) == "x^2 - x*y + y^2"
+
+
+def test_python_m_rigidpow_pipes_quasilinear_into_check():
+    # the package as imported here: a checkout's src/ or an installed copy
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    doc = subprocess.run([sys.executable, "-m", "rigidpow", "quasilinear", "0", "1", "2"],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    proc = subprocess.run([sys.executable, "-m", "rigidpow", "check", "-"], input=doc,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "Rigid, constant = x^2 - x*y + y^2"

@@ -1,7 +1,6 @@
 """The sample-point pre-filter kernel against the symbolic series."""
 
 import random
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -19,31 +18,28 @@ from rigidpow.rigidity import Row, WeightMatrix, candidate_constant, t_series
 
 
 def random_batch(rng, m, n, bound, count):
-    weights, signs = array("q"), array("q")
+    """``count`` candidates of ``m`` random ``(weights, sign)`` rows."""
     values = [v for v in range(-bound, bound + 1) if v]
+    candidates = []
     for _ in range(count):
-        for _ in range(m):
-            signs.append(rng.choice((1, -1)))
-            for _ in range(n):
-                weights.append(rng.choice(values))
-    return weights, signs
-
-
-def oracle_mask(weights, signs, m, n, count, points):
-    """Independent check via the symbolic series and Fraction arithmetic."""
-    out = bytearray(count)
-    npts = len(points) // 3
-    for c in range(count):
         rows = []
-        for i in range(m):
-            ws = tuple(weights[c * m * n + i * n + j] for j in range(n))
-            rows.append(Row(ws, signs[c * m + i]))
-        matrix = WeightMatrix(tuple(rows))
+        for _ in range(m):
+            sign = rng.choice((1, -1))
+            rows.append((tuple(rng.choice(values) for _ in range(n)), sign))
+        candidates.append(rows)
+    return candidates
+
+
+def oracle_mask(candidates, points):
+    """Independent check via the symbolic series and Fraction arithmetic."""
+    out = bytearray(len(candidates))
+    for c, rows in enumerate(candidates):
+        matrix = WeightMatrix(tuple(Row(ws, s) for ws, s in rows))
         series = t_series(matrix)
         constant = candidate_constant(matrix)
         ok = 1
-        for p in range(npts):
-            z0, x0, y0 = points[3 * p], points[3 * p + 1], points[3 * p + 2]
+        for p in range(0, len(points), 3):
+            z0, x0, y0 = points[p], points[p + 1], points[p + 2]
             if series.evaluate(z0, x0, y0) != constant.evaluate(x0, y0):
                 ok = 0
                 break
@@ -61,29 +57,22 @@ def test_sample_points():
 def test_pure_kernel_matches_symbolic_oracle():
     rng = random.Random(21)
     m, n, bound, count = 2, 2, 4, 200
-    weights, signs = random_batch(rng, m, n, bound, count)
-    points = array("q", T_POINTS)
+    candidates = random_batch(rng, m, n, bound, count)
     got = bytearray(count)
-    filter_chunk(weights, signs, m, n, count, points, got)
-    assert got == oracle_mask(weights, signs, m, n, count, T_POINTS)
-
-
-def row_buffers(candidates):
-    """The row-table kernel's buffers (one weight tuple per row) and the
-    oracle's flat weight buffer for the same candidates."""
-    rows = [row for candidate in candidates for row in candidate]
-    weights = [tuple(ws) for ws, _ in rows]
-    return weights, [s for _, s in rows], [w for ws in weights for w in ws]
+    filter_chunk(candidates, T_POINTS, got)
+    assert got == oracle_mask(candidates, T_POINTS)
 
 
 def both_masks(candidates, m, n, bound, points):
-    weights, signs, flat = row_buffers(candidates)
+    """The row-table kernel's mask, fed one weight tuple and one sign per
+    row, and the oracle's mask for the same candidates."""
+    rows = [row for candidate in candidates for row in candidate]
     kernel, name = select_filter(m, n, bound, points)
     assert name == "row-table"
     got = bytearray(len(candidates))
-    kernel(weights, signs, m, n, len(candidates), points, got)
+    kernel([tuple(ws) for ws, _ in rows], [s for _, s in rows], m, n, len(candidates), points, got)
     want = bytearray(len(candidates))
-    filter_chunk(flat, signs, m, n, len(candidates), points, want)
+    filter_chunk(candidates, points, want)
     return got, want
 
 
@@ -276,19 +265,13 @@ def test_kernels_accept_rigid_matrices():
 
     for seed in ((0, 1), (0, 1, 2), (3, 5, 8, 11)):
         matrix = quasilinear(seed)
-        m, n = matrix.m, matrix.n
-        weights = array("q", [w for row in matrix.rows for w in row.weights])
-        signs = array("q", [row.sign for row in matrix.rows])
         for mode in ("T", "L"):
-            points = array("q", sample_points(mode))
             out = bytearray(1)
-            filter_chunk(weights, signs, m, n, 1, points, out)
+            filter_chunk([matrix.rows], sample_points(mode), out)
             assert out[0] == 1
 
     # and the canonical L image passes the L points as well
     matrix = canonical_form(quasilinear((0, 2, 5)), "L")
-    weights = array("q", [w for row in matrix.rows for w in row.weights])
-    signs = array("q", [row.sign for row in matrix.rows])
     out = bytearray(1)
-    filter_chunk(weights, signs, matrix.m, matrix.n, 1, array("q", L_POINTS), out)
+    filter_chunk([matrix.rows], L_POINTS, out)
     assert out[0] == 1

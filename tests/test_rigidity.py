@@ -1,9 +1,12 @@
 """Weight matrices, series construction, and the rigidity decision."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidpow.algebra import DenomFactors, Form
 from rigidpow.rigidity import (
@@ -20,7 +23,6 @@ from rigidpow.rigidity import (
     parity_check,
     quasilinear,
     t_series,
-    term_fraction,
 )
 
 def wm(*rows):
@@ -57,31 +59,36 @@ def test_matrix_rejects_non_integer_entries(rows):
         WeightMatrix(tuple(Row(ws, s) for ws, s in rows))
 
 
-def test_term_fraction_positive():
-    t = term_fraction(1)
+def single_weight(w):
+    """The factor ``(x z^w + y) / (z^w - 1)`` as the series of a 1x1 matrix."""
+    return t_series(wm(([w], 1)))
+
+
+def test_single_weight_positive():
+    t = single_weight(1)
     assert t.num == {1: (1, 0), 0: (0, 1)}
     assert t.den == DenomFactors({1: 1})
 
 
-def test_term_fraction_negative():
+def test_single_weight_negative():
     # (x z^-1 + y)/(z^-1 - 1) = (-x - y z)/(z - 1)
-    t = term_fraction(-1)
+    t = single_weight(-1)
     assert t.num == {1: (0, -1), 0: (-1, 0)}
     assert t.den == DenomFactors({1: 1})
-    t2 = term_fraction(-2)
+    t2 = single_weight(-2)
     assert t2.num == {2: (0, -1), 0: (-1, 0)}
     assert t2.den == DenomFactors({2: 1})
 
 
-def test_term_fraction_zero_weight():
+def test_single_weight_zero():
     with pytest.raises(ZeroWeight):
-        term_fraction(0)
+        single_weight(0)
 
 
-def test_term_fraction_matches_defining_formula():
+def test_single_weight_matches_defining_formula():
     # against direct evaluation of (x z^w + y)/(z^w - 1) with exact fractions
     for w in (1, 2, 3, -1, -2, -5):
-        t = term_fraction(w)
+        t = single_weight(w)
         for z0 in (2, 3, Fraction(5, 2)):
             for x0, y0 in ((1, 1), (2, 3), (0, 1)):
                 zw = Fraction(z0) ** w
@@ -100,6 +107,12 @@ def test_t_series_two_term_sum():
 def test_t_series_cancelling_rows():
     series = t_series(wm(([1, 2], 1), ([1, 2], -1)))
     assert series.num == {}
+
+
+def test_t_series_keeps_the_factors_of_cancelled_rows():
+    series = t_series(wm(([1, 3, 3], 1), ([3, 1, 3], -1)))
+    assert series.num == {}
+    assert series.den == DenomFactors({1: 1, 3: 2})
 
 
 def test_t_series_difference_matrix_is_constant_function():
@@ -123,6 +136,60 @@ def test_l_series_examples():
     assert series.num == {2: (2,), 1: (-2,)}
     assert series.evaluate(2) == Fraction(4, 3)
     assert series.evaluate(3) != series.evaluate(2)
+
+
+def test_l_series_cross_multiplies_by_hand():
+    # (z + 1)/(z - 1) + (z^2 + 1)/(z^2 - 1) over (z - 1)(z^2 - 1), factored
+    # and not reduced: (z + 1)(z^2 - 1) + (z^2 + 1)(z - 1) = 2z^3 - 2
+    series = l_series(wm(([1], 1), ([2], 1)))
+    assert series.den == DenomFactors({1: 1, 2: 1})
+    assert series.num == {3: (2,), 0: (-2,)}
+    assert str(series) == "((2)*z^3 + (-2)) / ((z - 1)*(z^2 - 1))"
+
+
+def matrices(max_m=4, max_n=3, bound=4):
+    values = [v for v in range(-bound, bound + 1) if v]
+
+    def rows(n):
+        row = st.builds(Row, st.tuples(*[st.sampled_from(values)] * n), st.sampled_from((1, -1)))
+        return st.lists(row, min_size=1, max_size=max_m)
+
+    return st.integers(1, max_n).flatmap(rows).map(lambda rows: WeightMatrix(tuple(rows)))
+
+
+def row_value(row, z0, x0, y0):
+    value = Fraction(row.sign)
+    for w in row.weights:
+        zw = Fraction(z0) ** w
+        value *= (x0 * zw + y0) / (zw - 1)
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_series_is_the_sum_of_its_rows(matrix):
+    t, l = t_series(matrix), l_series(matrix)
+    for z0 in (2, 3, -2, Fraction(3, 2)):
+        for x0, y0 in ((1, 1), (2, 1), (1, 3), (0, 1), (-1, 2)):
+            assert t.evaluate(z0, x0, y0) == sum(row_value(r, z0, x0, y0) for r in matrix.rows)
+        assert l.evaluate(z0) == sum(row_value(r, z0, 1, 1) for r in matrix.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_series_denominator_is_the_per_factor_maximum(matrix):
+    den = Counter()
+    for r in matrix.rows:
+        den |= Counter(map(abs, r.weights))
+    assert t_series(matrix).den == l_series(matrix).den == DenomFactors(den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_series_does_not_depend_on_row_order(matrix, data):
+    permuted = WeightMatrix(tuple(data.draw(st.permutations(matrix.rows))))
+    assert t_series(permuted) == t_series(matrix)
+    assert l_series(permuted) == l_series(matrix)
 
 
 # -- candidate constants ------------------------------------------------------

@@ -1,11 +1,14 @@
 """Canonical enumeration, sweeps against closed-form families, the
 difference-matrix seed test, and the triple identity search."""
 
+import os
 import random
+from concurrent.futures import Future
 from itertools import combinations_with_replacement
 
 import pytest
 
+from rigidpow import search
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -128,7 +131,7 @@ def test_sweep_two_rows_single_column():
 
 def test_sweep_found_is_sorted_and_unique():
     report = sweep(SearchSpec(m=2, n=2, bound=2, mode="T"))
-    keys = [f.matrix.key() for f in report.found]
+    keys = [f.matrix.rows for f in report.found]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert {f.matrix for f in report.found} == z_family(2, 2)
@@ -190,6 +193,40 @@ def test_sweep_parallel_workers_match_sequential():
     sequential = sweep(spec, shards=2)
     parallel = sweep(spec, shards=2, workers=2)
     assert [f.matrix for f in parallel.found] == [f.matrix for f in sequential.found]
+
+
+def test_sweep_asks_for_at_most_one_process_per_cpu(monkeypatch):
+    # the pool forks all of max_workers at its first submit, so 64 workers
+    # for 64 shards used to mean 64 processes whatever the machine
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = SearchSpec(m=2, n=2, bound=3, mode="T")
+    sequential = sweep(spec)
+    report = sweep(spec, shards=64, workers=64)
+    assert sizes == [2]
+    assert [f.matrix for f in report.found] == [f.matrix for f in sequential.found]
+    assert report.stats.enumerated == sequential.stats.enumerated
+    # an unknown CPU count runs the shards in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sweep(spec, shards=64, workers=64)
+    assert sizes == [2]
 
 
 def test_sweep_budget_exceeded_carries_partial_report():
