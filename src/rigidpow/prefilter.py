@@ -9,22 +9,24 @@ by a residue sum that is nonzero.
 A candidate's function minus its forced constant is the sum, over its
 rows, of each row's value minus that row's constant, and a row's term at a
 sample point does not depend on the other rows.  The kernel that
-:func:`select_filter` returns therefore keeps a table from each row
-``(weights, sign)`` it has seen to one residue modulo the prime
-``_PRIME``: the row's term at every point, reduced modulo ``_PRIME`` and
-combined with a fixed multiplier per point (a Karp-Rabin fingerprint).
-Reduction modulo a prime is a ring map on the rationals whose denominators
-it does not divide, so a candidate whose terms sum to zero has residues
-that sum to zero; one whose residues do not is rejected, and the rare one
-whose residues do is decided by :func:`filter_chunk`.  That function
-evaluates every candidate from scratch and is the oracle the table kernel
-is tested against.
+:func:`select_filter` returns therefore reduces each row ``(weights,
+sign)`` of its universe to one residue modulo the prime ``_PRIME``: the
+row's term at every point, reduced modulo ``_PRIME`` and combined with a
+fixed multiplier per point (a Karp-Rabin fingerprint).  Reduction modulo a
+prime is a ring map on the rationals whose denominators it does not
+divide, so a candidate whose terms sum to zero has residues that sum to
+zero.  Deciding a candidate is thus a k-SUM over the row residues: the
+kernel fixes every row but the last and looks the last one up by the
+negated residue sum (a residue join), and only the rare candidate whose
+residues do sum to zero is decided by :func:`filter_chunk`.  That function
+evaluates every candidate from scratch and is the oracle the kernel is
+tested against.
 """
 
 from __future__ import annotations
 
-from operator import add
-from typing import Callable, Dict, Sequence, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .rigidity import exact_int
 
@@ -120,25 +122,32 @@ def row_residue(weights: Tuple[int, ...], sign: int, n: int, bound: int,
     return residue % _PRIME
 
 
-def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[FilterFn, str]:
-    """The pre-filter kernel for ``m`` rows of ``n`` weights with
-    ``|w| <= bound`` at ``points``, plus its name.
+def select_filter(m: int, n: int, bound: int, points: Sequence[int],
+                  rows: Sequence[Tuple[Tuple[int, ...], int]] = ()) -> Tuple[FilterFn, str]:
+    """The pre-filter kernel for ``m``-row candidates drawn from ``rows``,
+    each a ``(weights, sign)`` pair of ``n`` weights with ``|w| <= bound``,
+    at ``points``, plus its name.
 
-    The kernel is called as ``kernel(weights, signs, m, n, count, points,
-    out)`` and writes :func:`filter_chunk`'s mask for the ``count``
-    candidates of ``m`` rows each: ``weights`` holds ``count * m`` tuples
-    of ``n`` integers and ``signs`` the matching row signs.  Row residues
-    (see :func:`row_residue`) are computed on first sight and kept for the
-    kernel's life in ``kernel.table``, so a candidate costs ``m`` dict
-    lookups and small additions at any bound.  A candidate whose residues
-    sum to a multiple of ``_PRIME`` is passed to :func:`filter_chunk`
-    alone, so the mask is the oracle's byte for byte.  Every point needs
-    ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be below
-    ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes modulo
-    ``_PRIME``.  A new row that breaks the parameters raises
-    ``ValueError`` before any mask byte is written.  ``perfbench/run.py``
-    calls this through ``search.select_filter`` and wraps the kernel to
-    trace every call.
+    The kernel is called as ``kernel(heads, tails, m, n, count, points,
+    out)`` and decides a block of ``count`` candidates that share their
+    first ``m - 1`` rows: ``heads`` holds those rows' indices into
+    ``rows``, and ``tails`` is a ``range`` of ``count`` indices for the
+    last row.  It writes :func:`filter_chunk`'s mask for the candidate
+    ending in ``tails[k]`` to ``out[k]``.  Each row's residue (see
+    :func:`row_residue`) is computed once, here, and kept in order in
+    ``kernel.residues``, and the rows are indexed by residue, so a block costs ``m - 1`` additions and one dict lookup:
+    the tails whose residue is minus the heads' sum, found by bisection in
+    the sorted positions sharing it, are the only candidates whose
+    residues sum to zero.  Each of them is passed to :func:`filter_chunk`
+    alone, and every other candidate is rejected, so the mask is the
+    oracle's byte for byte.  Every point needs ``2 <= z < _PRIME - 1`` and
+    ``x, y >= 1``, and ``bound`` must be below ``(_PRIME - 1) // 2``, so
+    that no ``z^w - 1`` vanishes modulo ``_PRIME``.  A row that breaks
+    the parameters raises ``ValueError`` here, and a call that breaks
+    them raises ``ValueError`` before any mask byte is written.  With no
+    ``rows`` nothing is computed and the kernel can decide no candidate.
+    ``perfbench/run.py`` calls this through ``search.select_filter`` and
+    wraps the kernel to trace every call.
     """
     if min(exact_int("m", m), exact_int("n", n), exact_int("bound", bound)) < 1:
         raise ValueError("m, n and bound must all be at least 1")
@@ -150,32 +159,40 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int]) -> Tuple[Fi
     for z, x, y in zip(*[iter(points)] * 3):
         if not 2 <= exact_int("z", z) < _PRIME - 1 or min(exact_int("x", x), exact_int("y", y)) < 1:
             raise ValueError(f"sample point {(z, x, y)} needs 2 <= z < _PRIME - 1 and x, y > 0")
-    table: Dict[Tuple[Tuple[int, ...], int], int] = {}
-    # m residues in [0, _PRIME) sum to a multiple of _PRIME below m * _PRIME
-    zero_sums = frozenset(range(0, m * _PRIME, _PRIME))
+    rows = tuple(rows)
+    residues = [row_residue(*row, n, bound, points) for row in rows]
+    positions: Dict[int, List[int]] = {}
+    for p, residue in enumerate(residues):
+        positions.setdefault(residue, []).append(p)
+    size = len(rows)
 
-    def row_table(weights, signs, m_, n_, count, points_, out):
-        if (m_, n_) != (m, n) or tuple(points_) != points:
-            raise ValueError("the kernel was built for other parameters")
-        if len(weights) != count * m or len(signs) != count * m:
-            raise ValueError(f"need {count * m} rows and signs")
-        try:
-            residues = list(map(table.__getitem__, zip(weights, signs)))
-        except KeyError:
-            for row in zip(weights, signs):
-                if row not in table:
-                    table[row] = row_residue(*row, n, bound, points)
-            residues = list(map(table.__getitem__, zip(weights, signs)))
-        sums = residues[0::m]
-        for i in range(1, m):
-            sums = map(add, sums, residues[i::m])
-        mask = bytearray(map(zero_sums.__contains__, sums))
-        c = mask.find(1)
-        while c != -1:
-            rows = slice(c * m, (c + 1) * m)
-            filter_chunk((tuple(zip(weights[rows], signs[rows])),), points, memoryview(mask)[c:])
-            c = mask.find(1, c + 1)
+    def residue_join(heads, tails, m_, n_, count, points_, out):
+        if (m_ != m or n_ != n or len(heads) != m - 1 or type(tails) is not range
+                or count != len(tails) or points_ is not points and tuple(points_) != points):
+            raise ValueError(f"the kernel needs {m - 1} heads, a range of count tails, "
+                             f"m = {m}, n = {n} and the points it was built for")
+        target = 0
+        for h in heads:
+            if not 0 <= h < size:
+                raise ValueError(f"head {h} is not in range({size})")
+            target -= residues[h]
+        if not count:
+            return
+        first, last = tails[0], tails[-1]
+        if first < 0 or last >= size or tails.step < 1:
+            raise ValueError(f"tails {tails} are not ascending in range({size})")
+        at = positions.get(target % _PRIME)
+        if at is None:
+            out[:count] = bytes(count)
+            return
+        mask = bytearray(count)
+        step = tails.step
+        head_rows = tuple(map(rows.__getitem__, heads))
+        for p in at[bisect_left(at, first):bisect_left(at, last + 1)]:
+            k, off = divmod(p - first, step)
+            if not off:
+                filter_chunk((head_rows + (rows[p],),), points, memoryview(mask)[k:])
         out[:count] = mask
 
-    row_table.table = table
-    return row_table, "row-table"
+    residue_join.residues = residues
+    return residue_join, "residue-join"

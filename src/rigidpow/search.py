@@ -10,20 +10,25 @@ false positives are caught by the symbolic check.
 
 Enumeration generates canonical forms directly: weights inside a row are
 non-increasing and the row list is non-decreasing, so each equivalence
-class under row and column permutation appears exactly once.  Shards fix
-the first (smallest) row; each shard is independently enumerable and the
-merged result is a deterministic sorted union, so shard count never
-changes the outcome of a completed sweep.
+class under row and column permutation appears exactly once.  A candidate
+is a non-decreasing list of indices into the sorted row universe, and the
+candidates are walked in blocks that share their first m - 1 rows; the
+pre-filter decides a whole block with one residue lookup for its last row
+(see :mod:`rigidpow.prefilter`), so only survivors are ever built as
+matrices.  Shards fix the first (smallest) row; each shard is
+independently enumerable and the merged result is a deterministic sorted
+union, so shard count never changes the outcome of a completed sweep.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, compress, islice, product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement, product
+from typing import Iterator, List, Optional, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
@@ -39,6 +44,8 @@ from .rigidity import (
     quasilinear,
 )
 
+# The pre-filter once took candidates in chunks of this many, and budget
+# counts still follow those chunks; see _run_shard.
 _CHUNK = 1024
 
 RowsTuple = Tuple[Row, ...]
@@ -174,11 +181,36 @@ def row_universe(n: int, bound: int, mode: str) -> List[Row]:
     return rows
 
 
-def _shard_rows(universe: Sequence[Row], m: int, shard_index: int, shard_count: int):
-    """Canonical candidates whose first row index is ≡ shard_index mod shard_count."""
-    for i in range(shard_index, len(universe), shard_count):
-        yield from map((universe[i],).__add__,
-                       combinations_with_replacement(universe[i:], m - 1))
+def _blocks(m: int, size: int, shard_index: int, shard_count: int
+            ) -> Iterator[Tuple[Tuple[int, ...], range]]:
+    """A shard's canonical candidates over a universe of ``size`` rows, as
+    ``(heads, tails)`` blocks in canonical order: ``heads`` indexes the
+    first ``m - 1`` rows, the first of them ≡ shard_index mod shard_count,
+    and ``tails`` is the range of last-row indices.  For ``m = 1`` the one
+    block's tails are the shard's rows."""
+    if m == 1:
+        yield (), range(shard_index, size, shard_count)
+        return
+    for i in range(shard_index, size, shard_count):
+        for rest in combinations_with_replacement(range(i, size), m - 2):
+            heads = (i, *rest)
+            yield heads, range(heads[-1], size)
+
+
+def _shard_size(m: int, size: int, shard_index: int, shard_count: int) -> int:
+    """The number of candidates in the blocks :func:`_blocks` yields: a
+    first row ``i`` leads one for each multiset of ``m - 1`` rows drawn from
+    rows ``i..size-1``."""
+    return sum(math.comb(size - i + m - 2, m - 1)
+               for i in range(shard_index, size, shard_count))
+
+
+def _passed(mask: bytearray) -> Iterator[int]:
+    """The indices of the candidates a pre-filter mask lets through."""
+    k = mask.find(1)
+    while k != -1:
+        yield k
+        k = mask.find(1, k + 1)
 
 
 @dataclass
@@ -190,45 +222,53 @@ class _ShardResult:
     exceeded: bool = False
 
 
-def _prefiltered(candidates: Iterable[RowsTuple], m: int, n: int, bound: int,
-                 mode: str) -> Iterator[Tuple[List[RowsTuple], bytearray]]:
-    """The pre-filter stage: ``(chunk, mask)`` for each run of up to ``_CHUNK``
-    candidates, drawn lazily; ``mask[i]`` is 1 when ``chunk[i]`` matches its
-    forced constant at every sample point.  The kernel gets one weight tuple
-    and one sign per row."""
-    points = sample_points(mode)
-    kernel, _ = select_filter(m, n, bound, points)
-    candidates = iter(candidates)
-    while True:
-        chunk = list(islice(candidates, _CHUNK))
-        if not chunk:
-            return
-        weights, signs = zip(*chain.from_iterable(chunk))
-        mask = bytearray(len(chunk))
-        kernel(weights, signs, m, n, len(chunk), points, mask)
-        yield chunk, mask
-
-
 def _run_shard(spec: SearchSpec, shard_index: int, shard_count: int,
                enum_cap: int, check_cap: int) -> _ShardResult:
+    """One shard of a sweep: its first ``enum_cap`` candidates through the
+    pre-filter, and at most ``check_cap`` survivors through the symbolic
+    check."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
-    candidates = _shard_rows(universe, spec.m, shard_index, shard_count)
+    points = sample_points(spec.mode)
+    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, universe)
 
     result = _ShardResult()
-    stage = _prefiltered(islice(candidates, enum_cap), spec.m, spec.n, spec.bound, spec.mode)
-    for chunk, mask in stage:
-        result.enumerated += len(chunk)
-        result.rejected += mask.count(0)
-        for rows in compress(chunk, mask):
+    m, n, limit = spec.m, spec.n, enum_cap
+    enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
+    spent = False  # the check budget ran out
+    for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
+        start = enumerated
+        if start + len(tails) > limit:
+            if start >= limit:
+                break
+            tails = tails[:limit - start]
+        count = len(tails)
+        mask = bytearray(count)
+        kernel(heads, tails, m, n, count, points, mask)
+        enumerated += count
+        if 1 not in mask:
+            continue
+        if spent:
+            passed += mask.count(1)
+            continue
+        for k in _passed(mask):
             if result.exact_checks >= check_cap:
-                result.exceeded = True
-                return result
+                # Sweeps once fed the kernel _CHUNK candidates at a time and
+                # counted the whole chunk holding the survivor over budget as
+                # enumerated; the golden --budget cases pin that count.
+                limit = min(limit, (start + k) // _CHUNK * _CHUNK + _CHUNK)
+                enumerated = min(enumerated, limit)
+                passed += mask.count(1, k, limit - start)
+                spent = True
+                break
+            passed += 1
             result.exact_checks += 1
+            rows = (*map(universe.__getitem__, heads), universe[tails[k]])
             verdict = decide(WeightMatrix(rows))
             if verdict.rigid:
                 result.found.append((rows, verdict.constant))
-    result.exceeded = next(candidates, None) is not None
+    result.enumerated, result.rejected = enumerated, enumerated - passed
+    result.exceeded = spent or _shard_size(m, len(universe), shard_index, shard_count) > enum_cap
     return result
 
 
@@ -331,12 +371,17 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
         raise ValueError("n and bound must be at least 1")
     plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
-    minus = [Row(v.weights, -1) for v in plus]
-    triples = ((plus[i], b, c) for i in range(len(plus)) for b in plus[i:] for c in minus)
+    rows = plus + [Row(v.weights, -1) for v in plus]
+    points = sample_points("L")
+    kernel, _ = select_filter(3, n, bound, points, rows)
+    tails = range(len(plus), len(rows))
     solutions: List[Triple] = []
-    for chunk, mask in _prefiltered(triples, 3, n, bound, "L"):
-        for rows in compress(chunk, mask):
-            verdict = is_l_rigid(WeightMatrix(rows))
+    for heads in combinations_with_replacement(range(len(plus)), 2):
+        mask = bytearray(len(tails))
+        kernel(heads, tails, 3, n, len(tails), points, mask)
+        for k in _passed(mask):
+            matrix = WeightMatrix((rows[heads[0]], rows[heads[1]], rows[tails[k]]))
+            verdict = is_l_rigid(matrix)
             if verdict.rigid and verdict.constant.constant_value() == 1:
-                solutions.append(tuple(row.weights for row in rows))
+                solutions.append(tuple(row.weights for row in matrix.rows))
     return solutions

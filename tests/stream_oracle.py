@@ -1,0 +1,81 @@
+"""The candidate stream that the residue join replaced, kept as an oracle.
+
+``stream_candidates`` yields a shard's canonical candidates one by one, in
+canonical order, and ``stream_shard`` and ``stream_triples`` decide them
+the way sweeps did before the join: ``filter_chunk`` on every candidate,
+in chunks of ``CHUNK``.  ``join_mask`` gives the kernel's mask for the
+same candidates, in the same order, block by block.
+"""
+
+from itertools import combinations_with_replacement, islice
+
+from rigidpow.prefilter import filter_chunk, sample_points, select_filter
+from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid
+from rigidpow.search import _blocks
+
+CHUNK = 1024
+
+
+def stream_candidates(universe, m, shard_index, shard_count):
+    """Canonical candidates whose first row index is ≡ shard_index mod shard_count."""
+    for i in range(shard_index, len(universe), shard_count):
+        yield from map((universe[i],).__add__,
+                       combinations_with_replacement(universe[i:], m - 1))
+
+
+def chunk_mask(candidates, points):
+    mask = bytearray(len(candidates))
+    filter_chunk(candidates, points, mask)
+    return mask
+
+
+def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1):
+    """The residue-join kernel's mask over the shard's candidates, in
+    canonical order."""
+    points = sample_points(mode)
+    kernel, name = select_filter(m, n, bound, points, universe)
+    assert name == "residue-join"
+    mask = bytearray()
+    for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
+        out = bytearray(len(tails))
+        kernel(heads, tails, m, n, len(tails), points, out)
+        mask += out
+    return mask
+
+
+def stream_shard(candidates, mask, enum_cap, check_cap, decide):
+    """A shard run on the stream: ``candidates`` is the shard's whole stream
+    and ``mask`` its pre-filter mask.  Returns ``(found, enumerated,
+    rejected, exact_checks, exceeded)``."""
+    found, enumerated, rejected, checks = [], 0, 0, 0
+    stop = min(enum_cap, len(candidates))
+    for start in range(0, stop, CHUNK):
+        chunk = range(start, min(start + CHUNK, stop))
+        enumerated += len(chunk)
+        rejected += sum(not mask[i] for i in chunk)
+        for i in chunk:
+            if not mask[i]:
+                continue
+            if checks >= check_cap:
+                return found, enumerated, rejected, checks, True
+            checks += 1
+            verdict = decide(WeightMatrix(candidates[i]))
+            if verdict.rigid:
+                found.append((candidates[i], verdict.constant))
+    return found, enumerated, rejected, checks, len(candidates) > enum_cap
+
+
+def stream_triples(n, bound):
+    """``triple_identity_search`` on the stream of (a, b, c) triples."""
+    plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
+    minus = [Row(v.weights, -1) for v in plus]
+    triples = iter((plus[i], b, c) for i in range(len(plus)) for b in plus[i:] for c in minus)
+    solutions = []
+    while True:
+        chunk = list(islice(triples, CHUNK))
+        if not chunk:
+            return solutions
+        for rows, ok in zip(chunk, chunk_mask(chunk, sample_points("L"))):
+            verdict = is_l_rigid(WeightMatrix(rows)) if ok else None
+            if verdict and verdict.rigid and verdict.constant.constant_value() == 1:
+                solutions.append(tuple(row.weights for row in rows))

@@ -21,6 +21,7 @@ from rigidpow.bott import (
     kosniowski_bound,
     realizability_screen,
 )
+from rigidpow.prefilter import sample_points
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -38,6 +39,7 @@ from rigidpow.search import (
     sweep,
     triple_identity_search,
 )
+from stream_oracle import chunk_mask, join_mask, stream_candidates
 
 
 def wm(*rows):
@@ -371,13 +373,12 @@ def test_criterion_9_permutation_invariance():
 
 
 def test_criterion_9_prefilter_soundness():
-    from rigidpow.search import _prefiltered, _shard_rows
-
     spec = SearchSpec(m=2, n=2, bound=4, mode="T")
     universe = row_universe(spec.n, spec.bound, spec.mode)
-    stage = _prefiltered(_shard_rows(universe, spec.m, 0, 1),
-                         spec.m, spec.n, spec.bound, spec.mode)
-    rejected = [rows for chunk, mask in stage for rows, ok in zip(chunk, mask) if not ok]
+    candidates = list(stream_candidates(universe, spec.m, 0, 1))
+    mask = join_mask(universe, spec.m, spec.n, spec.bound, spec.mode)
+    assert mask == chunk_mask(candidates, sample_points(spec.mode))
+    rejected = [rows for rows, ok in zip(candidates, mask) if not ok]
     rng = random.Random(45)
     sample = rng.sample(rejected, max(len(rejected) // 100, 100))
     rigid_rejects = sum(1 for rows in sample if is_rigid(WeightMatrix(rows)).rigid)
@@ -385,4 +386,23 @@ def test_criterion_9_prefilter_soundness():
         9,
         rigid_rejects == 0,
         f"{len(sample)} sampled rejects out of {len(rejected)}, {rigid_rejects} rigid",
+    )
+
+
+# -- criterion 10: Kosniowski's conjecture in dimension 14 ------------------------
+
+
+def test_criterion_10_kosniowski_dimension_14():
+    # n = 7 weights per fixed point is dimension 14; three fixed points are
+    # below kosniowski_bound(7) = 4, so no rigid find may have a nonzero constant
+    started = time.perf_counter()
+    report = sweep(SearchSpec(m=3, n=7, bound=3, mode="T", enum_budget=10**9))
+    elapsed = time.perf_counter() - started
+    assert 3 < kosniowski_bound(7)
+    assert report.stats.enumerated == 663645840
+    assert (report.stats.exact_checks, report.found) == (0, ())
+    conclude(
+        10,
+        not report.violations() and elapsed < 60,
+        f"T m=3 n=7 b=3, {report.stats.enumerated} candidates, no violation, {elapsed:.2f}s",
     )

@@ -15,6 +15,8 @@ from rigidpow.prefilter import (
     select_filter,
 )
 from rigidpow.rigidity import Row, WeightMatrix, candidate_constant, t_series
+from rigidpow.search import row_universe
+from stream_oracle import chunk_mask, join_mask, stream_candidates
 
 
 def random_batch(rng, m, n, bound, count):
@@ -64,16 +66,31 @@ def test_pure_kernel_matches_symbolic_oracle():
 
 
 def both_masks(candidates, m, n, bound, points):
-    """The row-table kernel's mask, fed one weight tuple and one sign per
-    row, and the oracle's mask for the same candidates."""
-    rows = [row for candidate in candidates for row in candidate]
-    kernel, name = select_filter(m, n, bound, points)
-    assert name == "row-table"
-    got = bytearray(len(candidates))
-    kernel([tuple(ws) for ws, _ in rows], [s for _, s in rows], m, n, len(candidates), points, got)
-    want = bytearray(len(candidates))
-    filter_chunk(candidates, points, want)
-    return got, want
+    """The residue-join kernel's mask and the oracle's for every candidate
+    that keeps the first ``m - 1`` rows of one of ``candidates`` and ends
+    in any row that appears in them: one block per candidate, its tails
+    the whole row list."""
+    rows = sorted({row for candidate in candidates for row in candidate})
+    index = {row: i for i, row in enumerate(rows)}
+    kernel, name = select_filter(m, n, bound, points, rows)
+    assert name == "residue-join"
+    got, blocks = bytearray(), []
+    for candidate in candidates:
+        heads = tuple(index[row] for row in candidate[:m - 1])
+        out = bytearray(len(rows))
+        kernel(heads, range(len(rows)), m, n, len(rows), points, out)
+        got += out
+        blocks += [tuple(candidate[:m - 1]) + (row,) for row in rows]
+    return got, chunk_mask(blocks, points)
+
+
+def canonical_masks(m, n, bound, mode):
+    """The kernel's and the oracle's masks over every canonical candidate
+    of the sweep, in canonical order."""
+    universe = row_universe(n, bound, mode)
+    candidates = list(stream_candidates(universe, m, 0, 1))
+    got = join_mask(universe, m, n, bound, mode)
+    return got, chunk_mask(candidates, sample_points(mode))
 
 
 def random_candidates(rng, m, n, bound, count):
@@ -95,7 +112,7 @@ def random_candidates(rng, m, n, bound, count):
 
 
 @pytest.mark.parametrize("points", [T_POINTS, L_POINTS], ids=["T", "L"])
-def test_row_table_kernel_matches_filter_chunk_on_a_grid(points):
+def test_residue_join_matches_filter_chunk_on_a_grid(points):
     rng = random.Random(4)
     passed = 0
     for m in range(1, 5):
@@ -112,39 +129,30 @@ def test_row_table_kernel_matches_filter_chunk_on_a_grid(points):
     (2, 1, 5, "T"), (2, 2, 3, "T"), (3, 2, 2, "T"), (3, 2, 3, "L"),
     (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"),
 ])
-def test_row_table_kernel_matches_filter_chunk_on_every_canonical_candidate(m, n, bound, mode):
-    from rigidpow.search import _shard_rows, row_universe
-
-    candidates = list(_shard_rows(row_universe(n, bound, mode), m, 0, 1))
-    got, want = both_masks(candidates, m, n, bound, sample_points(mode))
+def test_residue_join_matches_filter_chunk_on_every_canonical_candidate(m, n, bound, mode):
+    got, want = canonical_masks(m, n, bound, mode)
     assert got == want
     assert 0 < sum(got) < len(got)
 
 
 @pytest.mark.parametrize("m, n, bound", [(2, 1, 130), (1, 1, 500)])
-def test_row_table_kernel_matches_filter_chunk_at_large_bounds(m, n, bound):
+def test_residue_join_matches_filter_chunk_at_large_bounds(m, n, bound):
     # these bounds pass w = 61 and w = 122: modulo the Mersenne prime
     # 2^61 - 1, z = 2 has order 61, so z^w - 1 would have no inverse
-    from rigidpow.search import _shard_rows, row_universe
-
-    candidates = list(_shard_rows(row_universe(n, bound, "T"), m, 0, 1))
-    got, want = both_masks(candidates, m, n, bound, T_POINTS)
+    got, want = canonical_masks(m, n, bound, "T")
     assert got == want
     # no single row is constant; two rows are when they cancel
     assert (sum(got) > 0) == (m > 1)
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_row_table_residue_collisions_are_decided_by_filter_chunk(monkeypatch, m, n, bound, mode):
+def test_residue_join_collisions_are_decided_by_filter_chunk(monkeypatch, m, n, bound, mode):
     # modulo the safe prime 23 = 2 * 11 + 1 about one candidate in 23
     # collides; filter_chunk, called on every hit, must still give its mask
-    from rigidpow.search import _shard_rows, row_universe
-
     monkeypatch.setattr(prefilter, "_PRIME", 23)
     hits = []
     monkeypatch.setattr(prefilter, "filter_chunk", lambda *args: hits.append(filter_chunk(*args)))
-    candidates = list(_shard_rows(row_universe(n, bound, mode), m, 0, 1))
-    got, want = both_masks(candidates, m, n, bound, sample_points(mode))
+    got, want = canonical_masks(m, n, bound, mode)
     assert got == want
     assert len(hits) > sum(got)
 
@@ -161,21 +169,15 @@ def exact_row_term(weights, sign, z, x, y):
 @pytest.mark.parametrize("m, n, bound, mode", [
     (1, 1, 1, "T"), (2, 2, 4, "T"), (4, 3, 3, "T"), (3, 2, 5, "L"), (4, 4, 2, "L"),
 ])
-def test_row_table_entries_are_exact_row_terms_modulo_the_prime(m, n, bound, mode):
-    from rigidpow.search import row_universe
-
+def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound, mode):
     points = sample_points(mode)
-    kernel, _ = select_filter(m, n, bound, points)
     rows = row_universe(n, bound, "T")
-    # every row of the universe, each in its own one-row-repeated candidate
-    weights = [r.weights for r in rows for _ in range(m)]
-    signs = [r.sign for r in rows for _ in range(m)]
-    kernel(weights, signs, m, n, len(rows), points, bytearray(len(rows)))
-    assert set(kernel.table) == {(r.weights, r.sign) for r in rows}
+    kernel, _ = select_filter(m, n, bound, points, rows)
+    assert len(kernel.residues) == len(rows)
 
     P = prefilter._PRIME
     layout = [points[p:p + 3] for p in range(0, len(points), 3)]
-    for (ws, sign), residue in kernel.table.items():
+    for (ws, sign), residue in zip(rows, kernel.residues):
         assert residue == row_residue(ws, sign, n, bound, points)
         want = 0
         for p, (z, x, y) in enumerate(layout):
@@ -184,21 +186,39 @@ def test_row_table_entries_are_exact_row_terms_modulo_the_prime(m, n, bound, mod
         assert residue == want % P
 
 
+def test_select_filter_with_no_rows_computes_no_residue(monkeypatch):
+    calls = []
+    monkeypatch.setattr(prefilter, "row_residue", lambda *args: calls.append(args))
+    kernel, name = select_filter(3, 2, 4, T_POINTS)
+    assert (name, kernel.residues, calls) == ("residue-join", [], [])
+
+
 @pytest.mark.parametrize("bad", [(0, 1), (1, 4), (-4, 1), (1, 2, 3), (1,), (1.5, 1)])
-def test_row_table_rejects_rows_outside_its_parameters(bad):
+def test_residue_join_rejects_rows_outside_its_parameters(bad):
     m, n, bound = 2, 2, 3
-    kernel, _ = select_filter(m, n, bound, T_POINTS)
-    weights, signs = [(1, -1), (2, 1), (1, 1), bad], [1, -1, 1, 1]
+    rows = [((1, -1), 1), ((2, 1), -1), ((1, 1), 1)]
+    with pytest.raises(ValueError):
+        select_filter(m, n, bound, T_POINTS, rows + [(bad, 1)])
+    with pytest.raises(ValueError):
+        select_filter(m, n, bound, T_POINTS, rows + [((1, 2), 2)])
+    kernel, _ = select_filter(m, n, bound, T_POINTS, rows)
     mask = bytearray(b"\x07\x07")
+    for heads, tails, m_, count in [
+        ((0,), range(1, 3), m + 1, 2),   # another m
+        ((0, 1), range(1, 3), m, 2),     # too many heads
+        ((), range(1, 3), m, 2),         # too few
+        ((3,), range(1, 3), m, 2),       # a head past the rows
+        ((-1,), range(1, 3), m, 2),      # a negative head
+        ((0,), range(2, 4), m, 2),       # a tail past the rows
+        ((0,), range(-1, 1), m, 2),      # a negative tail
+        ((0,), range(2, 0, -1), m, 2),   # tails not ascending
+        ((0,), range(1, 3), m, 1),       # count is not len(tails)
+        ((0,), [1, 2], m, 2),            # tails not a range
+    ]:
+        with pytest.raises(ValueError):
+            kernel(heads, tails, m_, n, count, T_POINTS, mask)
     with pytest.raises(ValueError):
-        kernel(weights, signs, m, n, 2, T_POINTS, mask)
-    assert mask == b"\x07\x07"
-    # nor does a bad row enter the table for a later call to find
-    assert bad not in {ws for ws, _ in kernel.table}
-    with pytest.raises(ValueError):
-        kernel([(1, 1), (1, 2)], [1, 2], m, n, 1, T_POINTS, mask)
-    with pytest.raises(ValueError):
-        kernel([(1, 1), (1, 2)], [1, -1], m + 1, n, 1, T_POINTS, mask)
+        kernel((0,), range(1, 3), m, n, 2, L_POINTS, mask)
     assert mask == b"\x07\x07"
 
 

@@ -1,0 +1,83 @@
+"""Sweeps and the triple search on the residue join against the candidate
+stream they replaced (``stream_oracle``): the same finds in the same order,
+the same counts and the same budget outcome, budgets included."""
+
+import functools
+import math
+
+import pytest
+
+from rigidpow import search
+from rigidpow.prefilter import sample_points
+from rigidpow.rigidity import is_l_rigid, is_rigid
+from rigidpow.search import BudgetExceeded, SearchSpec, row_universe, sweep, triple_identity_search
+from stream_oracle import chunk_mask, stream_candidates, stream_shard, stream_triples
+
+SPECS = [
+    ("T", 1, 2, 3), ("T", 2, 2, 3), ("T", 2, 2, 4), ("T", 3, 2, 2), ("T", 3, 2, 3),
+    ("T", 4, 1, 3),
+    ("L", 1, 2, 4), ("L", 2, 1, 6), ("L", 2, 3, 3), ("L", 3, 2, 4), ("L", 4, 1, 4),
+    ("L", 4, 2, 3),
+]
+CHECK_BUDGETS = (1, 3, 5, SearchSpec(1, 1, 1).check_budget)
+
+
+@functools.lru_cache(maxsize=None)
+def shard_stream(mode, m, n, bound, shard_index, shard_count):
+    universe = row_universe(n, bound, mode)
+    candidates = list(stream_candidates(universe, m, shard_index, shard_count))
+    return candidates, chunk_mask(candidates, sample_points(mode))
+
+
+def sweep_outcome(spec, shards):
+    try:
+        report, exceeded = sweep(spec, shards=shards), False
+    except BudgetExceeded as budget:
+        report, exceeded = budget.report, True
+    stats = report.stats
+    finds = [(f.matrix.rows, f.constant) for f in report.found]
+    return finds, stats.enumerated, stats.rejected, stats.exact_checks, exceeded
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("mode, m, n, bound", SPECS)
+def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, shards):
+    # a cached verdict is the same verdict, and each find is decided once
+    name = "is_rigid" if mode == "T" else "is_l_rigid"
+    decide = functools.lru_cache(maxsize=None)(is_rigid if mode == "T" else is_l_rigid)
+    monkeypatch.setattr(search, name, decide)
+    size = len(row_universe(n, bound, mode))
+    total = math.comb(size + m - 1, m)
+    streams = [shard_stream(mode, m, n, bound, s, shards) for s in range(shards)]
+    assert sum(len(candidates) for candidates, _ in streams) == total
+    # no single row is constant, so only m > 1 has survivors to spend budgets on
+    assert any(any(mask) for _, mask in streams) == (m > 1)
+
+    enum_budgets = sorted({b for b in (1, 50, 1023, 1024, 1025, total - 1, total) if b >= 1})
+    for enum_budget in enum_budgets:
+        for check_budget in CHECK_BUDGETS:
+            spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget,
+                              check_budget=check_budget)
+            enum_cap = max(1, enum_budget // shards)
+            check_cap = max(1, check_budget // shards)
+            wants = []
+            for s, (candidates, mask) in enumerate(streams):
+                got = search._run_shard(spec, s, shards, enum_cap, check_cap)
+                want = stream_shard(candidates, mask, enum_cap, check_cap, decide)
+                case = (enum_budget, check_budget, s)
+                assert got.found == want[0], case
+                assert (got.enumerated, got.rejected, got.exact_checks, got.exceeded) \
+                    == want[1:], case
+                wants.append(want)
+            finds = sorted(pair for want in wants for pair in want[0])
+            counts = [sum(want[i] for want in wants) for i in (1, 2, 3)]
+            exceeded = any(want[4] for want in wants)
+            assert sweep_outcome(spec, shards) == (finds, *counts, exceeded)
+
+    report = sweep(SearchSpec(m, n, bound, mode), shards=shards)
+    assert report.stats.enumerated == total
+
+
+@pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 4), (2, 6)])
+def test_triple_search_on_the_join_matches_the_stream(n, bound):
+    assert triple_identity_search(n, bound) == stream_triples(n, bound)

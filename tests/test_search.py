@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from rigidpow import search
+from rigidpow.prefilter import sample_points
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -26,6 +27,7 @@ from rigidpow.search import (
     sweep,
     triple_identity_search,
 )
+from stream_oracle import chunk_mask, join_mask, stream_candidates
 
 
 def wm(*rows):
@@ -278,15 +280,14 @@ def test_sweep_rejects_non_integer_shards_and_workers(shards, workers):
 
 def test_prefilter_rejects_are_never_rigid():
     # every candidate the sweep rejected must fail the symbolic check too
-    from rigidpow.search import _prefiltered, _shard_rows
-
     spec = SearchSpec(m=2, n=2, bound=3, mode="T")
     universe = row_universe(spec.n, spec.bound, spec.mode)
-    stage = _prefiltered(_shard_rows(universe, spec.m, 0, 1),
-                         spec.m, spec.n, spec.bound, spec.mode)
+    candidates = list(stream_candidates(universe, spec.m, 0, 1))
+    mask = join_mask(universe, spec.m, spec.n, spec.bound, spec.mode)
+    assert mask == chunk_mask(candidates, sample_points(spec.mode))
 
     rng = random.Random(12)
-    rejected = [rows for chunk, mask in stage for rows, ok in zip(chunk, mask) if not ok]
+    rejected = [rows for rows, ok in zip(candidates, mask) if not ok]
     assert rejected
     sample = rng.sample(rejected, max(len(rejected) // 20, 50))
     for rows in sample:
