@@ -131,16 +131,18 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int],
     The kernel is called as ``kernel(heads, tails, m, n, count, points,
     out)`` and decides a block of ``count`` candidates that share their
     first ``m - 1`` rows: ``heads`` holds those rows' indices into
-    ``rows``, and ``tails`` is a ``range`` of ``count`` indices for the
-    last row.  It writes :func:`filter_chunk`'s mask for the candidate
-    ending in ``tails[k]`` to ``out[k]``.  Each row's residue (see
-    :func:`row_residue`) is computed once, here, and kept in order in
-    ``kernel.residues``, and the rows are indexed by residue, so a block costs ``m - 1`` additions and one dict lookup:
-    the tails whose residue is minus the heads' sum, found by bisection in
-    the sorted positions sharing it, are the only candidates whose
-    residues sum to zero.  Each of them is passed to :func:`filter_chunk`
-    alone, and every other candidate is rejected, so the mask is the
-    oracle's byte for byte.  Every point needs ``2 <= z < _PRIME - 1`` and
+    ``rows``, and ``tails`` is a consecutive ``range`` (step 1) of
+    ``count`` indices for the last row.  It writes :func:`filter_chunk`'s
+    mask for the candidate ending in ``tails[k]`` to ``out[k]``, in place:
+    it zeroes ``out[:count]`` and sets the surviving bytes.  Each row's
+    residue (see :func:`row_residue`) is computed once, here, and kept in
+    order in ``kernel.residues``, and the rows are indexed by residue, so
+    a block costs ``m - 1`` additions and one dict lookup: the tails whose
+    residue is minus the heads' sum, found by bisection in the sorted
+    positions sharing it, are the only candidates whose residues sum to
+    zero.  Each of them is passed to :func:`filter_chunk` alone, writing
+    straight into its byte of ``out``, and every other candidate is
+    rejected, so the mask is the oracle's byte for byte.  Every point needs ``2 <= z < _PRIME - 1`` and
     ``x, y >= 1``, and ``bound`` must be below ``(_PRIME - 1) // 2``, so
     that no ``z^w - 1`` vanishes modulo ``_PRIME``.  A row that breaks
     the parameters raises ``ValueError`` here, and a call that breaks
@@ -168,31 +170,24 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int],
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
         if (m_ != m or n_ != n or len(heads) != m - 1 or type(tails) is not range
-                or count != len(tails) or points_ is not points and tuple(points_) != points):
-            raise ValueError(f"the kernel needs {m - 1} heads, a range of count tails, "
-                             f"m = {m}, n = {n} and the points it was built for")
+                or tails.step != 1 or count != len(tails)
+                or points_ is not points and tuple(points_) != points):
+            raise ValueError(f"the kernel needs {m - 1} heads, a consecutive range of count "
+                             f"tails, m = {m}, n = {n} and the points it was built for")
         target = 0
         for h in heads:
             if not 0 <= h < size:
                 raise ValueError(f"head {h} is not in range({size})")
             target -= residues[h]
-        if not count:
-            return
-        first, last = tails[0], tails[-1]
-        if first < 0 or last >= size or tails.step < 1:
-            raise ValueError(f"tails {tails} are not ascending in range({size})")
+        first, stop = tails.start, tails.stop
+        if count and (first < 0 or stop > size):
+            raise ValueError(f"tails {tails} are not in range({size})")
+        out[:count] = bytes(count)
         at = positions.get(target % _PRIME)
-        if at is None:
-            out[:count] = bytes(count)
-            return
-        mask = bytearray(count)
-        step = tails.step
-        head_rows = tuple(map(rows.__getitem__, heads))
-        for p in at[bisect_left(at, first):bisect_left(at, last + 1)]:
-            k, off = divmod(p - first, step)
-            if not off:
-                filter_chunk((head_rows + (rows[p],),), points, memoryview(mask)[k:])
-        out[:count] = mask
+        if at:
+            head_rows = tuple(map(rows.__getitem__, heads))
+            for p in at[bisect_left(at, first):bisect_left(at, stop)]:
+                filter_chunk((head_rows + (rows[p],),), points, memoryview(out)[p - first:])
 
     residue_join.residues = residues
     return residue_join, "residue-join"

@@ -22,13 +22,12 @@ union, so shard count never changes the outcome of a completed sweep.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
@@ -45,7 +44,7 @@ from .rigidity import (
 )
 
 # The pre-filter once took candidates in chunks of this many, and budget
-# counts still follow those chunks; see _run_shard.
+# counts still follow those chunks; see _run_shards.
 _CHUNK = 1024
 
 RowsTuple = Tuple[Row, ...]
@@ -73,8 +72,9 @@ class SearchSpec:
     """Parameters of one exhaustive sweep.
 
     Budgets default to 10**7 enumerations and 10**5 exact checks.  Every
-    number must be an ``int`` (``bool`` and floats raise ``ValueError``):
-    ``bound`` sizes the pre-filter's exact denominators.
+    number must be an ``int`` (``bool`` and floats raise ``ValueError``).
+    ``bound`` limits every ``|w|``, and the pre-filter needs it below
+    ``(_PRIME - 1) // 2`` (see :func:`rigidpow.prefilter.select_filter`).
     """
 
     m: int
@@ -186,23 +186,15 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int
     """A shard's canonical candidates over a universe of ``size`` rows, as
     ``(heads, tails)`` blocks in canonical order: ``heads`` indexes the
     first ``m - 1`` rows, the first of them ≡ shard_index mod shard_count,
-    and ``tails`` is the range of last-row indices.  For ``m = 1`` the one
-    block's tails are the shard's rows."""
-    if m == 1:
-        yield (), range(shard_index, size, shard_count)
-        return
+    and ``tails`` is the consecutive range of last-row indices.  For
+    ``m = 1`` each of the shard's rows is a block of its own."""
     for i in range(shard_index, size, shard_count):
+        if m == 1:
+            yield (), range(i, i + 1)
+            continue
         for rest in combinations_with_replacement(range(i, size), m - 2):
             heads = (i, *rest)
             yield heads, range(heads[-1], size)
-
-
-def _shard_size(m: int, size: int, shard_index: int, shard_count: int) -> int:
-    """The number of candidates in the blocks :func:`_blocks` yields: a
-    first row ``i`` leads one for each multiset of ``m - 1`` rows drawn from
-    rows ``i..size-1``."""
-    return sum(math.comb(size - i + m - 2, m - 1)
-               for i in range(shard_index, size, shard_count))
 
 
 def _passed(mask: bytearray) -> Iterator[int]:
@@ -222,54 +214,56 @@ class _ShardResult:
     exceeded: bool = False
 
 
-def _run_shard(spec: SearchSpec, shard_index: int, shard_count: int,
-               enum_cap: int, check_cap: int) -> _ShardResult:
-    """One shard of a sweep: its first ``enum_cap`` candidates through the
-    pre-filter, and at most ``check_cap`` survivors through the symbolic
-    check."""
+def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int,
+                enum_cap: int, check_cap: int) -> List[_ShardResult]:
+    """The listed shards of a sweep, each with its first ``enum_cap``
+    candidates through the pre-filter and at most ``check_cap`` survivors
+    through the symbolic check.  The row universe and its residues are
+    built once for all of them."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
     kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, universe)
-
-    result = _ShardResult()
-    m, n, limit = spec.m, spec.n, enum_cap
-    enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
-    spent = False  # the check budget ran out
-    for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
-        start = enumerated
-        if start + len(tails) > limit:
-            if start >= limit:
-                break
-            tails = tails[:limit - start]
-        count = len(tails)
-        mask = bytearray(count)
-        kernel(heads, tails, m, n, count, points, mask)
-        enumerated += count
-        if 1 not in mask:
-            continue
-        if spent:
-            passed += mask.count(1)
-            continue
-        for k in _passed(mask):
-            if result.exact_checks >= check_cap:
-                # Sweeps once fed the kernel _CHUNK candidates at a time and
-                # counted the whole chunk holding the survivor over budget as
-                # enumerated; the golden --budget cases pin that count.
-                limit = min(limit, (start + k) // _CHUNK * _CHUNK + _CHUNK)
-                enumerated = min(enumerated, limit)
-                passed += mask.count(1, k, limit - start)
-                spent = True
-                break
-            passed += 1
-            result.exact_checks += 1
-            rows = (*map(universe.__getitem__, heads), universe[tails[k]])
-            verdict = decide(WeightMatrix(rows))
-            if verdict.rigid:
-                result.found.append((rows, verdict.constant))
-    result.enumerated, result.rejected = enumerated, enumerated - passed
-    result.exceeded = spent or _shard_size(m, len(universe), shard_index, shard_count) > enum_cap
-    return result
+    m, n = spec.m, spec.n
+    results = []
+    for shard_index in shard_indices:
+        result = _ShardResult()
+        results.append(result)
+        limit = enum_cap
+        enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
+        for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
+            start = enumerated
+            if start + len(tails) > limit:
+                result.exceeded = True
+                if start >= limit:
+                    break
+                tails = tails[:limit - start]
+            count = len(tails)
+            mask = bytearray(count)
+            kernel(heads, tails, m, n, count, points, mask)
+            enumerated += count
+            if 1 not in mask:
+                continue
+            for k in _passed(mask):
+                if start + k >= limit:
+                    break
+                passed += 1
+                if result.exact_checks >= check_cap:
+                    # Sweeps once fed the kernel _CHUNK candidates at a time
+                    # and counted the whole chunk holding the survivor over
+                    # budget as enumerated; the golden --budget cases pin
+                    # that count.
+                    limit = min(limit, (start + k) // _CHUNK * _CHUNK + _CHUNK)
+                    result.exceeded = True
+                    continue
+                result.exact_checks += 1
+                rows = (*map(universe.__getitem__, heads), universe[tails[k]])
+                verdict = decide(WeightMatrix(rows))
+                if verdict.rigid:
+                    result.found.append((rows, verdict.constant))
+            enumerated = min(enumerated, limit)
+        result.enumerated, result.rejected = enumerated, enumerated - passed
+    return results
 
 
 def _annotate(spec: SearchSpec, rows: RowsTuple, constant: Form) -> Find:
@@ -289,8 +283,9 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     Raises :class:`BudgetExceeded` (carrying the partial report) when a
     budget runs out.  With ``shards > 1`` the budgets are split evenly
     across shards; with ``workers > 1`` shards run in separate processes,
-    at most one per shard and one per CPU.  Either way the found set of a
-    completed sweep is identical.
+    at most one per shard and one per CPU; each of those k processes builds
+    the row universe and its residues once and runs every k-th shard.
+    Either way the found set of a completed sweep is identical.
     """
     if exact_int("shards", shards) < 1 or exact_int("workers", workers) < 1:
         raise ValueError("shards and workers must be at least 1")
@@ -302,12 +297,13 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_shard, spec, s, shards, enum_cap, check_cap)
-                for s in range(shards)
+                pool.submit(_run_shards, spec, range(w, shards, workers), shards,
+                            enum_cap, check_cap)
+                for w in range(workers)
             ]
-            results = [f.result() for f in futures]
+            results = [r for f in futures for r in f.result()]
     else:
-        results = [_run_shard(spec, s, shards, enum_cap, check_cap) for s in range(shards)]
+        results = _run_shards(spec, range(shards), shards, enum_cap, check_cap)
 
     pairs = sorted((pair for r in results for pair in r.found), key=lambda pair: pair[0])
     finds = tuple(_annotate(spec, rows, constant) for rows, constant in pairs)

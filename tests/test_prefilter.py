@@ -212,6 +212,7 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
         ((0,), range(2, 4), m, 2),       # a tail past the rows
         ((0,), range(-1, 1), m, 2),      # a negative tail
         ((0,), range(2, 0, -1), m, 2),   # tails not ascending
+        ((0,), range(0, 3, 2), m, 2),    # tails not consecutive
         ((0,), range(1, 3), m, 1),       # count is not len(tails)
         ((0,), [1, 2], m, 2),            # tails not a range
     ]:

@@ -62,7 +62,7 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
             check_cap = max(1, check_budget // shards)
             wants = []
             for s, (candidates, mask) in enumerate(streams):
-                got = search._run_shard(spec, s, shards, enum_cap, check_cap)
+                [got] = search._run_shards(spec, [s], shards, enum_cap, check_cap)
                 want = stream_shard(candidates, mask, enum_cap, check_cap, decide)
                 case = (enum_budget, check_budget, s)
                 assert got.found == want[0], case

@@ -217,12 +217,26 @@ def test_sweep_asks_for_at_most_one_process_per_cpu(monkeypatch):
             future.set_result(fn(*args))
             return future
 
+    # each process builds the row universe once, whatever its shards
+    universes = []
+    row_universe = search.row_universe
+
+    def counted_row_universe(*args):
+        universes.append(args)
+        return row_universe(*args)
+
     monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(search, "row_universe", counted_row_universe)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spec = SearchSpec(m=2, n=2, bound=3, mode="T")
     sequential = sweep(spec)
+    universes.clear()
+    sweep(spec, shards=3)
+    assert len(universes) == 1
+    universes.clear()
     report = sweep(spec, shards=64, workers=64)
     assert sizes == [2]
+    assert len(universes) == 2
     assert [f.matrix for f in report.found] == [f.matrix for f in sequential.found]
     assert report.stats.enumerated == sequential.stats.enumerated
     # an unknown CPU count runs the shards in this process
