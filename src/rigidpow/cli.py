@@ -327,8 +327,7 @@ def _print_report(report: SearchReport) -> None:
 def _cmd_search(args) -> int:
     if args.problem24:
         if args.n is None or args.bound is None:
-            print("error: --problem24 requires --n and --bound", file=sys.stderr)
-            return 2
+            raise ValueError("--problem24 requires --n and --bound")
         solutions = triple_identity_search(args.n, args.bound)
         print(f"{len(solutions)} solutions")
         for a, b, c in solutions:
@@ -342,8 +341,7 @@ def _cmd_search(args) -> int:
         return 0
 
     if args.m is None or args.n is None or args.bound is None:
-        print("error: search requires --m, --n and --bound", file=sys.stderr)
-        return 2
+        raise ValueError("search requires --m, --n and --bound")
     spec = SearchSpec(
         m=args.m,
         n=args.n,
@@ -402,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n", type=integer)
     p_search.add_argument("--bound", type=integer)
     p_search.add_argument("--mode", choices=("T", "L"), default="T")
-    p_search.add_argument("--budget", type=integer, default=100_000,
-                          help="exact-check budget (default 100000)")
-    p_search.add_argument("--enum-budget", type=integer, default=10_000_000,
-                          help="enumeration budget (default 10000000)")
+    p_search.add_argument("--budget", type=integer, default=SearchSpec.check_budget,
+                          help="exact-check budget (default %(default)s)")
+    p_search.add_argument("--enum-budget", type=integer, default=SearchSpec.enum_budget,
+                          help="enumeration budget (default %(default)s)")
     p_search.add_argument("--shards", type=integer, default=1)
     p_search.add_argument("--workers", type=integer, default=1)
     p_search.add_argument("--out", metavar="PATH", help="write the machine-readable report here")

@@ -18,9 +18,9 @@ divide, so a candidate whose terms sum to zero has residues that sum to
 zero.  Deciding a candidate is thus a k-SUM over the row residues: the
 kernel fixes every row but the last and looks the last one up by the
 negated residue sum (a residue join), and only the rare candidate whose
-residues do sum to zero is decided by :func:`filter_chunk`.  That function
-evaluates every candidate from scratch and is the oracle the kernel is
-tested against.
+residues do sum to zero is decided by :func:`matches_constant`.  That
+function evaluates one candidate from scratch, in exact integers, and is
+the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .rigidity import exact_int
 
-# Exact sample points (z, x, y) used by the sweeps.  Any |z| >= 2 avoids all
-# denominator roots.
-T_POINTS: Tuple[int, ...] = (2, 1, 1, 2, 2, 1, 3, 1, 1, 3, 2, 1)
-L_POINTS: Tuple[int, ...] = (2, 1, 1, 3, 1, 1)
-
-FilterFn = Callable[..., None]
+# Exact sample points (z, x, y) used by the sweeps, one tuple each.  Any
+# |z| >= 2 avoids all denominator roots.
+Point = Tuple[int, int, int]
+T_POINTS: Tuple[Point, ...] = ((2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1))
+L_POINTS: Tuple[Point, ...] = ((2, 1, 1), (3, 1, 1))
 
 # A safe prime P = 2q + 1 with q prime: every z with 1 < z < P - 1 has
 # order q or 2q modulo P, so z^w - 1 is invertible modulo P for 0 < w < q.
@@ -46,7 +45,7 @@ _PRIME = (1 << 61) - 2373
 _BASE = 0x9E3779B97F4A7C1
 
 
-def sample_points(mode: str) -> Tuple[int, ...]:
+def sample_points(mode: str) -> Tuple[Point, ...]:
     if mode == "T":
         return T_POINTS
     if mode == "L":
@@ -54,51 +53,47 @@ def sample_points(mode: str) -> Tuple[int, ...]:
     raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
 
 
-def filter_chunk(candidates, points, out):
-    """Mark which candidates match their forced constant at every point.
+def matches_constant(rows, points) -> bool:
+    """Whether one candidate matches its forced constant at every point.
 
     This is the exact oracle for the kernel :func:`select_filter` returns:
-    it evaluates every candidate from scratch.  Each candidate is a
-    sequence of ``(weights, sign)`` rows, with nonzero integer weights and
-    ``sign`` in ±1, and ``points`` a flat sequence of ``(z, x, y)`` triples
-    with every ``z >= 2``.  For candidate ``c``, ``out[c]`` is set to 1
-    when the row sum of products of ``(x*z^w + y) / (z^w - 1)`` equals the
-    sign-count constant at every point, and 0 otherwise.
+    it evaluates the candidate from scratch.  ``rows`` is a sequence of
+    ``(weights, sign)`` rows, with nonzero integer weights and ``sign`` in
+    ±1, and ``points`` a sequence of ``(z, x, y)`` triples with every
+    ``z >= 2``.  The answer is True when the row sum of products of
+    ``(x*z^w + y) / (z^w - 1)`` equals the sign-count constant at every
+    point, and False at the first point where it does not.
     """
-    for c, rows in enumerate(candidates):
-        ok = 1
-        for p in range(0, len(points), 3):
-            z, xv, yv = points[p], points[p + 1], points[p + 2]
-            total_n = 0
-            total_d = 1
-            cval = 0
-            for weights, sign in rows:
-                rn = sign
-                rd = 1
-                ct = sign
-                for w in weights:
-                    if w > 0:
-                        zp = z**w
-                        rn *= xv * zp + yv
-                        ct *= xv
-                    else:
-                        zp = z ** (-w)
-                        rn *= -(xv + yv * zp)
-                        ct *= -yv
-                    rd *= zp - 1
-                total_n = total_n * rd + rn * total_d
-                total_d *= rd
-                cval += ct
-            if total_n != cval * total_d:
-                ok = 0
-                break
-        out[c] = ok
+    for z, xv, yv in points:
+        total_n = 0
+        total_d = 1
+        cval = 0
+        for weights, sign in rows:
+            rn = sign
+            rd = 1
+            ct = sign
+            for w in weights:
+                if w > 0:
+                    zp = z**w
+                    rn *= xv * zp + yv
+                    ct *= xv
+                else:
+                    zp = z ** (-w)
+                    rn *= -(xv + yv * zp)
+                    ct *= -yv
+                rd *= zp - 1
+            total_n = total_n * rd + rn * total_d
+            total_d *= rd
+            cval += ct
+        if total_n != cval * total_d:
+            return False
+    return True
 
 
 def row_residue(weights: Tuple[int, ...], sign: int, n: int, bound: int,
-                points: Sequence[int]) -> int:
-    """One row's term minus its constant at every ``(z, x, y)`` of
-    ``points``, reduced modulo ``_PRIME``, point ``p`` weighted by
+                points: Sequence[Point]) -> int:
+    """One row's term minus its constant at every ``(z, x, y)`` point of
+    ``points``, reduced modulo ``_PRIME``, the ``p``-th point weighted by
     ``_BASE**p``.  The term is ``sign`` times the product of the weights'
     factors ``(x z^w + y) / (z^w - 1)`` and the constant ``sign`` times the
     product of ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``)."""
@@ -109,8 +104,7 @@ def row_residue(weights: Tuple[int, ...], sign: int, n: int, bound: int,
     if exact_int("sign", sign) not in (1, -1):
         raise ValueError(f"a row sign must be 1 or -1, got {sign}")
     residue, scale = 0, 1
-    for p in range(0, len(points), 3):
-        z, x, y = points[p:p + 3]
+    for z, x, y in points:
         num, den, const = sign, 1, sign
         for w in weights:
             zp = pow(z, abs(w), _PRIME)
@@ -122,31 +116,32 @@ def row_residue(weights: Tuple[int, ...], sign: int, n: int, bound: int,
     return residue % _PRIME
 
 
-def select_filter(m: int, n: int, bound: int, points: Sequence[int],
-                  rows: Sequence[Tuple[Tuple[int, ...], int]] = ()) -> Tuple[FilterFn, str]:
+def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
+                  rows: Sequence[Tuple[Tuple[int, ...], int]] = ()) -> Tuple[Callable[..., None], str]:
     """The pre-filter kernel for ``m``-row candidates drawn from ``rows``,
     each a ``(weights, sign)`` pair of ``n`` weights with ``|w| <= bound``,
-    at ``points``, plus its name.
+    at ``points``, a sequence of ``(z, x, y)`` tuples, plus its name.
 
     The kernel is called as ``kernel(heads, tails, m, n, count, points,
     out)`` and decides a block of ``count`` candidates that share their
     first ``m - 1`` rows: ``heads`` holds those rows' indices into
     ``rows``, and ``tails`` is a consecutive ``range`` (step 1) of
-    ``count`` indices for the last row.  It writes :func:`filter_chunk`'s
-    mask for the candidate ending in ``tails[k]`` to ``out[k]``, in place:
+    ``count`` indices for the last row.  It writes :func:`matches_constant`
+    for the candidate ending in ``tails[k]`` to ``out[k]``, in place:
     it zeroes ``out[:count]`` and sets the surviving bytes.  Each row's
     residue (see :func:`row_residue`) is computed once, here, and kept in
     order in ``kernel.residues``, and the rows are indexed by residue, so
     a block costs ``m - 1`` additions and one dict lookup: the tails whose
     residue is minus the heads' sum, found by bisection in the sorted
     positions sharing it, are the only candidates whose residues sum to
-    zero.  Each of them is passed to :func:`filter_chunk` alone, writing
-    straight into its byte of ``out``, and every other candidate is
-    rejected, so the mask is the oracle's byte for byte.  Every point needs ``2 <= z < _PRIME - 1`` and
-    ``x, y >= 1``, and ``bound`` must be below ``(_PRIME - 1) // 2``, so
-    that no ``z^w - 1`` vanishes modulo ``_PRIME``.  A row that breaks
-    the parameters raises ``ValueError`` here, and a call that breaks
-    them raises ``ValueError`` before any mask byte is written.  With no
+    zero.  Each of them is decided by :func:`matches_constant`, whose
+    answer is its byte of ``out``, and every other candidate is rejected,
+    so the mask is the oracle's byte for byte.  Every point needs
+    ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be
+    below ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes modulo
+    ``_PRIME``.  A point that is not such a tuple or a row that breaks the
+    parameters raises ``ValueError`` here, and a call that breaks them
+    raises ``ValueError`` before any mask byte is written.  With no
     ``rows`` nothing is computed and the kernel can decide no candidate.
     ``perfbench/run.py`` calls this through ``search.select_filter`` and
     wraps the kernel to trace every call.
@@ -156,11 +151,14 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int],
     if bound >= (_PRIME - 1) // 2:
         raise ValueError(f"bound must be below {(_PRIME - 1) // 2}, got {bound}")
     points = tuple(points)
-    if not points or len(points) % 3:
-        raise ValueError("points must be a nonempty flat sequence of (z, x, y) triples")
-    for z, x, y in zip(*[iter(points)] * 3):
-        if not 2 <= exact_int("z", z) < _PRIME - 1 or min(exact_int("x", x), exact_int("y", y)) < 1:
-            raise ValueError(f"sample point {(z, x, y)} needs 2 <= z < _PRIME - 1 and x, y > 0")
+    if not points:
+        raise ValueError("points must be a nonempty sequence of (z, x, y) tuples")
+    for point in points:
+        if (not isinstance(point, tuple) or len(point) != 3
+                or not 2 <= exact_int("z", point[0]) < _PRIME - 1
+                or min(exact_int("x", point[1]), exact_int("y", point[2])) < 1):
+            raise ValueError(f"sample point {point!r} must be a tuple (z, x, y) "
+                             f"with 2 <= z < _PRIME - 1 and x, y > 0")
     rows = tuple(rows)
     residues = [row_residue(*row, n, bound, points) for row in rows]
     positions: Dict[int, List[int]] = {}
@@ -187,7 +185,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[int],
         if at:
             head_rows = tuple(map(rows.__getitem__, heads))
             for p in at[bisect_left(at, first):bisect_left(at, stop)]:
-                filter_chunk((head_rows + (rows[p],),), points, memoryview(out)[p - first:])
+                out[p - first] = matches_constant(head_rows + (rows[p],), points)
 
     residue_join.residues = residues
     return residue_join, "residue-join"

@@ -303,9 +303,11 @@ def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
 
     Requires positive weights (normalize first).  For each value, pairing
     succeeds exactly when its total count is even and no single row holds
-    more than half of the occurrences; pairs are drawn greedily from the
-    two rows with the most remaining occurrences, which always succeeds
-    under that condition and keeps the output deterministic.
+    more than half of the occurrences.  The occurrences are listed in row
+    order, so each row's are contiguous, and occurrence ``t`` is paired
+    with occurrence ``t + half``: under that condition the two lie in
+    different rows, and otherwise some such pair shares a row.  The
+    output is deterministic.
 
     Returns pairs ``((i, j), (k, l))`` of 0-based (row, column) positions
     with ``i != k``, or None when no pairing exists.
@@ -313,23 +315,17 @@ def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
     for row in matrix.rows:
         if any(w < 0 for w in row.weights):
             raise ValueError("pair_partition requires positive weights; normalize first")
-    positions: dict[int, dict[int, List[int]]] = {}
+    positions: dict[int, List[Tuple[int, int]]] = {}
     for i, row in enumerate(matrix.rows):
         for j, w in enumerate(row.weights):
-            positions.setdefault(w, {}).setdefault(i, []).append(j)
+            positions.setdefault(w, []).append((i, j))
 
     pairs: PairList = []
     for value in sorted(positions):
-        per_row = positions[value]
-        total = sum(len(cols) for cols in per_row.values())
-        if total % 2 != 0 or max(len(cols) for cols in per_row.values()) > total // 2:
+        occurrences = positions[value]
+        half = len(occurrences) // 2
+        matched = list(zip(occurrences[:half], occurrences[half:]))
+        if len(occurrences) % 2 or any(i == k for (i, _), (k, _) in matched):
             return None
-        remaining = {i: list(cols) for i, cols in per_row.items()}
-        while any(remaining.values()):
-            # two rows with most remaining occurrences, lowest index first
-            order = sorted(remaining, key=lambda i: (-len(remaining[i]), i))
-            i, k = order[0], order[1]
-            j = remaining[i].pop(0)
-            l = remaining[k].pop(0)
-            pairs.append(((i, j), (k, l)))
+        pairs += matched
     return pairs

@@ -2,14 +2,15 @@
 
 ``stream_candidates`` yields a shard's canonical candidates one by one, in
 canonical order, and ``stream_shard`` and ``stream_triples`` decide them
-the way sweeps did before the join: ``filter_chunk`` on every candidate,
-in chunks of ``CHUNK``.  ``join_mask`` gives the kernel's mask for the
-same candidates, in the same order, block by block.
+the way sweeps did before the join: ``matches_constant`` on every
+candidate, in chunks of ``CHUNK``.  ``chunk_mask`` gives its mask, one
+byte per candidate, and ``join_mask`` the kernel's mask for the same
+candidates, in the same order, block by block.
 """
 
 from itertools import combinations_with_replacement, islice
 
-from rigidpow.prefilter import filter_chunk, sample_points, select_filter
+from rigidpow.prefilter import matches_constant, sample_points, select_filter
 from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid
 from rigidpow.search import _blocks
 
@@ -24,9 +25,7 @@ def stream_candidates(universe, m, shard_index, shard_count):
 
 
 def chunk_mask(candidates, points):
-    mask = bytearray(len(candidates))
-    filter_chunk(candidates, points, mask)
-    return mask
+    return bytearray(matches_constant(rows, points) for rows in candidates)
 
 
 def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1):

@@ -24,7 +24,7 @@ from rigidpow.cli import (
     render_matrix,
 )
 from rigidpow.rigidity import Row, WeightMatrix
-from rigidpow.search import canonical_form
+from rigidpow.search import SearchSpec, canonical_form
 
 
 def wm(*rows):
@@ -237,12 +237,21 @@ def test_search_problem24(tmp_path, capsys):
     assert sum(1 for r in records if r["type"] == "solution") == 4
 
     code, _, err = run_cli(capsys, "search", "--problem24", "--n", "2")
-    assert code == 2
+    assert (code, err) == (2, "error: --problem24 requires --n and --bound\n")
 
 
 def test_search_missing_flags(capsys):
     code, _, err = run_cli(capsys, "search", "--m", "2")
-    assert code == 2
+    assert (code, err) == (2, "error: search requires --m, --n and --bound\n")
+
+
+def test_search_help_shows_the_spec_budgets(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["search", "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"exact-check budget (default {SearchSpec.check_budget})" in out
+    assert f"enumeration budget (default {SearchSpec.enum_budget})" in out
 
 
 # -- strict integers -----------------------------------------------------------

@@ -9,7 +9,7 @@ from rigidpow import prefilter
 from rigidpow.prefilter import (
     L_POINTS,
     T_POINTS,
-    filter_chunk,
+    matches_constant,
     row_residue,
     sample_points,
     select_filter,
@@ -40,8 +40,7 @@ def oracle_mask(candidates, points):
         series = t_series(matrix)
         constant = candidate_constant(matrix)
         ok = 1
-        for p in range(0, len(points), 3):
-            z0, x0, y0 = points[p], points[p + 1], points[p + 2]
+        for z0, x0, y0 in points:
             if series.evaluate(z0, x0, y0) != constant.evaluate(x0, y0):
                 ok = 0
                 break
@@ -60,9 +59,7 @@ def test_pure_kernel_matches_symbolic_oracle():
     rng = random.Random(21)
     m, n, bound, count = 2, 2, 4, 200
     candidates = random_batch(rng, m, n, bound, count)
-    got = bytearray(count)
-    filter_chunk(candidates, T_POINTS, got)
-    assert got == oracle_mask(candidates, T_POINTS)
+    assert chunk_mask(candidates, T_POINTS) == oracle_mask(candidates, T_POINTS)
 
 
 def both_masks(candidates, m, n, bound, points):
@@ -112,7 +109,7 @@ def random_candidates(rng, m, n, bound, count):
 
 
 @pytest.mark.parametrize("points", [T_POINTS, L_POINTS], ids=["T", "L"])
-def test_residue_join_matches_filter_chunk_on_a_grid(points):
+def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
     rng = random.Random(4)
     passed = 0
     for m in range(1, 5):
@@ -129,14 +126,14 @@ def test_residue_join_matches_filter_chunk_on_a_grid(points):
     (2, 1, 5, "T"), (2, 2, 3, "T"), (3, 2, 2, "T"), (3, 2, 3, "L"),
     (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"),
 ])
-def test_residue_join_matches_filter_chunk_on_every_canonical_candidate(m, n, bound, mode):
+def test_residue_join_agrees_with_matches_constant_on_every_canonical_candidate(m, n, bound, mode):
     got, want = canonical_masks(m, n, bound, mode)
     assert got == want
     assert 0 < sum(got) < len(got)
 
 
 @pytest.mark.parametrize("m, n, bound", [(2, 1, 130), (1, 1, 500)])
-def test_residue_join_matches_filter_chunk_at_large_bounds(m, n, bound):
+def test_residue_join_agrees_with_matches_constant_at_large_bounds(m, n, bound):
     # these bounds pass w = 61 and w = 122: modulo the Mersenne prime
     # 2^61 - 1, z = 2 has order 61, so z^w - 1 would have no inverse
     got, want = canonical_masks(m, n, bound, "T")
@@ -146,12 +143,13 @@ def test_residue_join_matches_filter_chunk_at_large_bounds(m, n, bound):
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_residue_join_collisions_are_decided_by_filter_chunk(monkeypatch, m, n, bound, mode):
+def test_residue_join_collisions_are_decided_by_matches_constant(monkeypatch, m, n, bound, mode):
     # modulo the safe prime 23 = 2 * 11 + 1 about one candidate in 23
-    # collides; filter_chunk, called on every hit, must still give its mask
+    # collides; matches_constant, called on every hit, must still give its mask
     monkeypatch.setattr(prefilter, "_PRIME", 23)
     hits = []
-    monkeypatch.setattr(prefilter, "filter_chunk", lambda *args: hits.append(filter_chunk(*args)))
+    monkeypatch.setattr(prefilter, "matches_constant",
+                        lambda *args: hits.append(args) or matches_constant(*args))
     got, want = canonical_masks(m, n, bound, mode)
     assert got == want
     assert len(hits) > sum(got)
@@ -176,11 +174,10 @@ def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound,
     assert len(kernel.residues) == len(rows)
 
     P = prefilter._PRIME
-    layout = [points[p:p + 3] for p in range(0, len(points), 3)]
     for (ws, sign), residue in zip(rows, kernel.residues):
         assert residue == row_residue(ws, sign, n, bound, points)
         want = 0
-        for p, (z, x, y) in enumerate(layout):
+        for p, (z, x, y) in enumerate(points):
             term = exact_row_term(ws, sign, z, x, y)
             want += pow(prefilter._BASE, p, P) * term.numerator * pow(term.denominator, -1, P)
         assert residue == want % P
@@ -223,7 +220,10 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
     assert mask == b"\x07\x07"
 
 
-@pytest.mark.parametrize("points", [(1, 1, 1), (2, 0, 1), (2, 1, -1), (2, 1), (2.0, 1, 1)])
+@pytest.mark.parametrize("points", [
+    ((1, 1, 1),), ((2, 0, 1),), ((2, 1, -1),), ((2, 1),), ((2.0, 1, 1),),
+    (2, 1, 1),  # the flat layout
+])
 def test_select_filter_rejects_points_outside_the_guard_bound(points):
     with pytest.raises(ValueError):
         select_filter(2, 2, 3, points)
@@ -240,10 +240,10 @@ def test_select_filter_keeps_every_z_power_invertible_modulo_the_prime():
     P = prefilter._PRIME
     q = (P - 1) // 2
     with pytest.raises(ValueError):
-        select_filter(2, 1, 3, (P - 1, 1, 1))
+        select_filter(2, 1, 3, ((P - 1, 1, 1),))
     with pytest.raises(ValueError):
         select_filter(2, 1, q, T_POINTS)
-    select_filter(2, 1, 3, (P - 2, 1, 1))
+    select_filter(2, 1, 3, ((P - 2, 1, 1),))
     select_filter(2, 1, q - 1, T_POINTS)
 
 
@@ -287,12 +287,8 @@ def test_kernels_accept_rigid_matrices():
     for seed in ((0, 1), (0, 1, 2), (3, 5, 8, 11)):
         matrix = quasilinear(seed)
         for mode in ("T", "L"):
-            out = bytearray(1)
-            filter_chunk([matrix.rows], sample_points(mode), out)
-            assert out[0] == 1
+            assert matches_constant(matrix.rows, sample_points(mode))
 
     # and the canonical L image passes the L points as well
     matrix = canonical_form(quasilinear((0, 2, 5)), "L")
-    out = bytearray(1)
-    filter_chunk([matrix.rows], L_POINTS, out)
-    assert out[0] == 1
+    assert matches_constant(matrix.rows, L_POINTS)

@@ -359,6 +359,23 @@ def test_pair_partition_three_way_spread():
     assert_valid_pairing(matrix, pairs)
 
 
+def test_pair_partition_pairs_exactly_when_the_counts_allow():
+    # a value can be paired across rows iff its count is even and no row
+    # holds more than half of it
+    rng = random.Random(9)
+    for _ in range(20_000):
+        m, n, top = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        matrix = wm(*(([rng.randint(1, top) for _ in range(n)], 1) for _ in range(m)))
+        per_row = [Counter(row.weights) for row in matrix.rows]
+        total = sum(per_row, Counter())
+        pairable = all(v % 2 == 0 and all(c[w] <= v // 2 for c in per_row)
+                       for w, v in total.items())
+        pairs = pair_partition(matrix)
+        assert (pairs is not None) == pairable, matrix
+        if pairs is not None:
+            assert_valid_pairing(matrix, pairs)
+
+
 # -- structural function identities -------------------------------------------
 
 
