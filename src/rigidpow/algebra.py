@@ -17,6 +17,13 @@ module holds values and their evaluation only; the one sum the package
 forms, over the rows of a weight matrix, is built in
 ``rigidity._series`` with :func:`mul_factor`.
 
+Rigidity decisions do not go through these values as long as the packed
+integers of ``rigidity._packed_decide`` stay narrow enough: that routine
+evaluates the same numerator and denominator at one large power of two.
+The sparse series serves ``t_series`` / ``l_series`` and the decisions
+whose packed value would be wider than ``rigidity._PACKED_BITS`` bits,
+such as those with weights near ``10^9``.
+
 All values are immutable after construction and all operations are pure,
 so any number of workers may share them.
 """

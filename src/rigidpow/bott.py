@@ -16,6 +16,7 @@ exactly what the screens report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -48,17 +49,21 @@ class Violation(NamedTuple):
     value: Fraction
 
 
+def _sigmas(values: Sequence[int]) -> Tuple[int, ...]:
+    """``(sigma_0, .., sigma_len)`` of the given integers: the coefficients
+    of ``prod (1 + v*t)``."""
+    coeffs = [1] + [0] * len(values)
+    for i, v in enumerate(values, start=1):
+        for d in range(i, 0, -1):
+            coeffs[d] += coeffs[d - 1] * v
+    return tuple(coeffs)
+
+
 def elementary_symmetric(k: int, values: Sequence[int]) -> int:
     """sigma_k of the given integers; sigma_0 is 1."""
     if k < 0 or k > len(values):
         raise IndexError(f"sigma_{k} undefined for {len(values)} values")
-    # coefficients of prod (1 + v*t) up to degree k
-    coeffs = [0] * (k + 1)
-    coeffs[0] = 1
-    for v in values:
-        for d in range(min(k, len(coeffs) - 1), 0, -1):
-            coeffs[d] += coeffs[d - 1] * v
-    return coeffs[k]
+    return _sigmas(values)[k]
 
 
 def weighted_degree(r: Sequence[int]) -> int:
@@ -79,6 +84,29 @@ def exponent_tuples(n: int, max_degree: int) -> Iterator[ChernExponents]:
     yield from rec(1, max_degree, ())
 
 
+_Residues = Tuple[List[Tuple[Tuple[int, ...], int]], int]
+
+
+def _residues(matrix: WeightMatrix) -> _Residues:
+    """Each row's ``(sigma_0, .., sigma_n)`` with the integer that puts its
+    residue over the rows' common denominator, and that denominator."""
+    dens = [row.sign * math.prod(row.weights) for row in matrix.rows]
+    common = math.lcm(*dens)
+    return [(_sigmas(row.weights), common // den) for row, den in zip(matrix.rows, dens)], common
+
+
+def _chern_value(residues: _Residues, r: ChernExponents) -> Fraction:
+    rows, common = residues
+    total = 0
+    for sigma, cofactor in rows:
+        numerator = cofactor
+        for k, rk in enumerate(r, start=1):
+            if rk:
+                numerator *= sigma[k] ** rk
+        total += numerator
+    return Fraction(total, common)
+
+
 def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
     """Exact value of the fixed-point residue sum for exponents ``r``.
 
@@ -90,17 +118,7 @@ def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
         raise ValueError(f"need {matrix.n} exponents, got {len(r)}")
     if any(v < 0 for v in r):
         raise ValueError("exponents must be nonnegative")
-    total = Fraction(0)
-    for row in matrix.rows:
-        numerator = 1
-        for k, rk in enumerate(r, start=1):
-            if rk:
-                numerator *= elementary_symmetric(k, row.weights) ** rk
-        denominator = row.sign
-        for w in row.weights:
-            denominator *= w
-        total += Fraction(numerator, denominator)
-    return total
+    return _chern_value(_residues(matrix), r)
 
 
 def realizability_screen(matrix: WeightMatrix) -> List[Violation]:
@@ -112,9 +130,10 @@ def realizability_screen(matrix: WeightMatrix) -> List[Violation]:
     the matrix out.
     """
     n = matrix.n
+    residues = _residues(matrix)
     violations = []
     for r in exponent_tuples(n, n - 1):
-        value = chern_number(matrix, r)
+        value = _chern_value(residues, r)
         if value != 0:
             violations.append(Violation(r, value))
     return violations
@@ -127,8 +146,9 @@ def is_boundary_candidate(matrix: WeightMatrix) -> bool:
     numbers agree, so all-zero top numbers mark the data of a boundary.
     """
     n = matrix.n
+    residues = _residues(matrix)
     return all(
-        chern_number(matrix, r) == 0
+        _chern_value(residues, r) == 0
         for r in exponent_tuples(n, n)
         if weighted_degree(r) == n
     )

@@ -20,6 +20,7 @@ reported on one ``error:`` line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -365,7 +366,10 @@ def _cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rigidpow",
         description="Exact rigidity checks, Chern numbers and exhaustive searches "

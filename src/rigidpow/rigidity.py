@@ -11,6 +11,14 @@ Constancy is decided by one exact polynomial identity: if the function is
 constant, its value is forced (send ``z`` to infinity: each factor tends to
 ``x`` for a positive weight and ``-y`` for a negative one), so it suffices
 to test ``numerator == candidate * expanded_denominator``.
+
+:func:`is_rigid` and :func:`is_l_rigid` test that identity by Kronecker
+substitution: both sides are evaluated once, at a power of two large enough
+that every coefficient keeps its own digit, so the identity is one compare
+of two Python ints (see :func:`_packed_decide`).  A packed value is dense
+in ``z``; when it would be wider than ``_PACKED_BITS`` bits (weights near
+``10^9``), the decision falls back to the sparse series of
+:func:`t_series` / :func:`l_series` and :func:`_decide`.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import DenomFactors, Form, LaurentRational, ZPoly, format_rational, mul_factor
 
@@ -27,6 +36,10 @@ from .algebra import DenomFactors, Form, LaurentRational, ZPoly, format_rational
 # authoritative, the point is best-effort.
 WITNESS_Z_VALUES = (2, 3, 5)
 WITNESS_XY_VALUES = ((1, 1), (1, 2), (2, 1), (1, 0), (0, 1))
+
+# Widest packed residual, in bits, that _packed_decide builds (2 MiB); a
+# wider matrix is decided on its sparse series.
+_PACKED_BITS = 1 << 24
 
 
 class ZeroWeight(ValueError):
@@ -217,6 +230,19 @@ def candidate_constant(matrix: WeightMatrix) -> Form:
     return _candidate(matrix, matrix.n)
 
 
+def _witness_point(value_at: Callable[[int, int, int], Fraction], candidate: Form,
+                   xy_grid: Sequence[Tuple[int, int]]):
+    """The first grid point where the function's value differs from the
+    candidate's, as ``(point, value, expected)``; all None if there is none."""
+    for z0 in WITNESS_Z_VALUES:
+        for x0, y0 in xy_grid:
+            got = value_at(z0, x0, y0)
+            want = candidate.evaluate(x0, y0)
+            if got != want:
+                return (Fraction(z0), Fraction(x0), Fraction(y0)), got, want
+    return None, None, None
+
+
 def _decide(series: LaurentRational, candidate: Form,
             xy_grid: Sequence[Tuple[int, int]]) -> RigidityVerdict:
     """Test ``numerator == candidate * expanded_denominator`` coefficient by
@@ -231,29 +257,111 @@ def _decide(series: LaurentRational, candidate: Form,
             break
     else:
         return RigidityVerdict(rigid=True, constant=candidate)
-    point = value = expected = None
-    for z0 in WITNESS_Z_VALUES:
-        for x0, y0 in xy_grid:
-            got = series.evaluate(z0, x0, y0)
-            want = candidate.evaluate(x0, y0)
-            if got != want:
-                point = (Fraction(z0), Fraction(x0), Fraction(y0))
-                value, expected = got, want
-                break
-        if point is not None:
-            break
-    witness = Witness(k, Form(coeff), point, value, expected)
+    witness = Witness(k, Form(coeff), *_witness_point(series.evaluate, candidate, xy_grid))
     return RigidityVerdict(rigid=False, witness=witness)
+
+
+def _value_at(matrix: WeightMatrix, z0: int, x0: int, y0: int) -> Fraction:
+    """The function's exact value at integers ``(z0, x0, y0)``, summed from
+    the rows; equal to ``t_series(matrix).evaluate(z0, x0, y0)`` for
+    ``|z0| >= 2``."""
+    top, bottom = 0, 1
+    for row in matrix.rows:
+        num, den = row.sign, 1
+        for w in row.weights:
+            p = z0 ** abs(w)
+            if w > 0:
+                num, den = num * (x0 * p + y0), den * (p - 1)
+            else:  # (x0 z0^-a + y0) / (z0^-a - 1), times z0^a over z0^a
+                num, den = num * (x0 + y0 * p), den * (1 - p)
+        top, bottom = top * den + num * bottom, bottom * den
+    return Fraction(top, bottom)
+
+
+def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
+                   xy_grid: Sequence[Tuple[int, int]]) -> Optional[RigidityVerdict]:
+    """Test ``numerator == candidate * expanded_denominator`` by evaluating
+    both sides once, at ``x = 1``, ``y = 2^B``, ``z = 2^(B(d+1))`` with
+    ``d = degree`` (for ``d = 0``, ``y = 1`` and ``z = 2^B``), or return None
+    when that value would be wider than ``_PACKED_BITS`` bits.
+
+    The numerator and denominator are those of :func:`_series`: ``D`` is the
+    product of ``(z^a - 1)^M_a`` over the per-factor maximum multiplicities
+    ``M_a``, and row ``i`` contributes its :func:`_row_term` times the
+    factors of ``D`` it lacks.  Evaluating is a ring homomorphism, so each
+    row term is a few shifts and adds on one int (``x z^a + y`` takes ``v``
+    to ``(v << a*zstep) + (v << B)``), each extra factor takes ``v`` to
+    ``(v << a*zstep) - v``, and the packed residual ``R`` is the value of
+    ``numerator - candidate * D``.  The coefficient of ``x^(d-k) y^k z^e``
+    sits in base-``2^B`` digit ``e(d+1) + k``.
+
+    Exactness, with ``K = sum_a M_a`` and ``B = K + bitlen(m) + 2``: each
+    ``(x z^a + y)``, ``(x + y z^a)`` or ``(z^a - 1)`` factor has L1 norm 2
+    (the sum of the absolute values of its coefficients), and L1 norms are
+    submultiplicative.  Every row term times its extra factors is a product
+    of ``K`` such factors, and so is ``D``; with ``|candidate|_1 <= m``, the
+    residual has L1 norm at most ``2m * 2^K < 2^(B-1)``, which bounds every
+    coefficient.  A sum of digits ``r_j 2^(Bj)`` with ``|r_j| < 2^(B-1)`` is
+    zero only when every ``r_j`` is, so ``R == 0`` exactly when the
+    identity holds.  Otherwise the lowest nonzero digit ``j`` sets the
+    lowest set bit of ``R``, which lies in ``[Bj, Bj + B - 1)``, so the
+    residual's lowest z-degree is that bit's position over ``zstep``, and
+    its ``d + 1`` form coefficients are read off above it as balanced
+    base-``2^B`` digits.
+    """
+    needs = [Counter(map(abs, row.weights)) for row in matrix.rows]
+    den = Counter()
+    for need in needs:
+        den |= need
+    digit = sum(den.values()) + matrix.m.bit_length() + 2
+    ystep = digit if degree else 0
+    zstep = digit * (degree + 1)
+    if zstep * (sum(a * k for a, k in den.items()) + 1) > _PACKED_BITS:
+        return None
+    numerator = 0
+    for row, need in zip(matrix.rows, needs):
+        v = row.sign * (-1) ** sum(1 for w in row.weights if w < 0)
+        for w in row.weights:
+            shift = abs(w) * zstep
+            v = (v << shift) + (v << ystep) if w > 0 else v + (v << (shift + ystep))
+        for a in sorted((den - need).elements()):
+            v = (v << a * zstep) - v
+        numerator += v
+    expanded = 1
+    for a in sorted(den.elements()):
+        expanded = (expanded << a * zstep) - expanded
+    packed = sum(c << (digit * k) for k, c in enumerate(candidate.coeffs))
+    residual = numerator - packed * expanded
+    if not residual:
+        return RigidityVerdict(rigid=True, constant=candidate)
+    k = ((residual & -residual).bit_length() - 1) // zstep
+    block = (residual >> (k * zstep)) & ((1 << zstep) - 1)
+    half = 1 << (digit - 1)
+    coeffs = []
+    for _ in range(degree + 1):
+        c = ((block & (2 * half - 1)) ^ half) - half
+        coeffs.append(c)
+        block = (block - c) >> digit
+    point = _witness_point(partial(_value_at, matrix), candidate, xy_grid)
+    return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeffs), *point))
 
 
 def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     """Decide exactly whether the T-function of ``matrix`` is constant."""
-    return _decide(t_series(matrix), candidate_constant(matrix), WITNESS_XY_VALUES)
+    candidate = candidate_constant(matrix)
+    verdict = _packed_decide(matrix, matrix.n, candidate, WITNESS_XY_VALUES)
+    if verdict is None:
+        verdict = _decide(t_series(matrix), candidate, WITNESS_XY_VALUES)
+    return verdict
 
 
 def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     """Decide exactly whether the ``x = y = 1`` specialization is constant."""
-    return _decide(l_series(matrix), _candidate(matrix, 0), ((1, 1),))
+    candidate = _candidate(matrix, 0)
+    verdict = _packed_decide(matrix, 0, candidate, ((1, 1),))
+    if verdict is None:
+        verdict = _decide(l_series(matrix), candidate, ((1, 1),))
+    return verdict
 
 
 def normalize_signs(matrix: WeightMatrix) -> WeightMatrix:

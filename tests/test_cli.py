@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from unittest.mock import patch
 
 import pytest
@@ -501,3 +502,76 @@ def test_python_m_rigidpow_pipes_quasilinear_into_check():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "Rigid, constant = x^2 - x*y + y^2"
+
+
+# -- the packed decision's width limit ----------------------------------------
+
+HUGE_WEIGHT_DOCS = [
+    ("2 1\n+: 1000000000\n-: 1000000000\n", "T",
+     ["Rigid, constant = 0", "cross-check, sign-count constant: 0 (match)"]),
+    ("2 1\n+: 1000000000\n-: 1000000000\n", "L",
+     ["Rigid, constant = 0 (integer value 0)", "cross-check, sign-count constant: 0 (match)"]),
+    ("2 2\n+: 1000000000 3\n-: 3 1000000000\n", "T",
+     ["Rigid, constant = 0", "cross-check, sign-count constant: 0 (match)"]),
+    ("2 2\n+: 1000000000 3\n-: 3 1000000000\n", "L",
+     ["Rigid, constant = 0 (integer value 0)", "cross-check, sign-count constant: 0 (match)"]),
+    ("quasilinear: 0 1 1000000000\n", "T",
+     ["Rigid, constant = x^2 - x*y + y^2",
+      "cross-check, sign-count constant: x^2 - x*y + y^2 (match)"]),
+    ("quasilinear: 0 1 1000000000\n", "L",
+     ["Rigid, constant = 1 (integer value 1)", "cross-check, sign-count constant: 1 (match)"]),
+]
+
+
+@pytest.mark.parametrize("text, mode, lines", HUGE_WEIGHT_DOCS)
+def test_check_huge_weights_stays_sparse(text, mode, lines, tmp_path, capsys):
+    # Packed densely in z, these would need integers of gigabytes; above the
+    # width limit the decision runs on the sparse series instead.
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", str(path), "--mode", mode)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out.splitlines(), err) == (0, lines, "")
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", str(tmp_path / "doc.txt"), "--mode", "X"])
+    assert exit_.value.code == 2
+    capsys.readouterr()
+
+    path = tmp_path / "doc.txt"
+    path.write_text(QUASILINEAR_DOC)
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert (code, out.splitlines()[0]) == (0, "Rigid, constant = x^2 - x*y + y^2")
+
+    def search(*flags):
+        report = tmp_path / "report.jsonl"
+        code, _, _ = run_cli(capsys, "search", "--m", "2", "--n", "1", "--bound", "3",
+                             "--out", str(report), *flags)
+        spec = json.loads(report.read_text().splitlines()[0])
+        return code, spec["check_budget"], spec["enum_budget"]
+
+    # 12 finds: a budget of 5 runs out
+    assert search("--budget", "5") == (3, 5, SearchSpec.enum_budget)
+    assert search() == (0, SearchSpec.check_budget, SearchSpec.enum_budget)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["search", "--help"]])
+def test_cached_parser_help_matches_a_fresh_parser(argv, capsys):
+    outputs = []
+    for parse in (main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        assert exit_.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    main(["quasilinear", "0", "1"])  # the cached parser, used again
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert outputs[0] == outputs[1] == capsys.readouterr().out

@@ -1,0 +1,224 @@
+"""The packed constancy decision (one Kronecker-substituted integer per
+side) against the sparse series decision it replaced and against the
+independent oracle of ``test_core_oracle``.
+
+Every comparison is of the whole ``RigidityVerdict``: rigidity, constant,
+and the witness's residual degree, coefficient, point and values.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigidpow import rigidity
+from rigidpow.rigidity import (
+    WITNESS_XY_VALUES,
+    Row,
+    WeightMatrix,
+    _candidate,
+    _decide,
+    _packed_decide,
+    is_l_rigid,
+    is_rigid,
+    l_series,
+    quasilinear,
+    t_series,
+)
+from test_core_oracle import matrices as oracle_matrices
+from test_core_oracle import matrix_of, oracle_l, oracle_t
+
+L_GRID = ((1, 1),)
+
+
+def sparse(matrix, degree, grid):
+    series = t_series(matrix) if degree else l_series(matrix)
+    return _decide(series, _candidate(matrix, degree), grid)
+
+
+def packed(matrix, degree, grid):
+    verdict = _packed_decide(matrix, degree, _candidate(matrix, degree), grid)
+    assert verdict is not None, "expected a packed decision"
+    return verdict
+
+
+def packed_bits(matrix, degree):
+    """Width of the packed residual as the docstring of _packed_decide
+    defines it: B * (d + 1) bits per z-degree, over deg D + 1 z-degrees."""
+    den = Counter()
+    for row in matrix.rows:
+        den |= Counter(map(abs, row.weights))
+    digit = sum(den.values()) + matrix.m.bit_length() + 2
+    return digit * (degree + 1) * (sum(a * k for a, k in den.items()) + 1)
+
+
+def assert_agrees(matrix):
+    """Packed and sparse verdicts agree in full, in T and L mode, and both
+    agree with the oracle."""
+    rows = [(r.weights, r.sign) for r in matrix.rows]
+    t = packed(matrix, matrix.n, WITNESS_XY_VALUES)
+    assert t == sparse(matrix, matrix.n, WITNESS_XY_VALUES)
+    assert is_rigid(matrix) == t
+    rigid, coeffs = oracle_t(rows)
+    assert t.rigid == rigid
+    if rigid:
+        assert t.constant.coeffs == coeffs
+    l = packed(matrix, 0, L_GRID)
+    assert l == sparse(matrix, 0, L_GRID)
+    assert is_l_rigid(matrix) == l
+    rigid, c = oracle_l(rows)
+    assert l.rigid == rigid
+    if rigid:
+        assert l.constant.constant_value() == c
+
+
+def weights(bound):
+    return st.integers(-bound, bound).filter(bool)
+
+
+@st.composite
+def random_matrices(draw, values=weights(12), max_m=6, max_n=5):
+    n = draw(st.integers(1, max_n))
+    row = st.builds(Row, st.tuples(*[values] * n), st.sampled_from((1, -1)))
+    return WeightMatrix(tuple(draw(st.lists(row, min_size=1, max_size=max_m))))
+
+
+@st.composite
+def planted_cancellations(draw):
+    """Random rows plus row pairs that cancel exactly (same weights in any
+    order, opposite signs), sometimes with one weight of a pair changed."""
+    matrix = draw(random_matrices(max_m=3))
+    rows = list(matrix.rows)
+    for _ in range(draw(st.integers(1, 2))):
+        ws = draw(st.lists(weights(12), min_size=matrix.n, max_size=matrix.n))
+        sign = draw(st.sampled_from((1, -1)))
+        twin = list(draw(st.permutations(ws)))
+        if draw(st.booleans()):
+            twin[draw(st.integers(0, matrix.n - 1))] = draw(weights(12))
+        rows += [Row(tuple(ws), sign), Row(tuple(twin), -sign)]
+    return WeightMatrix(tuple(draw(st.permutations(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices())
+def test_packed_matches_sparse_on_oracle_matrices(rows):
+    assert_agrees(matrix_of(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_matrices())
+def test_packed_matches_sparse_on_random_matrices(matrix):
+    assert_agrees(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_cancellations())
+def test_packed_matches_sparse_on_planted_cancellations(matrix):
+    assert_agrees(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_matrices(values=st.sampled_from((61, -61, 122, -122, 1, -2)), max_m=4, max_n=3))
+def test_packed_matches_sparse_at_weights_61_and_122(matrix):
+    assert_agrees(matrix)
+
+
+def unit_weight_matrices():
+    """Columns of weight +-1 only: the residual is built from powers of
+    (z - 1) and (z + 1), whose binomial coefficients come nearest the
+    bound 2^(B-1) of _packed_decide."""
+    for n in range(1, 9):
+        for signs in ((1,), (1, 1, 1), (1, -1), (1, -1, 1)):
+            for negatives in range(n + 1):
+                rows = []
+                for i, sign in enumerate(signs):
+                    k = (negatives + i) % (n + 1)  # row i has k weights -1
+                    rows.append(Row((-1,) * k + (1,) * (n - k), sign))
+                yield WeightMatrix(tuple(rows))
+
+
+def residual_coefficients(matrix, degree):
+    series = t_series(matrix) if degree else l_series(matrix)
+    expanded = series.den.expand()
+    cand = _candidate(matrix, degree).coeffs
+    zero = (0,) * len(cand)
+    for k in series.num.keys() | expanded.keys():
+        for c, v in zip(series.num.get(k, zero), cand):
+            yield c - expanded.get(k, 0) * v
+
+
+def test_unit_weight_columns_stay_within_the_digit_bound():
+    nearest = 0.0
+    for matrix in unit_weight_matrices():
+        assert_agrees(matrix)
+        for degree in (0, matrix.n):
+            den = Counter()
+            for row in matrix.rows:
+                den |= Counter(map(abs, row.weights))
+            half = 2 ** (sum(den.values()) + matrix.m.bit_length() + 1)
+            largest = max(map(abs, residual_coefficients(matrix, degree)), default=0)
+            assert largest < half
+            nearest = max(nearest, largest / half)
+    # the family reaches within a factor of three of the bound
+    assert nearest > 1 / 3
+
+
+def widest_packed(family, degree):
+    """The largest w for which family(w) still packs, by bisection."""
+    lo, hi = 2, 2
+    while packed_bits(family(hi), degree) <= rigidity._PACKED_BITS:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if packed_bits(family(mid), degree) <= rigidity._PACKED_BITS:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def cancelling(w):
+    return WeightMatrix((Row((w, 3), 1), Row((3, w), -1)))
+
+
+def difference(w):
+    return quasilinear([0, 1, w])
+
+
+def not_rigid(w):
+    return WeightMatrix((Row((w, 1), 1), Row((1, w - 1), -1)))
+
+
+DEGREE = {"T": lambda matrix: matrix.n, "L": lambda matrix: 0}
+
+
+@pytest.mark.parametrize("family", [cancelling, difference, not_rigid])
+@pytest.mark.parametrize("mode", ["T", "L"])
+def test_width_limit_just_below_and_just_above(family, mode):
+    """Just below the limit the packed decision answers, in agreement with
+    the sparse one; just above it declines.  The witness grid is left
+    empty: evaluating at z0 = 2 with weights near a million would take a
+    gcd of integers with hundreds of thousands of digits."""
+    degree = DEGREE[mode](family(2))
+    w = widest_packed(family, degree)
+    below, above = family(w), family(w + 1)
+    assert packed_bits(below, degree) <= rigidity._PACKED_BITS < packed_bits(above, degree)
+    assert packed(below, degree, ()) == sparse(below, degree, ())
+    assert _packed_decide(above, degree, _candidate(above, degree), ()) is None
+
+
+@pytest.mark.parametrize("family", [cancelling, difference])
+@pytest.mark.parametrize("mode", ["T", "L"])
+def test_above_the_width_limit_the_sparse_series_decides(family, mode, monkeypatch):
+    decide, name = (is_rigid, "t_series") if mode == "T" else (is_l_rigid, "l_series")
+    degree = DEGREE[mode](family(2))
+    w = widest_packed(family, degree)
+    below, above = family(w), family(w + 1)
+    calls = []
+    original = getattr(rigidity, name)
+    monkeypatch.setattr(rigidity, name, lambda matrix: calls.append(matrix) or original(matrix))
+    assert decide(below) == sparse(below, degree, ())
+    assert calls == []
+    assert decide(above) == sparse(above, degree, ())
+    assert calls == [above]
