@@ -90,30 +90,57 @@ def matches_constant(rows, points) -> bool:
     return True
 
 
-def row_residue(weights: Tuple[int, ...], sign: int, n: int, bound: int,
-                points: Sequence[Point]) -> int:
-    """One row's term minus its constant at every ``(z, x, y)`` point of
+def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: int,
+                  points: Sequence[Point]) -> List[int]:
+    """Each row's term minus its constant at every ``(z, x, y)`` point of
     ``points``, reduced modulo ``_PRIME``, the ``p``-th point weighted by
-    ``_BASE**p``.  The term is ``sign`` times the product of the weights'
-    factors ``(x z^w + y) / (z^w - 1)`` and the constant ``sign`` times the
-    product of ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``)."""
-    if len(weights) != n:
-        raise ValueError(f"a row needs {n} weights, got {len(weights)}")
-    if not all(1 <= abs(exact_int("weight", w)) <= bound for w in weights):
-        raise ValueError(f"row weights must be nonzero with |w| <= {bound}: {weights}")
-    if exact_int("sign", sign) not in (1, -1):
-        raise ValueError(f"a row sign must be 1 or -1, got {sign}")
-    residue, scale = 0, 1
+    ``_BASE**p``.  A row is a ``(weights, sign)`` pair of ``n`` weights;
+    its term is ``sign`` times the product of the weights' factors
+    ``(x z^w + y) / (z^w - 1)`` and its constant ``sign`` times the product
+    of ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``).
+
+    The factors are tabled: for each point and each distinct ``|w| = a``
+    that occurs in ``rows`` (never every ``a`` up to ``bound``, which may
+    be near ``_PRIME / 2``), ``(x z^a + y) / (z^a - 1)`` and its
+    negative-weight form ``-(x + y z^a) / (z^a - 1)`` are reduced once, so
+    a row costs ``n`` table products per point and no power or inverse.
+    A row's constants depend only on its sign and its number ``k`` of
+    negative weights; their weighted sum is tabled for each ``k`` that
+    occurs.
+    """
+    magnitudes, negatives = set(), []
+    for weights, sign in rows:
+        if len(weights) != n:
+            raise ValueError(f"a row needs {n} weights, got {len(weights)}")
+        if not all(1 <= abs(exact_int("weight", w)) <= bound for w in weights):
+            raise ValueError(f"row weights must be nonzero with |w| <= {bound}: {weights}")
+        if exact_int("sign", sign) not in (1, -1):
+            raise ValueError(f"a row sign must be 1 or -1, got {sign}")
+        magnitudes.update(map(abs, weights))
+        negatives.append(sum(1 for w in weights if w < 0))
+    tables = []
+    scale = 1
     for z, x, y in points:
-        num, den, const = sign, 1, sign
-        for w in weights:
-            zp = pow(z, abs(w), _PRIME)
-            num = num * (x * zp + y if w > 0 else -(x + y * zp)) % _PRIME
-            den = den * (zp - 1) % _PRIME
-            const *= x if w > 0 else -y
-        residue += scale * (num * pow(den, -1, _PRIME) - const)
+        factor = {}
+        for a in magnitudes:
+            zp = pow(z, a, _PRIME)
+            inverse = pow(zp - 1, -1, _PRIME)
+            factor[a] = (x * zp + y) * inverse % _PRIME
+            factor[-a] = -(x + y * zp) * inverse % _PRIME
+        tables.append((factor, scale, x, y))
         scale = scale * _BASE % _PRIME
-    return residue % _PRIME
+    offsets = {k: sum(scale * pow(x, n - k, _PRIME) * pow(-y, k, _PRIME)
+                      for _, scale, x, y in tables)
+               for k in set(negatives)}
+    residues = []
+    for (weights, sign), k in zip(rows, negatives):
+        total = 0
+        for factor, scale, _, _ in tables:
+            for w in weights:
+                scale = scale * factor[w] % _PRIME
+            total += scale
+        residues.append(sign * (total - offsets[k]) % _PRIME)
+    return residues
 
 
 def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
@@ -129,7 +156,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     ``count`` indices for the last row.  It writes :func:`matches_constant`
     for the candidate ending in ``tails[k]`` to ``out[k]``, in place:
     it zeroes ``out[:count]`` and sets the surviving bytes.  Each row's
-    residue (see :func:`row_residue`) is computed once, here, and kept in
+    residue (see :func:`_row_residues`) is computed once, here, and kept in
     order in ``kernel.residues``, and the rows are indexed by residue, so
     a block costs ``m - 1`` additions and one dict lookup: the tails whose
     residue is minus the heads' sum, found by bisection in the sorted
@@ -160,7 +187,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             raise ValueError(f"sample point {point!r} must be a tuple (z, x, y) "
                              f"with 2 <= z < _PRIME - 1 and x, y > 0")
     rows = tuple(rows)
-    residues = [row_residue(*row, n, bound, points) for row in rows]
+    residues = _row_residues(rows, n, bound, points)
     positions: Dict[int, List[int]] = {}
     for p, residue in enumerate(residues):
         positions.setdefault(residue, []).append(p)

@@ -18,7 +18,9 @@ that every coefficient keeps its own digit, so the identity is one compare
 of two Python ints (see :func:`_packed_decide`).  A packed value is dense
 in ``z``; when it would be wider than ``_PACKED_BITS`` bits (weights near
 ``10^9``), the decision falls back to the sparse series of
-:func:`t_series` / :func:`l_series` and :func:`_decide`.
+:func:`t_series` / :func:`l_series` and :func:`_decide`.  Before either,
+a matrix whose rows cancel in pairs is certified rigid with constant 0
+(see :func:`is_rigid`).
 """
 
 from __future__ import annotations
@@ -63,6 +65,21 @@ class Row(NamedTuple):
     sign: int
 
 
+def _int_row(row) -> Row:
+    """``row``, a ``(weights, sign)`` pair, as a ``Row`` with a tuple of
+    weights, after :func:`exact_int` has passed every weight and then the
+    sign; a ``Row`` that already holds a tuple is returned as it is."""
+    weights, sign = row
+    if type(weights) is not tuple:
+        weights = tuple(weights)
+    for w in weights:
+        if type(w) is not int:
+            exact_int("weight", w)
+    if type(sign) is not int:
+        exact_int("sign", sign)
+    return row if type(row) is Row and row.weights is weights else Row(weights, sign)
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """``m`` rows of ``n`` nonzero integer weights, each with a sign ±1.
@@ -72,20 +89,21 @@ class WeightMatrix:
     rows: Tuple[Row, ...]
 
     def __post_init__(self):
-        rows = tuple(Row(tuple(exact_int("weight", w) for w in ws), exact_int("sign", s))
-                     for ws, s in self.rows)
+        # Every row's types are checked before any shape or value check;
+        # that order decides which fault a malformed matrix reports.
+        rows = tuple(map(_int_row, self.rows))
         if not rows:
             raise ValueError("a weight matrix needs at least one row")
         n = len(rows[0].weights)
         if n < 1:
             raise ValueError("a weight matrix needs at least one column")
-        for row in rows:
-            if len(row.weights) != n:
+        for weights, sign in rows:
+            if len(weights) != n:
                 raise ValueError("all rows must have the same length")
-            if any(w == 0 for w in row.weights):
+            if 0 in weights:
                 raise ZeroWeight("weights must be nonzero")
-            if row.sign not in (1, -1):
-                raise ValueError(f"row sign must be +1 or -1, got {row.sign}")
+            if sign not in (1, -1):
+                raise ValueError(f"row sign must be +1 or -1, got {sign}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -346,9 +364,45 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeffs), *point))
 
 
+def _cancels(matrix: WeightMatrix, candidate: Form, fold: bool) -> bool:
+    """Whether every weight multiset is held by as many ``+`` rows as ``-``
+    rows; with ``fold``, after each negative weight has been made positive
+    and its sign folded into the row sign, as :func:`normalize_signs` does.
+    Rows that pair off like that leave an even ``m`` and a zero
+    ``candidate``, so any other input is turned away before a row is
+    looked at."""
+    if matrix.m % 2 or not candidate.is_zero():
+        return False
+    tally = {}
+    for weights, sign in matrix.rows:
+        if fold:
+            for w in weights:
+                if w < 0:
+                    sign = -sign
+            weights = map(abs, weights)
+        key = tuple(sorted(weights))
+        tally[key] = tally.get(key, 0) + sign
+    return not any(tally.values())
+
+
 def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
-    """Decide exactly whether the T-function of ``matrix`` is constant."""
+    """Decide exactly whether the T-function of ``matrix`` is constant.
+
+    Cancellation certificate: row ``i`` contributes ``s_i`` times the
+    product of its factors ``(x z^w + y) / (z^w - 1)``, which depends on
+    the multiset of its weights only, since the product commutes.  When
+    every multiset is held by as many ``+`` rows as ``-`` rows (see
+    :func:`_cancels`), the rows pair off into a ``+`` and a ``-`` row with
+    equal products, each pair contributes zero, and the function is
+    identically 0.  It is then constant, its forced value (the candidate)
+    is 0, and the verdict is the one the identity below returns:
+    ``RigidityVerdict(rigid=True, constant=candidate)``.  Any other matrix
+    is decided by that identity, by :func:`_packed_decide` or, when the
+    packed value is too wide, by the sparse series.
+    """
     candidate = candidate_constant(matrix)
+    if _cancels(matrix, candidate, fold=False):
+        return RigidityVerdict(rigid=True, constant=candidate)
     verdict = _packed_decide(matrix, matrix.n, candidate, WITNESS_XY_VALUES)
     if verdict is None:
         verdict = _decide(t_series(matrix), candidate, WITNESS_XY_VALUES)
@@ -356,8 +410,18 @@ def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
 
 
 def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
-    """Decide exactly whether the ``x = y = 1`` specialization is constant."""
+    """Decide exactly whether the ``x = y = 1`` specialization is constant.
+
+    The cancellation certificate of :func:`is_rigid` applies after sign
+    folding: at ``x = y = 1`` the factor of ``-a`` is ``(z^-a + 1) /
+    (z^-a - 1) = -(z^a + 1) / (z^a - 1)``, the negative of the factor of
+    ``a``, so a row's term is unchanged when a weight is made positive and
+    the row sign flipped.  Rows that cancel in pairs after that fold give the
+    function 0, which is the candidate, and the verdict ``rigid`` with it.
+    """
     candidate = _candidate(matrix, 0)
+    if _cancels(matrix, candidate, fold=True):
+        return RigidityVerdict(rigid=True, constant=candidate)
     verdict = _packed_decide(matrix, 0, candidate, ((1, 1),))
     if verdict is None:
         verdict = _decide(l_series(matrix), candidate, ((1, 1),))

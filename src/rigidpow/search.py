@@ -47,7 +47,6 @@ from .rigidity import (
 # counts still follow those chunks; see _run_shards.
 _CHUNK = 1024
 
-RowsTuple = Tuple[Row, ...]
 Triple = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -187,14 +186,19 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int
     ``(heads, tails)`` blocks in canonical order: ``heads`` indexes the
     first ``m - 1`` rows, the first of them ≡ shard_index mod shard_count,
     and ``tails`` is the consecutive range of last-row indices.  For
-    ``m = 1`` each of the shard's rows is a block of its own."""
+    ``m = 1`` each of the shard's rows is a block of its own, and for
+    ``m = 2`` each has one block; building that block directly keeps the
+    walk linear in ``size``, where ``combinations_with_replacement`` would
+    copy the whole range for every first row."""
     for i in range(shard_index, size, shard_count):
         if m == 1:
             yield (), range(i, i + 1)
-            continue
-        for rest in combinations_with_replacement(range(i, size), m - 2):
-            heads = (i, *rest)
-            yield heads, range(heads[-1], size)
+        elif m == 2:
+            yield (i,), range(i, size)
+        else:
+            for rest in combinations_with_replacement(range(i, size), m - 2):
+                heads = (i, *rest)
+                yield heads, range(heads[-1], size)
 
 
 def _passed(mask: bytearray) -> Iterator[int]:
@@ -207,7 +211,7 @@ def _passed(mask: bytearray) -> Iterator[int]:
 
 @dataclass
 class _ShardResult:
-    found: List[Tuple[RowsTuple, Form]] = field(default_factory=list)
+    found: List[Tuple[WeightMatrix, Form]] = field(default_factory=list)
     enumerated: int = 0
     rejected: int = 0
     exact_checks: int = 0
@@ -257,17 +261,16 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                     result.exceeded = True
                     continue
                 result.exact_checks += 1
-                rows = (*map(universe.__getitem__, heads), universe[tails[k]])
-                verdict = decide(WeightMatrix(rows))
+                matrix = WeightMatrix((*map(universe.__getitem__, heads), universe[tails[k]]))
+                verdict = decide(matrix)
                 if verdict.rigid:
-                    result.found.append((rows, verdict.constant))
+                    result.found.append((matrix, verdict.constant))
             enumerated = min(enumerated, limit)
         result.enumerated, result.rejected = enumerated, enumerated - passed
     return results
 
 
-def _annotate(spec: SearchSpec, rows: RowsTuple, constant: Form) -> Find:
-    matrix = WeightMatrix(rows)
+def _annotate(spec: SearchSpec, matrix: WeightMatrix, constant: Form) -> Find:
     label = classify_two_fixed_points(matrix) if matrix.m == 2 else None
     seed = None
     if matrix.m == matrix.n + 1:
@@ -305,8 +308,8 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     else:
         results = _run_shards(spec, range(shards), shards, enum_cap, check_cap)
 
-    pairs = sorted((pair for r in results for pair in r.found), key=lambda pair: pair[0])
-    finds = tuple(_annotate(spec, rows, constant) for rows, constant in pairs)
+    pairs = sorted((pair for r in results for pair in r.found), key=lambda pair: pair[0].rows)
+    finds = tuple(_annotate(spec, matrix, constant) for matrix, constant in pairs)
     stats = SweepStats(
         enumerated=sum(r.enumerated for r in results),
         rejected=sum(r.rejected for r in results),

@@ -10,7 +10,6 @@ from rigidpow.prefilter import (
     L_POINTS,
     T_POINTS,
     matches_constant,
-    row_residue,
     sample_points,
     select_filter,
 )
@@ -164,6 +163,33 @@ def exact_row_term(weights, sign, z, x, y):
     return value - constant
 
 
+def row_residue(weights, sign, points):
+    """One row's residue straight from its definition, with a power and an
+    inverse modulo the prime for every weight: the row's term minus its
+    constant at every point, the p-th point weighted by _BASE**p."""
+    P = prefilter._PRIME
+    residue, scale = 0, 1
+    for z, x, y in points:
+        num, den, const = sign, 1, sign
+        for w in weights:
+            zp = pow(z, abs(w), P)
+            num = num * (x * zp + y if w > 0 else -(x + y * zp)) % P
+            den = den * (zp - 1) % P
+            const *= x if w > 0 else -y
+        residue += scale * (num * pow(den, -1, P) - const)
+        scale = scale * prefilter._BASE % P
+    return residue % P
+
+
+def fraction_residue(weights, sign, points):
+    P = prefilter._PRIME
+    want = 0
+    for p, (z, x, y) in enumerate(points):
+        term = exact_row_term(weights, sign, z, x, y)
+        want += pow(prefilter._BASE, p, P) * term.numerator * pow(term.denominator, -1, P)
+    return want % P
+
+
 @pytest.mark.parametrize("m, n, bound, mode", [
     (1, 1, 1, "T"), (2, 2, 4, "T"), (4, 3, 3, "T"), (3, 2, 5, "L"), (4, 4, 2, "L"),
 ])
@@ -173,21 +199,26 @@ def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound,
     kernel, _ = select_filter(m, n, bound, points, rows)
     assert len(kernel.residues) == len(rows)
 
-    P = prefilter._PRIME
     for (ws, sign), residue in zip(rows, kernel.residues):
-        assert residue == row_residue(ws, sign, n, bound, points)
-        want = 0
-        for p, (z, x, y) in enumerate(points):
-            term = exact_row_term(ws, sign, z, x, y)
-            want += pow(prefilter._BASE, p, P) * term.numerator * pow(term.denominator, -1, P)
-        assert residue == want % P
+        assert residue == row_residue(ws, sign, points)
+        assert residue == fraction_residue(ws, sign, points)
 
 
-def test_select_filter_with_no_rows_computes_no_residue(monkeypatch):
-    calls = []
-    monkeypatch.setattr(prefilter, "row_residue", lambda *args: calls.append(args))
-    kernel, name = select_filter(3, 2, 4, T_POINTS)
-    assert (name, kernel.residues, calls) == ("residue-join", [], [])
+# The largest bound select_filter accepts: a table over every |w| up to it
+# could never be built.
+TOP_BOUND = (prefilter._PRIME - 1) // 2 - 1
+
+
+def test_select_filter_with_no_rows_computes_no_residue():
+    kernel, name = select_filter(3, 2, TOP_BOUND, T_POINTS)
+    assert (name, kernel.residues) == ("residue-join", [])
+
+
+def test_select_filter_tables_only_the_weights_that_occur():
+    rows = [((TOP_BOUND, -1), 1), ((-TOP_BOUND, 7), -1), ((3, 3), 1)]
+    kernel, _ = select_filter(2, 2, TOP_BOUND, T_POINTS, rows)
+    assert kernel.residues == [row_residue(ws, sign, T_POINTS) for ws, sign in rows]
+    assert kernel.residues[2] == fraction_residue(*rows[2], T_POINTS)
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (1, 4), (-4, 1), (1, 2, 3), (1,), (1.5, 1)])

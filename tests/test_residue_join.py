@@ -65,7 +65,7 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
                 [got] = search._run_shards(spec, [s], shards, enum_cap, check_cap)
                 want = stream_shard(candidates, mask, enum_cap, check_cap, decide)
                 case = (enum_budget, check_budget, s)
-                assert got.found == want[0], case
+                assert [(matrix.rows, c) for matrix, c in got.found] == want[0], case
                 assert (got.enumerated, got.rejected, got.exact_checks, got.exceeded) \
                     == want[1:], case
                 wants.append(want)

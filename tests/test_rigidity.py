@@ -15,6 +15,7 @@ from rigidpow.rigidity import (
     WeightMatrix,
     ZeroWeight,
     candidate_constant,
+    exact_int,
     is_l_rigid,
     is_rigid,
     l_series,
@@ -57,6 +58,72 @@ def test_matrix_rejects_non_integer_entries(rows):
     # [+: 1; +: -1], and '3' and True as weights 3 and 1
     with pytest.raises(ValueError):
         WeightMatrix(tuple(Row(ws, s) for ws, s in rows))
+
+
+def reference_validation(rows):
+    """WeightMatrix's validation as it was before it reused rows: the
+    reference for which fault a malformed matrix reports, and how."""
+    rows = tuple(Row(tuple(exact_int("weight", w) for w in ws), exact_int("sign", s))
+                 for ws, s in rows)
+    if not rows:
+        raise ValueError("a weight matrix needs at least one row")
+    n = len(rows[0].weights)
+    if n < 1:
+        raise ValueError("a weight matrix needs at least one column")
+    for row in rows:
+        if len(row.weights) != n:
+            raise ValueError("all rows must have the same length")
+        if any(w == 0 for w in row.weights):
+            raise ZeroWeight("weights must be nonzero")
+        if row.sign not in (1, -1):
+            raise ValueError(f"row sign must be +1 or -1, got {row.sign}")
+    return rows
+
+
+MALFORMED = [
+    # wrong types, in weights and in signs
+    [((1, True), 1)], [((1.0, 2), 1)], [(("1", 2), 1)], [("12", 1)], [((1, 2), True)],
+    [((1, 2), 1.0)], [((1, 2), "1")], [((2,), 1), ((False,), -1)],
+    # wrong shapes and values
+    [], [((), 1)], [((), 1), ((1,), 1)], [((1, 0), 1)], [((1, 2), 1), ((3,), -1)],
+    [((1, 2), 1), ((3, 4, 5), -1)], [((1, 2), 0)], [((1, 2), 2)], [((1,), -2)],
+    # mixed faults, where the order of the checks decides which is reported
+    [((1, 2), 1), ((3,), 1), ((1.5, 2), 1)],
+    [((1, 2), 1), ((3,), 1), ((1, 2), True)],
+    [((0, 2), 2), ((1, 2), 1.0)],
+    [((1, 2), 2), ((0, 1), 1)],
+    [((0, 1), 2), ((1,), 1)],
+    [((1,), 1), ((0, 1, 2), 7)],
+    [((True, 0), 1)],
+    [((1, 2), 5), ((1, 2), 1), ((0, 2), 1)],
+    # not (weights, sign) pairs
+    [(5, 1)], [((1, 2),)], [((1, 2), 1, 1)], [7],
+]
+WELL_FORMED = [
+    [((1, 2), 1), ((3, -4), -1)], [([1, 2], 1), (Row((2, 1), -1))], [Row([3], 1)],
+    [Row((1, -1), -1), ((-1, 1), 1)],
+]
+
+
+def outcome(build, rows):
+    try:
+        return build(rows)
+    except (ValueError, TypeError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("rows", MALFORMED + WELL_FORMED)
+def test_matrix_validation_matches_the_reference(rows):
+    got = outcome(lambda rows: WeightMatrix(tuple(rows)).rows, rows)
+    want = outcome(reference_validation, rows)
+    assert got == want
+    if rows in WELL_FORMED:
+        assert all(type(row) is Row and type(row.weights) is tuple for row in got)
+
+
+def test_matrix_keeps_rows_that_are_already_valid():
+    rows = (Row((3, -1), 1), Row((1, 3), -1))
+    assert all(a is b for a, b in zip(WeightMatrix(rows).rows, rows))
 
 
 def single_weight(w):
