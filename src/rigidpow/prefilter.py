@@ -16,11 +16,12 @@ fixed multiplier per point (a Karp-Rabin fingerprint).  Reduction modulo a
 prime is a ring map on the rationals whose denominators it does not
 divide, so a candidate whose terms sum to zero has residues that sum to
 zero.  Deciding a candidate is thus a k-SUM over the row residues: the
-kernel fixes every row but the last and looks the last one up by the
-negated residue sum (a residue join), and only the rare candidate whose
-residues do sum to zero is decided by :func:`matches_constant`.  That
-function evaluates one candidate from scratch, in exact integers, and is
-the oracle the kernel is tested against.
+kernel fixes every row but the last two, walks the second-to-last row and
+looks the last one up by the negated residue sum (a residue join, the
+2-SUM step), and only the rare candidate whose residues do sum to zero is
+decided by :func:`matches_constant`.  That function evaluates one
+candidate from scratch, in exact integers, and is the oracle the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ _PRIME = (1 << 61) - 2373
 # Point p of a row's residue is weighted by _BASE**p; any fixed value keeps
 # the filter exact, one far from small integers keeps points from cancelling.
 _BASE = 0x9E3779B97F4A7C1
+# A mask is zeroed from this buffer one slice at a time, so a block of
+# millions of candidates needs no zero buffer of its own.
+_ZEROS = memoryview(bytes(1 << 16))
 
 
 def sample_points(mode: str) -> Tuple[Point, ...]:
@@ -107,17 +111,23 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     A row's constants depend only on its sign and its number ``k`` of
     negative weights; their weighted sum is tabled for each ``k`` that
     occurs.
+
+    Each distinct weight is range-checked once: a row is checked weight by
+    weight only when it holds a value not seen before, or a weight whose
+    type is not ``int`` (``True`` and ``1.0`` equal ``1`` in a set).
     """
-    magnitudes, negatives = set(), []
+    checked, negatives = set(), []
     for weights, sign in rows:
         if len(weights) != n:
             raise ValueError(f"a row needs {n} weights, got {len(weights)}")
-        if not all(1 <= abs(exact_int("weight", w)) <= bound for w in weights):
-            raise ValueError(f"row weights must be nonzero with |w| <= {bound}: {weights}")
+        if not checked.issuperset(weights) or not {int}.issuperset(map(type, weights)):
+            if not all(1 <= abs(exact_int("weight", w)) <= bound for w in weights):
+                raise ValueError(f"row weights must be nonzero with |w| <= {bound}: {weights}")
+            checked.update(weights)
         if exact_int("sign", sign) not in (1, -1):
             raise ValueError(f"a row sign must be 1 or -1, got {sign}")
-        magnitudes.update(map(abs, weights))
-        negatives.append(sum(1 for w in weights if w < 0))
+        negatives.append(sum(map((0).__gt__, weights)))
+    magnitudes = set(map(abs, checked))
     tables = []
     scale = 1
     for z, x, y in points:
@@ -143,6 +153,16 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     return residues
 
 
+def block_size(free: int, tails: range, size: int) -> int:
+    """The number of candidates in a kernel block with ``free`` free rows
+    (1 or 2) over a universe of ``size`` rows: ``len(tails)`` for one free
+    row, and for two the number of pairs ``j <= p < size`` with ``j`` in
+    ``tails``."""
+    if free == 1:
+        return len(tails)
+    return len(tails) * (2 * size - tails.start - tails.stop + 1) // 2
+
+
 def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                   rows: Sequence[Tuple[Tuple[int, ...], int]] = ()) -> Tuple[Callable[..., None], str]:
     """The pre-filter kernel for ``m``-row candidates drawn from ``rows``,
@@ -150,24 +170,34 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     at ``points``, a sequence of ``(z, x, y)`` tuples, plus its name.
 
     The kernel is called as ``kernel(heads, tails, m, n, count, points,
-    out)`` and decides a block of ``count`` candidates that share their
-    first ``m - 1`` rows: ``heads`` holds those rows' indices into
-    ``rows``, and ``tails`` is a consecutive ``range`` (step 1) of
-    ``count`` indices for the last row.  It writes :func:`matches_constant`
-    for the candidate ending in ``tails[k]`` to ``out[k]``, in place:
-    it zeroes ``out[:count]`` and sets the surviving bytes.  Each row's
-    residue (see :func:`_row_residues`) is computed once, here, and kept in
-    order in ``kernel.residues``, and the rows are indexed by residue, so
-    a block costs ``m - 1`` additions and one dict lookup: the tails whose
-    residue is minus the heads' sum, found by bisection in the sorted
-    positions sharing it, are the only candidates whose residues sum to
-    zero.  Each of them is decided by :func:`matches_constant`, whose
+    out)`` and decides the first ``count`` candidates of a block that
+    shares its first rows, ``heads``, indices into ``rows``.  ``tails`` is
+    a consecutive ``range`` (step 1) of row indices, and the number of
+    heads sets the number of free rows (see :func:`block_size`):
+
+    - ``m - 1`` heads: one free row; the block is ``heads + (p,)`` for
+      ``p`` in ``tails``;
+    - ``m - 2`` heads: two free rows; the block is ``heads + (j, p)`` for
+      ``j`` in ``tails`` and ``j <= p < len(rows)``, in lexicographic
+      order, so ``tails = range(j0, len(rows))`` is a triangle of
+      ``L (L + 1) / 2`` candidates with ``L = len(rows) - j0``.
+
+    It writes :func:`matches_constant` for the ``k``-th candidate to
+    ``out[k]``, in place: it zeroes ``out[:count]`` and sets the surviving
+    bytes.  Each row's residue (see :func:`_row_residues`) is computed
+    once, here, and kept in order in ``kernel.residues``, and the rows are
+    indexed by residue.  For each ``j`` (or once, with one free row) the
+    kernel adds up the fixed rows' residues and looks up its negation: the
+    positions sharing it, cut by bisection to the block's ``p`` range, are
+    the only candidates whose residues sum to zero (a 2-SUM over the last
+    two rows).  Each of them is decided by :func:`matches_constant`, whose
     answer is its byte of ``out``, and every other candidate is rejected,
     so the mask is the oracle's byte for byte.  Every point needs
     ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be
     below ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes modulo
     ``_PRIME``.  A point that is not such a tuple or a row that breaks the
-    parameters raises ``ValueError`` here, and a call that breaks them
+    parameters raises ``ValueError`` here, and a call that breaks them, or
+    whose ``count`` is negative or above the block size or ``len(out)``,
     raises ``ValueError`` before any mask byte is written.  With no
     ``rows`` nothing is computed and the kernel can decide no candidate.
     ``perfbench/run.py`` calls this through ``search.select_filter`` and
@@ -194,25 +224,45 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     size = len(rows)
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
-        if (m_ != m or n_ != n or len(heads) != m - 1 or type(tails) is not range
-                or tails.step != 1 or count != len(tails)
-                or points_ is not points and tuple(points_) != points):
-            raise ValueError(f"the kernel needs {m - 1} heads, a consecutive range of count "
-                             f"tails, m = {m}, n = {n} and the points it was built for")
+        free = m - len(heads)
+        if (m_ != m or n_ != n or free not in (1, 2) or type(tails) is not range
+                or tails.step != 1 or points_ is not points and tuple(points_) != points):
+            raise ValueError(f"the kernel needs {m - 1} or {m - 2} heads, a consecutive range "
+                             f"of tails, m = {m}, n = {n} and the points it was built for")
         target = 0
         for h in heads:
             if not 0 <= h < size:
                 raise ValueError(f"head {h} is not in range({size})")
             target -= residues[h]
         first, stop = tails.start, tails.stop
-        if count and (first < 0 or stop > size):
+        if tails and (first < 0 or stop > size):
             raise ValueError(f"tails {tails} are not in range({size})")
-        out[:count] = bytes(count)
-        at = positions.get(target % _PRIME)
-        if at:
-            head_rows = tuple(map(rows.__getitem__, heads))
-            for p in at[bisect_left(at, first):bisect_left(at, stop)]:
-                out[p - first] = matches_constant(head_rows + (rows[p],), points)
+        block = block_size(free, tails, size)
+        if not 0 <= count <= min(block, len(out)):
+            raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
+        if count <= len(_ZEROS):
+            out[:count] = _ZEROS[:count]
+        else:
+            for at in range(0, count, len(_ZEROS)):
+                end = min(at + len(_ZEROS), count)
+                out[at:end] = _ZEROS[:end - at]
+        if free == 1:
+            at = positions.get(target % _PRIME)
+            if at:
+                head_rows = tuple(map(rows.__getitem__, heads))
+                for p in at[bisect_left(at, first):bisect_left(at, first + count)]:
+                    out[p - first] = matches_constant(head_rows + (rows[p],), points)
+            return
+        offset = 0  # the block position of candidate (j, j)
+        for j in tails:
+            if offset >= count:
+                break
+            at = positions.get((target - residues[j]) % _PRIME)
+            if at:
+                pair_rows = (*map(rows.__getitem__, heads), rows[j])
+                for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
+                    out[offset + p - j] = matches_constant(pair_rows + (rows[p],), points)
+            offset += size - j
 
     residue_join.residues = residues
     return residue_join, "residue-join"

@@ -12,10 +12,10 @@ Enumeration generates canonical forms directly: weights inside a row are
 non-increasing and the row list is non-decreasing, so each equivalence
 class under row and column permutation appears exactly once.  A candidate
 is a non-decreasing list of indices into the sorted row universe, and the
-candidates are walked in blocks that share their first m - 1 rows; the
-pre-filter decides a whole block with one residue lookup for its last row
-(see :mod:`rigidpow.prefilter`), so only survivors are ever built as
-matrices.  Shards fix the first (smallest) row; each shard is
+candidates are walked in blocks that share their first m - 2 rows; the
+pre-filter decides a whole block with one residue lookup per choice of its
+second-to-last row (see :mod:`rigidpow.prefilter`), so only survivors are
+ever built as matrices.  Shards fix the first (smallest) row; each shard is
 independently enumerable and the merged result is a deterministic sorted
 union, so shard count never changes the outcome of a completed sweep.
 """
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
-from .prefilter import sample_points, select_filter
+from .prefilter import block_size, sample_points, select_filter
 from .rigidity import (
     Row,
     WeightMatrix,
@@ -183,29 +183,47 @@ def row_universe(n: int, bound: int, mode: str) -> List[Row]:
 def _blocks(m: int, size: int, shard_index: int, shard_count: int
             ) -> Iterator[Tuple[Tuple[int, ...], range]]:
     """A shard's canonical candidates over a universe of ``size`` rows, as
-    ``(heads, tails)`` blocks in canonical order: ``heads`` indexes the
-    first ``m - 1`` rows, the first of them ≡ shard_index mod shard_count,
-    and ``tails`` is the consecutive range of last-row indices.  For
-    ``m = 1`` each of the shard's rows is a block of its own, and for
-    ``m = 2`` each has one block; building that block directly keeps the
-    walk linear in ``size``, where ``combinations_with_replacement`` would
-    copy the whole range for every first row."""
+    kernel blocks ``(heads, tails)`` in canonical order (see
+    :func:`rigidpow.prefilter.select_filter`), the first row of each
+    candidate ≡ shard_index mod shard_count.  For ``m = 1`` each of the
+    shard's rows is a one-free-row block of its own.  Otherwise ``heads``
+    indexes the first ``m - 2`` rows and the last two are free: for
+    ``m = 2`` the block of first row ``i`` is ``((), range(i, i + 1))``,
+    and for ``m >= 3`` each prefix ``heads`` has the block
+    ``range(heads[-1], size)`` of all pairs after it.  Building the
+    ``m <= 3`` blocks directly keeps the walk linear in ``size``, where
+    ``combinations_with_replacement`` would copy the whole range for every
+    first row."""
     for i in range(shard_index, size, shard_count):
-        if m == 1:
+        if m <= 2:
             yield (), range(i, i + 1)
-        elif m == 2:
+        elif m == 3:
             yield (i,), range(i, size)
         else:
-            for rest in combinations_with_replacement(range(i, size), m - 2):
+            for rest in combinations_with_replacement(range(i, size), m - 3):
                 heads = (i, *rest)
                 yield heads, range(heads[-1], size)
 
 
-def _passed(mask: bytearray) -> Iterator[int]:
-    """The indices of the candidates a pre-filter mask lets through."""
+def _passed(mask: bytearray, heads: Tuple[int, ...], tails: range, m: int, size: int
+            ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The offsets ``k`` of the candidates a block's pre-filter mask lets
+    through, each with the candidate's row indices.  With two free rows the
+    rows ``(j, p)`` of offset ``k`` come from a forward walk over the
+    offsets where each ``j`` starts, which the increasing ``k`` never has
+    to undo."""
     k = mask.find(1)
+    if len(heads) == m - 1:
+        while k != -1:
+            yield k, (*heads, tails[k])
+            k = mask.find(1, k + 1)
+        return
+    j, row = tails.start, 0  # row: the offset of candidate (j, j)
     while k != -1:
-        yield k
+        while k >= row + size - j:
+            row += size - j
+            j += 1
+        yield k, (*heads, j, j + k - row)
         k = mask.find(1, k + 1)
 
 
@@ -223,32 +241,34 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     """The listed shards of a sweep, each with its first ``enum_cap``
     candidates through the pre-filter and at most ``check_cap`` survivors
     through the symbolic check.  The row universe and its residues are
-    built once for all of them."""
+    built once for all of them.  A block that reaches past the enum budget
+    is cut before its mask is allocated, so no mask is longer than what is
+    left of the budget."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
     kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, universe)
-    m, n = spec.m, spec.n
+    m, n, size = spec.m, spec.n, len(universe)
     results = []
     for shard_index in shard_indices:
         result = _ShardResult()
         results.append(result)
         limit = enum_cap
         enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
-        for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
+        for heads, tails in _blocks(m, size, shard_index, shard_count):
             start = enumerated
-            if start + len(tails) > limit:
+            count = block_size(m - len(heads), tails, size)
+            if start + count > limit:
                 result.exceeded = True
                 if start >= limit:
                     break
-                tails = tails[:limit - start]
-            count = len(tails)
+                count = limit - start
             mask = bytearray(count)
             kernel(heads, tails, m, n, count, points, mask)
             enumerated += count
             if 1 not in mask:
                 continue
-            for k in _passed(mask):
+            for k, indices in _passed(mask, heads, tails, m, size):
                 if start + k >= limit:
                     break
                 passed += 1
@@ -261,7 +281,7 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                     result.exceeded = True
                     continue
                 result.exact_checks += 1
-                matrix = WeightMatrix((*map(universe.__getitem__, heads), universe[tails[k]]))
+                matrix = WeightMatrix(tuple(map(universe.__getitem__, indices)))
                 verdict = decide(matrix)
                 if verdict.rigid:
                     result.found.append((matrix, verdict.constant))
@@ -370,17 +390,22 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
         raise ValueError("n and bound must be at least 1")
     plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
-    rows = plus + [Row(v.weights, -1) for v in plus]
+    # minus rows first: each c is one block whose two free rows are the
+    # plus pairs a <= b
+    rows = [Row(v.weights, -1) for v in plus] + plus
     points = sample_points("L")
     kernel, _ = select_filter(3, n, bound, points, rows)
     tails = range(len(plus), len(rows))
+    count = block_size(2, tails, len(rows))
     solutions: List[Triple] = []
-    for heads in combinations_with_replacement(range(len(plus)), 2):
-        mask = bytearray(len(tails))
-        kernel(heads, tails, 3, n, len(tails), points, mask)
-        for k in _passed(mask):
-            matrix = WeightMatrix((rows[heads[0]], rows[heads[1]], rows[tails[k]]))
+    for c in range(len(plus)):
+        mask = bytearray(count)
+        kernel((c,), tails, 3, n, count, points, mask)
+        for _, (_, a, b) in _passed(mask, (c,), tails, 3, len(rows)):
+            matrix = WeightMatrix((rows[a], rows[b], rows[c]))
             verdict = is_l_rigid(matrix)
             if verdict.rigid and verdict.constant.constant_value() == 1:
                 solutions.append(tuple(row.weights for row in matrix.rows))
+    # weight lists are in index order, so this is the order of (a, b, c)
+    solutions.sort()
     return solutions

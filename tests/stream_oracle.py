@@ -5,12 +5,13 @@ canonical order, and ``stream_shard`` and ``stream_triples`` decide them
 the way sweeps did before the join: ``matches_constant`` on every
 candidate, in chunks of ``CHUNK``.  ``chunk_mask`` gives its mask, one
 byte per candidate, and ``join_mask`` the kernel's mask for the same
-candidates, in the same order, block by block.
+candidates, in the same order, block by block; ``block_candidates`` lists
+the candidates of one kernel block.
 """
 
 from itertools import combinations_with_replacement, islice
 
-from rigidpow.prefilter import matches_constant, sample_points, select_filter
+from rigidpow.prefilter import block_size, matches_constant, sample_points, select_filter
 from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid
 from rigidpow.search import _blocks
 
@@ -28,6 +29,15 @@ def chunk_mask(candidates, points):
     return bytearray(matches_constant(rows, points) for rows in candidates)
 
 
+def block_candidates(heads, tails, m, size):
+    """A kernel block's candidates over ``size`` rows as row indices, in
+    block order: ``heads`` plus one free row from ``tails``, or plus two
+    free rows ``j <= p`` with ``j`` from ``tails``."""
+    if len(heads) == m - 1:
+        return [(*heads, p) for p in tails]
+    return [(*heads, j, p) for j in tails for p in range(j, size)]
+
+
 def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1):
     """The residue-join kernel's mask over the shard's candidates, in
     canonical order."""
@@ -36,8 +46,9 @@ def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1):
     assert name == "residue-join"
     mask = bytearray()
     for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
-        out = bytearray(len(tails))
-        kernel(heads, tails, m, n, len(tails), points, out)
+        count = block_size(m - len(heads), tails, len(universe))
+        out = bytearray(count)
+        kernel(heads, tails, m, n, count, points, out)
         mask += out
     return mask
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,13 +10,14 @@ from rigidpow import prefilter
 from rigidpow.prefilter import (
     L_POINTS,
     T_POINTS,
+    block_size,
     matches_constant,
     sample_points,
     select_filter,
 )
 from rigidpow.rigidity import Row, WeightMatrix, candidate_constant, t_series
 from rigidpow.search import row_universe
-from stream_oracle import chunk_mask, join_mask, stream_candidates
+from stream_oracle import block_candidates, chunk_mask, join_mask, stream_candidates
 
 
 def random_batch(rng, m, n, bound, count):
@@ -62,21 +64,30 @@ def test_pure_kernel_matches_symbolic_oracle():
 
 
 def both_masks(candidates, m, n, bound, points):
-    """The residue-join kernel's mask and the oracle's for every candidate
-    that keeps the first ``m - 1`` rows of one of ``candidates`` and ends
-    in any row that appears in them: one block per candidate, its tails
-    the whole row list."""
+    """The residue-join kernel's mask and the oracle's on one block per
+    candidate, over the rows that appear in ``candidates``.  For m = 1 the
+    block is every row.  Otherwise it keeps the candidate's first m - 2
+    rows, and its two free rows are every pair j <= p from the smaller of
+    the candidate's last two rows on, so the candidate's own rows are in
+    it."""
     rows = sorted({row for candidate in candidates for row in candidate})
     index = {row: i for i, row in enumerate(rows)}
     kernel, name = select_filter(m, n, bound, points, rows)
     assert name == "residue-join"
     got, blocks = bytearray(), []
     for candidate in candidates:
-        heads = tuple(index[row] for row in candidate[:m - 1])
-        out = bytearray(len(rows))
-        kernel(heads, range(len(rows)), m, n, len(rows), points, out)
+        if m == 1:
+            heads, tails = (), range(len(rows))
+        else:
+            heads = tuple(index[row] for row in candidate[:m - 2])
+            tails = range(min(index[row] for row in candidate[m - 2:]), len(rows))
+        count = block_size(m - len(heads), tails, len(rows))
+        out = bytearray(count)
+        kernel(heads, tails, m, n, count, points, out)
         got += out
-        blocks += [tuple(candidate[:m - 1]) + (row,) for row in rows]
+        block = block_candidates(heads, tails, m, len(rows))
+        assert len(block) == count
+        blocks += [tuple(map(rows.__getitem__, indices)) for indices in block]
     return got, chunk_mask(blocks, points)
 
 
@@ -119,6 +130,64 @@ def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
                 assert got == want, (m, n, bound)
                 passed += sum(got)
     assert passed > 0
+
+
+@pytest.mark.parametrize("m, n, bound, mode", [(1, 2, 3, "T"), (2, 2, 3, "L"), (3, 2, 3, "T"),
+                                            (4, 1, 4, "L")])
+def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound, mode):
+    # every cut of a few blocks around the first canonical survivor, with
+    # one and with two free rows: the first count bytes are the whole
+    # block's, and no byte after them is written
+    universe = row_universe(n, bound, mode)
+    size = len(universe)
+    points = sample_points(mode)
+    kernel, _ = select_filter(m, n, bound, points, universe)
+    if m == 1:
+        blocks = [((), range(size // 2, size)), ((), range(0, 1))]
+    else:
+        canonical = list(combinations_with_replacement(range(size), m))
+        mask = chunk_mask([tuple(map(universe.__getitem__, c)) for c in canonical], points)
+        *heads, j, p = canonical[mask.index(1)]
+        heads = tuple(heads)
+        blocks = [(heads, range(j, size)), (heads, range(max(j - 2, 0), j + 1)),
+                  (heads, range(0, 1)), ((*heads, j), range(max(p - 1, 0), size))]
+    survivors = 0
+    for heads, tails in blocks:
+        candidates = [tuple(map(universe.__getitem__, indices))
+                      for indices in block_candidates(heads, tails, m, size)]
+        want = chunk_mask(candidates, points)
+        assert len(want) == block_size(m - len(heads), tails, size)
+        survivors += sum(want)
+        for count in range(len(want) + 1):
+            out = bytearray(b"\x07" * (count + 2))
+            kernel(heads, tails, m, n, count, points, out)
+            assert out == want[:count] + b"\x07\x07", (heads, tails, count)
+    # no single row is constant
+    assert (survivors > 0) == (m > 1)
+
+
+def test_residue_join_zeroes_masks_longer_than_its_zero_buffer():
+    # a 180300-candidate block spans several slices of prefilter._ZEROS;
+    # its head is a row of the rigid difference matrix of seed (0, 1, 2)
+    from rigidpow.rigidity import quasilinear
+    from rigidpow.search import canonical_form
+
+    universe = row_universe(2, 12, "T")
+    size = len(universe)
+    heads = (universe.index(canonical_form(quasilinear((0, 1, 2))).rows[0]),)
+    kernel, _ = select_filter(3, 2, 12, T_POINTS, universe)
+    block = block_size(2, range(size), size)
+    assert block > 2 * len(prefilter._ZEROS)
+    clean = bytearray(block)
+    kernel(heads, range(size), 3, 2, block, T_POINTS, clean)
+    candidates = block_candidates(heads, range(size), 3, size)
+    survivors = [k for k, ok in enumerate(clean) if ok]
+    assert survivors and all(matches_constant([universe[i] for i in candidates[k]], T_POINTS)
+                             for k in survivors)
+    for count in (block, len(prefilter._ZEROS) + 1, len(prefilter._ZEROS), survivors[-1]):
+        out = bytearray(b"\x07" * (count + 2))
+        kernel(heads, range(size), 3, 2, count, T_POINTS, out)
+        assert out == clean[:count] + b"\x07\x07", count
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [
@@ -223,7 +292,7 @@ def test_select_filter_tables_only_the_weights_that_occur():
 
 @pytest.mark.parametrize("bad", [(0, 1), (1, 4), (-4, 1), (1, 2, 3), (1,), (1.5, 1)])
 def test_residue_join_rejects_rows_outside_its_parameters(bad):
-    m, n, bound = 2, 2, 3
+    m, n, bound = 3, 2, 3
     rows = [((1, -1), 1), ((2, 1), -1), ((1, 1), 1)]
     with pytest.raises(ValueError):
         select_filter(m, n, bound, T_POINTS, rows + [(bad, 1)])
@@ -232,23 +301,57 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
     kernel, _ = select_filter(m, n, bound, T_POINTS, rows)
     mask = bytearray(b"\x07\x07")
     for heads, tails, m_, count in [
-        ((0,), range(1, 3), m + 1, 2),   # another m
-        ((0, 1), range(1, 3), m, 2),     # too many heads
-        ((), range(1, 3), m, 2),         # too few
-        ((3,), range(1, 3), m, 2),       # a head past the rows
-        ((-1,), range(1, 3), m, 2),      # a negative head
-        ((0,), range(2, 4), m, 2),       # a tail past the rows
-        ((0,), range(-1, 1), m, 2),      # a negative tail
-        ((0,), range(2, 0, -1), m, 2),   # tails not ascending
-        ((0,), range(0, 3, 2), m, 2),    # tails not consecutive
-        ((0,), range(1, 3), m, 1),       # count is not len(tails)
-        ((0,), [1, 2], m, 2),            # tails not a range
+        ((0,), range(1, 3), m + 1, 2),      # another m
+        ((0, 1, 2), range(1, 3), m, 2),     # too many heads
+        ((), range(1, 3), m, 2),            # too few
+        ((3,), range(1, 3), m, 2),          # a head past the rows
+        ((-1,), range(1, 3), m, 2),         # a negative head
+        ((0, 3), range(1, 3), m, 2),        # a head past the rows, one free row
+        ((0,), range(2, 4), m, 2),          # a tail past the rows
+        ((0,), range(-1, 1), m, 2),         # a negative tail
+        ((0, 1), range(-1, 1), m, 2),       # a negative tail, one free row
+        ((0,), range(2, 0, -1), m, 2),      # tails not ascending
+        ((0,), range(0, 3, 2), m, 2),       # tails not consecutive
+        ((0,), range(2, 3), m, 2),          # count above the block size (1)
+        ((0, 1), range(1, 3), m, 3),        # count above the block size, one free row
+        ((0,), range(1, 3), m, -1),         # a negative count
+        ((0,), [1, 2], m, 2),               # tails not a range
     ]:
         with pytest.raises(ValueError):
             kernel(heads, tails, m_, n, count, T_POINTS, mask)
     with pytest.raises(ValueError):
         kernel((0,), range(1, 3), m, n, 2, L_POINTS, mask)
     assert mask == b"\x07\x07"
+    # the block sizes the calls above exceed: 3 pairs from row 1, 2 tails
+    assert block_size(2, range(1, 3), 3) == 3 and block_size(1, range(1, 3), 3) == 2
+
+
+GOOD_ROW = ((1, -1), 1)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([GOOD_ROW, ((1, 0), 1), ((1,), 1)], "row weights must be nonzero with |w| <= 3: (1, 0)"),
+    ([GOOD_ROW, ((1,), 1), ((1, 0), 1)], "a row needs 2 weights, got 1"),
+    ([GOOD_ROW, ((1, 1, 1), 1)], "a row needs 2 weights, got 3"),
+    ([((1, 1), 1), ((True, 1), 1)], "weight must be an integer, got True"),
+    ([((1, 1), 1), ((1, 1.0), 1)], "weight must be an integer, got 1.0"),
+    ([((1, 1), 1), ((1, "1"), 1)], "weight must be an integer, got '1'"),
+    ([((1, 1), 1), ((-4, 1), 1)], "row weights must be nonzero with |w| <= 3: (-4, 1)"),
+    ([((4, 1), 2)], "row weights must be nonzero with |w| <= 3: (4, 1)"),
+    ([((2, 1), 1), ((2, 1), 2)], "a row sign must be 1 or -1, got 2"),
+    ([((2, 1), True)], "sign must be an integer, got True"),
+    ([((1, 1), 1), ((1, 1), 1.0)], "sign must be an integer, got 1.0"),
+])
+def test_row_validation_names_the_first_offending_row(monkeypatch, rows, message):
+    # weights already seen are not range-checked again, but a bool or a
+    # float equal to one of them still fails, and nothing is computed first
+    def no_residue(*args):
+        raise AssertionError("a residue was computed")
+
+    monkeypatch.setattr(prefilter, "pow", no_residue, raising=False)
+    with pytest.raises(ValueError) as error:
+        select_filter(2, 2, 3, T_POINTS, rows)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("points", [

@@ -81,3 +81,56 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 4), (2, 6)])
 def test_triple_search_on_the_join_matches_the_stream(n, bound):
     assert triple_identity_search(n, bound) == stream_triples(n, bound)
+
+
+@pytest.mark.parametrize("mode, m, n, bound", [
+    ("T", 3, 2, 2), ("T", 4, 1, 2), ("L", 3, 2, 3), ("L", 4, 1, 4),
+])
+def test_every_enum_budget_cuts_like_the_stream(monkeypatch, mode, m, n, bound):
+    # every cut of the walk, mid-row, at a row end and at a block end: the
+    # survivor offsets of a cut block map back to the stream's candidates
+    name = "is_rigid" if mode == "T" else "is_l_rigid"
+    decide = functools.lru_cache(maxsize=None)(is_rigid if mode == "T" else is_l_rigid)
+    monkeypatch.setattr(search, name, decide)
+    total = math.comb(len(row_universe(n, bound, mode)) + m - 1, m)
+    for shards in (1, 2):
+        streams = [shard_stream(mode, m, n, bound, s, shards) for s in range(shards)]
+        assert any(streams[0][1])
+        for check_budget in (1, SearchSpec(1, 1, 1).check_budget):
+            check_cap = max(1, check_budget // shards)
+            for enum_budget in range(1, total + 1):
+                spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget,
+                                  check_budget=check_budget)
+                enum_cap = max(1, enum_budget // shards)
+                got = search._run_shards(spec, range(shards), shards, enum_cap, check_cap)
+                for s, (candidates, mask) in enumerate(streams):
+                    want = stream_shard(candidates, mask, enum_cap, check_cap, decide)
+                    result = got[s]
+                    case = (shards, check_budget, enum_budget, s)
+                    assert [(matrix.rows, c) for matrix, c in result.found] == want[0], case
+                    assert (result.enumerated, result.rejected, result.exact_checks,
+                            result.exceeded) == want[1:], case
+
+
+def test_no_kernel_mask_outgrows_the_enum_budget(monkeypatch):
+    # T m=3 n=4 b=8 has 7752 rows, so its first block holds about 3e7
+    # candidates; each mask must fit in what is left of the enum budget
+    lengths = []
+    select_filter = search.select_filter
+
+    def recording_select_filter(*args):
+        kernel, name = select_filter(*args)
+
+        def recording_kernel(heads, tails, m, n, count, points, out):
+            lengths.append((len(out), count))
+            kernel(heads, tails, m, n, count, points, out)
+
+        return recording_kernel, name
+
+    monkeypatch.setattr(search, "select_filter", recording_select_filter)
+    spec = SearchSpec(3, 4, 8, "T", enum_budget=5000)
+    assert len(row_universe(spec.n, spec.bound, spec.mode)) == 7752
+    with pytest.raises(BudgetExceeded) as budget:
+        sweep(spec)
+    assert budget.value.report.stats.enumerated == 5000
+    assert lengths == [(5000, 5000)]

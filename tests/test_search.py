@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from rigidpow import search
-from rigidpow.prefilter import sample_points
+from rigidpow.prefilter import block_size, sample_points
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -28,7 +28,7 @@ from rigidpow.search import (
     sweep,
     triple_identity_search,
 )
-from stream_oracle import chunk_mask, join_mask, stream_candidates
+from stream_oracle import block_candidates, chunk_mask, join_mask, stream_candidates
 
 
 def wm(*rows):
@@ -94,23 +94,33 @@ def test_row_universe_is_sorted_and_complete():
 
 def general_blocks(m, size, shard_index, shard_count):
     """The block walk in its general form, one combinations_with_replacement
-    call per first row for every m > 1: the reference for _blocks."""
+    call per first row for every m > 2: the reference for _blocks."""
     for i in range(shard_index, size, shard_count):
-        if m == 1:
+        if m <= 2:
             yield (), range(i, i + 1)
             continue
-        for rest in combinations_with_replacement(range(i, size), m - 2):
+        for rest in combinations_with_replacement(range(i, size), m - 3):
             heads = (i, *rest)
             yield heads, range(heads[-1], size)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_blocks_match_the_general_walk(m):
     for size in (0, 1, 2, 5, 9):
         for shard_count in (1, 2, 3, 7):
             for shard_index in range(shard_count):
                 want = list(general_blocks(m, size, shard_index, shard_count))
-                assert list(search._blocks(m, size, shard_index, shard_count)) == want
+                got = list(search._blocks(m, size, shard_index, shard_count))
+                assert got == want
+                # the blocks, one after another, are the shard's canonical
+                # candidates, and block_size counts each block
+                walked = []
+                for heads, tails in got:
+                    block = block_candidates(heads, tails, m, size)
+                    assert len(block) == block_size(m - len(heads), tails, size)
+                    walked += block
+                assert walked == [c for c in combinations_with_replacement(range(size), m)
+                                  if c[0] % shard_count == shard_index]
 
 
 def test_two_row_walk_is_linear_in_the_universe():
@@ -418,6 +428,11 @@ def test_triple_search_odd_size_has_no_solutions():
 
 
 def test_triple_search_canonical_ordering():
-    for a, b, c in triple_identity_search(2, 5):
-        assert tuple(sorted(a)) == a and tuple(sorted(b)) == b and tuple(sorted(c)) == c
-        assert a <= b
+    for n, bound in [(2, 5), (4, 5)]:
+        solutions = triple_identity_search(n, bound)
+        assert solutions == sorted(solutions)  # (a, b, c) order
+        if n == 4:  # which is not the order of c
+            assert sorted(solutions, key=lambda t: t[2]) != solutions
+        for a, b, c in solutions:
+            assert tuple(sorted(a)) == a and tuple(sorted(b)) == b and tuple(sorted(c)) == c
+            assert a <= b
