@@ -24,6 +24,9 @@ The sparse series serves ``t_series`` / ``l_series`` and the decisions
 whose packed value would be wider than ``rigidity._PACKED_BITS`` bits,
 such as those with weights near ``10^9``.
 
+The ``evaluate`` methods are on no program path (every exact point value
+comes from ``rigidity.point_value``); they serve the tests as a reference.
+
 All values are immutable after construction and all operations are pure,
 so any number of workers may share them.
 """

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .rigidity import exact_int
+from .rigidity import exact_int, point_value
 
 # Exact sample points (z, x, y) used by the sweeps, one tuple each.  Any
 # |z| >= 2 avoids all denominator roots.
@@ -61,35 +61,18 @@ def matches_constant(rows, points) -> bool:
     """Whether one candidate matches its forced constant at every point.
 
     This is the exact oracle for the kernel :func:`select_filter` returns:
-    it evaluates the candidate from scratch.  ``rows`` is a sequence of
-    ``(weights, sign)`` rows, with nonzero integer weights and ``sign`` in
-    ±1, and ``points`` a sequence of ``(z, x, y)`` triples with every
-    ``z >= 2``.  The answer is True when the row sum of products of
-    ``(x*z^w + y) / (z^w - 1)`` equals the sign-count constant at every
-    point, and False at the first point where it does not.
+    it evaluates the candidate from scratch with
+    :func:`rigidpow.rigidity.point_value`, the evaluator behind every
+    witness point too.  ``rows`` is a sequence of ``(weights, sign)``
+    rows, with nonzero integer weights and ``sign`` in ±1, and ``points``
+    a sequence of ``(z, x, y)`` triples with every ``z >= 2``.  The answer
+    is True when the row sum of products of ``(x*z^w + y) / (z^w - 1)``
+    equals the sign-count constant at every point, and False at the first
+    point where it does not.
     """
-    for z, xv, yv in points:
-        total_n = 0
-        total_d = 1
-        cval = 0
-        for weights, sign in rows:
-            rn = sign
-            rd = 1
-            ct = sign
-            for w in weights:
-                if w > 0:
-                    zp = z**w
-                    rn *= xv * zp + yv
-                    ct *= xv
-                else:
-                    zp = z ** (-w)
-                    rn *= -(xv + yv * zp)
-                    ct *= -yv
-                rd *= zp - 1
-            total_n = total_n * rd + rn * total_d
-            total_d *= rd
-            cval += ct
-        if total_n != cval * total_d:
+    for z, x, y in points:
+        top, bottom, constant = point_value(rows, z, x, y)
+        if top != constant * bottom:
             return False
     return True
 

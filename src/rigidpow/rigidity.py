@@ -21,6 +21,9 @@ in ``z``; when it would be wider than ``_PACKED_BITS`` bits (weights near
 :func:`t_series` / :func:`l_series` and :func:`_decide`.  Before either,
 a matrix whose rows cancel in pairs is certified rigid with constant 0
 (see :func:`is_rigid`).
+
+Every exact value at an integer point comes from :func:`point_value`; a
+witness point is given only for a matrix narrow enough to pack.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import add
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import DenomFactors, Form, LaurentRational, ZPoly, format_rational, mul_factor
 
 # Witness grid for human-readable certificates; the symbolic residual is
-# authoritative, the point is best-effort.
+# authoritative, the point is best-effort and only for packed decisions.
 WITNESS_Z_VALUES = (2, 3, 5)
 WITNESS_XY_VALUES = ((1, 1), (1, 2), (2, 1), (1, 0), (0, 1))
 
@@ -131,8 +133,8 @@ class Witness:
 
     The residual coefficient (lowest z-degree of numerator minus candidate
     times denominator) is the primary witness; the sample point is a
-    readable cross-check and may be absent when the whole grid happens to
-    evaluate to the candidate value.
+    readable cross-check, given only by a packed decision, and absent when
+    the whole grid happens to evaluate to the candidate value.
     """
 
     residual_degree: int
@@ -248,23 +250,46 @@ def candidate_constant(matrix: WeightMatrix) -> Form:
     return _candidate(matrix, matrix.n)
 
 
-def _witness_point(value_at: Callable[[int, int, int], Fraction], candidate: Form,
-                   xy_grid: Sequence[Tuple[int, int]]):
-    """The first grid point where the function's value differs from the
-    candidate's, as ``(point, value, expected)``; all None if there is none."""
+def point_value(rows, z0: int, x0: int, y0: int) -> Tuple[int, int, int]:
+    """The function's exact value at integers ``(z0, x0, y0)``, ``|z0| >= 2``,
+    as unreduced integers ``top / bottom``, and its forced constant:
+    ``(top, bottom, constant)``.  ``rows`` holds ``(weights, sign)`` pairs;
+    a weight ``-a`` gives the factor ``-(x + y z^a) / (z^a - 1)`` and the
+    constant factor ``-y``, as in :func:`_row_term` and :func:`_candidate`.
+    At ``x0 = y0 = 1`` these are the L-function's."""
+    top, bottom, constant = 0, 1, 0
+    for weights, sign in rows:
+        num, den, forced = sign, 1, sign
+        for w in weights:
+            if w > 0:
+                p = z0**w
+                num, forced = num * (x0 * p + y0), forced * x0
+            else:
+                p = z0**-w
+                num, forced = -num * (x0 + y0 * p), -forced * y0
+            den *= p - 1
+        top, bottom = top * den + num * bottom, bottom * den
+        constant += forced
+    return top, bottom, constant
+
+
+def _witness_point(matrix: WeightMatrix, xy_grid: Sequence[Tuple[int, int]]):
+    """The first grid point where the function's value differs from its
+    forced constant, as ``(point, value, expected)``; all None if there is
+    none.  Only the reported value is reduced to a ``Fraction``."""
     for z0 in WITNESS_Z_VALUES:
         for x0, y0 in xy_grid:
-            got = value_at(z0, x0, y0)
-            want = candidate.evaluate(x0, y0)
-            if got != want:
-                return (Fraction(z0), Fraction(x0), Fraction(y0)), got, want
+            top, bottom, constant = point_value(matrix.rows, z0, x0, y0)
+            if top != constant * bottom:
+                point = (Fraction(z0), Fraction(x0), Fraction(y0))
+                return point, Fraction(top, bottom), Fraction(constant)
     return None, None, None
 
 
-def _decide(series: LaurentRational, candidate: Form,
-            xy_grid: Sequence[Tuple[int, int]]) -> RigidityVerdict:
+def _decide(series: LaurentRational, candidate: Form) -> RigidityVerdict:
     """Test ``numerator == candidate * expanded_denominator`` coefficient by
-    coefficient, from the lowest z-degree up."""
+    coefficient, from the lowest z-degree up: the wide-matrix fallback,
+    whose witness is the residual alone, with no sample point."""
     expanded = series.den.expand()
     cand = candidate.coeffs
     zero = (0,) * len(cand)
@@ -275,25 +300,7 @@ def _decide(series: LaurentRational, candidate: Form,
             break
     else:
         return RigidityVerdict(rigid=True, constant=candidate)
-    witness = Witness(k, Form(coeff), *_witness_point(series.evaluate, candidate, xy_grid))
-    return RigidityVerdict(rigid=False, witness=witness)
-
-
-def _value_at(matrix: WeightMatrix, z0: int, x0: int, y0: int) -> Fraction:
-    """The function's exact value at integers ``(z0, x0, y0)``, summed from
-    the rows; equal to ``t_series(matrix).evaluate(z0, x0, y0)`` for
-    ``|z0| >= 2``."""
-    top, bottom = 0, 1
-    for row in matrix.rows:
-        num, den = row.sign, 1
-        for w in row.weights:
-            p = z0 ** abs(w)
-            if w > 0:
-                num, den = num * (x0 * p + y0), den * (p - 1)
-            else:  # (x0 z0^-a + y0) / (z0^-a - 1), times z0^a over z0^a
-                num, den = num * (x0 + y0 * p), den * (1 - p)
-        top, bottom = top * den + num * bottom, bottom * den
-    return Fraction(top, bottom)
+    return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeff)))
 
 
 def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
@@ -360,26 +367,22 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
         c = ((block & (2 * half - 1)) ^ half) - half
         coeffs.append(c)
         block = (block - c) >> digit
-    point = _witness_point(partial(_value_at, matrix), candidate, xy_grid)
+    point = _witness_point(matrix, xy_grid)
     return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeffs), *point))
 
 
 def _cancels(matrix: WeightMatrix, candidate: Form, fold: bool) -> bool:
     """Whether every weight multiset is held by as many ``+`` rows as ``-``
     rows; with ``fold``, after each negative weight has been made positive
-    and its sign folded into the row sign, as :func:`normalize_signs` does.
+    and its sign folded into the row sign (see :func:`fold_signs`).
     Rows that pair off like that leave an even ``m`` and a zero
     ``candidate``, so any other input is turned away before a row is
     looked at."""
     if matrix.m % 2 or not candidate.is_zero():
         return False
     tally = {}
-    for weights, sign in matrix.rows:
-        if fold:
-            for w in weights:
-                if w < 0:
-                    sign = -sign
-            weights = map(abs, weights)
+    for row in matrix.rows:
+        weights, sign = fold_signs(row) if fold else row
         key = tuple(sorted(weights))
         tally[key] = tally.get(key, 0) + sign
     return not any(tally.values())
@@ -405,7 +408,7 @@ def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
         return RigidityVerdict(rigid=True, constant=candidate)
     verdict = _packed_decide(matrix, matrix.n, candidate, WITNESS_XY_VALUES)
     if verdict is None:
-        verdict = _decide(t_series(matrix), candidate, WITNESS_XY_VALUES)
+        verdict = _decide(t_series(matrix), candidate)
     return verdict
 
 
@@ -424,18 +427,25 @@ def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
         return RigidityVerdict(rigid=True, constant=candidate)
     verdict = _packed_decide(matrix, 0, candidate, ((1, 1),))
     if verdict is None:
-        verdict = _decide(l_series(matrix), candidate, ((1, 1),))
+        verdict = _decide(l_series(matrix), candidate)
     return verdict
+
+
+def fold_signs(row: Row) -> Row:
+    """``row`` with every negative weight made positive and each flip
+    folded into the row sign; its ``x = y = 1`` term is unchanged."""
+    sign = row.sign
+    for w in row.weights:
+        if w < 0:
+            sign = -sign
+    return Row(tuple(map(abs, row.weights)), sign)
 
 
 def normalize_signs(matrix: WeightMatrix) -> WeightMatrix:
     """Flip every negative weight positive, folding each flip into the row
-    sign.  The ``x = y = 1`` function is unchanged by this transformation."""
-    rows = []
-    for row in matrix.rows:
-        flips = sum(1 for w in row.weights if w < 0)
-        rows.append(Row(tuple(abs(w) for w in row.weights), row.sign * (-1) ** flips))
-    return WeightMatrix(tuple(rows))
+    sign (see :func:`fold_signs`).  The ``x = y = 1`` function is unchanged
+    by this transformation."""
+    return WeightMatrix(tuple(map(fold_signs, matrix.rows)))
 
 
 def parity_check(matrix: WeightMatrix, constant: int) -> bool:
@@ -471,9 +481,11 @@ PairList = List[Tuple[Tuple[int, int], Tuple[int, int]]]
 
 
 def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
-    """Partition all weight entries into cross-row pairs of equal values.
+    """Partition all weight entries into cross-row pairs of equal absolute
+    values.
 
-    Requires positive weights (normalize first).  For each value, pairing
+    Signs are ignored, so a matrix pairs exactly as its
+    :func:`normalize_signs` form does.  For each absolute value, pairing
     succeeds exactly when its total count is even and no single row holds
     more than half of the occurrences.  The occurrences are listed in row
     order, so each row's are contiguous, and occurrence ``t`` is paired
@@ -484,13 +496,10 @@ def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
     Returns pairs ``((i, j), (k, l))`` of 0-based (row, column) positions
     with ``i != k``, or None when no pairing exists.
     """
-    for row in matrix.rows:
-        if any(w < 0 for w in row.weights):
-            raise ValueError("pair_partition requires positive weights; normalize first")
     positions: dict[int, List[Tuple[int, int]]] = {}
     for i, row in enumerate(matrix.rows):
         for j, w in enumerate(row.weights):
-            positions.setdefault(w, []).append((i, j))
+            positions.setdefault(abs(w), []).append((i, j))
 
     pairs: PairList = []
     for value in sorted(positions):

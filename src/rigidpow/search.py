@@ -36,9 +36,9 @@ from .rigidity import (
     Row,
     WeightMatrix,
     exact_int,
+    fold_signs,
     is_l_rigid,
     is_rigid,
-    normalize_signs,
     pair_partition,
     quasilinear,
 )
@@ -159,10 +159,8 @@ def canonical_form(matrix: WeightMatrix, mode: str = "T") -> WeightMatrix:
     """
     if mode not in ("T", "L"):
         raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
-    if mode == "L":
-        matrix = normalize_signs(matrix)
-    rows = [Row(tuple(sorted(r.weights, reverse=True)), r.sign) for r in matrix.rows]
-    rows.sort()
+    rows = map(fold_signs, matrix.rows) if mode == "L" else matrix.rows
+    rows = sorted(Row(tuple(sorted(r.weights, reverse=True)), r.sign) for r in rows)
     return WeightMatrix(tuple(rows))
 
 
@@ -295,7 +293,7 @@ def _annotate(spec: SearchSpec, matrix: WeightMatrix, constant: Form) -> Find:
     seed = None
     if matrix.m == matrix.n + 1:
         seed = quasilinearity_test(matrix, mode=spec.mode)
-    pairable = pair_partition(normalize_signs(matrix)) is not None
+    pairable = pair_partition(matrix) is not None
     k_ok = constant.is_zero() or matrix.m >= kosniowski_bound(matrix.n)
     return Find(matrix, constant, label, seed, k_ok, pairable)
 

@@ -535,6 +535,34 @@ def test_check_huge_weights_stays_sparse(text, mode, lines, tmp_path, capsys):
     assert (code, out.splitlines(), err) == (0, lines, "")
 
 
+WIDE_DOC = "2 2\n+: 1000000000 3\n-: 3 1000000001\n"
+
+# Not rigid and too wide to pack: the sparse series decides and reports the
+# residual alone, since a value at z0 = 2 would have a billion bits.
+WIDE_NOT_RIGID = [
+    (WIDE_DOC, ["check", "-"], 1,
+     ["NotRigid", "residual: lowest z-degree 1000000000, coefficient -x*y - y^2"]),
+    (WIDE_DOC, ["check", "-", "--mode", "L"], 1,
+     ["NotRigid", "residual: lowest z-degree 1000000000, coefficient -2"]),
+    (WIDE_DOC, ["classify", "-"], 0,
+     ["classification: unclassified (not rigid; residual numerator has nonzero "
+      "coefficient -x*y - y^2 at z-degree 1000000000)"]),
+    ("2 1\n+: 1000000000\n-: 1000000001\n", ["check", "-"], 1,
+     ["NotRigid", "residual: lowest z-degree 1000000000, coefficient -x - y"]),
+]
+
+
+@pytest.mark.parametrize("text, argv, code, lines", WIDE_NOT_RIGID,
+                         ids=["check-T", "check-L", "classify", "check-n1"])
+def test_wide_not_rigid_matrix_answers_without_a_witness_point(text, argv, code, lines):
+    # In a child process, so that a hang fails this test at the timeout
+    # instead of stalling the suite.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rigidpow", *argv], input=text,
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (code, lines, "")
+
+
 # -- one parser per process ----------------------------------------------------
 
 

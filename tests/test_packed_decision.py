@@ -1,12 +1,16 @@
 """The packed constancy decision (one Kronecker-substituted integer per
 side) against the sparse series decision it replaced and against the
-independent oracle of ``test_core_oracle``.
+independent oracle of ``test_core_oracle``, and the exact point evaluator
+behind every witness point against the series' own evaluation.
 
-Every comparison is of the whole ``RigidityVerdict``: rigidity, constant,
-and the witness's residual degree, coefficient, point and values.
+The two decisions must agree on rigidity, constant and the witness's
+residual degree and coefficient.  A witness point is given only by the
+packed decision: it must be the first grid point where the series'
+value differs from the candidate's, and the sparse decision gives none.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +19,17 @@ from hypothesis import strategies as st
 from rigidpow import rigidity
 from rigidpow.rigidity import (
     WITNESS_XY_VALUES,
+    WITNESS_Z_VALUES,
     Row,
     WeightMatrix,
     _candidate,
     _decide,
     _packed_decide,
+    candidate_constant,
     is_l_rigid,
     is_rigid,
     l_series,
+    point_value,
     quasilinear,
     t_series,
 )
@@ -32,9 +39,12 @@ from test_core_oracle import matrix_of, oracle_l, oracle_t
 L_GRID = ((1, 1),)
 
 
-def sparse(matrix, degree, grid):
-    series = t_series(matrix) if degree else l_series(matrix)
-    return _decide(series, _candidate(matrix, degree), grid)
+def series_of(matrix, degree):
+    return t_series(matrix) if degree else l_series(matrix)
+
+
+def sparse(matrix, degree):
+    return _decide(series_of(matrix, degree), _candidate(matrix, degree))
 
 
 def packed(matrix, degree, grid):
@@ -53,19 +63,47 @@ def packed_bits(matrix, degree):
     return digit * (degree + 1) * (sum(a * k for a, k in den.items()) + 1)
 
 
+def reference_point(matrix, degree, grid):
+    """The first grid point where the series' value differs from the
+    candidate's, as ``(point, value, expected)``; all None if none does."""
+    series, candidate = series_of(matrix, degree), _candidate(matrix, degree)
+    for z0 in WITNESS_Z_VALUES:
+        for x0, y0 in grid:
+            value, expected = series.evaluate(z0, x0, y0), candidate.evaluate(x0, y0)
+            if value != expected:
+                return (z0, x0, y0), value, expected
+    return None, None, None
+
+
+def assert_same_decision(matrix, degree, grid):
+    """The packed and sparse decisions agree on everything but the
+    witness point, which only the packed one gives; returns the packed
+    verdict."""
+    p, s = packed(matrix, degree, grid), sparse(matrix, degree)
+    assert (p.rigid, p.constant) == (s.rigid, s.constant)
+    if p.rigid:
+        assert p.witness is None and s.witness is None
+        return p
+    pw, sw = p.witness, s.witness
+    assert (pw.residual_degree, pw.residual_coefficient) == (
+        sw.residual_degree, sw.residual_coefficient)
+    assert (sw.point, sw.value_at_point, sw.expected_at_point) == (None, None, None)
+    assert (pw.point, pw.value_at_point, pw.expected_at_point) == reference_point(
+        matrix, degree, grid)
+    return p
+
+
 def assert_agrees(matrix):
-    """Packed and sparse verdicts agree in full, in T and L mode, and both
-    agree with the oracle."""
+    """Packed and sparse decisions agree, in T and L mode, the public
+    decisions return the packed verdict, and both agree with the oracle."""
     rows = [(r.weights, r.sign) for r in matrix.rows]
-    t = packed(matrix, matrix.n, WITNESS_XY_VALUES)
-    assert t == sparse(matrix, matrix.n, WITNESS_XY_VALUES)
+    t = assert_same_decision(matrix, matrix.n, WITNESS_XY_VALUES)
     assert is_rigid(matrix) == t
     rigid, coeffs = oracle_t(rows)
     assert t.rigid == rigid
     if rigid:
         assert t.constant.coeffs == coeffs
-    l = packed(matrix, 0, L_GRID)
-    assert l == sparse(matrix, 0, L_GRID)
+    l = assert_same_decision(matrix, 0, L_GRID)
     assert is_l_rigid(matrix) == l
     rigid, c = oracle_l(rows)
     assert l.rigid == rigid
@@ -122,6 +160,17 @@ def test_packed_matches_sparse_on_planted_cancellations(matrix):
 @given(random_matrices(values=st.sampled_from((61, -61, 122, -122, 1, -2)), max_m=4, max_n=3))
 def test_packed_matches_sparse_at_weights_61_and_122(matrix):
     assert_agrees(matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_matrices(values=weights(7), max_m=4, max_n=3),
+       st.integers(-4, 4), st.integers(-4, 4))
+def test_point_value_is_the_series_value(matrix, x0, y0):
+    series, candidate = t_series(matrix), candidate_constant(matrix)
+    for z0 in (-3, -2, 2, 3, 5):
+        top, bottom, constant = point_value(matrix.rows, z0, x0, y0)
+        assert Fraction(top, bottom) == series.evaluate(z0, x0, y0)
+        assert constant == candidate.evaluate(x0, y0)
 
 
 def unit_weight_matrices():
@@ -214,7 +263,7 @@ def test_width_limit_just_below_and_just_above(family, mode):
     w = widest_packed(family, degree)
     below, above = family(w), family(w + 1)
     assert packed_bits(below, degree) <= rigidity._PACKED_BITS < packed_bits(above, degree)
-    assert packed(below, degree, ()) == sparse(below, degree, ())
+    assert packed(below, degree, ()) == sparse(below, degree)
     assert _packed_decide(above, degree, _candidate(above, degree), ()) is None
 
 
@@ -231,7 +280,7 @@ def test_above_the_width_limit_the_sparse_series_decides(family, mode, monkeypat
     calls = []
     original = getattr(rigidity, name)
     monkeypatch.setattr(rigidity, name, lambda matrix: calls.append(matrix) or original(matrix))
-    assert decide(below) == sparse(below, degree, ())
+    assert decide(below) == sparse(below, degree)
     assert calls == []
-    assert decide(above) == sparse(above, degree, ())
+    assert decide(above) == sparse(above, degree)
     assert calls == ([] if (family, mode) in CERTIFIED else [above])

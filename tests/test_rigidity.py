@@ -413,9 +413,14 @@ def test_pair_partition_normalized_difference_matrix():
     assert_valid_pairing(matrix, pairs)
 
 
-def test_pair_partition_requires_positive_weights():
-    with pytest.raises(ValueError):
-        pair_partition(wm(([-1], 1)))
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_m=6, bound=2).filter(lambda m: any(w < 0 for r in m.rows for w in r.weights)))
+def test_pair_partition_pairs_on_absolute_values(matrix):
+    normalized = normalize_signs(matrix)
+    pairs = pair_partition(matrix)
+    assert pairs == pair_partition(normalized)
+    if pairs is not None:
+        assert_valid_pairing(normalized, pairs)
 
 
 def test_pair_partition_three_way_spread():
