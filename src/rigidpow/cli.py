@@ -253,7 +253,7 @@ def _cmd_quasilinear(args) -> int:
     return 0
 
 
-def _report_records(report: SearchReport) -> Iterator[dict]:
+def _report_records(report: SearchReport, constants: Sequence[str]) -> Iterator[dict]:
     spec = report.spec
     yield {
         "type": "spec",
@@ -266,12 +266,12 @@ def _report_records(report: SearchReport) -> Iterator[dict]:
         "enum_budget": spec.enum_budget,
         "check_budget": spec.check_budget,
     }
-    for f in report.found:
+    for f, constant in zip(report.found, constants):
         yield {
             "type": "find",
             "rows": [list(r.weights) for r in f.matrix.rows],
             "signs": [r.sign for r in f.matrix.rows],
-            "constant": str(f.constant),
+            "constant": constant,
             "constant_value": f.constant.constant_value() if f.constant.is_constant() else None,
             "label": f.label.kind if f.label is not None else None,
             "quasilinear": list(f.quasilinear_seed) if f.quasilinear_seed else None,
@@ -287,42 +287,42 @@ def _report_records(report: SearchReport) -> Iterator[dict]:
     }
 
 
+# shared by every record (json.dumps builds one per call); records hold no cycles
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _write_records(path: str, records) -> None:
+    text = "".join(_ENCODER.encode(record) + "\n" for record in records)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+        handle.write(text)
 
 
-def _print_report(report: SearchReport) -> None:
+def _print_report(report: SearchReport, constants: Sequence[str]) -> None:
+    """The sweep report, in one ``print``; ``constants[i]`` is ``str(report.found[i].constant)``."""
     spec, stats = report.spec, report.stats
-    print(f"sweep m={spec.m} n={spec.n} bound={spec.bound} mode={spec.mode}")
-    print(
+    lines = [
+        f"sweep m={spec.m} n={spec.n} bound={spec.bound} mode={spec.mode}",
         f"enumerated {stats.enumerated}, pre-filter rejected {stats.rejected}, "
         f"exact checks {stats.exact_checks}, found {len(report.found)}, "
-        f"wall {stats.wall_time:.2f}s"
-    )
-    for f in report.found:
-        constant = str(f.constant)
-        print(f"  {f.tag:<12} constant={constant:<20} {f.matrix}")
+        f"wall {stats.wall_time:.2f}s",
+    ]
+    lines += (f"  {f.tag:<12} constant={constant:<20} {f.matrix}"
+              for f, constant in zip(report.found, constants))
     violations = report.violations()
-    if violations:
-        print(f"CONJECTURE VIOLATIONS ({len(violations)}):")
-        for f in violations:
-            flags = []
-            if not f.kosniowski_ok:
-                flags.append("fixed-point count below floor(n/2)+1 with nonzero constant")
-            if not f.pairable:
-                flags.append("weights admit no cross-row pairing")
-            print(f"  {f.matrix}: " + "; ".join(flags))
-    else:
-        print("conjecture violations: none")
-    if spec.mode == "L":
-        anomalies = report.small_nonzero_anomalies()
-        if anomalies:
-            print(f"SMALL-m NONZERO-CONSTANT ANOMALIES ({len(anomalies)}):")
-            for f in anomalies:
-                print(f"  {f.matrix}: constant {f.constant}")
+    lines.append(f"CONJECTURE VIOLATIONS ({len(violations)}):" if violations
+                 else "conjecture violations: none")
+    for f in violations:
+        flags = []
+        if not f.kosniowski_ok:
+            flags.append("fixed-point count below floor(n/2)+1 with nonzero constant")
+        if not f.pairable:
+            flags.append("weights admit no cross-row pairing")
+        lines.append(f"  {f.matrix}: " + "; ".join(flags))
+    anomalies = report.small_nonzero_anomalies() if spec.mode == "L" else ()
+    if anomalies:
+        lines.append(f"SMALL-m NONZERO-CONSTANT ANOMALIES ({len(anomalies)}):")
+        lines += (f"  {f.matrix}: constant {f.constant}" for f in anomalies)
+    print("\n".join(lines))
 
 
 def _cmd_search(args) -> int:
@@ -357,9 +357,10 @@ def _cmd_search(args) -> int:
     except BudgetExceeded as exc:
         report = exc.report
         exceeded = True
-    _print_report(report)
+    constants = [str(f.constant) for f in report.found]
+    _print_report(report, constants)
     if args.out:
-        _write_records(args.out, _report_records(report))
+        _write_records(args.out, _report_records(report, constants))
     if exceeded:
         print("budget exceeded: results are partial", file=sys.stderr)
         return 3

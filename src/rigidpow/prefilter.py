@@ -93,7 +93,7 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     a row costs ``n`` table products per point and no power or inverse.
     A row's constants depend only on its sign and its number ``k`` of
     negative weights; their weighted sum is tabled for each ``k`` that
-    occurs.
+    occurs, and the rest of a residue, up to its sign, once per weights.
 
     Each distinct weight is range-checked once: a row is checked weight by
     weight only when it holds a value not seen before, or a weight whose
@@ -125,14 +125,17 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     offsets = {k: sum(scale * pow(x, n - k, _PRIME) * pow(-y, k, _PRIME)
                       for _, scale, x, y in tables)
                for k in set(negatives)}
-    residues = []
+    residues, totals = [], {}
     for (weights, sign), k in zip(rows, negatives):
-        total = 0
-        for factor, scale, _, _ in tables:
-            for w in weights:
-                scale = scale * factor[w] % _PRIME
-            total += scale
-        residues.append(sign * (total - offsets[k]) % _PRIME)
+        key = tuple(weights)
+        if (total := totals.get(key)) is None:
+            total = -offsets[k]
+            for factor, scale, _, _ in tables:
+                for w in key:
+                    scale = scale * factor[w] % _PRIME
+                total += scale
+            totals[key] = total
+        residues.append(sign * total % _PRIME)
     return residues
 
 

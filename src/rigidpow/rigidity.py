@@ -239,9 +239,9 @@ def _candidate(matrix: WeightMatrix, degree: int) -> Form:
     # Row i contributes sign * x^(#positive weights) * (-y)^(#negative weights),
     # its termwise limit as z grows; x = y = 1 when degree is 0.
     coeffs = [0] * (degree + 1)
-    for row in matrix.rows:
-        flips = sum(1 for w in row.weights if w < 0)
-        coeffs[flips if degree else 0] += row.sign * (-1) ** flips
+    for weights, sign in matrix.rows:
+        flips = sum(map((0).__gt__, weights))
+        coeffs[flips if degree else 0] += -sign if flips % 2 else sign
     return Form(coeffs)
 
 
@@ -314,9 +314,12 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     product of ``(z^a - 1)^M_a`` over the per-factor maximum multiplicities
     ``M_a``, and row ``i`` contributes its :func:`_row_term` times the
     factors of ``D`` it lacks.  Evaluating is a ring homomorphism, so each
-    row term is a few shifts and adds on one int (``x z^a + y`` takes ``v``
-    to ``(v << a*zstep) + (v << B)``), each extra factor takes ``v`` to
-    ``(v << a*zstep) - v``, and the packed residual ``R`` is the value of
+    row term is a few shifts and adds on one int ``v`` that starts at the
+    row sign (``x z^a + y`` takes ``v`` to ``(v << a*zstep) + (v << B)``,
+    ``-(x + y z^a)`` to ``-v - (v << (a*zstep + B))``), and each extra
+    factor, in any order, takes ``v`` to ``(v << a*zstep) - v``.  With
+    ``-candidate`` as one more row, of no weights and lacking every factor,
+    the rows sum to the packed residual ``R``, the value of
     ``numerator - candidate * D``.  The coefficient of ``x^(d-k) y^k z^e``
     sits in base-``2^B`` digit ``e(d+1) + k``.
 
@@ -334,29 +337,27 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     its ``d + 1`` form coefficients are read off above it as balanced
     base-``2^B`` digits.
     """
-    needs = [Counter(map(abs, row.weights)) for row in matrix.rows]
-    den = Counter()
-    for need in needs:
-        den |= need
+    needs, den = [], {}
+    for weights, _ in matrix.rows:
+        needs.append(need := {})
+        for a in map(abs, weights):
+            need[a] = k = need.get(a, 0) + 1
+            if k > den.get(a, 0):
+                den[a] = k
     digit = sum(den.values()) + matrix.m.bit_length() + 2
     ystep = digit if degree else 0
     zstep = digit * (degree + 1)
     if zstep * (sum(a * k for a, k in den.items()) + 1) > _PACKED_BITS:
         return None
-    numerator = 0
-    for row, need in zip(matrix.rows, needs):
-        v = row.sign * (-1) ** sum(1 for w in row.weights if w < 0)
-        for w in row.weights:
-            shift = abs(w) * zstep
-            v = (v << shift) + (v << ystep) if w > 0 else v + (v << (shift + ystep))
-        for a in sorted((den - need).elements()):
-            v = (v << a * zstep) - v
-        numerator += v
-    expanded = 1
-    for a in sorted(den.elements()):
-        expanded = (expanded << a * zstep) - expanded
     packed = sum(c << (digit * k) for k, c in enumerate(candidate.coeffs))
-    residual = numerator - packed * expanded
+    residual = 0
+    for (weights, v), need in zip((*matrix.rows, ((), -packed)), (*needs, {})):
+        for w in weights:
+            v = (v << w * zstep) + (v << ystep) if w > 0 else -v - (v << (ystep - w * zstep))
+        for a, k in den.items():
+            for _ in range(k - need.get(a, 0)):
+                v = (v << a * zstep) - v
+        residual += v
     if not residual:
         return RigidityVerdict(rigid=True, constant=candidate)
     k = ((residual & -residual).bit_length() - 1) // zstep
@@ -497,16 +498,18 @@ def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
     with ``i != k``, or None when no pairing exists.
     """
     positions: dict[int, List[Tuple[int, int]]] = {}
-    for i, row in enumerate(matrix.rows):
-        for j, w in enumerate(row.weights):
-            positions.setdefault(abs(w), []).append((i, j))
+    for i, (weights, _) in enumerate(matrix.rows):
+        for j, w in enumerate(weights):
+            positions.setdefault(w if w > 0 else -w, []).append((i, j))
 
     pairs: PairList = []
     for value in sorted(positions):
         occurrences = positions[value]
-        half = len(occurrences) // 2
-        matched = list(zip(occurrences[:half], occurrences[half:]))
-        if len(occurrences) % 2 or any(i == k for (i, _), (k, _) in matched):
+        half, odd = divmod(len(occurrences), 2)
+        if odd:
             return None
-        pairs += matched
+        for cell, other in zip(occurrences, occurrences[half:]):
+            if cell[0] == other[0]:
+                return None
+            pairs.append((cell, other))
     return pairs

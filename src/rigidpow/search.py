@@ -40,7 +40,6 @@ from .rigidity import (
     is_l_rigid,
     is_rigid,
     pair_partition,
-    quasilinear,
 )
 
 # The pre-filter once took candidates in chunks of this many, and budget
@@ -150,6 +149,15 @@ class SearchReport:
         return anomalies
 
 
+def _canonical_rows(rows: Iterable[Row], mode: str) -> Tuple[Row, ...]:
+    """The rows of :func:`canonical_form`, as plain ``Row`` tuples."""
+    if mode not in ("T", "L"):
+        raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
+    if mode == "L":
+        rows = map(fold_signs, rows)
+    return tuple(sorted(Row(tuple(sorted(r.weights, reverse=True)), r.sign) for r in rows))
+
+
 def canonical_form(matrix: WeightMatrix, mode: str = "T") -> WeightMatrix:
     """Canonical representative under the symmetries the mode admits.
 
@@ -157,11 +165,7 @@ def canonical_form(matrix: WeightMatrix, mode: str = "T") -> WeightMatrix:
     row list; L mode first flips weights positive, folding flips into row
     signs.  Matrices with equal canonical forms have identical functions.
     """
-    if mode not in ("T", "L"):
-        raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
-    rows = map(fold_signs, matrix.rows) if mode == "L" else matrix.rows
-    rows = sorted(Row(tuple(sorted(r.weights, reverse=True)), r.sign) for r in rows)
-    return WeightMatrix(tuple(rows))
+    return WeightMatrix(_canonical_rows(matrix.rows, mode))
 
 
 def row_universe(n: int, bound: int, mode: str) -> List[Row]:
@@ -352,26 +356,21 @@ def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple
     In T mode rows must match up to row and column permutation.  In L mode
     the match is up to the sign symmetries the x=y=1 function cannot see:
     per-weight flips folded into row signs, and global sign negation.
+    Difference rows are compared as canonical row tuples; no matrix is built.
     """
     if matrix.m != matrix.n + 1:
         raise WrongShape(f"need m = n + 1, got m = {matrix.m}, n = {matrix.n}")
-    first = matrix.rows[0].weights
-    if mode == "T":
-        sign_choices: List[Tuple[int, ...]] = [tuple(1 for _ in first)]
-        targets = {canonical_form(matrix, "T")}
-    elif mode == "L":
-        sign_choices = list(product((1, -1), repeat=len(first)))
-        targets = {
-            canonical_form(matrix, "L"),
-            canonical_form(matrix.with_signs_negated(), "L"),
-        }
-    else:
-        raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
-    for sigma in sign_choices:
-        seed = (0, *(-s * w for s, w in zip(sigma, first)))
+    if mode == "T" and any(sign < 0 for _, sign in matrix.rows):
+        return None  # every difference row is a + row
+    targets = {_canonical_rows(matrix.rows, mode)}
+    if mode == "L":
+        targets.add(_canonical_rows((Row(w, -s) for w, s in matrix.rows), "L"))
+    for sigma in product((1, -1) if mode == "L" else (1,), repeat=matrix.n):
+        seed = (0, *(-s * w for s, w in zip(sigma, matrix.rows[0].weights)))
         if len(set(seed)) != len(seed):
             continue
-        if canonical_form(quasilinear(seed), mode) in targets:
+        rows = (Row(tuple(a - b for b in seed if b != a), 1) for a in seed)
+        if _canonical_rows(rows, mode) in targets:
             return seed
     return None
 

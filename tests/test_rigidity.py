@@ -448,6 +448,32 @@ def test_pair_partition_pairs_exactly_when_the_counts_allow():
             assert_valid_pairing(matrix, pairs)
 
 
+def half_rotation(matrix):
+    """The pairing ``pair_partition`` documents, built the plain way: for
+    each ``|w|`` in increasing order, its occurrences in row order, the
+    ``t``-th paired with the ``(t + half)``-th; None if any pair shares a
+    row or a count is odd."""
+    positions = {}
+    for i, row in enumerate(matrix.rows):
+        for j, w in enumerate(row.weights):
+            positions.setdefault(abs(w), []).append((i, j))
+    pairs = []
+    for value in sorted(positions):
+        occurrences = positions[value]
+        half = len(occurrences) // 2
+        matched = list(zip(occurrences[:half], occurrences[half:]))
+        if len(occurrences) % 2 or any(i == k for (i, _), (k, _) in matched):
+            return None
+        pairs += matched
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(max_m=6, bound=2))
+def test_pair_partition_returns_the_documented_pairs(matrix):
+    assert pair_partition(matrix) == half_rotation(matrix)
+
+
 # -- structural function identities -------------------------------------------
 
 
