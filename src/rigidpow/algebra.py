@@ -12,17 +12,11 @@ A :class:`LaurentRational` is a polynomial in ``z`` with form coefficients
 (sparse in ``z``: a dict from z-degree to coefficient tuple) over a
 denominator kept as a *factored* multiset of terms ``(z^a - 1)`` with
 ``a > 0`` (:class:`DenomFactors`).  Exponents of ``z`` are never
-negative, and denominators are never expanded except on request.  This
-module holds values and their evaluation only; the one sum the package
-forms, over the rows of a weight matrix, is built in
-``rigidity._series`` with :func:`mul_factor`.
+negative, and denominators are never expanded except on request.
 
-Rigidity decisions do not go through these values as long as the packed
-integers of ``rigidity._packed_decide`` stay narrow enough: that routine
-evaluates the same numerator and denominator at one large power of two.
-The sparse series serves ``t_series`` / ``l_series`` and the decisions
-whose packed value would be wider than ``rigidity._PACKED_BITS`` bits,
-such as those with weights near ``10^9``.
+:class:`ZSparse`, a packed integer kept sparse in ``z``, carries all
+polynomial arithmetic: ``rigidity`` builds wide residuals and every series
+on it, and :meth:`DenomFactors.expand` multiplies out on it.
 
 The ``evaluate`` methods are on no program path (every exact point value
 comes from ``rigidity.point_value``); they serve the tests as a reference.
@@ -33,6 +27,7 @@ so any number of workers may share them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -133,20 +128,49 @@ class Form:
         return f"Form({self})"
 
 
-def mul_factor(num: Mapping[int, Coeffs], a: int) -> ZPoly:
-    """Multiply a polynomial in ``z`` by ``(z^a - 1)`` exactly; ``a > 0``."""
-    out: ZPoly = {k + a: c for k, c in num.items()}
-    for k, c in num.items():
-        have = out.get(k)
-        if have is None:
-            out[k] = tuple(-v for v in c)
-        else:
-            s = tuple(u - v for u, v in zip(have, c))
-            if any(s):
-                out[k] = s
+class ZSparse:
+    """The integer ``sum_e terms[e] * 2^(e*step)`` as a dict from z-degree
+    ``e`` to a nonzero int, with every key above ``cap`` dropped.
+
+    ``v << s`` moves each key up by ``s // step`` and shifts each value by
+    ``s % step`` bits.  With no cap, every operation agrees with the same
+    one on the plain int.  With one, the result is the uncapped one's terms
+    up to ``cap``, since truncating modulo ``z^(cap+1)`` is a ring map.
+    """
+
+    __slots__ = ("terms", "step", "cap")
+
+    def __init__(self, terms: Mapping[int, int], step: int, cap: float = math.inf):
+        self.terms = {e: c for e, c in terms.items() if c and e <= cap}
+        self.step, self.cap = step, cap
+
+    def _like(self, terms: Dict[int, int]) -> "ZSparse":
+        out = object.__new__(ZSparse)
+        out.terms, out.step, out.cap = terms, self.step, self.cap
+        return out
+
+    def __lshift__(self, s: int) -> "ZSparse":
+        shift, bits = divmod(s, self.step)
+        top = self.cap - shift
+        return self._like({e + shift: c << bits for e, c in self.terms.items() if e <= top})
+
+    def __add__(self, other: "ZSparse", sign: int = 1) -> "ZSparse":
+        out = self.terms.copy()
+        for e, c in other.terms.items():
+            if total := out.get(e, 0) + sign * c:
+                out[e] = total
             else:
-                del out[k]
-    return out
+                del out[e]
+        return self._like(out)
+
+    def __sub__(self, other: "ZSparse") -> "ZSparse":
+        return self.__add__(other, -1)
+
+    def __neg__(self) -> "ZSparse":
+        return self._like({e: -c for e, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
 
 class DenomFactors:
@@ -174,11 +198,11 @@ class DenomFactors:
     def expand(self) -> Dict[int, int]:
         """The product of all factors as an integer polynomial in ``z``,
         a dict from z-degree to nonzero coefficient."""
-        poly: ZPoly = {0: (1,)}
-        for a, m in sorted(self._mult.items()):
+        poly = ZSparse({0: 1}, 1)
+        for a, m in self._mult.items():
             for _ in range(m):
-                poly = mul_factor(poly, a)
-        return {k: c for k, (c,) in poly.items()}
+                poly = (poly << a) - poly
+        return poly.terms
 
     def evaluate(self, z0: Rational) -> Fraction:
         z0 = _q(z0)

@@ -14,13 +14,12 @@ to test ``numerator == candidate * expanded_denominator``.
 
 :func:`is_rigid` and :func:`is_l_rigid` test that identity by Kronecker
 substitution: both sides are evaluated once, at a power of two large enough
-that every coefficient keeps its own digit, so the identity is one compare
-of two Python ints (see :func:`_packed_decide`).  A packed value is dense
-in ``z``; when it would be wider than ``_PACKED_BITS`` bits (weights near
-``10^9``), the decision falls back to the sparse series of
-:func:`t_series` / :func:`l_series` and :func:`_decide`.  Before either,
-a matrix whose rows cancel in pairs is certified rigid with constant 0
-(see :func:`is_rigid`).
+that every coefficient keeps its own digit (see :func:`_packed_decide`).
+The residual is one int when it fits in ``_PACKED_BITS`` bits, and else a
+:class:`~rigidpow.algebra.ZSparse` dict from z-degree to packed int, built
+lowest degree first.  :func:`t_series` / :func:`l_series` decode the same
+sum.  Before either, a matrix whose rows cancel in pairs is certified
+rigid with constant 0 (see :func:`is_rigid`).
 
 Every exact value at an integer point comes from :func:`point_value`; a
 witness point is given only for a matrix narrow enough to pack.
@@ -28,21 +27,19 @@ witness point is given only for a matrix narrow enough to pack.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import DenomFactors, Form, LaurentRational, ZPoly, format_rational, mul_factor
+from .algebra import DenomFactors, Form, LaurentRational, ZSparse, format_rational
 
 # Witness grid for human-readable certificates; the symbolic residual is
-# authoritative, the point is best-effort and only for packed decisions.
+# authoritative, the point is best-effort and only for int-carried residuals.
 WITNESS_Z_VALUES = (2, 3, 5)
 WITNESS_XY_VALUES = ((1, 1), (1, 2), (2, 1), (1, 0), (0, 1))
 
-# Widest packed residual, in bits, that _packed_decide builds (2 MiB); a
-# wider matrix is decided on its sparse series.
+# Widest residual, in bits, that _packed_decide packs into one int (2 MiB);
+# a wider one is held sparse in z.
 _PACKED_BITS = 1 << 24
 
 
@@ -133,8 +130,9 @@ class Witness:
 
     The residual coefficient (lowest z-degree of numerator minus candidate
     times denominator) is the primary witness; the sample point is a
-    readable cross-check, given only by a packed decision, and absent when
-    the whole grid happens to evaluate to the candidate value.
+    readable cross-check, given only when the residual fits in one int
+    (see :func:`_packed_decide`), and absent when the whole grid happens to
+    evaluate to the candidate value.
     """
 
     residual_degree: int
@@ -168,59 +166,58 @@ class RigidityVerdict:
         return "not rigid"
 
 
-def _row_term(row: Row, degree: int) -> ZPoly:
-    """The numerator of ``sign * prod_w (x*z^w + y) / (z^w - 1)`` with
-    coefficients of the given form degree: ``n`` for the T-function, 0 for
-    its ``x = y = 1`` collapse.  The denominator is
-    ``prod_w (z^|w| - 1)``.
+def _layout(matrix: WeightMatrix, degree: int):
+    """The packing of :func:`_packed_decide` for ``matrix`` at form degree
+    ``degree``: each row's factor multiplicities ``needs``, their per-factor
+    maximum ``den``, the digit ``B`` and the bit steps of ``y`` and ``z``."""
+    needs, den = [], {}
+    for weights, _ in matrix.rows:
+        needs.append(need := {})
+        for a in map(abs, weights):
+            need[a] = k = need.get(a, 0) + 1
+            if k > den.get(a, 0):
+                den[a] = k
+    digit = sum(den.values()) + matrix.m.bit_length() + 2
+    return needs, den, digit, digit if degree else 0, digit * (degree + 1)
 
-    Negative weights are normalized: multiplying numerator and denominator
-    of ``(x*z^-a + y) / (z^-a - 1)`` by ``z^a`` gives
-    ``-(x + y*z^a) / (z^a - 1)``, so every factor has a positive ``a``.
-    Multiplying a form by ``x`` keeps its coefficient tuple and by ``y``
-    shifts it one place; in the collapse both are the identity.
-    """
-    flips = sum(1 for w in row.weights if w < 0)
-    num = {0: (row.sign * (-1) ** flips,) + (0,) * degree}
-    for w in row.weights:
-        a = abs(w)
-        out = {}
-        for k, c in num.items():
-            cy = (0,) + c[:-1] if degree else c
-            for e, v in ((k + a, c if w > 0 else cy), (k, cy if w > 0 else c)):
-                have = out.get(e)
-                out[e] = v if have is None else tuple(map(add, have, v))
-        num = out
-    return num
+
+def _row_sum(rows, needs, den, ystep: int, zstep: int, total):
+    """``total`` plus the sum of the packed row terms of
+    :func:`_packed_decide`, each over the factors of ``den`` it lacks.
+    ``rows`` holds ``(weights, v)`` pairs, ``v`` the row's starting value
+    on the carrier: an int or a :class:`ZSparse`."""
+    for (weights, v), need in zip(rows, needs):
+        for w in weights:
+            v = (v << w * zstep) + (v << ystep) if w > 0 else -v - (v << (ystep - w * zstep))
+        for a, k in den.items():
+            for _ in range(k - need.get(a, 0)):
+                v = (v << a * zstep) - v
+        total += v
+    return total
+
+
+def _balanced_digits(block: int, digit: int, count: int) -> List[int]:
+    """The lowest ``count`` balanced base-``2^digit`` digits of ``block``."""
+    half = 1 << (digit - 1)
+    coeffs = []
+    for _ in range(count):
+        c = ((block & (2 * half - 1)) ^ half) - half
+        coeffs.append(c)
+        block = (block - c) >> digit
+    return coeffs
 
 
 def _series(matrix: WeightMatrix, degree: int) -> LaurentRational:
-    """Sum of the rows' terms over the per-factor maximum multiplicity of
-    their denominators; the numerator is scaled accordingly and never
-    reduced.  The sum runs row by row, so each row is scaled only by the
-    factors the sum so far already has more of."""
-    first, *rest = matrix.rows
-    num = _row_term(first, degree)
-    den = Counter(map(abs, first.weights))
-    for row in rest:
-        term = _row_term(row, degree)
-        need = Counter(map(abs, row.weights))
-        # smallest first: (z^a - 1) lengthens a dense product by a terms,
-        # and every later factor multiplies that length
-        for a in sorted((need - den).elements()):
-            num = mul_factor(num, a)
-        for a in sorted((den - need).elements()):
-            term = mul_factor(term, a)
-        den |= need
-        for k, c in term.items():
-            have = num.get(k)
-            if have is None:
-                num[k] = c
-            elif any(total := tuple(map(add, have, c))):
-                num[k] = total
-            else:
-                del num[k]
-    return LaurentRational(num, DenomFactors(den))
+    """The numerator and denominator that :func:`_packed_decide` compares:
+    its row sum without the candidate row, on an uncapped :class:`ZSparse`,
+    with each z-coefficient decoded into its ``degree + 1`` form
+    coefficients."""
+    needs, den, digit, ystep, zstep = _layout(matrix, degree)
+    rows = [(weights, ZSparse({0: sign}, zstep)) for weights, sign in matrix.rows]
+    num = _row_sum(rows, needs, den, ystep, zstep, ZSparse({}, zstep))
+    return LaurentRational(
+        {e: _balanced_digits(c, digit, degree + 1) for e, c in num.terms.items()},
+        DenomFactors(den))
 
 
 def t_series(matrix: WeightMatrix) -> LaurentRational:
@@ -255,7 +252,7 @@ def point_value(rows, z0: int, x0: int, y0: int) -> Tuple[int, int, int]:
     as unreduced integers ``top / bottom``, and its forced constant:
     ``(top, bottom, constant)``.  ``rows`` holds ``(weights, sign)`` pairs;
     a weight ``-a`` gives the factor ``-(x + y z^a) / (z^a - 1)`` and the
-    constant factor ``-y``, as in :func:`_row_term` and :func:`_candidate`.
+    constant factor ``-y``, as in :func:`_packed_decide` and :func:`_candidate`.
     At ``x0 = y0 = 1`` these are the L-function's."""
     top, bottom, constant = 0, 1, 0
     for weights, sign in rows:
@@ -286,42 +283,24 @@ def _witness_point(matrix: WeightMatrix, xy_grid: Sequence[Tuple[int, int]]):
     return None, None, None
 
 
-def _decide(series: LaurentRational, candidate: Form) -> RigidityVerdict:
-    """Test ``numerator == candidate * expanded_denominator`` coefficient by
-    coefficient, from the lowest z-degree up: the wide-matrix fallback,
-    whose witness is the residual alone, with no sample point."""
-    expanded = series.den.expand()
-    cand = candidate.coeffs
-    zero = (0,) * len(cand)
-    for k in sorted(series.num.keys() | expanded.keys()):
-        d = expanded.get(k, 0)
-        coeff = tuple(c - d * v for c, v in zip(series.num.get(k, zero), cand))
-        if any(coeff):
-            break
-    else:
-        return RigidityVerdict(rigid=True, constant=candidate)
-    return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeff)))
-
-
 def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
-                   xy_grid: Sequence[Tuple[int, int]]) -> Optional[RigidityVerdict]:
+                   xy_grid: Sequence[Tuple[int, int]]) -> RigidityVerdict:
     """Test ``numerator == candidate * expanded_denominator`` by evaluating
     both sides once, at ``x = 1``, ``y = 2^B``, ``z = 2^(B(d+1))`` with
-    ``d = degree`` (for ``d = 0``, ``y = 1`` and ``z = 2^B``), or return None
-    when that value would be wider than ``_PACKED_BITS`` bits.
+    ``d = degree`` (for ``d = 0``, ``y = 1`` and ``z = 2^B``).
 
-    The numerator and denominator are those of :func:`_series`: ``D`` is the
-    product of ``(z^a - 1)^M_a`` over the per-factor maximum multiplicities
-    ``M_a``, and row ``i`` contributes its :func:`_row_term` times the
-    factors of ``D`` it lacks.  Evaluating is a ring homomorphism, so each
-    row term is a few shifts and adds on one int ``v`` that starts at the
-    row sign (``x z^a + y`` takes ``v`` to ``(v << a*zstep) + (v << B)``,
+    The denominator ``D`` is the product of ``(z^a - 1)^M_a`` over the
+    per-factor maximum multiplicities ``M_a``, and row ``i`` adds to the
+    numerator ``sign * prod_w (x z^w + y)``, with a factor ``-(x + y z^a)``
+    for a weight ``-a``, times the factors of ``D`` it lacks.  Evaluating is a ring homomorphism, so each row term is a few
+    shifts and adds on one value ``v`` that starts at the row sign
+    (``x z^a + y`` takes ``v`` to ``(v << a*zstep) + (v << B)``,
     ``-(x + y z^a)`` to ``-v - (v << (a*zstep + B))``), and each extra
     factor, in any order, takes ``v`` to ``(v << a*zstep) - v``.  With
     ``-candidate`` as one more row, of no weights and lacking every factor,
     the rows sum to the packed residual ``R``, the value of
-    ``numerator - candidate * D``.  The coefficient of ``x^(d-k) y^k z^e``
-    sits in base-``2^B`` digit ``e(d+1) + k``.
+    ``numerator - candidate * D`` (see :func:`_row_sum`).  The coefficient
+    of ``x^(d-k) y^k z^e`` sits in base-``2^B`` digit ``e(d+1) + k``.
 
     Exactness, with ``K = sum_a M_a`` and ``B = K + bitlen(m) + 2``: each
     ``(x z^a + y)``, ``(x + y z^a)`` or ``(z^a - 1)`` factor has L1 norm 2
@@ -331,44 +310,43 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     residual has L1 norm at most ``2m * 2^K < 2^(B-1)``, which bounds every
     coefficient.  A sum of digits ``r_j 2^(Bj)`` with ``|r_j| < 2^(B-1)`` is
     zero only when every ``r_j`` is, so ``R == 0`` exactly when the
-    identity holds.  Otherwise the lowest nonzero digit ``j`` sets the
-    lowest set bit of ``R``, which lies in ``[Bj, Bj + B - 1)``, so the
-    residual's lowest z-degree is that bit's position over ``zstep``, and
-    its ``d + 1`` form coefficients are read off above it as balanced
-    base-``2^B`` digits.
+    identity holds.  The residual's lowest z-degree ``k`` and its ``d + 1``
+    form coefficients, read as balanced base-``2^B`` digits, are the
+    witness.
+
+    ``R`` is one int when it fits in ``_PACKED_BITS`` bits (``deg D + 1``
+    z-degrees of ``zstep`` bits, ``deg D = sum_a a M_a``): the lowest
+    nonzero digit ``j`` sets its lowest set bit, in ``[Bj, Bj + B - 1)``,
+    which gives ``k``, and a witness point from ``xy_grid`` is added.  A
+    wider ``R`` is a :class:`ZSparse` built modulo ``z^(cap+1)``, a ring
+    map, so its lowest surviving key is exact; ``cap`` starts at the
+    smallest factor exponent and doubles until ``R`` is nonzero or ``cap``
+    reaches ``deg D``.  Its lowest key is ``k``, and no point is added.
     """
-    needs, den = [], {}
-    for weights, _ in matrix.rows:
-        needs.append(need := {})
-        for a in map(abs, weights):
-            need[a] = k = need.get(a, 0) + 1
-            if k > den.get(a, 0):
-                den[a] = k
-    digit = sum(den.values()) + matrix.m.bit_length() + 2
-    ystep = digit if degree else 0
-    zstep = digit * (degree + 1)
-    if zstep * (sum(a * k for a, k in den.items()) + 1) > _PACKED_BITS:
-        return None
+    needs, den, digit, ystep, zstep = _layout(matrix, degree)
+    top = sum(a * k for a, k in den.items())
     packed = sum(c << (digit * k) for k, c in enumerate(candidate.coeffs))
-    residual = 0
-    for (weights, v), need in zip((*matrix.rows, ((), -packed)), (*needs, {})):
-        for w in weights:
-            v = (v << w * zstep) + (v << ystep) if w > 0 else -v - (v << (ystep - w * zstep))
-        for a, k in den.items():
-            for _ in range(k - need.get(a, 0)):
-                v = (v << a * zstep) - v
-        residual += v
+    rows, needs = (*matrix.rows, ((), -packed)), (*needs, {})
+    if zstep * (top + 1) <= _PACKED_BITS:
+        residual = _row_sum(rows, needs, den, ystep, zstep, 0)
+    else:
+        cap = min(den)
+        while True:
+            starts = [(weights, ZSparse({0: v}, zstep, cap)) for weights, v in rows]
+            residual = _row_sum(starts, needs, den, ystep, zstep, ZSparse({}, zstep, cap))
+            if residual or cap >= top:
+                break
+            cap *= 2
     if not residual:
         return RigidityVerdict(rigid=True, constant=candidate)
-    k = ((residual & -residual).bit_length() - 1) // zstep
-    block = (residual >> (k * zstep)) & ((1 << zstep) - 1)
-    half = 1 << (digit - 1)
-    coeffs = []
-    for _ in range(degree + 1):
-        c = ((block & (2 * half - 1)) ^ half) - half
-        coeffs.append(c)
-        block = (block - c) >> digit
-    point = _witness_point(matrix, xy_grid)
+    if type(residual) is int:
+        k = ((residual & -residual).bit_length() - 1) // zstep
+        block = (residual >> (k * zstep)) & ((1 << zstep) - 1)
+        point = _witness_point(matrix, xy_grid)
+    else:
+        k = min(residual.terms)
+        block, point = residual.terms[k], ()
+    coeffs = _balanced_digits(block, digit, degree + 1)
     return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeffs), *point))
 
 
@@ -401,16 +379,12 @@ def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     identically 0.  It is then constant, its forced value (the candidate)
     is 0, and the verdict is the one the identity below returns:
     ``RigidityVerdict(rigid=True, constant=candidate)``.  Any other matrix
-    is decided by that identity, by :func:`_packed_decide` or, when the
-    packed value is too wide, by the sparse series.
+    is decided by that identity, by :func:`_packed_decide`.
     """
     candidate = candidate_constant(matrix)
     if _cancels(matrix, candidate, fold=False):
         return RigidityVerdict(rigid=True, constant=candidate)
-    verdict = _packed_decide(matrix, matrix.n, candidate, WITNESS_XY_VALUES)
-    if verdict is None:
-        verdict = _decide(t_series(matrix), candidate)
-    return verdict
+    return _packed_decide(matrix, matrix.n, candidate, WITNESS_XY_VALUES)
 
 
 def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
@@ -426,10 +400,7 @@ def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     candidate = _candidate(matrix, 0)
     if _cancels(matrix, candidate, fold=True):
         return RigidityVerdict(rigid=True, constant=candidate)
-    verdict = _packed_decide(matrix, 0, candidate, ((1, 1),))
-    if verdict is None:
-        verdict = _decide(l_series(matrix), candidate)
-    return verdict
+    return _packed_decide(matrix, 0, candidate, ((1, 1),))
 
 
 def fold_signs(row: Row) -> Row:

@@ -1,5 +1,6 @@
-"""Exact arithmetic layer: binary forms, polynomials in z with form
-coefficients, factored-denominator bookkeeping, and evaluation.  Sums of
+"""Exact arithmetic layer: binary forms, the packed integer kept sparse in
+z, polynomials in z with form coefficients, factored-denominator
+bookkeeping, and evaluation.  Sums of
 series are built and tested with the rows they come from, in
 ``test_rigidity``."""
 
@@ -9,19 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpow.algebra import DenomFactors, Form, LaurentRational, PoleAtSamplePoint, mul_factor
+from rigidpow.algebra import DenomFactors, Form, LaurentRational, PoleAtSamplePoint, ZSparse
 
 X = (1, 0)
 Y = (0, 1)
 ONE = (1,)
-
-
-def forms(degree=2):
-    return st.tuples(*[st.integers(-5, 5)] * (degree + 1))
-
-
-def z_polys(degree=2):
-    return st.dictionaries(st.integers(0, 3), forms(degree), max_size=3)
 
 
 # -- Form ---------------------------------------------------------------------
@@ -58,29 +51,74 @@ def test_equal_forms_hash_equally():
     assert len({Form((1, 2)), Form([1, 2]), Form((2, 1)), Form((0, 0)), Form((0,))}) == 4
 
 
-# -- polynomials in z ---------------------------------------------------------
+# -- ZSparse: a packed integer kept sparse in z ------------------------------
 
 
-def test_mul_factor_on_one():
-    assert mul_factor({0: ONE}, 2) == {2: ONE, 0: (-1,)}
+def value(v):
+    """The plain int that a ZSparse stands for."""
+    return sum(c << (e * v.step) for e, c in v.terms.items())
+
+
+def digit_terms(step):
+    """Terms whose values are balanced base-2^step digits, as the packed
+    forms of the decision are: such a sum is zero only when every term is."""
+    half = 1 << (step - 1)
+    return st.dictionaries(st.integers(0, 6), st.integers(1 - half, half - 1), max_size=5)
+
+
+@st.composite
+def zsparse_pairs(draw):
+    step = draw(st.integers(1, 9))
+    return ZSparse(draw(digit_terms(step)), step), ZSparse(draw(digit_terms(step)), step)
+
+
+def test_factor_times_one():
+    one = ZSparse({0: 1}, 1)
+    assert ((one << 2) - one).terms == {2: 1, 0: -1}
 
 
 def test_difference_of_squares():
     # (z + 1)(z - 1) = z^2 - 1: the z^1 terms cancel and are dropped
-    assert mul_factor({1: ONE, 0: ONE}, 1) == {2: ONE, 0: (-1,)}
+    v = ZSparse({1: 1, 0: 1}, 1)
+    assert ((v << 1) - v).terms == {2: 1, 0: -1}
 
 
-def test_mul_factor_expands_by_hand():
-    # (x*z + y)(z - 1) = x*z^2 + (y - x)*z - y
-    assert mul_factor({1: X, 0: Y}, 1) == {2: X, 1: (-1, 1), 0: (0, -1)}
+def test_factor_expands_packed_forms_by_hand():
+    # (x*z + y)(z - 1) = x*z^2 + (y - x)*z - y, with x = 1 and y = 2^4 in
+    # each z-digit of 8 bits
+    v = ZSparse({1: 1, 0: 1 << 4}, 8)
+    assert ((v << 8) - v).terms == {2: 1, 1: (1 << 4) - 1, 0: -(1 << 4)}
 
 
-@settings(max_examples=40)
-@given(z_polys(), st.integers(1, 4), st.sampled_from([2, 3, -2, Fraction(1, 2)]))
-def test_mul_factor_matches_pointwise_product(p, a, z0):
-    lhs = LaurentRational(mul_factor(LaurentRational(p).num, a)).evaluate(z0, 2, 3)
-    rhs = LaurentRational(p).evaluate(z0, 2, 3) * (Fraction(z0) ** a - 1)
-    assert lhs == rhs
+@settings(max_examples=200)
+@given(zsparse_pairs(), st.integers(0, 40))
+def test_zsparse_operations_match_the_plain_int(pair, s):
+    u, v = pair
+    assert value(u << s) == value(u) << s
+    assert value(u + v) == value(u) + value(v)
+    assert value(u - v) == value(u) - value(v)
+    assert value(-u) == -value(u)
+    assert bool(u) == bool(value(u))
+    assert not (u - u) and not (u + -u)
+    assert 0 not in (u + v).terms.values() and 0 not in (u - v).terms.values()
+
+
+def shift_chain(u, v, shifts):
+    for s in shifts:
+        u, v = (u << s) - v, -(v << s) + u
+    return u
+
+
+@settings(max_examples=200)
+@given(zsparse_pairs(), st.lists(st.integers(0, 20), min_size=1, max_size=4), st.integers(0, 12))
+def test_zsparse_cap_truncates_modulo_a_power_of_z(pair, shifts, cap):
+    # Dropping every key above the cap is a ring map, so the capped
+    # result of any chain of shifts and sums is the uncapped result's low
+    # terms.
+    u, v = pair
+    full = shift_chain(u, v, shifts)
+    capped = shift_chain(ZSparse(u.terms, u.step, cap), ZSparse(v.terms, v.step, cap), shifts)
+    assert capped.terms == {e: c for e, c in full.terms.items() if e <= cap}
 
 
 # -- DenomFactors -------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidpow.algebra import DenomFactors, Form, mul_factor
+from rigidpow.algebra import DenomFactors, Form, ZSparse
 from rigidpow.bott import (
     WrongFixedPointCount,
     chern_number,
@@ -238,8 +238,8 @@ def test_collapsed_product_identity():
     # collapses to, and the constraint that pins the family down.
     for b1, b2 in ((1, 2), (2, 5), (3, 3)):
         for a in (b1 + b2, b1 + b2 + 1):
-            lhs = mul_factor(mul_factor({a: (1,), 0: (1,)}, a - b1), a - b2)
-            rhs = mul_factor(mul_factor({a: (1,), 0: (1,)}, b1), b2)
+            lhs = times_factors({a: 1, 0: 1}, a - b1, a - b2)
+            rhs = times_factors({a: 1, 0: 1}, b1, b2)
             assert (lhs == rhs) == (a == b1 + b2)
 
 
@@ -250,11 +250,20 @@ def test_three_row_collapsed_identity():
     for a1, b1 in ((1, 2), (2, 3), (1, 4)):
         a2 = a1 + b1
         c1, c2 = a1, b1
-        lhs_num = {k: c for k, (c,) in mul_factor({a2: (1,), 0: (1,)}, a1 + b1).items()}
+        lhs_num = times_factors({a2: 1, 0: 1}, a1 + b1)
         lhs_den = DenomFactors(Counter((a2, a1, b1)))
         rhs_num = {c1 + c2: 1, 0: 1}
         rhs_den = DenomFactors(Counter((c1, c2)))
         assert poly_mul(lhs_num, rhs_den.expand()) == poly_mul(rhs_num, lhs_den.expand())
+
+
+def times_factors(poly, *exponents):
+    """The integer polynomial ``poly`` in z, ``{degree: coefficient}``,
+    times ``(z^a - 1)`` for each ``a`` in ``exponents``."""
+    v = ZSparse(poly, 1)
+    for a in exponents:
+        v = (v << a) - v
+    return v.terms
 
 
 def poly_mul(p, q):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -561,6 +562,40 @@ def test_wide_not_rigid_matrix_answers_without_a_witness_point(text, argv, code,
     proc = subprocess.run([sys.executable, "-m", "rigidpow", *argv], input=text,
                           capture_output=True, text=True, env=env, timeout=5)
     assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (code, lines, "")
+
+
+def wide_random_doc(n):
+    """A ``+`` row, then a ``-`` row, of ``n`` seeded weights in
+    [10^8, 10^9]: 2n distinct factors, whose full product would have up
+    to 2^(2n) terms."""
+    rng = random.Random(1)
+    rows = [" ".join(str(rng.randint(10**8, 10**9)) for _ in range(n)) for _ in "+-"]
+    return f"2 {n}\n+: {rows[0]}\n-: {rows[1]}\n"
+
+
+# Near z = 0 each factor (x z^w + y) / (z^w - 1) is -(y + (x + y) z^w + ...),
+# so the rows first differ at the smallest weight, 130437866 in the - row:
+# the residual there is -(-1)^n (x y^(n-1) + y^n), or -(-1)^n 2 at x = y = 1.
+WIDE_RANDOM = [
+    (11, "T", "x*y^10 + y^11"),
+    (11, "L", "2"),
+    (12, "T", "-x*y^11 - y^12"),
+    (12, "L", "-2"),
+]
+
+
+@pytest.mark.parametrize("n, mode, coefficient", WIDE_RANDOM,
+                         ids=["n11-T", "n11-L", "n12-T", "n12-L"])
+def test_wide_random_weights_find_the_lowest_residual_first(n, mode, coefficient):
+    # Built lowest z-degree first, the residual stops at its first nonzero
+    # term instead of expanding every product; in a child process, so that
+    # a hang or a blow-up fails this test at the 5-s ceiling.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rigidpow", "check", "-", "--mode", mode],
+                          input=wide_random_doc(n), capture_output=True, text=True, env=env,
+                          timeout=5)
+    lines = ["NotRigid", f"residual: lowest z-degree 130437866, coefficient {coefficient}"]
+    assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (1, lines, "")
 
 
 # -- one parser per process ----------------------------------------------------

@@ -10,9 +10,12 @@ is zero.  Every coefficient of ``P`` is a binary form of degree ``n``, so
 ``(x, y)``; the ``x = y = 1`` specialization needs one.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidpow import rigidity
 from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid, is_rigid, quasilinear
 
 
@@ -87,25 +90,34 @@ def matrix_of(rows):
     return WeightMatrix(tuple(Row(ws, s) for ws, s in rows))
 
 
+# Each property runs on both carriers of the residual: one int, and the
+# dict from z-degree to packed int that a width limit of 0 forces.
+CARRIER_LIMITS = (rigidity._PACKED_BITS, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_is_rigid_matches_oracle(rows):
-    verdict = is_rigid(matrix_of(rows))
     rigid, coeffs = oracle_t(rows)
-    assert verdict.rigid == rigid
-    if rigid:
-        assert verdict.constant.coeffs == coeffs
-    else:
-        assert not verdict.witness.residual_coefficient.is_zero()
+    for limit in CARRIER_LIMITS:
+        with patch.object(rigidity, "_PACKED_BITS", limit):
+            verdict = is_rigid(matrix_of(rows))
+        assert verdict.rigid == rigid
+        if rigid:
+            assert verdict.constant.coeffs == coeffs
+        else:
+            assert not verdict.witness.residual_coefficient.is_zero()
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_is_l_rigid_matches_oracle(rows):
-    verdict = is_l_rigid(matrix_of(rows))
     rigid, c = oracle_l(rows)
-    assert verdict.rigid == rigid
-    if rigid:
-        assert verdict.constant.constant_value() == c
-    else:
-        assert not verdict.witness.residual_coefficient.is_zero()
+    for limit in CARRIER_LIMITS:
+        with patch.object(rigidity, "_PACKED_BITS", limit):
+            verdict = is_l_rigid(matrix_of(rows))
+        assert verdict.rigid == rigid
+        if rigid:
+            assert verdict.constant.constant_value() == c
+        else:
+            assert not verdict.witness.residual_coefficient.is_zero()

@@ -1,29 +1,35 @@
-"""The packed constancy decision (one Kronecker-substituted integer per
-side) against the sparse series decision it replaced and against the
-independent oracle of ``test_core_oracle``, and the exact point evaluator
-behind every witness point against the series' own evaluation.
+"""The packed constancy decision on its two carriers against each other
+and against the independent oracle of ``test_core_oracle``, and the exact
+point evaluator behind every witness point against the series' own
+evaluation.
 
-The two decisions must agree on rigidity, constant and the witness's
-residual degree and coefficient.  A witness point is given only by the
-packed decision: it must be the first grid point where the series'
-value differs from the candidate's, and the sparse decision gives none.
+The residual is one Kronecker-substituted int when it fits in
+``_PACKED_BITS`` bits and a ``ZSparse`` dict from z-degree to packed int
+otherwise; patching ``_PACKED_BITS`` to 0 forces the dict on any matrix.
+The two carriers must agree on rigidity, constant and the witness's
+residual degree and coefficient.  A witness point is given only on the
+int carrier: it must be the first grid point where the series' value
+differs from the candidate's, and the dict carrier gives none.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpow import rigidity
+from rigidpow.algebra import ZSparse
 from rigidpow.rigidity import (
     WITNESS_XY_VALUES,
     WITNESS_Z_VALUES,
     Row,
     WeightMatrix,
+    Witness,
     _candidate,
-    _decide,
     _packed_decide,
     candidate_constant,
     is_l_rigid,
@@ -43,14 +49,16 @@ def series_of(matrix, degree):
     return t_series(matrix) if degree else l_series(matrix)
 
 
-def sparse(matrix, degree):
-    return _decide(series_of(matrix, degree), _candidate(matrix, degree))
+def sparse(matrix, degree, grid=WITNESS_XY_VALUES):
+    """The decision on the dict carrier, forced whatever the width."""
+    with patch.object(rigidity, "_PACKED_BITS", 0):
+        return _packed_decide(matrix, degree, _candidate(matrix, degree), grid)
 
 
 def packed(matrix, degree, grid):
-    verdict = _packed_decide(matrix, degree, _candidate(matrix, degree), grid)
-    assert verdict is not None, "expected a packed decision"
-    return verdict
+    """The decision on the int carrier, for a matrix that fits in it."""
+    assert packed_bits(matrix, degree) <= rigidity._PACKED_BITS, "expected one int"
+    return _packed_decide(matrix, degree, _candidate(matrix, degree), grid)
 
 
 def packed_bits(matrix, degree):
@@ -76,9 +84,8 @@ def reference_point(matrix, degree, grid):
 
 
 def assert_same_decision(matrix, degree, grid):
-    """The packed and sparse decisions agree on everything but the
-    witness point, which only the packed one gives; returns the packed
-    verdict."""
+    """The two carriers agree on everything but the witness point, which
+    only the int carrier gives; returns the int carrier's verdict."""
     p, s = packed(matrix, degree, grid), sparse(matrix, degree)
     assert (p.rigid, p.constant) == (s.rigid, s.constant)
     if p.rigid:
@@ -94,8 +101,8 @@ def assert_same_decision(matrix, degree, grid):
 
 
 def assert_agrees(matrix):
-    """Packed and sparse decisions agree, in T and L mode, the public
-    decisions return the packed verdict, and both agree with the oracle."""
+    """The two carriers agree, in T and L mode, the public decisions return
+    the int carrier's verdict, and both agree with the oracle."""
     rows = [(r.weights, r.sign) for r in matrix.rows]
     t = assert_same_decision(matrix, matrix.n, WITNESS_XY_VALUES)
     assert is_rigid(matrix) == t
@@ -252,35 +259,46 @@ DEGREE = {"T": lambda matrix: matrix.n, "L": lambda matrix: 0}
 CERTIFIED = {(cancelling, "T"), (cancelling, "L"), (mirror, "L")}
 
 
+def without_point(verdict):
+    w = verdict.witness
+    if w is None:
+        return verdict
+    return replace(verdict, witness=Witness(w.residual_degree, w.residual_coefficient))
+
+
 @pytest.mark.parametrize("family", [cancelling, difference, not_rigid, mirror])
 @pytest.mark.parametrize("mode", ["T", "L"])
 def test_width_limit_just_below_and_just_above(family, mode):
-    """Just below the limit the packed decision answers, in agreement with
-    the sparse one; just above it declines.  The witness grid is left
-    empty: evaluating at z0 = 2 with weights near a million would take a
-    gcd of integers with hundreds of thousands of digits."""
+    """On both sides of the limit the decision answers, as the forced dict
+    carrier does; only the int carrier, below the limit, adds a witness
+    point.  The grid is the one point (x, y) = (1, 1): at z0 = 2 with
+    weights near a million, each grid point costs a gcd of integers with
+    hundreds of thousands of digits."""
     degree = DEGREE[mode](family(2))
     w = widest_packed(family, degree)
     below, above = family(w), family(w + 1)
     assert packed_bits(below, degree) <= rigidity._PACKED_BITS < packed_bits(above, degree)
-    assert packed(below, degree, ()) == sparse(below, degree)
-    assert _packed_decide(above, degree, _candidate(above, degree), ()) is None
+    for matrix in below, above:
+        verdict = _packed_decide(matrix, degree, _candidate(matrix, degree), L_GRID)
+        assert without_point(verdict) == sparse(matrix, degree, L_GRID)
+        if not verdict.rigid:
+            assert (verdict.witness.point is not None) == (matrix is below)
 
 
 @pytest.mark.parametrize("family", [cancelling, difference, mirror])
 @pytest.mark.parametrize("mode", ["T", "L"])
-def test_above_the_width_limit_the_sparse_series_decides(family, mode, monkeypatch):
-    """Above the width limit the sparse series decides, except for a
-    matrix the certificate decides first: its verdict is still the sparse
-    one, and no series is built for it."""
-    decide, name = (is_rigid, "t_series") if mode == "T" else (is_l_rigid, "l_series")
+def test_above_the_width_limit_the_dict_carrier_decides(family, mode, monkeypatch):
+    """Above the width limit the public decision builds its residual on
+    the dict carrier, except for a matrix the certificate decides first:
+    its verdict is still the dict carrier's, and no ZSparse is built."""
+    decide = is_rigid if mode == "T" else is_l_rigid
     degree = DEGREE[mode](family(2))
     w = widest_packed(family, degree)
     below, above = family(w), family(w + 1)
-    calls = []
-    original = getattr(rigidity, name)
-    monkeypatch.setattr(rigidity, name, lambda matrix: calls.append(matrix) or original(matrix))
-    assert decide(below) == sparse(below, degree)
-    assert calls == []
-    assert decide(above) == sparse(above, degree)
-    assert calls == ([] if (family, mode) in CERTIFIED else [above])
+    expected = sparse(below, degree), sparse(above, degree)
+    built = []
+    monkeypatch.setattr(rigidity, "ZSparse", lambda *args: built.append(args) or ZSparse(*args))
+    assert decide(below) == expected[0]
+    assert built == []
+    assert decide(above) == expected[1]
+    assert bool(built) == ((family, mode) not in CERTIFIED)
