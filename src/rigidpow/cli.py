@@ -179,7 +179,7 @@ def _cmd_check(args) -> int:
         code, constant = 0, verdict.constant
         if args.mode == "L":
             lines = [f"Rigid, constant = {constant} (integer value {constant.constant_value()})"]
-            expected = Form((int(candidate_constant(matrix).evaluate(1, 1)),))
+            expected = Form((sum(candidate_constant(matrix).coeffs),))
         else:
             lines = [f"Rigid, constant = {constant}"]
             expected = candidate_constant(matrix)

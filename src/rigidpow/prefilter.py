@@ -44,9 +44,6 @@ _PRIME = (1 << 61) - 2373
 # Point p of a row's residue is weighted by _BASE**p; any fixed value keeps
 # the filter exact, one far from small integers keeps points from cancelling.
 _BASE = 0x9E3779B97F4A7C1
-# A mask is zeroed from this buffer one slice at a time, so a block of
-# millions of candidates needs no zero buffer of its own.
-_ZEROS = memoryview(bytes(1 << 16))
 
 
 def sample_points(mode: str) -> Tuple[Point, ...]:
@@ -139,13 +136,9 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     return residues
 
 
-def block_size(free: int, tails: range, size: int) -> int:
-    """The number of candidates in a kernel block with ``free`` free rows
-    (1 or 2) over a universe of ``size`` rows: ``len(tails)`` for one free
-    row, and for two the number of pairs ``j <= p < size`` with ``j`` in
-    ``tails``."""
-    if free == 1:
-        return len(tails)
+def block_size(tails: range, size: int) -> int:
+    """The number of candidates in a kernel block over a universe of
+    ``size`` rows: the pairs ``j <= p < size`` with ``j`` in ``tails``."""
     return len(tails) * (2 * size - tails.start - tails.stop + 1) // 2
 
 
@@ -157,35 +150,33 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
 
     The kernel is called as ``kernel(heads, tails, m, n, count, points,
     out)`` and decides the first ``count`` candidates of a block that
-    shares its first rows, ``heads``, indices into ``rows``.  ``tails`` is
-    a consecutive ``range`` (step 1) of row indices, and the number of
-    heads sets the number of free rows (see :func:`block_size`):
+    shares its first ``m - 2`` rows, ``heads``, indices into ``rows``; the
+    last two rows are free.  ``tails`` is a consecutive ``range`` (step 1)
+    of row indices, and the block is ``heads + (j, p)`` for ``j`` in
+    ``tails`` and ``j <= p < len(rows)``, in lexicographic order, so
+    ``tails = range(j0, len(rows))`` is a triangle of ``L (L + 1) / 2``
+    candidates with ``L = len(rows) - j0`` (see :func:`block_size`).  A
+    sweep with ``m = 1`` has no such block and never calls the kernel.
 
-    - ``m - 1`` heads: one free row; the block is ``heads + (p,)`` for
-      ``p`` in ``tails``;
-    - ``m - 2`` heads: two free rows; the block is ``heads + (j, p)`` for
-      ``j`` in ``tails`` and ``j <= p < len(rows)``, in lexicographic
-      order, so ``tails = range(j0, len(rows))`` is a triangle of
-      ``L (L + 1) / 2`` candidates with ``L = len(rows) - j0``.
-
-    It writes :func:`matches_constant` for the ``k``-th candidate to
-    ``out[k]``, in place: it zeroes ``out[:count]`` and sets the surviving
-    bytes.  Each row's residue (see :func:`_row_residues`) is computed
-    once, here, and kept in order in ``kernel.residues``, and the rows are
-    indexed by residue.  For each ``j`` (or once, with one free row) the
-    kernel adds up the fixed rows' residues and looks up its negation: the
-    positions sharing it, cut by bisection to the block's ``p`` range, are
-    the only candidates whose residues sum to zero (a 2-SUM over the last
-    two rows).  Each of them is decided by :func:`matches_constant`, whose
-    answer is its byte of ``out``, and every other candidate is rejected,
-    so the mask is the oracle's byte for byte.  Every point needs
-    ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be
-    below ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes modulo
-    ``_PRIME``.  A point that is not such a tuple or a row that breaks the
-    parameters raises ``ValueError`` here, and a call that breaks them, or
-    whose ``count`` is negative or above the block size or ``len(out)``,
-    raises ``ValueError`` before any mask byte is written.  With no
-    ``rows`` nothing is computed and the kernel can decide no candidate.
+    ``out`` is the caller's mask, zeroed: for each residue hit ``k`` (see
+    below) the kernel writes :func:`matches_constant` for the ``k``-th
+    candidate to ``out[k]``, in place, and it leaves every other byte as
+    it is.  Each row's residue (see :func:`_row_residues`) is
+    computed once, here, and kept in order in ``kernel.residues``, and the
+    rows are indexed by residue.  For each ``j`` the kernel adds up the
+    fixed rows' residues and looks up its negation: the positions sharing
+    it, cut by bisection to the block's ``p`` range, are the only
+    candidates whose residues sum to zero (a 2-SUM over the last two rows).
+    Each of them is decided by :func:`matches_constant`, and every other
+    candidate is rejected by the zero the caller left in its byte, so the
+    mask is the oracle's byte for byte.  Every point needs ``2 <= z <
+    _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be below ``(_PRIME
+    - 1) // 2``, so that no ``z^w - 1`` vanishes modulo ``_PRIME``.  A
+    point that is not such a tuple or a row that breaks the parameters
+    raises ``ValueError`` here, and a call that breaks them, or whose
+    ``count`` is negative or above the block size or ``len(out)``, raises
+    ``ValueError`` before any mask byte is written.  With no ``rows``
+    nothing is computed and the kernel can decide no candidate.
     ``perfbench/run.py`` calls this through ``search.select_filter`` and
     wraps the kernel to trace every call.
     """
@@ -210,35 +201,20 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     size = len(rows)
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
-        free = m - len(heads)
-        if (m_ != m or n_ != n or free not in (1, 2) or type(tails) is not range
+        if (m_ != m or n_ != n or len(heads) != m - 2 or type(tails) is not range
                 or tails.step != 1 or points_ is not points and tuple(points_) != points):
-            raise ValueError(f"the kernel needs {m - 1} or {m - 2} heads, a consecutive range "
-                             f"of tails, m = {m}, n = {n} and the points it was built for")
+            raise ValueError(f"the kernel needs {m - 2} heads, a consecutive range of tails, "
+                             f"m = {m}, n = {n} and the points it was built for")
         target = 0
         for h in heads:
             if not 0 <= h < size:
                 raise ValueError(f"head {h} is not in range({size})")
             target -= residues[h]
-        first, stop = tails.start, tails.stop
-        if tails and (first < 0 or stop > size):
+        if tails and (tails.start < 0 or tails.stop > size):
             raise ValueError(f"tails {tails} are not in range({size})")
-        block = block_size(free, tails, size)
+        block = block_size(tails, size)
         if not 0 <= count <= min(block, len(out)):
             raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
-        if count <= len(_ZEROS):
-            out[:count] = _ZEROS[:count]
-        else:
-            for at in range(0, count, len(_ZEROS)):
-                end = min(at + len(_ZEROS), count)
-                out[at:end] = _ZEROS[:end - at]
-        if free == 1:
-            at = positions.get(target % _PRIME)
-            if at:
-                head_rows = tuple(map(rows.__getitem__, heads))
-                for p in at[bisect_left(at, first):bisect_left(at, first + count)]:
-                    out[p - first] = matches_constant(head_rows + (rows[p],), points)
-            return
         offset = 0  # the block position of candidate (j, j)
         for j in tails:
             if offset >= count:

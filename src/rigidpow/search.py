@@ -15,9 +15,11 @@ is a non-decreasing list of indices into the sorted row universe, and the
 candidates are walked in blocks that share their first m - 2 rows; the
 pre-filter decides a whole block with one residue lookup per choice of its
 second-to-last row (see :mod:`rigidpow.prefilter`), so only survivors are
-ever built as matrices.  Shards fix the first (smallest) row; each shard is
-independently enumerable and the merged result is a deterministic sorted
-union, so shard count never changes the outcome of a completed sweep.
+ever built as matrices.  A one-row candidate never survives, so an m = 1
+sweep only counts its candidates.  Shards fix the first (smallest) row;
+each shard is independently enumerable and the merged result is a
+deterministic sorted union, so shard count never changes the outcome of a
+completed sweep.
 """
 
 from __future__ import annotations
@@ -185,17 +187,17 @@ def row_universe(n: int, bound: int, mode: str) -> List[Row]:
 def _blocks(m: int, size: int, shard_index: int, shard_count: int
             ) -> Iterator[Tuple[Tuple[int, ...], range]]:
     """A shard's canonical candidates over a universe of ``size`` rows, as
-    kernel blocks ``(heads, tails)`` in canonical order (see
-    :func:`rigidpow.prefilter.select_filter`), the first row of each
-    candidate ≡ shard_index mod shard_count.  For ``m = 1`` each of the
-    shard's rows is a one-free-row block of its own.  Otherwise ``heads``
-    indexes the first ``m - 2`` rows and the last two are free: for
-    ``m = 2`` the block of first row ``i`` is ``((), range(i, i + 1))``,
-    and for ``m >= 3`` each prefix ``heads`` has the block
-    ``range(heads[-1], size)`` of all pairs after it.  Building the
-    ``m <= 3`` blocks directly keeps the walk linear in ``size``, where
-    ``combinations_with_replacement`` would copy the whole range for every
-    first row."""
+    blocks ``(heads, tails)`` in canonical order, the first row of each
+    candidate ≡ shard_index mod shard_count.  For ``m = 1`` the block of
+    row ``i`` is ``((), range(i, i + 1))``, the one candidate ``(i,)``.
+    Otherwise a block is a kernel block (see
+    :func:`rigidpow.prefilter.select_filter`): ``heads`` indexes the first
+    ``m - 2`` rows and the last two are free.  For ``m = 2`` the block of
+    first row ``i`` is ``((), range(i, i + 1))``, and for ``m >= 3`` each
+    prefix ``heads`` has the block ``range(heads[-1], size)`` of all pairs
+    after it.  Building the ``m <= 3`` blocks directly keeps the walk
+    linear in ``size``, where ``combinations_with_replacement`` would copy
+    the whole range for every first row."""
     for i in range(shard_index, size, shard_count):
         if m <= 2:
             yield (), range(i, i + 1)
@@ -207,19 +209,13 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int
                 yield heads, range(heads[-1], size)
 
 
-def _passed(mask: bytearray, heads: Tuple[int, ...], tails: range, m: int, size: int
+def _passed(mask: bytearray, heads: Tuple[int, ...], tails: range, size: int
             ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The offsets ``k`` of the candidates a block's pre-filter mask lets
-    through, each with the candidate's row indices.  With two free rows the
-    rows ``(j, p)`` of offset ``k`` come from a forward walk over the
-    offsets where each ``j`` starts, which the increasing ``k`` never has
-    to undo."""
+    """The offsets ``k`` of the candidates a kernel block's pre-filter mask
+    lets through, each with the candidate's row indices ``heads + (j,
+    p)``, which come from a forward walk over the offsets where each ``j``
+    starts; the increasing ``k`` never has to undo it."""
     k = mask.find(1)
-    if len(heads) == m - 1:
-        while k != -1:
-            yield k, (*heads, tails[k])
-            k = mask.find(1, k + 1)
-        return
     j, row = tails.start, 0  # row: the offset of candidate (j, j)
     while k != -1:
         while k >= row + size - j:
@@ -243,13 +239,14 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     """The listed shards of a sweep, each with its first ``enum_cap``
     candidates through the pre-filter and at most ``check_cap`` survivors
     through the symbolic check.  The row universe and its residues are
-    built once for all of them.  A block that reaches past the enum budget
+    built once for all of them (an m = 1 sweep, which never calls the
+    kernel, builds no residues).  A block that reaches past the enum budget
     is cut before its mask is allocated, so no mask is longer than what is
     left of the budget."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
-    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, universe)
+    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, universe if spec.m > 1 else ())
     m, n, size = spec.m, spec.n, len(universe)
     results = []
     for shard_index in shard_indices:
@@ -259,18 +256,24 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
         enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
         for heads, tails in _blocks(m, size, shard_index, shard_count):
             start = enumerated
-            count = block_size(m - len(heads), tails, size)
+            count = block_size(tails, size) if m > 1 else 1
             if start + count > limit:
                 result.exceeded = True
                 if start >= limit:
                     break
                 count = limit - start
+            enumerated += count
+            if m == 1:
+                # No one-row candidate survives: at a sample point (z >= 2,
+                # x, y >= 1) a weight w > 0 has the factor x + (x + y) /
+                # (z^w - 1), larger than its constant x, and w = -a the
+                # factor -(y + (x + y) / (z^a - 1)), larger in size than its
+                # constant -y, so a row's value is larger in size than its
+                # constant.
+                continue
             mask = bytearray(count)
             kernel(heads, tails, m, n, count, points, mask)
-            enumerated += count
-            if 1 not in mask:
-                continue
-            for k, indices in _passed(mask, heads, tails, m, size):
+            for k, indices in _passed(mask, heads, tails, size):
                 if start + k >= limit:
                     break
                 passed += 1
@@ -393,12 +396,12 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     points = sample_points("L")
     kernel, _ = select_filter(3, n, bound, points, rows)
     tails = range(len(plus), len(rows))
-    count = block_size(2, tails, len(rows))
+    count = block_size(tails, len(rows))
     solutions: List[Triple] = []
     for c in range(len(plus)):
         mask = bytearray(count)
         kernel((c,), tails, 3, n, count, points, mask)
-        for _, (_, a, b) in _passed(mask, (c,), tails, 3, len(rows)):
+        for _, (_, a, b) in _passed(mask, (c,), tails, len(rows)):
             matrix = WeightMatrix((rows[a], rows[b], rows[c]))
             verdict = is_l_rigid(matrix)
             if verdict.rigid and verdict.constant.constant_value() == 1:

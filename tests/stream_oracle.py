@@ -4,9 +4,10 @@
 canonical order, and ``stream_shard`` and ``stream_triples`` decide them
 the way sweeps did before the join: ``matches_constant`` on every
 candidate, in chunks of ``CHUNK``.  ``chunk_mask`` gives its mask, one
-byte per candidate, and ``join_mask`` the kernel's mask for the same
-candidates, in the same order, block by block; ``block_candidates`` lists
-the candidates of one kernel block.
+byte per candidate, and ``join_mask`` the sweep's mask for the same
+candidates, in the same order, block by block: the kernel's for m > 1 and
+all zero for m = 1; ``block_candidates`` lists the candidates of one
+block.
 """
 
 from itertools import combinations_with_replacement, islice
@@ -30,25 +31,27 @@ def chunk_mask(candidates, points):
 
 
 def block_candidates(heads, tails, m, size):
-    """A kernel block's candidates over ``size`` rows as row indices, in
-    block order: ``heads`` plus one free row from ``tails``, or plus two
-    free rows ``j <= p`` with ``j`` from ``tails``."""
-    if len(heads) == m - 1:
-        return [(*heads, p) for p in tails]
+    """A block's candidates over ``size`` rows as row indices, in block
+    order: for m = 1 the rows of ``tails``, and otherwise ``heads`` plus
+    two free rows ``j <= p`` with ``j`` from ``tails``."""
+    if m == 1:
+        return [(p,) for p in tails]
     return [(*heads, j, p) for j in tails for p in range(j, size)]
 
 
 def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1):
-    """The residue-join kernel's mask over the shard's candidates, in
-    canonical order."""
+    """The sweep's pre-filter mask over the shard's candidates, in
+    canonical order: the residue-join kernel's, and for m = 1, where
+    sweeps count each one-row block without the kernel, all zero."""
     points = sample_points(mode)
     kernel, name = select_filter(m, n, bound, points, universe)
     assert name == "residue-join"
     mask = bytearray()
     for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
-        count = block_size(m - len(heads), tails, len(universe))
+        count = block_size(tails, len(universe)) if m > 1 else 1
         out = bytearray(count)
-        kernel(heads, tails, m, n, count, points, out)
+        if m > 1:
+            kernel(heads, tails, m, n, count, points, out)
         mask += out
     return mask
 

@@ -65,23 +65,24 @@ def test_pure_kernel_matches_symbolic_oracle():
 
 def both_masks(candidates, m, n, bound, points):
     """The residue-join kernel's mask and the oracle's on one block per
-    candidate, over the rows that appear in ``candidates``.  For m = 1 the
-    block is every row.  Otherwise it keeps the candidate's first m - 2
-    rows, and its two free rows are every pair j <= p from the smaller of
-    the candidate's last two rows on, so the candidate's own rows are in
-    it."""
+    candidate, over the rows that appear in ``candidates``.  The block
+    keeps the candidate's first m - 2 rows, and its two free rows are every
+    pair j <= p from the smaller of the candidate's last two rows on, so
+    the candidate's own rows are in it.  Sweeps decide m = 1 without the
+    kernel, rejecting every row, so for m = 1 the first mask is all zero
+    and the second is the oracle's over every canonical row."""
+    if m == 1:
+        rows = row_universe(n, bound, "T")
+        return bytearray(len(rows)), chunk_mask([(row,) for row in rows], points)
     rows = sorted({row for candidate in candidates for row in candidate})
     index = {row: i for i, row in enumerate(rows)}
     kernel, name = select_filter(m, n, bound, points, rows)
     assert name == "residue-join"
     got, blocks = bytearray(), []
     for candidate in candidates:
-        if m == 1:
-            heads, tails = (), range(len(rows))
-        else:
-            heads = tuple(index[row] for row in candidate[:m - 2])
-            tails = range(min(index[row] for row in candidate[m - 2:]), len(rows))
-        count = block_size(m - len(heads), tails, len(rows))
+        heads = tuple(index[row] for row in candidate[:m - 2])
+        tails = range(min(index[row] for row in candidate[m - 2:]), len(rows))
+        count = block_size(tails, len(rows))
         out = bytearray(count)
         kernel(heads, tails, m, n, count, points, out)
         got += out
@@ -135,40 +136,42 @@ def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
 @pytest.mark.parametrize("m, n, bound, mode", [(1, 2, 3, "T"), (2, 2, 3, "L"), (3, 2, 3, "T"),
                                             (4, 1, 4, "L")])
 def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound, mode):
-    # every cut of a few blocks around the first canonical survivor, with
-    # one and with two free rows: the first count bytes are the whole
-    # block's, and no byte after them is written
+    # every cut of a few blocks around the first canonical survivor: the
+    # first count bytes are the whole block's, and no byte after them is
+    # written; m = 1 sweeps skip the kernel, and no one-row candidate passes
     universe = row_universe(n, bound, mode)
     size = len(universe)
     points = sample_points(mode)
     kernel, _ = select_filter(m, n, bound, points, universe)
     if m == 1:
-        blocks = [((), range(size // 2, size)), ((), range(0, 1))]
+        blocks = []
+        assert chunk_mask([(row,) for row in universe], points) == bytes(size)
     else:
         canonical = list(combinations_with_replacement(range(size), m))
         mask = chunk_mask([tuple(map(universe.__getitem__, c)) for c in canonical], points)
-        *heads, j, p = canonical[mask.index(1)]
+        *heads, j, _ = canonical[mask.index(1)]
         heads = tuple(heads)
         blocks = [(heads, range(j, size)), (heads, range(max(j - 2, 0), j + 1)),
-                  (heads, range(0, 1)), ((*heads, j), range(max(p - 1, 0), size))]
+                  (heads, range(0, 1)), (heads, range(j, j + 1))]
     survivors = 0
     for heads, tails in blocks:
         candidates = [tuple(map(universe.__getitem__, indices))
                       for indices in block_candidates(heads, tails, m, size)]
         want = chunk_mask(candidates, points)
-        assert len(want) == block_size(m - len(heads), tails, size)
+        assert len(want) == block_size(tails, size)
         survivors += sum(want)
         for count in range(len(want) + 1):
-            out = bytearray(b"\x07" * (count + 2))
+            out = bytearray(count) + b"\x07\x07"
             kernel(heads, tails, m, n, count, points, out)
             assert out == want[:count] + b"\x07\x07", (heads, tails, count)
     # no single row is constant
     assert (survivors > 0) == (m > 1)
 
 
-def test_residue_join_zeroes_masks_longer_than_its_zero_buffer():
-    # a 180300-candidate block spans several slices of prefilter._ZEROS;
-    # its head is a row of the rigid difference matrix of seed (0, 1, 2)
+def test_residue_join_decides_a_long_block_cut_anywhere():
+    # a 180300-candidate block, cut at a few counts (two of them around
+    # 2^16); its head is a row of the rigid difference matrix of seed
+    # (0, 1, 2)
     from rigidpow.rigidity import quasilinear
     from rigidpow.search import canonical_form
 
@@ -176,18 +179,23 @@ def test_residue_join_zeroes_masks_longer_than_its_zero_buffer():
     size = len(universe)
     heads = (universe.index(canonical_form(quasilinear((0, 1, 2))).rows[0]),)
     kernel, _ = select_filter(3, 2, 12, T_POINTS, universe)
-    block = block_size(2, range(size), size)
-    assert block > 2 * len(prefilter._ZEROS)
+    block = block_size(range(size), size)
+    assert block == 180300
     clean = bytearray(block)
     kernel(heads, range(size), 3, 2, block, T_POINTS, clean)
     candidates = block_candidates(heads, range(size), 3, size)
     survivors = [k for k, ok in enumerate(clean) if ok]
     assert survivors and all(matches_constant([universe[i] for i in candidates[k]], T_POINTS)
                              for k in survivors)
-    for count in (block, len(prefilter._ZEROS) + 1, len(prefilter._ZEROS), survivors[-1]):
-        out = bytearray(b"\x07" * (count + 2))
+    for count in (block, (1 << 16) + 1, 1 << 16, survivors[-1]):
+        out = bytearray(count) + b"\x07\x07"
         kernel(heads, range(size), 3, 2, count, T_POINTS, out)
         assert out == clean[:count] + b"\x07\x07", count
+    # the kernel writes only the bytes of the candidates it decides, and
+    # here every residue hit is a survivor
+    dirty = bytearray(b"\x07" * block)
+    kernel(heads, range(size), 3, 2, block, T_POINTS, dirty)
+    assert dirty == clean.replace(b"\x00", b"\x07")
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [
@@ -306,14 +314,14 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
         ((), range(1, 3), m, 2),            # too few
         ((3,), range(1, 3), m, 2),          # a head past the rows
         ((-1,), range(1, 3), m, 2),         # a negative head
-        ((0, 3), range(1, 3), m, 2),        # a head past the rows, one free row
+        ((0, 1), range(1, 3), m, 2),        # m - 1 heads, one free row
         ((0,), range(2, 4), m, 2),          # a tail past the rows
         ((0,), range(-1, 1), m, 2),         # a negative tail
-        ((0, 1), range(-1, 1), m, 2),       # a negative tail, one free row
+        ((0, 2), range(2, 3), m, 1),        # m - 1 heads, a one-candidate block
         ((0,), range(2, 0, -1), m, 2),      # tails not ascending
         ((0,), range(0, 3, 2), m, 2),       # tails not consecutive
         ((0,), range(2, 3), m, 2),          # count above the block size (1)
-        ((0, 1), range(1, 3), m, 3),        # count above the block size, one free row
+        ((0, 1), range(1, 3), m, 0),        # m - 1 heads, no candidate
         ((0,), range(1, 3), m, -1),         # a negative count
         ((0,), [1, 2], m, 2),               # tails not a range
     ]:
@@ -322,8 +330,8 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
     with pytest.raises(ValueError):
         kernel((0,), range(1, 3), m, n, 2, L_POINTS, mask)
     assert mask == b"\x07\x07"
-    # the block sizes the calls above exceed: 3 pairs from row 1, 2 tails
-    assert block_size(2, range(1, 3), 3) == 3 and block_size(1, range(1, 3), 3) == 2
+    # the block size the calls above exceed: 3 pairs from row 1
+    assert block_size(range(1, 3), 3) == 3
 
 
 GOOD_ROW = ((1, -1), 1)

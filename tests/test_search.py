@@ -8,14 +8,17 @@ from concurrent.futures import Future
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidpow import search
-from rigidpow.prefilter import block_size, sample_points
+from rigidpow.prefilter import block_size, matches_constant, sample_points
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
     is_l_rigid,
     is_rigid,
+    point_value,
     quasilinear,
 )
 from rigidpow.search import (
@@ -113,11 +116,11 @@ def test_blocks_match_the_general_walk(m):
                 got = list(search._blocks(m, size, shard_index, shard_count))
                 assert got == want
                 # the blocks, one after another, are the shard's canonical
-                # candidates, and block_size counts each block
+                # candidates, and block_size counts each kernel block
                 walked = []
                 for heads, tails in got:
                     block = block_candidates(heads, tails, m, size)
-                    assert len(block) == block_size(m - len(heads), tails, size)
+                    assert len(block) == (block_size(tails, size) if m > 1 else 1)
                     walked += block
                 assert walked == [c for c in combinations_with_replacement(range(size), m)
                                   if c[0] % shard_count == shard_index]
@@ -173,6 +176,26 @@ def test_sweep_two_rows_single_column():
     assert got == z_family(1, 3) | l1_family(3)
     assert all(f.label is not None and f.label.kind in ("Z", "L1") for f in report.found)
     assert report.stats.enumerated == 78  # C(13, 2) canonical pairs over 12 rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=4),
+       st.sampled_from((1, -1)), st.integers(2, 5), st.integers(1, 3), st.integers(1, 3))
+def test_no_single_row_matches_its_constant(weights, sign, z, x, y):
+    # each factor is larger in size than its constant factor, so m = 1
+    # sweeps may reject every candidate without the kernel
+    row = (tuple(weights), sign)
+    assert matches_constant([row], [(z, x, y)]) is False
+    top, bottom, constant = point_value([row], z, x, y)
+    assert abs(top) > abs(constant * bottom)
+
+
+@pytest.mark.parametrize("mode", ["T", "L"])
+@pytest.mark.parametrize("n, bound", [(2, 5), (4, 3)])
+def test_one_row_sweeps_reject_every_candidate(mode, n, bound):
+    stats = sweep(SearchSpec(m=1, n=n, bound=bound, mode=mode), shards=2).stats
+    assert stats.enumerated == len(row_universe(n, bound, mode))
+    assert (stats.rejected, stats.exact_checks) == (stats.enumerated, 0)
 
 
 def test_sweep_found_is_sorted_and_unique():
