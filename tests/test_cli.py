@@ -247,6 +247,74 @@ def test_search_missing_flags(capsys):
     assert (code, err) == (2, "error: search requires --m, --n and --bound\n")
 
 
+SWEEP_FLAGS = ["--m", "2", "--n", "1", "--bound", "3"]
+PROBLEM24_FLAGS = ["--problem24", "--n", "2", "--bound", "3"]
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+def test_search_out_fails_before_the_work(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", no_work)
+    monkeypatch.setattr(cli, "triple_identity_search", no_work)
+    missing = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, "search", *flags, "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--m", "0", "--n", "1", "--bound", "3"],
+    ["--problem24", "--n", "0", "--bound", "3"],
+    [*SWEEP_FLAGS, "--shards", "0"],
+    [*PROBLEM24_FLAGS, "--workers", "0"],
+])
+def test_search_flag_errors_leave_out_unopened(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", no_work)
+    monkeypatch.setattr(cli, "triple_identity_search", no_work)
+    report = tmp_path / "report.jsonl"
+    code, out, err = run_cli(capsys, "search", *flags, "--out", str(report))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--shards", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_search_problem24_rejects_shards_and_workers_below_1(flag, value, capsys):
+    code, out, err = run_cli(capsys, "search", *PROBLEM24_FLAGS, flag, value)
+    assert (code, out, err) == (2, "", "error: shards and workers must be at least 1\n")
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_search_that_fails_keeps_the_old_out(flags, error, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "sweep", fail)
+    monkeypatch.setattr(cli, "triple_identity_search", fail)
+    stale = tmp_path / "stale.jsonl"
+    stale.write_text("stale\n")
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["search", *flags, "--out", str(stale)])
+    else:
+        assert run_cli(capsys, "search", *flags, "--out", str(stale))[0] == 4
+    assert stale.read_text() == "stale\n"
+
+
+def test_search_out_is_truncated_and_written_at_the_end(tmp_path, capsys):
+    fresh, stale = tmp_path / "fresh.jsonl", tmp_path / "stale.jsonl"
+    stale.write_text("stale\n" * 1000)
+    for report in fresh, stale:
+        code, _, _ = run_cli(capsys, "search", *PROBLEM24_FLAGS, "--out", str(report))
+        assert code == 0
+    assert stale.read_bytes() == fresh.read_bytes()
+
+
 def test_search_help_shows_the_spec_budgets(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["search", "--help"])

@@ -1,20 +1,21 @@
 """The packed constancy decision on its two carriers against each other
 and against the independent oracle of ``test_core_oracle``, and the exact
-point evaluator behind every witness point against the series' own
-evaluation.
+point evaluator behind every witness point against the definition's
+``Fraction`` values (``exact_values``).
 
 The residual is one Kronecker-substituted int when it fits in
 ``_PACKED_BITS`` bits and a ``ZSparse`` dict from z-degree to packed int
 otherwise; patching ``_PACKED_BITS`` to 0 forces the dict on any matrix.
 The two carriers must agree on rigidity, constant and the witness's
 residual degree and coefficient.  A witness point is given only on the
-int carrier: it must be the first grid point where the series' value
-differs from the candidate's, and the dict carrier gives none.
+int carrier: it must be the first grid point where the function's value
+differs from its forced constant, and the dict carrier gives none.
 """
 
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 from unittest.mock import patch
 
 import pytest
@@ -31,22 +32,16 @@ from rigidpow.rigidity import (
     Witness,
     _candidate,
     _packed_decide,
-    candidate_constant,
     is_l_rigid,
     is_rigid,
-    l_series,
     point_value,
     quasilinear,
-    t_series,
 )
+from exact_values import forced_constant, function_value
 from test_core_oracle import matrices as oracle_matrices
 from test_core_oracle import matrix_of, oracle_l, oracle_t
 
 L_GRID = ((1, 1),)
-
-
-def series_of(matrix, degree):
-    return t_series(matrix) if degree else l_series(matrix)
 
 
 def sparse(matrix, degree, grid=WITNESS_XY_VALUES):
@@ -71,13 +66,15 @@ def packed_bits(matrix, degree):
     return digit * (degree + 1) * (sum(a * k for a, k in den.items()) + 1)
 
 
-def reference_point(matrix, degree, grid):
-    """The first grid point where the series' value differs from the
-    candidate's, as ``(point, value, expected)``; all None if none does."""
-    series, candidate = series_of(matrix, degree), _candidate(matrix, degree)
+def reference_point(matrix, grid):
+    """The first grid point where the function's value differs from its
+    forced constant, as ``(point, value, expected)``; all None if none
+    does.  The L grid is the one point ``x = y = 1``, where the two modes
+    agree."""
     for z0 in WITNESS_Z_VALUES:
         for x0, y0 in grid:
-            value, expected = series.evaluate(z0, x0, y0), candidate.evaluate(x0, y0)
+            value = function_value(matrix.rows, z0, x0, y0)
+            expected = forced_constant(matrix.rows, x0, y0)
             if value != expected:
                 return (z0, x0, y0), value, expected
     return None, None, None
@@ -95,8 +92,7 @@ def assert_same_decision(matrix, degree, grid):
     assert (pw.residual_degree, pw.residual_coefficient) == (
         sw.residual_degree, sw.residual_coefficient)
     assert (sw.point, sw.value_at_point, sw.expected_at_point) == (None, None, None)
-    assert (pw.point, pw.value_at_point, pw.expected_at_point) == reference_point(
-        matrix, degree, grid)
+    assert (pw.point, pw.value_at_point, pw.expected_at_point) == reference_point(matrix, grid)
     return p
 
 
@@ -173,11 +169,10 @@ def test_packed_matches_sparse_at_weights_61_and_122(matrix):
 @given(random_matrices(values=weights(7), max_m=4, max_n=3),
        st.integers(-4, 4), st.integers(-4, 4))
 def test_point_value_is_the_series_value(matrix, x0, y0):
-    series, candidate = t_series(matrix), candidate_constant(matrix)
     for z0 in (-3, -2, 2, 3, 5):
         top, bottom, constant = point_value(matrix.rows, z0, x0, y0)
-        assert Fraction(top, bottom) == series.evaluate(z0, x0, y0)
-        assert constant == candidate.evaluate(x0, y0)
+        assert Fraction(top, bottom) == function_value(matrix.rows, z0, x0, y0)
+        assert constant == forced_constant(matrix.rows, x0, y0)
 
 
 def unit_weight_matrices():
@@ -194,26 +189,37 @@ def unit_weight_matrices():
                 yield WeightMatrix(tuple(rows))
 
 
-def residual_coefficients(matrix, degree):
-    series = t_series(matrix) if degree else l_series(matrix)
-    expanded = series.den.expand()
-    cand = _candidate(matrix, degree).coeffs
-    zero = (0,) * len(cand)
-    for k in series.num.keys() | expanded.keys():
-        for c, v in zip(series.num.get(k, zero), cand):
-            yield c - expanded.get(k, 0) * v
+def residual_coefficients(matrix, degree, den):
+    """Every coefficient of the decision's residual ``numerator - candidate
+    * D``, which is ``D`` times the function minus its forced constant,
+    with ``D`` the product of ``(z^a - 1)^den[a]``.  They are read off one
+    exact value of it, at ``x = 1``, ``y = 2^s`` and ``z = 2^(s(d+1))`` (at
+    ``x = y = 1`` and ``z = 2^s`` for ``d = 0``), as balanced
+    base-``2^s`` digits.  ``s`` is twice the decision's digit ``B``, and
+    no coefficient reaches ``2^(s-1)``: the residual's L1 norm is below
+    ``2^(B-1)`` by the argument of ``_packed_decide``."""
+    s = 2 * (sum(den.values()) + matrix.m.bit_length() + 2)
+    y, z = (1 << s, 1 << s * (degree + 1)) if degree else (1, 1 << s)
+    excess = function_value(matrix.rows, z, 1, y) - forced_constant(matrix.rows, 1, y)
+    residual = prod((z**a - 1) ** k for a, k in den.items()) * excess
+    assert residual.denominator == 1
+    residual, half = residual.numerator, 1 << (s - 1)
+    while residual:
+        digit = (residual + half) % (2 * half) - half
+        yield digit
+        residual = (residual - digit) >> s
 
 
 def test_unit_weight_columns_stay_within_the_digit_bound():
     nearest = 0.0
     for matrix in unit_weight_matrices():
         assert_agrees(matrix)
+        den = Counter()
+        for row in matrix.rows:
+            den |= Counter(map(abs, row.weights))
+        half = 2 ** (sum(den.values()) + matrix.m.bit_length() + 1)
         for degree in (0, matrix.n):
-            den = Counter()
-            for row in matrix.rows:
-                den |= Counter(map(abs, row.weights))
-            half = 2 ** (sum(den.values()) + matrix.m.bit_length() + 1)
-            largest = max(map(abs, residual_coefficients(matrix, degree)), default=0)
+            largest = max(map(abs, residual_coefficients(matrix, degree, den)), default=0)
             assert largest < half
             nearest = max(nearest, largest / half)
     # the family reaches within a factor of three of the bound

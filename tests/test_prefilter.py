@@ -1,7 +1,7 @@
-"""The sample-point pre-filter kernel against the symbolic series."""
+"""The sample-point pre-filter kernel against exact values from the
+definition."""
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -15,8 +15,8 @@ from rigidpow.prefilter import (
     sample_points,
     select_filter,
 )
-from rigidpow.rigidity import Row, WeightMatrix, candidate_constant, t_series
 from rigidpow.search import row_universe
+from exact_values import forced_constant, function_value, row_constant, row_value
 from stream_oracle import block_candidates, chunk_mask, join_mask, stream_candidates
 
 
@@ -34,19 +34,12 @@ def random_batch(rng, m, n, bound, count):
 
 
 def oracle_mask(candidates, points):
-    """Independent check via the symbolic series and Fraction arithmetic."""
-    out = bytearray(len(candidates))
-    for c, rows in enumerate(candidates):
-        matrix = WeightMatrix(tuple(Row(ws, s) for ws, s in rows))
-        series = t_series(matrix)
-        constant = candidate_constant(matrix)
-        ok = 1
-        for z0, x0, y0 in points:
-            if series.evaluate(z0, x0, y0) != constant.evaluate(x0, y0):
-                ok = 0
-                break
-        out[c] = ok
-    return out
+    """Independent check: the function's value against its forced constant
+    at every point, from the definition in Fraction arithmetic."""
+    return bytearray(
+        all(function_value(rows, z0, x0, y0) == forced_constant(rows, x0, y0)
+            for z0, x0, y0 in points)
+        for rows in candidates)
 
 
 def test_sample_points():
@@ -231,15 +224,6 @@ def test_residue_join_collisions_are_decided_by_matches_constant(monkeypatch, m,
     assert len(hits) > sum(got)
 
 
-def exact_row_term(weights, sign, z, x, y):
-    value, constant = Fraction(sign), sign
-    for w in weights:
-        zp = Fraction(z) ** abs(w)
-        value *= (x * zp + y) / (zp - 1) if w > 0 else -(x + y * zp) / (zp - 1)
-        constant *= x if w > 0 else -y
-    return value - constant
-
-
 def row_residue(weights, sign, points):
     """One row's residue straight from its definition, with a power and an
     inverse modulo the prime for every weight: the row's term minus its
@@ -262,7 +246,7 @@ def fraction_residue(weights, sign, points):
     P = prefilter._PRIME
     want = 0
     for p, (z, x, y) in enumerate(points):
-        term = exact_row_term(weights, sign, z, x, y)
+        term = row_value(weights, sign, z, x, y) - row_constant(weights, sign, x, y)
         want += pow(prefilter._BASE, p, P) * term.numerator * pow(term.denominator, -1, P)
     return want % P
 

@@ -135,6 +135,16 @@ def test_two_row_walk_is_linear_in_the_universe():
     assert time.perf_counter() - started < 0.5
 
 
+def test_three_row_walk_is_linear_in_the_universe():
+    # the general walk's one combinations_with_replacement call per first
+    # row copies the whole remaining range even for the m = 3 prefixes of
+    # length 0: about 10 s for these 31008 rows on a 2-vCPU VM
+    started = time.perf_counter()
+    blocks = sum(1 for _ in search._blocks(3, 31008, 0, 1))
+    assert blocks == 31008
+    assert time.perf_counter() - started < 0.5
+
+
 # -- sweeps against closed-form families ---------------------------------------
 
 
