@@ -17,7 +17,6 @@ exactly what the screens report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -30,8 +29,7 @@ class WrongFixedPointCount(ValueError):
     """The two-fixed-point classifier needs exactly two rows."""
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """Outcome of the two-fixed-point classification.
 
     ``kind`` is one of ``"Z"`` (cancelling duplicate rows), ``"L1"`` (the

@@ -27,7 +27,6 @@ witness point is given only for a matrix narrow enough to pack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -79,18 +78,18 @@ def _int_row(row) -> Row:
     return row if type(row) is Row and row.weights is weights else Row(weights, sign)
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
     """``m`` rows of ``n`` nonzero integer weights, each with a sign ±1.
 
-    Weights and signs must be ``int`` (see :func:`exact_int`)."""
+    Weights and signs must be ``int`` (see :func:`exact_int`).  A matrix is
+    immutable; two are equal, and hash alike, when their rows are."""
 
-    rows: Tuple[Row, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: Tuple[Row, ...]):
         # Every row's types are checked before any shape or value check;
         # that order decides which fault a malformed matrix reports.
-        rows = tuple(map(_int_row, self.rows))
+        rows = tuple(map(_int_row, rows))
         if not rows:
             raise ValueError("a weight matrix needs at least one row")
         n = len(rows[0].weights)
@@ -104,6 +103,25 @@ class WeightMatrix:
             if sign not in (1, -1):
                 raise ValueError(f"row sign must be +1 or -1, got {sign}")
         object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a WeightMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a WeightMatrix is immutable")
+
+    def __eq__(self, other):
+        return self.rows == other.rows if type(other) is WeightMatrix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"WeightMatrix(rows={self.rows!r})"
+
+    def __reduce__(self):
+        # the slot has no default pickling once __setattr__ refuses it
+        return WeightMatrix, (self.rows,)
 
     @property
     def m(self) -> int:
@@ -124,8 +142,7 @@ class WeightMatrix:
         return f"[{body}]"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Certificate that a function is not constant.
 
     The residual coefficient (lowest z-degree of numerator minus candidate
@@ -142,8 +159,7 @@ class Witness:
     expected_at_point: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(NamedTuple):
     rigid: bool
     constant: Optional[Form] = None
     witness: Optional[Witness] = None

@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import Form
 from .bott import ClassLabel, classify_two_fixed_points, kosniowski_bound
@@ -67,24 +65,23 @@ class BudgetExceeded(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
 class SearchSpec:
     """Parameters of one exhaustive sweep.
 
-    Budgets default to 10**7 enumerations and 10**5 exact checks.  Every
-    number must be an ``int`` (``bool`` and floats raise ``ValueError``).
-    ``bound`` limits every ``|w|``, and the pre-filter needs it below
-    ``(_PRIME - 1) // 2`` (see :func:`rigidpow.prefilter.select_filter`).
+    Budgets default to ``SearchSpec.enum_budget`` = 10**7 enumerations and
+    ``SearchSpec.check_budget`` = 10**5 exact checks.  Every number must be
+    an ``int`` (``bool`` and floats raise ``ValueError``).  ``bound`` limits
+    every ``|w|``, and the pre-filter needs it below ``(_PRIME - 1) // 2``
+    (see :func:`rigidpow.prefilter.select_filter`).  A spec is immutable.
     """
 
-    m: int
-    n: int
-    bound: int
-    mode: str = "T"
-    enum_budget: int = 10_000_000
-    check_budget: int = 100_000
+    enum_budget = 10_000_000
+    check_budget = 100_000
 
-    def __post_init__(self):
+    def __init__(self, m: int, n: int, bound: int, mode: str = "T",
+                 enum_budget: int = enum_budget, check_budget: int = check_budget):
+        vars(self).update(m=m, n=n, bound=bound, mode=mode,
+                          enum_budget=enum_budget, check_budget=check_budget)
         for name in ("m", "n", "bound", "enum_budget", "check_budget"):
             exact_int(name, getattr(self, name))
         if self.m < 1 or self.n < 1 or self.bound < 1:
@@ -94,17 +91,18 @@ class SearchSpec:
         if self.enum_budget < 1 or self.check_budget < 1:
             raise ValueError("budgets must be positive")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a SearchSpec is immutable")
 
-@dataclass(frozen=True)
-class SweepStats:
+
+class SweepStats(NamedTuple):
     enumerated: int
     rejected: int
     exact_checks: int
     wall_time: float
 
 
-@dataclass(frozen=True)
-class Find:
+class Find(NamedTuple):
     """One rigid matrix found by a sweep, with its structural annotations."""
 
     matrix: WeightMatrix
@@ -125,8 +123,7 @@ class Find:
         return "-"
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     spec: SearchSpec
     found: Tuple[Find, ...]
     stats: SweepStats
@@ -225,13 +222,13 @@ def _passed(mask: bytearray, heads: Tuple[int, ...], tails: range, size: int
         k = mask.find(1, k + 1)
 
 
-@dataclass
 class _ShardResult:
-    found: List[Tuple[WeightMatrix, Form]] = field(default_factory=list)
-    enumerated: int = 0
-    rejected: int = 0
-    exact_checks: int = 0
-    exceeded: bool = False
+    """One shard walk's finds and counts; the pool pickles it back."""
+
+    def __init__(self):
+        self.found: List[Tuple[WeightMatrix, Form]] = []
+        self.enumerated = self.rejected = self.exact_checks = 0
+        self.exceeded = False
 
 
 def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int,
@@ -328,7 +325,8 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     # the pool forks all its processes at the first submit
     workers = min(workers, shards, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_shards, spec, range(w, shards, workers), shards,
                             enum_cap, check_cap)
@@ -353,6 +351,18 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
             report,
         )
     return report
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562) and cached
+    in this module, so a process that never runs a pool never loads
+    ``multiprocessing``; :func:`sweep` reads the cached name, so a patched
+    one wins."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple[int, ...]]:

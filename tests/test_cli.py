@@ -573,6 +573,18 @@ def test_python_m_rigidpow_pipes_quasilinear_into_check():
     assert proc.stdout.splitlines()[0] == "Rigid, constant = x^2 - x*y + y^2"
 
 
+
+def test_importing_the_cli_loads_no_dataclasses_or_process_pool():
+    # startup is most of a small command's time: the records generate no
+    # methods (dataclasses, and with it inspect), and the pool
+    # (multiprocessing) is imported only by a sweep that runs one
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    code = ("import sys, rigidpow.cli; print([m for m in ('dataclasses', 'inspect', "
+            "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
 # -- the packed decision's width limit ----------------------------------------
 
 HUGE_WEIGHT_DOCS = [

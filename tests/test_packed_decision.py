@@ -13,7 +13,6 @@ differs from its forced constant, and the dict carrier gives none.
 """
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from unittest.mock import patch
@@ -269,7 +268,7 @@ def without_point(verdict):
     w = verdict.witness
     if w is None:
         return verdict
-    return replace(verdict, witness=Witness(w.residual_degree, w.residual_coefficient))
+    return verdict._replace(witness=Witness(w.residual_degree, w.residual_coefficient))
 
 
 @pytest.mark.parametrize("family", [cancelling, difference, not_rigid, mirror])

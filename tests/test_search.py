@@ -2,9 +2,10 @@
 difference-matrix seed test, and the triple identity search."""
 
 import os
+import pickle
 import random
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations_with_replacement
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpow import search
+from rigidpow.bott import ClassLabel
 from rigidpow.prefilter import block_size, matches_constant, sample_points
 from rigidpow.rigidity import (
     Row,
@@ -23,7 +25,10 @@ from rigidpow.rigidity import (
 )
 from rigidpow.search import (
     BudgetExceeded,
+    Find,
+    SearchReport,
     SearchSpec,
+    SweepStats,
     WrongShape,
     canonical_form,
     quasilinearity_test,
@@ -221,6 +226,67 @@ def test_finds_and_verdicts_are_hashable():
     assert report.found and len(set(report.found)) == len(report.found)
     assert hash(is_rigid(quasilinear([0, 1, 2]))) == hash(is_rigid(quasilinear([0, 1, 2])))
     assert len({is_rigid(wm(([1], 1), ([2], -1)))}) == 1  # not rigid: carries a witness
+
+
+def test_records_round_trip_through_pickle():
+    # the pool pickles the spec out and brings back shard results holding
+    # (WeightMatrix, Form) pairs
+    matrix = quasilinear([0, 1, 2])
+    verdict = is_rigid(matrix)
+    not_rigid = is_rigid(wm(([1], 1), ([2], -1)))
+    assert not_rigid.witness.point is not None
+    find = Find(matrix, verdict.constant, ClassLabel("L1"), (0, 1, 2), True, False)
+    stats = SweepStats(3, 2, 1, 0.5)
+    spec = SearchSpec(m=3, n=2, bound=4, mode="L", check_budget=7)
+    report = SearchReport(spec, (find,), stats)
+    for record in (matrix, verdict, not_rigid, not_rigid.witness, ClassLabel("S3"),
+                   ClassLabel("unclassified", "not rigid"), find, stats):
+        copy = pickle.loads(pickle.dumps(record))
+        assert (copy, type(copy)) == (record, type(record))
+    assert vars(pickle.loads(pickle.dumps(spec))) == vars(spec)
+    copy = pickle.loads(pickle.dumps(report))
+    assert (copy.found, copy.stats, vars(copy.spec)) == (report.found, stats, vars(spec))
+    result = search._ShardResult()
+    result.found.append((matrix, verdict.constant))
+    result.enumerated, result.rejected, result.exact_checks, result.exceeded = 9, 8, 1, True
+    assert vars(pickle.loads(pickle.dumps(result))) == vars(result)
+
+
+def test_matrices_and_verdicts_compare_and_hash_by_value():
+    a, b = quasilinear([0, 1, 2]), wm(([-1, -2], 1), ([1, -1], 1), ([2, 1], 1))
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != wm(([1, -1], 1), ([-1, -2], 1), ([2, 1], 1)) and a != a.rows
+    assert is_rigid(a) == is_rigid(b) and hash(is_rigid(a)) == hash(is_rigid(b))
+    assert is_rigid(a) != is_rigid(wm(([1], 1), ([2], -1)))
+
+
+def test_matrices_specs_and_records_refuse_assignment():
+    matrix = quasilinear([0, 1, 2])
+    verdict = is_rigid(wm(([1], 1), ([2], -1)))
+    stats = SweepStats(3, 2, 1, 0.5)
+    spec = SearchSpec(m=2, n=1, bound=3)
+    find = Find(matrix, is_rigid(matrix).constant, None, None, True, True)
+    cases = [(matrix, "rows"), (verdict, "rigid"), (verdict.witness, "point"),
+             (ClassLabel("Z"), "kind"), (stats, "enumerated"), (find, "pairable"),
+             (SearchReport(spec, (find,), stats), "found"), (spec, "bound")]
+    for record, field in cases:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) is before
+
+
+def test_spec_budget_defaults_are_class_attributes():
+    assert (SearchSpec.check_budget, SearchSpec.enum_budget) == (100_000, 10_000_000)
+    spec = SearchSpec(2, 1, 3)
+    assert (spec.mode, spec.check_budget, spec.enum_budget) == ("T", 100_000, 10_000_000)
+
+
+def test_process_pool_is_a_lazy_module_attribute():
+    assert search.ProcessPoolExecutor is ProcessPoolExecutor
+    assert vars(search)["ProcessPoolExecutor"] is ProcessPoolExecutor  # cached for sweep
+    with pytest.raises(AttributeError):
+        search.NoSuchName
 
 
 def test_sweep_paired_family_l_mode():
