@@ -19,17 +19,19 @@ zero.  Deciding a candidate is thus a k-SUM over the row residues: the
 kernel fixes every row but the last two, walks the second-to-last row and
 looks the last one up by the negated residue sum (a residue join, the
 2-SUM step), and only the rare candidate whose residues do sum to zero is
-decided by :func:`matches_constant`.  That function evaluates one
-candidate from scratch, in exact integers, and is the oracle the kernel is
-tested against.
+decided by :func:`matches_constant`.  That function certifies a candidate
+whose rows cancel in pairs and evaluates any other from scratch, in exact
+integers; it is the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .rigidity import exact_int, point_value
+from .rigidity import exact_int, point_value, rows_cancel
 
 # Exact sample points (z, x, y) used by the sweeps, one tuple each.  Any
 # |z| >= 2 avoids all denominator roots.
@@ -65,8 +67,12 @@ def matches_constant(rows, points) -> bool:
     a sequence of ``(z, x, y)`` triples with every ``z >= 2``.  The answer
     is True when the row sum of products of ``(x*z^w + y) / (z^w - 1)``
     equals the sign-count constant at every point, and False at the first
-    point where it does not.
+    point where it does not.  Rows that cancel in pairs (see
+    :func:`rigidpow.rigidity.rows_cancel`) are 0 at every point with
+    constant 0, so they are answered True before any point is evaluated.
     """
+    if rows_cancel(rows):
+        return True
     for z, x, y in points:
         top, bottom, constant = point_value(rows, z, x, y)
         if top != constant * bottom:
@@ -158,18 +164,23 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     candidates with ``L = len(rows) - j0`` (see :func:`block_size`).  A
     sweep with ``m = 1`` has no such block and never calls the kernel.
 
-    ``out`` is the caller's mask, zeroed: for each residue hit ``k`` (see
-    below) the kernel writes :func:`matches_constant` for the ``k``-th
-    candidate to ``out[k]``, in place, and it leaves every other byte as
-    it is.  Each row's residue (see :func:`_row_residues`) is
-    computed once, here, and kept in order in ``kernel.residues``, and the
-    rows are indexed by residue.  For each ``j`` the kernel adds up the
-    fixed rows' residues and looks up its negation: the positions sharing
-    it, cut by bisection to the block's ``p`` range, are the only
-    candidates whose residues sum to zero (a 2-SUM over the last two rows).
-    Each of them is decided by :func:`matches_constant`, and every other
-    candidate is rejected by the zero the caller left in its byte, so the
-    mask is the oracle's byte for byte.  Every point needs ``2 <= z <
+    ``out`` is the caller's mask: any object with ``len()`` and item
+    assignment, such as a zeroed ``bytearray(count)``.  For each residue
+    hit ``k`` (see below) the kernel writes :func:`matches_constant` for
+    the ``k``-th candidate to ``out[k]``, in place and in increasing
+    ``k``, and it writes no other byte, so a mask that records only its
+    truthy writes holds every survivor.  Each row's residue (see
+    :func:`_row_residues`) is computed once, here, and kept in order in
+    ``kernel.residues``, and the rows are indexed by residue.  A call adds
+    up the fixed rows' residues once; the rows ``j`` of ``tails`` whose
+    partner residue (that sum's negation minus ``j``'s residue) occurs
+    come out of one lazy ``map`` and ``compress`` chain, with no Python
+    code run per row.  For each such ``j``, the positions holding the
+    partner residue, cut by bisection to the block's ``p`` range, are the
+    only candidates whose residues sum to zero (a 2-SUM over the last two
+    rows).  Each of them is decided by :func:`matches_constant`, and every
+    other candidate is rejected by the zero the caller left in its byte,
+    so the mask is the oracle's byte for byte.  Every point needs ``2 <= z <
     _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be below ``(_PRIME
     - 1) // 2``, so that no ``z^w - 1`` vanishes modulo ``_PRIME``.  A
     point that is not such a tuple or a row that breaks the parameters
@@ -195,9 +206,13 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                              f"with 2 <= z < _PRIME - 1 and x, y > 0")
     rows = tuple(rows)
     residues = _row_residues(rows, n, bound, points)
+    # Each residue r is a key both as r and as r - _PRIME, so that for a
+    # target and a residue in [0, _PRIME) the partner residue target -
+    # residue, in (-_PRIME, _PRIME), is a key as it is, with no reduction.
     positions: Dict[int, List[int]] = {}
     for p, residue in enumerate(residues):
         positions.setdefault(residue, []).append(p)
+    positions.update({residue - _PRIME: at for residue, at in positions.items()})
     size = len(rows)
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
@@ -215,16 +230,20 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
         block = block_size(tails, size)
         if not 0 <= count <= min(block, len(out)):
             raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
-        offset = 0  # the block position of candidate (j, j)
-        for j in tails:
+        target %= _PRIME
+        start = tails.start
+        # the rows j whose partner residue occurs, found without a Python
+        # frame per row; compress is lazy, so the count cut below stops it
+        partners = map(sub, repeat(target), residues[start:tails.stop])
+        hits = compress(tails, map(positions.__contains__, partners))
+        for j in hits:
+            offset = block_size(range(start, j), size)  # the offset of candidate (j, j)
             if offset >= count:
                 break
-            at = positions.get((target - residues[j]) % _PRIME)
-            if at:
-                pair_rows = (*map(rows.__getitem__, heads), rows[j])
-                for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
-                    out[offset + p - j] = matches_constant(pair_rows + (rows[p],), points)
-            offset += size - j
+            at = positions[target - residues[j]]
+            pair_rows = (*map(rows.__getitem__, heads), rows[j])
+            for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
+                out[offset + p - j] = matches_constant(pair_rows + (rows[p],), points)
 
     residue_join.residues = residues
     return residue_join, "residue-join"

@@ -375,10 +375,20 @@ def _cancels(matrix: WeightMatrix, candidate: Form, fold: bool) -> bool:
     looked at."""
     if matrix.m % 2 or not candidate.is_zero():
         return False
+    rows = map(fold_signs, matrix.rows) if fold else matrix.rows
+    return rows_cancel((sorted(weights), sign) for weights, sign in rows)
+
+
+def rows_cancel(rows) -> bool:
+    """Whether every weights sequence of ``rows``, ``(weights, sign)``
+    pairs, is held by as many ``+`` rows as ``-`` rows.  Such rows pair off
+    into a ``+`` and a ``-`` row with equal terms, so their function is 0 at
+    every point, and so is their sign-count constant.  Sequences are
+    compared as given: rows whose weights are the same multiset in another
+    order count as different here."""
     tally = {}
-    for row in matrix.rows:
-        weights, sign = fold_signs(row) if fold else row
-        key = tuple(sorted(weights))
+    for weights, sign in rows:
+        key = tuple(weights)
         tally[key] = tally.get(key, 0) + sign
     return not any(tally.values())
 

@@ -14,8 +14,9 @@ class under row and column permutation appears exactly once.  A candidate
 is a non-decreasing list of indices into the sorted row universe, and the
 candidates are walked in blocks that share their first m - 2 rows; the
 pre-filter decides a whole block with one residue lookup per choice of its
-second-to-last row (see :mod:`rigidpow.prefilter`), so only survivors are
-ever built as matrices.  A one-row candidate never survives, so an m = 1
+second-to-last row (see :mod:`rigidpow.prefilter`) and writes only its hits
+into the block's mask, which keeps just the offsets of its survivors (no
+byte per candidate), so only survivors are ever built as matrices.  A one-row candidate never survives, so an m = 1
 sweep only counts its candidates.  Shards fix the first (smallest) row;
 each shard is independently enumerable and the merged result is a
 deterministic sorted union, so shard count never changes the outcome of a
@@ -206,20 +207,42 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int
                 yield heads, range(heads[-1], size)
 
 
-def _passed(mask: bytearray, heads: Tuple[int, ...], tails: range, size: int
+class _Hits:
+    """A kernel mask of ``size`` bytes that keeps only its hits: item
+    assignment records the offset of each truthy byte, in the increasing
+    order the kernel writes them, and ``len`` and ``count`` answer as the
+    zeroed ``bytearray(size)`` would after the same writes."""
+
+    __slots__ = ("size", "offsets")
+
+    def __init__(self, size: int):
+        self.size, self.offsets = size, []
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __setitem__(self, k: int, byte) -> None:
+        if byte:
+            self.offsets.append(k)
+
+    def count(self, byte: int) -> int:
+        hits = len(self.offsets)
+        return {1: hits, 0: self.size - hits}.get(byte, 0)
+
+
+def _passed(offsets: List[int], heads: Tuple[int, ...], tails: range, size: int
             ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The offsets ``k`` of the candidates a kernel block's pre-filter mask
-    lets through, each with the candidate's row indices ``heads + (j,
-    p)``, which come from a forward walk over the offsets where each ``j``
-    starts; the increasing ``k`` never has to undo it."""
-    k = mask.find(1)
+    """The increasing ``offsets`` of the candidates a kernel block's
+    pre-filter lets through (a :class:`_Hits` mask's), each with the
+    candidate's row indices ``heads + (j, p)``, which come from a forward
+    walk over the offsets where each ``j`` starts; the increasing offsets
+    never have to undo it."""
     j, row = tails.start, 0  # row: the offset of candidate (j, j)
-    while k != -1:
+    for k in offsets:
         while k >= row + size - j:
             row += size - j
             j += 1
         yield k, (*heads, j, j + k - row)
-        k = mask.find(1, k + 1)
 
 
 class _ShardResult:
@@ -238,8 +261,9 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     through the symbolic check.  The row universe and its residues are
     built once for all of them (an m = 1 sweep, which never calls the
     kernel, builds no residues).  A block that reaches past the enum budget
-    is cut before its mask is allocated, so no mask is longer than what is
-    left of the budget."""
+    is cut before the kernel is called, so the kernel decides no candidate
+    past the budget, and its mask, a :class:`_Hits`, holds the offsets of
+    the block's survivors only."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
@@ -268,9 +292,9 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                 # constant -y, so a row's value is larger in size than its
                 # constant.
                 continue
-            mask = bytearray(count)
+            mask = _Hits(count)
             kernel(heads, tails, m, n, count, points, mask)
-            for k, indices in _passed(mask, heads, tails, size):
+            for k, indices in _passed(mask.offsets, heads, tails, size):
                 if start + k >= limit:
                     break
                 passed += 1
@@ -420,9 +444,9 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     count = block_size(tails, len(rows))
     solutions: List[Triple] = []
     for c in range(len(plus)):
-        mask = bytearray(count)
+        mask = _Hits(count)
         kernel((c,), tails, 3, n, count, points, mask)
-        for _, (_, a, b) in _passed(mask, (c,), tails, len(rows)):
+        for _, (_, a, b) in _passed(mask.offsets, (c,), tails, len(rows)):
             matrix = WeightMatrix((rows[a], rows[b], rows[c]))
             verdict = is_l_rigid(matrix)
             if verdict.rigid and verdict.constant.constant_value() == 1:
