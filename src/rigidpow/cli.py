@@ -263,41 +263,43 @@ def _cmd_quasilinear(args) -> int:
 
 
 def _report_records(report: SearchReport, constants: Sequence[str]) -> Iterator[dict]:
+    # every record's keys are in sorted order, so _ENCODER need not sort them
     spec = report.spec
     yield {
-        "type": "spec",
-        "m": spec.m,
-        "n": spec.n,
         "bound": spec.bound,
+        "check_budget": spec.check_budget,
+        "enum_budget": spec.enum_budget,
+        "m": spec.m,
         "mode": spec.mode,
+        "n": spec.n,
         # always null: SearchSpec has no sign policy; kept so --out bytes stay the same
         "sign_policy": None,
-        "enum_budget": spec.enum_budget,
-        "check_budget": spec.check_budget,
+        "type": "spec",
     }
     for f, constant in zip(report.found, constants):
         yield {
-            "type": "find",
-            "rows": [list(r.weights) for r in f.matrix.rows],
-            "signs": [r.sign for r in f.matrix.rows],
             "constant": constant,
             "constant_value": f.constant.constant_value() if f.constant.is_constant() else None,
-            "label": f.label.kind if f.label is not None else None,
-            "quasilinear": list(f.quasilinear_seed) if f.quasilinear_seed else None,
             "kosniowski_ok": f.kosniowski_ok,
+            "label": f.label.kind if f.label is not None else None,
             "pairable": f.pairable,
+            "quasilinear": f.quasilinear_seed or None,
+            "rows": [r.weights for r in f.matrix.rows],
+            "signs": [r.sign for r in f.matrix.rows],
+            "type": "find",
         }
     yield {
-        "type": "summary",
-        "found": len(report.found),
         "enumerated": report.stats.enumerated,
-        "rejected": report.stats.rejected,
         "exact_checks": report.stats.exact_checks,
+        "found": len(report.found),
+        "rejected": report.stats.rejected,
+        "type": "summary",
     }
 
 
-# shared by every record (json.dumps builds one per call); records hold no cycles
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+# shared by every record (json.dumps builds one per call); records hold no
+# cycles, and each is built with its keys in sorted order
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def _write_records(handle, records) -> None:
@@ -362,11 +364,8 @@ def _cmd_search(args) -> int:
             for a, b, c in solutions:
                 print(f"  a={list(a)} b={list(b)} c={list(c)}")
             if args.out:
-                records = [
-                    {"type": "solution", "a": list(a), "b": list(b), "c": list(c)}
-                    for a, b, c in solutions
-                ]
-                _write_records(out, records + [{"type": "summary", "solutions": len(solutions)}])
+                records = [{"a": a, "b": b, "c": c, "type": "solution"} for a, b, c in solutions]
+                _write_records(out, records + [{"solutions": len(solutions), "type": "summary"}])
             return 0
 
         exceeded = False

@@ -15,20 +15,24 @@ row's term at every point, reduced modulo ``_PRIME`` and combined with a
 fixed multiplier per point (a Karp-Rabin fingerprint).  Reduction modulo a
 prime is a ring map on the rationals whose denominators it does not
 divide, so a candidate whose terms sum to zero has residues that sum to
-zero.  Deciding a candidate is thus a k-SUM over the row residues: the
-kernel fixes every row but the last two, walks the second-to-last row and
-looks the last one up by the negated residue sum (a residue join, the
-2-SUM step), and only the rare candidate whose residues do sum to zero is
-decided by :func:`matches_constant`.  That function certifies a candidate
-whose rows cancel in pairs and evaluates any other from scratch, in exact
-integers; it is the oracle the kernel is tested against.
+zero.  Deciding a candidate is thus a k-SUM over the row residues.  For
+m <= 3 the kernel fixes every row but the last two, walks the
+second-to-last row and looks the last one up by the negated residue sum (a
+residue join, the 2-SUM step).  For m >= 4 it can also fix every row but
+the last three: it tables every pair of rows by its residue sum once and
+looks the last two up together for each choice of the third-to-last row
+(Horowitz and Sahni, 1974).  Only the rare candidate whose residues do sum
+to zero is decided by :func:`matches_constant`.  That function certifies
+a candidate whose rows cancel in pairs and evaluates any other from
+scratch, in exact integers; it is the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
-from operator import sub
+from math import comb
+from operator import ge, mod, sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .rigidity import exact_int, point_value, rows_cancel
@@ -142,10 +146,16 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     return residues
 
 
-def block_size(tails: range, size: int) -> int:
-    """The number of candidates in a kernel block over a universe of
-    ``size`` rows: the pairs ``j <= p < size`` with ``j`` in ``tails``."""
-    return len(tails) * (2 * size - tails.start - tails.stop + 1) // 2
+def block_size(tails: range, size: int, free: int = 2) -> int:
+    """The number of candidates in a kernel block with ``free`` free rows
+    over a universe of ``size`` rows: the non-decreasing ``free``-tuples of
+    rows below ``size`` whose first row is in ``tails``.  For ``free = 2``
+    these are the pairs ``j <= p`` with ``j`` in ``tails``."""
+    if free == 2:
+        return len(tails) * (2 * size - tails.start - tails.stop + 1) // 2
+    if not tails:
+        return 0
+    return comb(size - tails.start + free - 1, free) - comb(size - tails.stop + free - 1, free)
 
 
 def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
@@ -155,14 +165,17 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     at ``points``, a sequence of ``(z, x, y)`` tuples, plus its name.
 
     The kernel is called as ``kernel(heads, tails, m, n, count, points,
-    out)`` and decides the first ``count`` candidates of a block that
-    shares its first ``m - 2`` rows, ``heads``, indices into ``rows``; the
-    last two rows are free.  ``tails`` is a consecutive ``range`` (step 1)
-    of row indices, and the block is ``heads + (j, p)`` for ``j`` in
-    ``tails`` and ``j <= p < len(rows)``, in lexicographic order, so
-    ``tails = range(j0, len(rows))`` is a triangle of ``L (L + 1) / 2``
-    candidates with ``L = len(rows) - j0`` (see :func:`block_size`).  A
-    sweep with ``m = 1`` has no such block and never calls the kernel.
+    out)`` and decides the first ``count`` candidates of a block whose
+    first rows, ``heads``, are fixed indices into ``rows`` and whose last
+    ``free = m - len(heads)`` rows are free: two for any ``m``, or three
+    for ``m >= 4``.  ``tails`` is a consecutive ``range`` (step 1) of row
+    indices, and the block is ``heads + (j, p)`` for ``j`` in ``tails`` and
+    ``j <= p < len(rows)``, or with three free rows ``heads + (j, k, p)``
+    for ``j`` in ``tails`` and ``j <= k <= p < len(rows)``, in
+    lexicographic order (see :func:`block_size`).  So ``tails = range(j0,
+    len(rows))`` is a triangle of ``L (L + 1) / 2`` candidates, or a
+    tetrahedron of ``L (L + 1) (L + 2) / 6``, with ``L = len(rows) - j0``.
+    A sweep with ``m = 1`` has no such block and never calls the kernel.
 
     ``out`` is the caller's mask: any object with ``len()`` and item
     assignment, such as a zeroed ``bytearray(count)``.  For each residue
@@ -175,10 +188,17 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     up the fixed rows' residues once; the rows ``j`` of ``tails`` whose
     partner residue (that sum's negation minus ``j``'s residue) occurs
     come out of one lazy ``map`` and ``compress`` chain, with no Python
-    code run per row.  For each such ``j``, the positions holding the
-    partner residue, cut by bisection to the block's ``p`` range, are the
-    only candidates whose residues sum to zero (a 2-SUM over the last two
-    rows).  Each of them is decided by :func:`matches_constant`, and every
+    code run per row.  With two free rows the partner is one row's
+    residue, and for each such ``j`` the positions holding it, cut by
+    bisection to the block's ``p`` range, are the only candidates whose
+    residues sum to zero (a 2-SUM over the last two rows).  With three it
+    is the residue sum of a pair ``k <= p``: the first such call tables
+    every pair of ``rows`` by its residue sum, in lexicographic order
+    (``len(rows) (len(rows) + 1) / 2`` entries, kept for later calls), a
+    row ``j`` counts only if its partner sum has a pair with ``k >= j``,
+    and the pairs under that sum, cut by bisection to ``k >= j`` and to
+    ``count``, are the only candidates whose residues sum to zero.  Each
+    of them is decided by :func:`matches_constant`, and every
     other candidate is rejected by the zero the caller left in its byte,
     so the mask is the oracle's byte for byte.  Every point needs ``2 <= z <
     _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be below ``(_PRIME
@@ -214,12 +234,24 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
         positions.setdefault(residue, []).append(p)
     positions.update({residue - _PRIME: at for residue, at in positions.items()})
     size = len(rows)
+    # the pair table, built on the first call with three free rows: for
+    # each residue sum modulo _PRIME of rows k <= p, the last rank of its
+    # pairs in lexicographic order, and for a sum that several pairs share
+    # the increasing list of their ranks (an int takes less memory than a
+    # list); and the rank of each pair (k, k)
+    last_pair: Dict[int, int] = {}
+    shared: Dict[int, List[int]] = {}
+    pair_starts: List[int] = []
+    shapes = (2, 3) if m >= 4 else (2,)  # the numbers of free rows a call may have
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
-        if (m_ != m or n_ != n or len(heads) != m - 2 or type(tails) is not range
-                or tails.step != 1 or points_ is not points and tuple(points_) != points):
-            raise ValueError(f"the kernel needs {m - 2} heads, a consecutive range of tails, "
-                             f"m = {m}, n = {n} and the points it was built for")
+        free = m - len(heads)
+        if (m_ != m or n_ != n or free not in shapes
+                or type(tails) is not range or tails.step != 1
+                or points_ is not points and tuple(points_) != points):
+            raise ValueError(f"the kernel needs {m - 2} heads (or {m - 3} for m >= 4), a "
+                             f"consecutive range of tails, m = {m}, n = {n} and the points "
+                             f"it was built for")
         target = 0
         for h in heads:
             if not 0 <= h < size:
@@ -227,7 +259,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             target -= residues[h]
         if tails and (tails.start < 0 or tails.stop > size):
             raise ValueError(f"tails {tails} are not in range({size})")
-        block = block_size(tails, size)
+        block = block_size(tails, size, free)
         if not 0 <= count <= min(block, len(out)):
             raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
         target %= _PRIME
@@ -235,15 +267,37 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
         # the rows j whose partner residue occurs, found without a Python
         # frame per row; compress is lazy, so the count cut below stops it
         partners = map(sub, repeat(target), residues[start:tails.stop])
-        hits = compress(tails, map(positions.__contains__, partners))
-        for j in hits:
-            offset = block_size(range(start, j), size)  # the offset of candidate (j, j)
+        if free == 2:
+            for j in compress(tails, map(positions.__contains__, partners)):
+                offset = block_size(range(start, j), size)  # the offset of candidate (j, j)
+                if offset >= count:
+                    break
+                at = positions[target - residues[j]]
+                fixed = (*map(rows.__getitem__, heads), rows[j])
+                for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
+                    out[offset + p - j] = matches_constant(fixed + (rows[p],), points)
+            return
+        if not pair_starts:
+            for k, residue in enumerate(residues):
+                pair_starts.append(rank := block_size(range(k), size))
+                for rank, other in enumerate(residues[k:], rank):
+                    if (key := (residue + other) % _PRIME) in last_pair:
+                        shared.setdefault(key, [last_pair[key]]).append(rank)
+                    last_pair[key] = rank
+        # a row j hits only if the partner sum has a pair (k, p) with k >=
+        # j, that is, a last rank at or past that of (j, j)
+        last_ranks = map(last_pair.get, map(mod, partners, repeat(_PRIME)), repeat(-1))
+        for j in compress(tails, map(ge, last_ranks, map(pair_starts.__getitem__, tails))):
+            offset = block_size(range(start, j), size, 3)  # the offset of candidate (j, j, j)
             if offset >= count:
                 break
-            at = positions[target - residues[j]]
-            pair_rows = (*map(rows.__getitem__, heads), rows[j])
-            for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
-                out[offset + p - j] = matches_constant(pair_rows + (rows[p],), points)
+            key, first = (target - residues[j]) % _PRIME, pair_starts[j]
+            at = shared.get(key) or (last_pair[key],)
+            fixed = (*map(rows.__getitem__, heads), rows[j])
+            for rank in at[bisect_left(at, first):bisect_left(at, first + count - offset)]:
+                k = bisect_right(pair_starts, rank) - 1
+                out[offset + rank - first] = matches_constant(
+                    fixed + (rows[k], rows[k + rank - pair_starts[k]]), points)
 
     residue_join.residues = residues
     return residue_join, "residue-join"

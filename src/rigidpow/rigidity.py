@@ -366,16 +366,16 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     return RigidityVerdict(rigid=False, witness=Witness(k, Form(coeffs), *point))
 
 
-def _cancels(matrix: WeightMatrix, candidate: Form, fold: bool) -> bool:
-    """Whether every weight multiset is held by as many ``+`` rows as ``-``
-    rows; with ``fold``, after each negative weight has been made positive
-    and its sign folded into the row sign (see :func:`fold_signs`).
-    Rows that pair off like that leave an even ``m`` and a zero
-    ``candidate``, so any other input is turned away before a row is
-    looked at."""
-    if matrix.m % 2 or not candidate.is_zero():
+def _cancels(rows: Sequence[Row], fold: bool) -> bool:
+    """Whether every weight multiset of ``rows`` is held by as many ``+``
+    rows as ``-`` rows; with ``fold``, after each negative weight has been
+    made positive and its sign folded into the row sign (see
+    :func:`fold_signs`).  Rows that pair off like that are even in number,
+    so an odd count is turned away before a row is looked at."""
+    if len(rows) % 2:
         return False
-    rows = map(fold_signs, matrix.rows) if fold else matrix.rows
+    if fold:
+        rows = map(fold_signs, rows)
     return rows_cancel((sorted(weights), sign) for weights, sign in rows)
 
 
@@ -402,15 +402,16 @@ def is_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     every multiset is held by as many ``+`` rows as ``-`` rows (see
     :func:`_cancels`), the rows pair off into a ``+`` and a ``-`` row with
     equal products, each pair contributes zero, and the function is
-    identically 0.  It is then constant, its forced value (the candidate)
-    is 0, and the verdict is the one the identity below returns:
+    identically 0.  It is then constant and its forced value (the
+    candidate) is the zero form of degree ``n``, so the verdict, built
+    before any candidate, is the one the identity below returns:
     ``RigidityVerdict(rigid=True, constant=candidate)``.  Any other matrix
-    is decided by that identity, by :func:`_packed_decide`.
+    builds its candidate and is decided by that identity, by
+    :func:`_packed_decide`.
     """
-    candidate = candidate_constant(matrix)
-    if _cancels(matrix, candidate, fold=False):
-        return RigidityVerdict(rigid=True, constant=candidate)
-    return _packed_decide(matrix, matrix.n, candidate, WITNESS_XY_VALUES)
+    if _cancels(matrix.rows, fold=False):
+        return RigidityVerdict(rigid=True, constant=Form((0,) * (matrix.n + 1)))
+    return _packed_decide(matrix, matrix.n, candidate_constant(matrix), WITNESS_XY_VALUES)
 
 
 def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
@@ -421,12 +422,12 @@ def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     (z^-a - 1) = -(z^a + 1) / (z^a - 1)``, the negative of the factor of
     ``a``, so a row's term is unchanged when a weight is made positive and
     the row sign flipped.  Rows that cancel in pairs after that fold give the
-    function 0, which is the candidate, and the verdict ``rigid`` with it.
+    function 0, which is the candidate, and the verdict ``rigid`` with the
+    zero form of degree 0, built before any candidate.
     """
-    candidate = _candidate(matrix, 0)
-    if _cancels(matrix, candidate, fold=True):
-        return RigidityVerdict(rigid=True, constant=candidate)
-    return _packed_decide(matrix, 0, candidate, ((1, 1),))
+    if _cancels(matrix.rows, fold=True):
+        return RigidityVerdict(rigid=True, constant=Form((0,)))
+    return _packed_decide(matrix, 0, _candidate(matrix, 0), ((1, 1),))
 
 
 def fold_signs(row: Row) -> Row:

@@ -12,22 +12,23 @@ Enumeration generates canonical forms directly: weights inside a row are
 non-increasing and the row list is non-decreasing, so each equivalence
 class under row and column permutation appears exactly once.  A candidate
 is a non-decreasing list of indices into the sorted row universe, and the
-candidates are walked in blocks that share their first m - 2 rows; the
-pre-filter decides a whole block with one residue lookup per choice of its
-second-to-last row (see :mod:`rigidpow.prefilter`) and writes only its hits
-into the block's mask, which keeps just the offsets of its survivors (no
-byte per candidate), so only survivors are ever built as matrices.  A one-row candidate never survives, so an m = 1
-sweep only counts its candidates.  Shards fix the first (smallest) row;
-each shard is independently enumerable and the merged result is a
-deterministic sorted union, so shard count never changes the outcome of a
-completed sweep.
+candidates are walked in blocks that share their first m - 2 rows, or for
+m >= 4 their first m - 3; the pre-filter decides a whole block with one
+residue lookup per choice of its first free row (see
+:mod:`rigidpow.prefilter`) and writes only its hits into the block's mask,
+which keeps just the offsets of its survivors (no byte per candidate), so
+only survivors are ever built as matrices.  A one-row candidate never
+survives, so an m = 1 sweep only counts its candidates.  Shards fix the
+first (smallest) row; each shard is independently enumerable and the
+merged result is a deterministic sorted union, so shard count never
+changes the outcome of a completed sweep.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import Form
@@ -46,6 +47,10 @@ from .rigidity import (
 # The pre-filter once took candidates in chunks of this many, and budget
 # counts still follow those chunks; see _run_shards.
 _CHUNK = 1024
+
+# The most rows a sweep's row universe may hold; a larger one could not be
+# built in memory, let alone swept.
+MAX_UNIVERSE_ROWS = 10_000_000
 
 Triple = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
@@ -73,7 +78,9 @@ class SearchSpec:
     ``SearchSpec.check_budget`` = 10**5 exact checks.  Every number must be
     an ``int`` (``bool`` and floats raise ``ValueError``).  ``bound`` limits
     every ``|w|``, and the pre-filter needs it below ``(_PRIME - 1) // 2``
-    (see :func:`rigidpow.prefilter.select_filter`).  A spec is immutable.
+    (see :func:`rigidpow.prefilter.select_filter`), and the row universe
+    of ``n`` and ``bound`` may hold at most ``MAX_UNIVERSE_ROWS`` rows.  A
+    spec is immutable.
     """
 
     enum_budget = 10_000_000
@@ -91,6 +98,9 @@ class SearchSpec:
             raise ValueError(f"mode must be 'T' or 'L', got {self.mode!r}")
         if self.enum_budget < 1 or self.check_budget < 1:
             raise ValueError("budgets must be positive")
+        if _universe_rows(self.n, self.bound, self.mode) > MAX_UNIVERSE_ROWS:
+            raise ValueError(f"the row universe of n = {self.n}, bound = {self.bound} in "
+                             f"{self.mode} mode has more than {MAX_UNIVERSE_ROWS} rows")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a SearchSpec is immutable")
@@ -182,27 +192,48 @@ def row_universe(n: int, bound: int, mode: str) -> List[Row]:
     return rows
 
 
-def _blocks(m: int, size: int, shard_index: int, shard_count: int
+def _universe_rows(n: int, bound: int, mode: str) -> int:
+    """The number of rows of ``row_universe(n, bound, mode)``, ``2 C(v + n
+    - 1, n)`` with ``v = bound`` values in L mode and ``2 bound`` in T
+    mode, or, once it passes ``MAX_UNIVERSE_ROWS``, some number past that.
+    ``C(v + n - 1, i)`` grows with ``i`` up to ``min(n, v - 1)``, which
+    gives the same binomial, so the product stops there or at the cap."""
+    v = bound if mode == "L" else 2 * bound
+    rows = 2
+    for i in range(1, min(n, v - 1) + 1):
+        rows = rows * (v + n - i) // i
+        if rows > MAX_UNIVERSE_ROWS:
+            break
+    return rows
+
+
+def _blocks(m: int, size: int, shard_index: int, shard_count: int, free: int
             ) -> Iterator[Tuple[Tuple[int, ...], range]]:
     """A shard's canonical candidates over a universe of ``size`` rows, as
     blocks ``(heads, tails)`` in canonical order, the first row of each
-    candidate ≡ shard_index mod shard_count.  For ``m = 1`` the block of
-    row ``i`` is ``((), range(i, i + 1))``, the one candidate ``(i,)``.
-    Otherwise a block is a kernel block (see
-    :func:`rigidpow.prefilter.select_filter`): ``heads`` indexes the first
-    ``m - 2`` rows and the last two are free.  For ``m = 2`` the block of
-    first row ``i`` is ``((), range(i, i + 1))``, and for ``m >= 3`` each
-    prefix ``heads`` has the block ``range(heads[-1], size)`` of all pairs
-    after it.  Building the ``m <= 3`` blocks directly keeps the walk
-    linear in ``size``, where ``combinations_with_replacement`` would copy
-    the whole range for every first row."""
+    candidate ≡ shard_index mod shard_count.  ``heads`` indexes the first
+    ``m - free`` rows and the last ``free`` are free, the first of them in
+    ``tails`` (see :func:`rigidpow.prefilter.block_size`): ``free`` is
+    ``min(m, 2)``, or 3 for a pair-table walk with ``m >= 4``.  Every
+    block with ``m > 1`` is a kernel block (see
+    :func:`rigidpow.prefilter.select_filter`).  A walk with no heads (``m
+    = free``) is one block ``((), range(size))`` when unsharded, and
+    otherwise has the block ``((), range(i, i + 1))`` of each first row
+    ``i``, so that tails stay consecutive.  Otherwise each prefix ``heads``
+    has the block ``range(heads[-1], size)`` of all rows after it.
+    Building the one-head blocks directly keeps the walk linear in
+    ``size``, where ``combinations_with_replacement`` would copy the whole
+    range for every first row."""
+    if m == free and shard_count == 1:
+        yield (), range(size)
+        return
     for i in range(shard_index, size, shard_count):
-        if m <= 2:
+        if m == free:
             yield (), range(i, i + 1)
-        elif m == 3:
+        elif m == free + 1:
             yield (i,), range(i, size)
         else:
-            for rest in combinations_with_replacement(range(i, size), m - 3):
+            for rest in combinations_with_replacement(range(i, size), m - free - 1):
                 heads = (i, *rest)
                 yield heads, range(heads[-1], size)
 
@@ -230,19 +261,26 @@ class _Hits:
         return {1: hits, 0: self.size - hits}.get(byte, 0)
 
 
-def _passed(offsets: List[int], heads: Tuple[int, ...], tails: range, size: int
-            ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+def _passed(offsets: List[int], heads: Tuple[int, ...], tails: range, size: int,
+            free: int = 2) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """The increasing ``offsets`` of the candidates a kernel block's
     pre-filter lets through (a :class:`_Hits` mask's), each with the
-    candidate's row indices ``heads + (j, p)``, which come from a forward
-    walk over the offsets where each ``j`` starts; the increasing offsets
-    never have to undo it."""
-    j, row = tails.start, 0  # row: the offset of candidate (j, j)
-    for k in offsets:
-        while k >= row + size - j:
-            row += size - j
+    candidate's row indices ``heads + (k, p)``, or ``heads + (j, k, p)``
+    with three free rows, which come from a forward walk over the offsets
+    where each ``k`` (and each ``j``) starts; the increasing offsets never
+    have to undo it."""
+    j, row = tails.start, 0  # with three free rows, the first and the offset of (j, j, j)
+    k, pair = j, 0  # the first of the last two free rows, and the offset of (k, k) past row
+    for offset in offsets:
+        while free == 3 and offset >= row + (span := (size - j) * (size - j + 1) // 2):
+            row += span
             j += 1
-        yield k, (*heads, j, j + k - row)
+            k, pair = j, 0
+        while offset >= row + pair + size - k:
+            pair += size - k
+            k += 1
+        last_two = (k, k + offset - row - pair)
+        yield offset, (*heads, j, *last_two) if free == 3 else (*heads, *last_two)
 
 
 class _ShardResult:
@@ -260,10 +298,13 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     candidates through the pre-filter and at most ``check_cap`` survivors
     through the symbolic check.  The row universe and its residues are
     built once for all of them (an m = 1 sweep, which never calls the
-    kernel, builds no residues).  A block that reaches past the enum budget
-    is cut before the kernel is called, so the kernel decides no candidate
-    past the budget, and its mask, a :class:`_Hits`, holds the offsets of
-    the block's survivors only."""
+    kernel, builds no residues).  A walk of ``m >= 4`` rows that its enum
+    budget cannot cut has three free rows per block, so it makes one kernel
+    call per choice of its first ``m - 3`` rows; any other has two (see
+    :func:`_blocks`).  A block that reaches past the enum budget is cut
+    before the kernel is called, so the kernel decides no candidate past
+    the budget, and its mask, a :class:`_Hits`, holds the offsets of the
+    block's survivors only."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
@@ -275,9 +316,15 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
         results.append(result)
         limit = enum_cap
         enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
-        for heads, tails in _blocks(m, size, shard_index, shard_count):
+        # pair-table blocks only for a walk its enum budget cannot cut, so
+        # that the table's U (U + 1) / 2 entries stay below the candidates
+        # the walk decides
+        totals = accumulate(block_size(range(i, i + 1), size, m)
+                            for i in range(shard_index, size, shard_count))
+        free = 3 if m >= 4 and all(total <= limit for total in totals) else min(m, 2)
+        for heads, tails in _blocks(m, size, shard_index, shard_count, free):
             start = enumerated
-            count = block_size(tails, size) if m > 1 else 1
+            count = block_size(tails, size, free)
             if start + count > limit:
                 result.exceeded = True
                 if start >= limit:
@@ -294,7 +341,7 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                 continue
             mask = _Hits(count)
             kernel(heads, tails, m, n, count, points, mask)
-            for k, indices in _passed(mask.offsets, heads, tails, size):
+            for k, indices in _passed(mask.offsets, heads, tails, size, free):
                 if start + k >= limit:
                     break
                 passed += 1

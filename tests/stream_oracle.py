@@ -5,9 +5,9 @@ canonical order, and ``stream_shard`` and ``stream_triples`` decide them
 the way sweeps did before the join: ``matches_constant`` on every
 candidate, in chunks of ``CHUNK``.  ``chunk_mask`` gives its mask, one
 byte per candidate, and ``join_mask`` the sweep's mask for the same
-candidates, in the same order, block by block: the kernel's for m > 1 and
-all zero for m = 1; ``block_candidates`` lists the candidates of one
-block.
+candidates, in the same order, block by block in either block shape: the
+kernel's for m > 1 and all zero for m = 1; ``block_candidates`` lists the
+candidates of one block.
 """
 
 from itertools import combinations_with_replacement, islice
@@ -32,23 +32,26 @@ def chunk_mask(candidates, points):
 
 def block_candidates(heads, tails, m, size):
     """A block's candidates over ``size`` rows as row indices, in block
-    order: for m = 1 the rows of ``tails``, and otherwise ``heads`` plus
-    two free rows ``j <= p`` with ``j`` from ``tails``."""
-    if m == 1:
-        return [(p,) for p in tails]
-    return [(*heads, j, p) for j in tails for p in range(j, size)]
+    order: ``heads`` plus ``m - len(heads)`` free rows, non-decreasing,
+    the first of them from ``tails``."""
+    return [(*heads, j, *rest) for j in tails
+            for rest in combinations_with_replacement(range(j, size), m - len(heads) - 1)]
 
 
-def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1):
+def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1, free=None):
     """The sweep's pre-filter mask over the shard's candidates, in
-    canonical order: the residue-join kernel's, and for m = 1, where
-    sweeps count each one-row block without the kernel, all zero."""
+    canonical order, walked in blocks of ``free`` free rows: the
+    residue-join kernel's, and for m = 1, where sweeps count each one-row
+    block without the kernel, all zero.  ``free`` defaults to the shape of
+    a walk that no enum budget cuts: three free rows for m >= 4."""
+    if free is None:
+        free = 3 if m >= 4 else min(m, 2)
     points = sample_points(mode)
     kernel, name = select_filter(m, n, bound, points, universe)
     assert name == "residue-join"
     mask = bytearray()
-    for heads, tails in _blocks(m, len(universe), shard_index, shard_count):
-        count = block_size(tails, len(universe)) if m > 1 else 1
+    for heads, tails in _blocks(m, len(universe), shard_index, shard_count, free):
+        count = block_size(tails, len(universe), free)
         out = bytearray(count)
         if m > 1:
             kernel(heads, tails, m, n, count, points, out)

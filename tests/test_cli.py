@@ -281,6 +281,39 @@ def test_search_flag_errors_leave_out_unopened(flags, tmp_path, capsys, monkeypa
     assert not report.exists()
 
 
+def test_search_with_a_universe_past_the_cap_fails_at_once(tmp_path, capsys):
+    # 4 * 10^9 rows: building them would exhaust memory long before a sweep
+    report = tmp_path / "x.jsonl"
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--n", "1",
+                             "--bound", "1000000000", "--out", str(report))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the row universe of n = 1, bound = 1000000000 in T mode "
+                   "has more than 10000000 rows\n")
+    assert not report.exists()
+
+
+def test_search_out_records_have_sorted_keys(tmp_path, capsys):
+    # the encoder does not sort keys, so every record type is built sorted:
+    # spec, find and summary of a sweep, solution and summary of --problem24
+    sweep_out, triples_out = tmp_path / "sweep.jsonl", tmp_path / "triples.jsonl"
+    assert run_cli(capsys, "search", "--m", "3", "--n", "2", "--bound", "4", "--mode", "L",
+                   "--out", str(sweep_out))[0] == 0
+    assert run_cli(capsys, "search", *PROBLEM24_FLAGS, "--out", str(triples_out))[0] == 0
+    kinds = set()
+    for path in sweep_out, triples_out:
+        for line in path.read_text().splitlines():
+            pairs = json.loads(line, object_pairs_hook=list)
+            keys = [key for key, _ in pairs]
+            assert keys == sorted(keys), line
+            record = dict(pairs)
+            kinds.add((record["type"], "solutions" in record,
+                       record.get("quasilinear") is not None))
+    assert {kind for kind, _, _ in kinds} == {"spec", "find", "summary", "solution"}
+    assert ("summary", True, False) in kinds and ("find", False, True) in kinds
+
+
 @pytest.mark.parametrize("flag", ["--shards", "--workers"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_search_problem24_rejects_shards_and_workers_below_1(flag, value, capsys):

@@ -53,7 +53,7 @@ def test_hits_equal_a_bytearray_run_on_every_sweep_block(monkeypatch, mode, m, n
     report = sweep(SearchSpec(m, n, bound, mode))
     size = len(row_universe(n, bound, mode))
     assert sum(args[4] for _, args, _ in calls) == report.stats.enumerated
-    assert all(args[4] == block_size(args[1], size) for _, args, _ in calls)
+    assert all(args[4] == block_size(args[1], size, m - len(args[0])) for _, args, _ in calls)
     hits = sum(assert_hits_match_bytes(*call) for call in calls)
     assert hits == report.stats.exact_checks > 0
 
@@ -94,6 +94,32 @@ def test_hits_equal_a_bytearray_run_at_every_count_of_a_block():
         kernel(*args, hits)
         assert_hits_match_bytes(kernel, args, hits)
         assert hits.offsets == [k for k in CUT_HITS if k < count]
+
+
+# L m=4 n=1 b=4 (8 rows): the pair-table block of head row 0 holds the
+# sweep's first 120 candidates
+PAIR_SPEC = (4, 1, 4, "L")
+
+
+def test_pair_table_hits_equal_a_bytearray_run_at_every_count_of_a_block():
+    universe = row_universe(*PAIR_SPEC[1:])
+    size = len(universe)
+    points = sample_points(PAIR_SPEC[3])
+    kernel, _ = select_filter(*PAIR_SPEC[:3], points, universe)
+    survivors = 0
+    for heads, tails in [((0,), range(size)), ((2,), range(2, size)), ((0,), range(3, 5))]:
+        block = block_size(tails, size, 3)
+        candidates = block_candidates(heads, tails, 4, size)
+        want = chunk_mask([tuple(map(universe.__getitem__, c)) for c in candidates], points)
+        assert len(want) == block
+        survivors += sum(want)
+        for count in range(block + 1):
+            hits = _Hits(count)
+            args = (heads, tails, 4, 1, count, points)
+            kernel(*args, hits)
+            assert_hits_match_bytes(kernel, args, hits)
+            assert hits.offsets == [k for k, byte in enumerate(want[:count]) if byte]
+    assert survivors > 0
 
 
 def test_hits_and_bytes_agree_with_the_oracle_on_zero_residues_and_targets(monkeypatch):

@@ -56,14 +56,15 @@ def test_pure_kernel_matches_symbolic_oracle():
     assert chunk_mask(candidates, T_POINTS) == oracle_mask(candidates, T_POINTS)
 
 
-def both_masks(candidates, m, n, bound, points):
+def both_masks(candidates, m, n, bound, points, free=2):
     """The residue-join kernel's mask and the oracle's on one block per
     candidate, over the rows that appear in ``candidates``.  The block
-    keeps the candidate's first m - 2 rows, and its two free rows are every
-    pair j <= p from the smaller of the candidate's last two rows on, so
-    the candidate's own rows are in it.  Sweeps decide m = 1 without the
-    kernel, rejecting every row, so for m = 1 the first mask is all zero
-    and the second is the oracle's over every canonical row."""
+    keeps the candidate's first m - free rows, and its ``free`` free rows
+    are every non-decreasing tuple from the smallest of the candidate's
+    last ``free`` rows on, so the candidate's own rows are in it.  Sweeps
+    decide m = 1 without the kernel, rejecting every row, so for m = 1 the
+    first mask is all zero and the second is the oracle's over every
+    canonical row."""
     if m == 1:
         rows = row_universe(n, bound, "T")
         return bytearray(len(rows)), chunk_mask([(row,) for row in rows], points)
@@ -73,9 +74,9 @@ def both_masks(candidates, m, n, bound, points):
     assert name == "residue-join"
     got, blocks = bytearray(), []
     for candidate in candidates:
-        heads = tuple(index[row] for row in candidate[:m - 2])
-        tails = range(min(index[row] for row in candidate[m - 2:]), len(rows))
-        count = block_size(tails, len(rows))
+        heads = tuple(index[row] for row in candidate[:m - free])
+        tails = range(min(index[row] for row in candidate[m - free:]), len(rows))
+        count = block_size(tails, len(rows), free)
         out = bytearray(count)
         kernel(heads, tails, m, n, count, points, out)
         got += out
@@ -85,12 +86,13 @@ def both_masks(candidates, m, n, bound, points):
     return got, chunk_mask(blocks, points)
 
 
-def canonical_masks(m, n, bound, mode):
+def canonical_masks(m, n, bound, mode, free=None):
     """The kernel's and the oracle's masks over every canonical candidate
-    of the sweep, in canonical order."""
+    of the sweep, in canonical order, walked in blocks of ``free`` free
+    rows (by default, those of a sweep that no enum budget cuts)."""
     universe = row_universe(n, bound, mode)
     candidates = list(stream_candidates(universe, m, 0, 1))
-    got = join_mask(universe, m, n, bound, mode)
+    got = join_mask(universe, m, n, bound, mode, free=free)
     return got, chunk_mask(candidates, sample_points(mode))
 
 
@@ -120,38 +122,41 @@ def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
         for n in range(1, 5):
             for bound in range(1, 9):
                 candidates = random_candidates(rng, m, n, bound, 6)
-                got, want = both_masks(candidates, m, n, bound, points)
-                assert got == want, (m, n, bound)
-                passed += sum(got)
+                for free in [min(m, 2)] + [3] * (m >= 4):
+                    got, want = both_masks(candidates, m, n, bound, points, free)
+                    assert got == want, (m, n, bound, free)
+                    passed += sum(got)
     assert passed > 0
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [(1, 2, 3, "T"), (2, 2, 3, "L"), (3, 2, 3, "T"),
                                             (4, 1, 4, "L")])
 def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound, mode):
-    # every cut of a few blocks around the first canonical survivor: the
-    # first count bytes are the whole block's, and no byte after them is
-    # written; m = 1 sweeps skip the kernel, and no one-row candidate passes
+    # every cut of a few blocks around the first canonical survivor, with
+    # two free rows and, for m >= 4, three: the first count bytes are the
+    # whole block's, and no byte after them is written; m = 1 sweeps skip
+    # the kernel, and no one-row candidate passes
     universe = row_universe(n, bound, mode)
     size = len(universe)
     points = sample_points(mode)
     kernel, _ = select_filter(m, n, bound, points, universe)
+    blocks = []
     if m == 1:
-        blocks = []
         assert chunk_mask([(row,) for row in universe], points) == bytes(size)
     else:
         canonical = list(combinations_with_replacement(range(size), m))
         mask = chunk_mask([tuple(map(universe.__getitem__, c)) for c in canonical], points)
-        *heads, j, _ = canonical[mask.index(1)]
-        heads = tuple(heads)
-        blocks = [(heads, range(j, size)), (heads, range(max(j - 2, 0), j + 1)),
-                  (heads, range(0, 1)), (heads, range(j, j + 1))]
+        for free in [2] + [3] * (m >= 4):
+            *heads, j = canonical[mask.index(1)][:m - free + 1]
+            heads = tuple(heads)
+            blocks += [(heads, range(j, size)), (heads, range(max(j - 2, 0), j + 1)),
+                       (heads, range(0, 1)), (heads, range(j, j + 1))]
     survivors = 0
     for heads, tails in blocks:
         candidates = [tuple(map(universe.__getitem__, indices))
                       for indices in block_candidates(heads, tails, m, size)]
         want = chunk_mask(candidates, points)
-        assert len(want) == block_size(tails, size)
+        assert len(want) == block_size(tails, size, m - len(heads))
         survivors += sum(want)
         for count in range(len(want) + 1):
             out = bytearray(count) + b"\x07\x07"
@@ -193,12 +198,14 @@ def test_residue_join_decides_a_long_block_cut_anywhere():
 
 @pytest.mark.parametrize("m, n, bound, mode", [
     (2, 1, 5, "T"), (2, 2, 3, "T"), (3, 2, 2, "T"), (3, 2, 3, "L"),
-    (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"),
+    (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"), (5, 2, 2, "T"), (5, 2, 3, "L"),
 ])
 def test_residue_join_agrees_with_matches_constant_on_every_canonical_candidate(m, n, bound, mode):
-    got, want = canonical_masks(m, n, bound, mode)
-    assert got == want
-    assert 0 < sum(got) < len(got)
+    # m >= 4 in both block shapes: the pair table's and the two-free-row one
+    for free in [min(m, 2)] + [3] * (m >= 4):
+        got, want = canonical_masks(m, n, bound, mode, free)
+        assert got == want, free
+        assert 0 < sum(got) < len(got)
 
 
 @pytest.mark.parametrize("m, n, bound", [(2, 1, 130), (1, 1, 500)])
@@ -219,9 +226,11 @@ def test_residue_join_collisions_are_decided_by_matches_constant(monkeypatch, m,
     hits = []
     monkeypatch.setattr(prefilter, "matches_constant",
                         lambda *args: hits.append(args) or matches_constant(*args))
-    got, want = canonical_masks(m, n, bound, mode)
-    assert got == want
-    assert len(hits) > sum(got)
+    for free in [min(m, 2)] + [3] * (m >= 4):
+        hits.clear()
+        got, want = canonical_masks(m, n, bound, mode, free)
+        assert got == want
+        assert len(hits) > sum(got)
 
 
 def row_residue(weights, sign, points):
@@ -316,6 +325,40 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
     assert mask == b"\x07\x07"
     # the block size the calls above exceed: 3 pairs from row 1
     assert block_size(range(1, 3), 3) == 3
+
+
+def test_residue_join_rejects_pair_table_calls_outside_its_parameters():
+    # m - 3 heads, three free rows: for m = 4 every such call that breaks
+    # the kernel's parameters raises before a byte is written; the block of tails range(1, 3) holds (1, 1, 1), (1, 1, 2),
+    # (1, 2, 2) and (2, 2, 2)
+    rows = [((1, -1), 1), ((2, 1), -1), ((1, 1), 1)]
+    kernel, _ = select_filter(4, 2, 3, T_POINTS, rows)
+    assert block_size(range(1, 3), 3, 3) == 4
+    mask = bytearray(b"\x07" * 5)
+    for heads, tails, m_, count in [
+        ((), range(1, 3), 4, 4),            # m - 4 heads, four free rows
+        ((3,), range(1, 3), 4, 4),          # a head past the rows
+        ((-1,), range(1, 3), 4, 4),         # a negative head
+        ((0,), range(2, 4), 4, 1),          # a tail past the rows
+        ((0,), range(-1, 1), 4, 1),         # a negative tail
+        ((0,), range(0, 3, 2), 4, 1),       # tails not consecutive
+        ((0,), range(1, 3), 4, 5),          # count above the block size (4)
+        ((0,), range(1, 3), 4, -1),         # a negative count
+        ((0,), range(1, 3), 5, 4),          # another m
+        ((0,), (1, 2), 4, 4),               # tails not a range
+    ]:
+        with pytest.raises(ValueError):
+            kernel(heads, tails, m_, 2, count, T_POINTS, mask)
+    with pytest.raises(ValueError):
+        kernel((0,), range(1, 3), 4, 2, 4, L_POINTS, mask)
+    with pytest.raises(ValueError):
+        kernel((0,), range(1, 3), 4, 2, 4, T_POINTS, bytearray(3))  # a short mask
+    assert mask == b"\x07" * 5
+    # no m = 3 kernel takes m - 3 heads
+    kernel3, _ = select_filter(3, 2, 3, T_POINTS, rows)
+    with pytest.raises(ValueError):
+        kernel3((), range(1, 3), 3, 2, 4, T_POINTS, mask)
+    assert mask == b"\x07" * 5
 
 
 GOOD_ROW = ((1, -1), 1)

@@ -12,12 +12,13 @@ from rigidpow.prefilter import sample_points
 from rigidpow.rigidity import is_l_rigid, is_rigid
 from rigidpow.search import BudgetExceeded, SearchSpec, row_universe, sweep, triple_identity_search
 from stream_oracle import chunk_mask, stream_candidates, stream_shard, stream_triples
+from test_join_hits import record_kernel_calls
 
 SPECS = [
     ("T", 1, 2, 3), ("T", 2, 2, 3), ("T", 2, 2, 4), ("T", 3, 2, 2), ("T", 3, 2, 3),
-    ("T", 4, 1, 3),
+    ("T", 4, 1, 3), ("T", 5, 2, 2),
     ("L", 1, 2, 4), ("L", 2, 1, 6), ("L", 2, 3, 3), ("L", 3, 2, 4), ("L", 4, 1, 4),
-    ("L", 4, 2, 3),
+    ("L", 4, 2, 3), ("L", 5, 2, 3),
 ]
 CHECK_BUDGETS = (1, 3, 5, SearchSpec(1, 1, 1).check_budget)
 
@@ -134,3 +135,43 @@ def test_no_kernel_mask_outgrows_the_enum_budget(monkeypatch):
         sweep(spec)
     assert budget.value.report.stats.enumerated == 5000
     assert lengths == [(5000, 5000)]
+
+
+@pytest.mark.parametrize("mode, m, n, bound", [("T", 4, 1, 3), ("L", 4, 2, 3)])
+def test_only_a_walk_its_budget_cannot_cut_uses_the_pair_table(monkeypatch, mode, m, n, bound):
+    # an enum budget of total candidates leaves the walk whole: one block
+    # of m - 3 heads per first row; one less cuts it, and every block keeps
+    # m - 2 heads; both match the stream
+    name = "is_rigid" if mode == "T" else "is_l_rigid"
+    decide = functools.lru_cache(maxsize=None)(is_rigid if mode == "T" else is_l_rigid)
+    monkeypatch.setattr(search, name, decide)
+    calls = record_kernel_calls(monkeypatch)
+    size = len(row_universe(n, bound, mode))
+    total = math.comb(size + m - 1, m)
+    candidates, mask = shard_stream(mode, m, n, bound, 0, 1)
+    for enum_budget, want_heads, blocks in ((total, m - 3, size),
+                                            (total - 1, m - 2, math.comb(size + 1, 2) - 1)):
+        calls.clear()
+        spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget)
+        [got] = search._run_shards(spec, [0], 1, enum_budget, spec.check_budget)
+        want = stream_shard(candidates, mask, enum_budget, spec.check_budget, decide)
+        assert [(matrix.rows, c) for matrix, c in got.found] == want[0]
+        assert (got.enumerated, got.rejected, got.exact_checks, got.exceeded) == want[1:]
+        assert [len(args[0]) for _, args, _ in calls] == [want_heads] * blocks
+
+
+def test_a_capped_four_row_sweep_makes_no_pair_table_call(monkeypatch):
+    # the default enum budget cuts T m=4 n=4 b=6 (2730 rows), whose pair
+    # table would hold 3727815 entries to decide 10^7 candidates
+    calls = record_kernel_calls(monkeypatch)
+    spec = SearchSpec(4, 4, 6, "T")
+    assert len(row_universe(spec.n, spec.bound, spec.mode)) == 2730
+    with pytest.raises(BudgetExceeded) as budget:
+        sweep(spec)
+    assert budget.value.report.stats.enumerated == spec.enum_budget
+    assert calls and {len(args[0]) for _, args, _ in calls} == {2}
+    # with three shards each shard walk is cut too
+    calls.clear()
+    with pytest.raises(BudgetExceeded):
+        sweep(spec, shards=3)
+    assert calls and {len(args[0]) for _, args, _ in calls} == {2}

@@ -6,7 +6,7 @@ import pickle
 import random
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -100,32 +100,38 @@ def test_row_universe_is_sorted_and_complete():
 # -- the block walk --------------------------------------------------------------
 
 
-def general_blocks(m, size, shard_index, shard_count):
+def general_blocks(m, size, shard_index, shard_count, free):
     """The block walk in its general form, one combinations_with_replacement
-    call per first row for every m > 2: the reference for _blocks."""
+    call per first row whenever there are heads: the reference for
+    _blocks."""
+    if m == free and shard_count == 1:
+        yield (), range(size)
+        return
     for i in range(shard_index, size, shard_count):
-        if m <= 2:
+        if m == free:
             yield (), range(i, i + 1)
             continue
-        for rest in combinations_with_replacement(range(i, size), m - 3):
+        for rest in combinations_with_replacement(range(i, size), m - free - 1):
             heads = (i, *rest)
             yield heads, range(heads[-1], size)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_blocks_match_the_general_walk(m):
-    for size in (0, 1, 2, 5, 9):
-        for shard_count in (1, 2, 3, 7):
+    # min(m, 2) free rows, and three for a pair-table walk with m >= 4
+    for free in [min(m, 2)] + [3] * (m >= 4):
+        for size, shard_count in product((0, 1, 2, 5, 9), (1, 2, 3, 7)):
             for shard_index in range(shard_count):
-                want = list(general_blocks(m, size, shard_index, shard_count))
-                got = list(search._blocks(m, size, shard_index, shard_count))
+                want = list(general_blocks(m, size, shard_index, shard_count, free))
+                got = list(search._blocks(m, size, shard_index, shard_count, free))
                 assert got == want
                 # the blocks, one after another, are the shard's canonical
-                # candidates, and block_size counts each kernel block
+                # candidates, and block_size counts each block
                 walked = []
                 for heads, tails in got:
+                    assert len(heads) == m - free
                     block = block_candidates(heads, tails, m, size)
-                    assert len(block) == (block_size(tails, size) if m > 1 else 1)
+                    assert len(block) == block_size(tails, size, free)
                     walked += block
                 assert walked == [c for c in combinations_with_replacement(range(size), m)
                                   if c[0] % shard_count == shard_index]
@@ -133,21 +139,25 @@ def test_blocks_match_the_general_walk(m):
 
 def test_two_row_walk_is_linear_in_the_universe():
     # 31008 rows is the T n=5 b=8 universe; the general walk copies the
-    # whole remaining range for every first row, about 10 s on a 2-vCPU VM
+    # whole remaining range for every first row, about 10 s on a 2-vCPU VM.
+    # Unsharded, the walk is one block; sharded, one block per shard row.
+    assert list(search._blocks(2, 31008, 0, 1, 2)) == [((), range(31008))]
     started = time.perf_counter()
-    blocks = sum(1 for _ in search._blocks(2, 31008, 0, 1))
-    assert blocks == 31008
+    blocks = sum(1 for _ in search._blocks(2, 31008, 1, 2, 2))
+    assert blocks == 15504
     assert time.perf_counter() - started < 0.5
 
 
 def test_three_row_walk_is_linear_in_the_universe():
     # the general walk's one combinations_with_replacement call per first
-    # row copies the whole remaining range even for the m = 3 prefixes of
-    # length 0: about 10 s for these 31008 rows on a 2-vCPU VM
-    started = time.perf_counter()
-    blocks = sum(1 for _ in search._blocks(3, 31008, 0, 1))
-    assert blocks == 31008
-    assert time.perf_counter() - started < 0.5
+    # row copies the whole remaining range even for prefixes of length 0:
+    # about 10 s for these 31008 rows on a 2-vCPU VM; a four-row pair-table
+    # walk has the same one-head blocks
+    for m, free in ((3, 2), (4, 3)):
+        started = time.perf_counter()
+        blocks = sum(1 for _ in search._blocks(m, 31008, 0, 1, free))
+        assert blocks == 31008
+        assert time.perf_counter() - started < 0.5
 
 
 # -- sweeps against closed-form families ---------------------------------------
@@ -406,6 +416,20 @@ def test_sweep_validates_spec():
         SearchSpec(m=0, n=1, bound=1)
     with pytest.raises(ValueError):
         SearchSpec(m=1, n=1, bound=1, mode="X")
+
+
+def test_spec_caps_the_row_universe():
+    for mode in ("T", "L"):
+        for n, bound in product(range(1, 6), range(1, 7)):
+            assert search._universe_rows(n, bound, mode) == len(row_universe(n, bound, mode))
+    # n = 1: 4 * bound rows in T mode and 2 * bound in L mode
+    cap = search.MAX_UNIVERSE_ROWS
+    SearchSpec(m=2, n=1, bound=cap // 4)
+    SearchSpec(m=2, n=1, bound=cap // 2, mode="L")
+    for n, bound, mode in [(1, cap // 4 + 1, "T"), (1, cap // 2 + 1, "L"), (10**9, 1, "T"),
+                           (10**6, 10**9, "T"), (2, 10**9, "L")]:
+        with pytest.raises(ValueError, match="row universe"):
+            SearchSpec(m=2, n=n, bound=bound, mode=mode)
 
 
 @pytest.mark.parametrize("field, value", [
