@@ -3,8 +3,8 @@
 The filter is a sound rejection test: a matrix whose function is constant
 agrees with its forced constant at every valid sample point, so no rigid
 matrix is ever rejected.  Survivors still go through the full symbolic
-check.  Every mask bit is decided exactly, by unbounded Python integers or
-by a residue sum that is nonzero.
+check.  Every candidate is decided exactly, by unbounded Python integers
+or by a residue sum that is nonzero.
 
 A candidate's function minus its forced constant is the sum, over its
 rows, of each row's value minus that row's constant, and a row's term at a
@@ -149,10 +149,9 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
 def block_size(tails: range, size: int, free: int = 2) -> int:
     """The number of candidates in a kernel block with ``free`` free rows
     over a universe of ``size`` rows: the non-decreasing ``free``-tuples of
-    rows below ``size`` whose first row is in ``tails``.  For ``free = 2``
+    rows below ``size`` whose first row is in ``tails``: those from
+    ``tails.start`` on less those from ``tails.stop`` on.  For ``free = 2``
     these are the pairs ``j <= p`` with ``j`` in ``tails``."""
-    if free == 2:
-        return len(tails) * (2 * size - tails.start - tails.stop + 1) // 2
     if not tails:
         return 0
     return comb(size - tails.start + free - 1, free) - comb(size - tails.stop + free - 1, free)
@@ -178,17 +177,17 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     A sweep with ``m = 1`` has no such block and never calls the kernel.
 
     ``out`` is the caller's mask: any object with ``len()`` and item
-    assignment, such as a zeroed ``bytearray(count)``.  For each residue
-    hit ``k`` (see below) the kernel writes :func:`matches_constant` for
-    the ``k``-th candidate to ``out[k]``, in place and in increasing
-    ``k``, and it writes no other byte, so a mask that records only its
-    truthy writes holds every survivor.  Each row's residue (see
-    :func:`_row_residues`) is computed once, here, and kept in order in
-    ``kernel.residues``, and the rows are indexed by residue.  A call adds
-    up the fixed rows' residues once; the rows ``j`` of ``tails`` whose
-    partner residue (that sum's negation minus ``j``'s residue) occurs
-    come out of one lazy ``map`` and ``compress`` chain, with no Python
-    code run per row.  With two free rows the partner is one row's
+    assignment.  For each survivor, a candidate that
+    :func:`matches_constant` accepts, the kernel sets ``out[k]``, ``k``
+    its offset in the block, to the candidate itself, the tuple of its
+    ``m`` items of ``rows``, in increasing ``k``, and it sets nothing
+    else, so the caller never maps an offset back to rows.  Each row's
+    residue (see :func:`_row_residues`) is computed once, here, and kept
+    in order in ``kernel.residues``, and the rows are indexed by residue.
+    A call adds up the fixed rows' residues once; the rows ``j`` of
+    ``tails`` whose partner residue (that sum's negation minus ``j``'s
+    residue) occurs come out of one lazy ``map`` and ``compress`` chain,
+    with no Python code run per row.  With two free rows the partner is one row's
     residue, and for each such ``j`` the positions holding it, cut by
     bisection to the block's ``p`` range, are the only candidates whose
     residues sum to zero (a 2-SUM over the last two rows).  With three it
@@ -198,16 +197,17 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     row ``j`` counts only if its partner sum has a pair with ``k >= j``,
     and the pairs under that sum, cut by bisection to ``k >= j`` and to
     ``count``, are the only candidates whose residues sum to zero.  Each
-    of them is decided by :func:`matches_constant`, and every
-    other candidate is rejected by the zero the caller left in its byte,
-    so the mask is the oracle's byte for byte.  Every point needs ``2 <= z <
-    _PRIME - 1`` and ``x, y >= 1``, and ``bound`` must be below ``(_PRIME
-    - 1) // 2``, so that no ``z^w - 1`` vanishes modulo ``_PRIME``.  A
-    point that is not such a tuple or a row that breaks the parameters
-    raises ``ValueError`` here, and a call that breaks them, or whose
-    ``count`` is negative or above the block size or ``len(out)``, raises
-    ``ValueError`` before any mask byte is written.  With no ``rows``
-    nothing is computed and the kernel can decide no candidate.
+    of them is decided by :func:`matches_constant`, so ``out`` receives
+    exactly the survivors among the first ``count`` candidates, and a
+    residue collision that it rejects leaves ``out`` as it was.  Every
+    point needs ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound``
+    must be below ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes
+    modulo ``_PRIME``.  A point that is not such a tuple or a row that
+    breaks the parameters raises ``ValueError`` here, and a call that
+    breaks them, or whose ``count`` is negative or above the block size or
+    ``len(out)``, raises ``ValueError`` before anything is written to
+    ``out``.  With no ``rows`` nothing is computed and the kernel can
+    decide no candidate.
     ``perfbench/run.py`` calls this through ``search.select_filter`` and
     wraps the kernel to trace every call.
     """
@@ -275,7 +275,8 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                 at = positions[target - residues[j]]
                 fixed = (*map(rows.__getitem__, heads), rows[j])
                 for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
-                    out[offset + p - j] = matches_constant(fixed + (rows[p],), points)
+                    if matches_constant(candidate := fixed + (rows[p],), points):
+                        out[offset + p - j] = candidate
             return
         if not pair_starts:
             for k, residue in enumerate(residues):
@@ -296,8 +297,9 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             fixed = (*map(rows.__getitem__, heads), rows[j])
             for rank in at[bisect_left(at, first):bisect_left(at, first + count - offset)]:
                 k = bisect_right(pair_starts, rank) - 1
-                out[offset + rank - first] = matches_constant(
-                    fixed + (rows[k], rows[k + rank - pair_starts[k]]), points)
+                candidate = fixed + (rows[k], rows[k + rank - pair_starts[k]])
+                if matches_constant(candidate, points):
+                    out[offset + rank - first] = candidate
 
     residue_join.residues = residues
     return residue_join, "residue-join"

@@ -15,9 +15,9 @@ is a non-decreasing list of indices into the sorted row universe, and the
 candidates are walked in blocks that share their first m - 2 rows, or for
 m >= 4 their first m - 3; the pre-filter decides a whole block with one
 residue lookup per choice of its first free row (see
-:mod:`rigidpow.prefilter`) and writes only its hits into the block's mask,
-which keeps just the offsets of its survivors (no byte per candidate), so
-only survivors are ever built as matrices.  A one-row candidate never
+:mod:`rigidpow.prefilter`) and hands the block's mask only its survivors,
+each as its offset and its rows (no byte per candidate), so only
+survivors are ever built as matrices.  A one-row candidate never
 survives, so an m = 1 sweep only counts its candidates.  Shards fix the
 first (smallest) row; each shard is independently enumerable and the
 merged result is a deterministic sorted union, so shard count never
@@ -239,48 +239,28 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int, free: int
 
 
 class _Hits:
-    """A kernel mask of ``size`` bytes that keeps only its hits: item
-    assignment records the offset of each truthy byte, in the increasing
-    order the kernel writes them, and ``len`` and ``count`` answer as the
-    zeroed ``bytearray(size)`` would after the same writes."""
+    """A kernel mask over ``size`` candidates that keeps only the
+    survivors the kernel hands it: ``mask[k] = rows`` appends ``(k,
+    rows)``, a survivor's offset in the block and its rows, to ``hits``,
+    in the increasing ``k`` the kernel writes.  ``len`` is ``size``, the
+    kernel's bound on ``count``.  ``count`` is there for the benchmark's
+    tracer, which reads ``count(1)``: the number of survivors, as a mask
+    of one byte per candidate would count its 1s."""
 
-    __slots__ = ("size", "offsets")
+    __slots__ = ("size", "hits")
 
     def __init__(self, size: int):
-        self.size, self.offsets = size, []
+        self.size, self.hits = size, []
 
     def __len__(self) -> int:
         return self.size
 
-    def __setitem__(self, k: int, byte) -> None:
-        if byte:
-            self.offsets.append(k)
+    def __setitem__(self, k: int, rows) -> None:
+        self.hits.append((k, rows))
 
     def count(self, byte: int) -> int:
-        hits = len(self.offsets)
+        hits = len(self.hits)
         return {1: hits, 0: self.size - hits}.get(byte, 0)
-
-
-def _passed(offsets: List[int], heads: Tuple[int, ...], tails: range, size: int,
-            free: int = 2) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """The increasing ``offsets`` of the candidates a kernel block's
-    pre-filter lets through (a :class:`_Hits` mask's), each with the
-    candidate's row indices ``heads + (k, p)``, or ``heads + (j, k, p)``
-    with three free rows, which come from a forward walk over the offsets
-    where each ``k`` (and each ``j``) starts; the increasing offsets never
-    have to undo it."""
-    j, row = tails.start, 0  # with three free rows, the first and the offset of (j, j, j)
-    k, pair = j, 0  # the first of the last two free rows, and the offset of (k, k) past row
-    for offset in offsets:
-        while free == 3 and offset >= row + (span := (size - j) * (size - j + 1) // 2):
-            row += span
-            j += 1
-            k, pair = j, 0
-        while offset >= row + pair + size - k:
-            pair += size - k
-            k += 1
-        last_two = (k, k + offset - row - pair)
-        yield offset, (*heads, j, *last_two) if free == 3 else (*heads, *last_two)
 
 
 class _ShardResult:
@@ -303,8 +283,8 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     call per choice of its first ``m - 3`` rows; any other has two (see
     :func:`_blocks`).  A block that reaches past the enum budget is cut
     before the kernel is called, so the kernel decides no candidate past
-    the budget, and its mask, a :class:`_Hits`, holds the offsets of the
-    block's survivors only."""
+    the budget, and its mask, a :class:`_Hits`, holds the block's survivors
+    only, each with its rows."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
@@ -341,7 +321,7 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                 continue
             mask = _Hits(count)
             kernel(heads, tails, m, n, count, points, mask)
-            for k, indices in _passed(mask.offsets, heads, tails, size, free):
+            for k, rows in mask.hits:
                 if start + k >= limit:
                     break
                 passed += 1
@@ -354,7 +334,7 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                     result.exceeded = True
                     continue
                 result.exact_checks += 1
-                matrix = WeightMatrix(tuple(map(universe.__getitem__, indices)))
+                matrix = WeightMatrix(rows)
                 verdict = decide(matrix)
                 if verdict.rigid:
                     result.found.append((matrix, verdict.constant))
@@ -493,8 +473,8 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     for c in range(len(plus)):
         mask = _Hits(count)
         kernel((c,), tails, 3, n, count, points, mask)
-        for _, (_, a, b) in _passed(mask.offsets, (c,), tails, len(rows)):
-            matrix = WeightMatrix((rows[a], rows[b], rows[c]))
+        for _, (minus, a, b) in mask.hits:
+            matrix = WeightMatrix((a, b, minus))
             verdict = is_l_rigid(matrix)
             if verdict.rigid and verdict.constant.constant_value() == 1:
                 solutions.append(tuple(row.weights for row in matrix.rows))

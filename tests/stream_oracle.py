@@ -6,15 +6,17 @@ the way sweeps did before the join: ``matches_constant`` on every
 candidate, in chunks of ``CHUNK``.  ``chunk_mask`` gives its mask, one
 byte per candidate, and ``join_mask`` the sweep's mask for the same
 candidates, in the same order, block by block in either block shape: the
-kernel's for m > 1 and all zero for m = 1; ``block_candidates`` lists the
-candidates of one block.
+kernel's survivors for m > 1 and all zero for m = 1.  ``block_candidates``
+lists the candidates of one block, and ``hits_mask`` turns the survivors
+one kernel call hands a ``search._Hits`` into a mask of the same form,
+checking each survivor's rows against the block's candidate at its offset.
 """
 
 from itertools import combinations_with_replacement, islice
 
 from rigidpow.prefilter import block_size, matches_constant, sample_points, select_filter
 from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid
-from rigidpow.search import _blocks
+from rigidpow.search import _blocks, _Hits
 
 CHUNK = 1024
 
@@ -38,12 +40,37 @@ def block_candidates(heads, tails, m, size):
             for rest in combinations_with_replacement(range(j, size), m - len(heads) - 1)]
 
 
+def block_rows(universe, heads, tails, m):
+    """A block's candidates as tuples of rows of ``universe``, in block order."""
+    return [tuple(map(universe.__getitem__, indices))
+            for indices in block_candidates(heads, tails, m, len(universe))]
+
+
+def hits_mask(kernel, call, candidates):
+    """The survivors of one kernel call as a mask of ``count`` bytes, 1 at
+    each survivor's offset.  ``call`` is the kernel's first six arguments,
+    ``(heads, tails, m, n, count, points)``, and ``candidates`` the block's
+    candidates as rows (see ``block_rows``).  The kernel gets a ``_Hits``;
+    its offsets must increase and stay below ``count``, and each
+    survivor's rows must be the candidate at its offset."""
+    hits = _Hits(call[4])
+    kernel(*call, hits)
+    offsets = [k for k, _ in hits.hits]
+    assert all(a < b for a, b in zip(offsets, offsets[1:] + [len(hits)])), offsets
+    mask = bytearray(len(hits))
+    for k, rows in hits.hits:
+        assert rows == candidates[k], (k, rows)
+        mask[k] = 1
+    return mask
+
+
 def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1, free=None):
     """The sweep's pre-filter mask over the shard's candidates, in
     canonical order, walked in blocks of ``free`` free rows: the
-    residue-join kernel's, and for m = 1, where sweeps count each one-row
-    block without the kernel, all zero.  ``free`` defaults to the shape of
-    a walk that no enum budget cuts: three free rows for m >= 4."""
+    residue-join kernel's survivors (see ``hits_mask``), and for m = 1,
+    where sweeps count each one-row block without the kernel, all zero.
+    ``free`` defaults to the shape of a walk that no enum budget cuts:
+    three free rows for m >= 4."""
     if free is None:
         free = 3 if m >= 4 else min(m, 2)
     points = sample_points(mode)
@@ -52,10 +79,11 @@ def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1, free=No
     mask = bytearray()
     for heads, tails in _blocks(m, len(universe), shard_index, shard_count, free):
         count = block_size(tails, len(universe), free)
-        out = bytearray(count)
-        if m > 1:
-            kernel(heads, tails, m, n, count, points, out)
-        mask += out
+        if m == 1:
+            mask += bytearray(count)
+        else:
+            call = (heads, tails, m, n, count, points)
+            mask += hits_mask(kernel, call, block_rows(universe, heads, tails, m))
     return mask
 
 

@@ -7,6 +7,7 @@ exact; runtime ceilings are asserted outright.
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -36,6 +37,7 @@ from rigidpow.search import (
     sweep,
     triple_identity_search,
 )
+from exact_values import function_value
 from stream_oracle import chunk_mask, join_mask, stream_candidates
 from test_rigidity import negated, value_at
 
@@ -305,7 +307,11 @@ def test_criterion_9_reciprocal_law():
         sign = (-1) ** matrix.n
         for z0 in range(2, 12):
             assert value_at(negated(matrix), z0) == sign * value_at(matrix, z0)
-    print("[acceptance] criterion 9a: PASS (reciprocal law, 100 matrices x 10 points)")
+        # and at a z that is not an integer, 1/z evaluated as it is
+        z0 = Fraction(9, 2)
+        assert (function_value(matrix.rows, 1 / z0, 1, 1)
+                == sign * function_value(matrix.rows, z0, 1, 1))
+    print("[acceptance] criterion 9a: PASS (reciprocal law, 100 matrices x 11 points)")
 
 
 def test_criterion_9_sign_flip_equivalence():

@@ -15,9 +15,9 @@ from rigidpow.prefilter import (
     sample_points,
     select_filter,
 )
-from rigidpow.search import row_universe
+from rigidpow.search import _blocks, _Hits, row_universe
 from exact_values import forced_constant, function_value, row_constant, row_value
-from stream_oracle import block_candidates, chunk_mask, join_mask, stream_candidates
+from stream_oracle import block_rows, chunk_mask, hits_mask, join_mask, stream_candidates
 
 
 def random_batch(rng, m, n, bound, count):
@@ -57,14 +57,14 @@ def test_pure_kernel_matches_symbolic_oracle():
 
 
 def both_masks(candidates, m, n, bound, points, free=2):
-    """The residue-join kernel's mask and the oracle's on one block per
-    candidate, over the rows that appear in ``candidates``.  The block
-    keeps the candidate's first m - free rows, and its ``free`` free rows
-    are every non-decreasing tuple from the smallest of the candidate's
-    last ``free`` rows on, so the candidate's own rows are in it.  Sweeps
-    decide m = 1 without the kernel, rejecting every row, so for m = 1 the
-    first mask is all zero and the second is the oracle's over every
-    canonical row."""
+    """The residue-join kernel's mask (see ``hits_mask``) and the oracle's
+    on one block per candidate, over the rows that appear in
+    ``candidates``.  The block keeps the candidate's first m - free rows,
+    and its ``free`` free rows are every non-decreasing tuple from the
+    smallest of the candidate's last ``free`` rows on, so the candidate's
+    own rows are in it.  Sweeps decide m = 1 without the kernel, rejecting
+    every row, so for m = 1 the first mask is all zero and the second is
+    the oracle's over every canonical row."""
     if m == 1:
         rows = row_universe(n, bound, "T")
         return bytearray(len(rows)), chunk_mask([(row,) for row in rows], points)
@@ -77,12 +77,10 @@ def both_masks(candidates, m, n, bound, points, free=2):
         heads = tuple(index[row] for row in candidate[:m - free])
         tails = range(min(index[row] for row in candidate[m - free:]), len(rows))
         count = block_size(tails, len(rows), free)
-        out = bytearray(count)
-        kernel(heads, tails, m, n, count, points, out)
-        got += out
-        block = block_candidates(heads, tails, m, len(rows))
+        block = block_rows(rows, heads, tails, m)
         assert len(block) == count
-        blocks += [tuple(map(rows.__getitem__, indices)) for indices in block]
+        got += hits_mask(kernel, (heads, tails, m, n, count, points), block)
+        blocks += block
     return got, chunk_mask(blocks, points)
 
 
@@ -133,9 +131,10 @@ def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
                                             (4, 1, 4, "L")])
 def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound, mode):
     # every cut of a few blocks around the first canonical survivor, with
-    # two free rows and, for m >= 4, three: the first count bytes are the
-    # whole block's, and no byte after them is written; m = 1 sweeps skip
-    # the kernel, and no one-row candidate passes
+    # two free rows and, for m >= 4, three: the survivors are the whole
+    # block's among the first count candidates, and none is recorded at or
+    # past count; m = 1 sweeps skip the kernel, and no one-row candidate
+    # passes
     universe = row_universe(n, bound, mode)
     size = len(universe)
     points = sample_points(mode)
@@ -153,15 +152,13 @@ def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound,
                        (heads, range(0, 1)), (heads, range(j, j + 1))]
     survivors = 0
     for heads, tails in blocks:
-        candidates = [tuple(map(universe.__getitem__, indices))
-                      for indices in block_candidates(heads, tails, m, size)]
+        candidates = block_rows(universe, heads, tails, m)
         want = chunk_mask(candidates, points)
         assert len(want) == block_size(tails, size, m - len(heads))
         survivors += sum(want)
         for count in range(len(want) + 1):
-            out = bytearray(count) + b"\x07\x07"
-            kernel(heads, tails, m, n, count, points, out)
-            assert out == want[:count] + b"\x07\x07", (heads, tails, count)
+            call = (heads, tails, m, n, count, points)
+            assert hits_mask(kernel, call, candidates) == want[:count], (heads, tails, count)
     # no single row is constant
     assert (survivors > 0) == (m > 1)
 
@@ -179,21 +176,13 @@ def test_residue_join_decides_a_long_block_cut_anywhere():
     kernel, _ = select_filter(3, 2, 12, T_POINTS, universe)
     block = block_size(range(size), size)
     assert block == 180300
-    clean = bytearray(block)
-    kernel(heads, range(size), 3, 2, block, T_POINTS, clean)
-    candidates = block_candidates(heads, range(size), 3, size)
-    survivors = [k for k, ok in enumerate(clean) if ok]
-    assert survivors and all(matches_constant([universe[i] for i in candidates[k]], T_POINTS)
-                             for k in survivors)
-    for count in (block, (1 << 16) + 1, 1 << 16, survivors[-1]):
-        out = bytearray(count) + b"\x07\x07"
-        kernel(heads, range(size), 3, 2, count, T_POINTS, out)
-        assert out == clean[:count] + b"\x07\x07", count
-    # the kernel writes only the bytes of the candidates it decides, and
-    # here every residue hit is a survivor
-    dirty = bytearray(b"\x07" * block)
-    kernel(heads, range(size), 3, 2, block, T_POINTS, dirty)
-    assert dirty == clean.replace(b"\x00", b"\x07")
+    candidates = block_rows(universe, heads, range(size), 3)
+    whole = hits_mask(kernel, (heads, range(size), 3, 2, block, T_POINTS), candidates)
+    survivors = [k for k, ok in enumerate(whole) if ok]
+    assert survivors and all(matches_constant(candidates[k], T_POINTS) for k in survivors)
+    for count in ((1 << 16) + 1, 1 << 16, survivors[-1]):
+        call = (heads, range(size), 3, 2, count, T_POINTS)
+        assert hits_mask(kernel, call, candidates) == whole[:count], count
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [
@@ -231,6 +220,34 @@ def test_residue_join_collisions_are_decided_by_matches_constant(monkeypatch, m,
         got, want = canonical_masks(m, n, bound, mode, free)
         assert got == want
         assert len(hits) > sum(got)
+
+
+@pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
+def test_a_residue_collision_that_matches_constant_rejects_records_nothing(monkeypatch, m, n,
+                                                                           bound, mode):
+    # modulo the safe prime 23 many residue hits are collisions; the mask
+    # receives the candidates matches_constant accepts, in the order it
+    # decides them, and nothing for those it rejects
+    monkeypatch.setattr(prefilter, "_PRIME", 23)
+    decided = []
+
+    def recording_matches_constant(rows, points):
+        decided.append((rows, matches_constant(rows, points)))
+        return decided[-1][1]
+
+    monkeypatch.setattr(prefilter, "matches_constant", recording_matches_constant)
+    universe = row_universe(n, bound, mode)
+    points = sample_points(mode)
+    kernel, _ = select_filter(m, n, bound, points, universe)
+    rejected = 0
+    for free in [min(m, 2)] + [3] * (m >= 4):
+        for heads, tails in _blocks(m, len(universe), 0, 1, free):
+            decided.clear()
+            hits = _Hits(block_size(tails, len(universe), free))
+            kernel(heads, tails, m, n, len(hits), points, hits)
+            assert [rows for _, rows in hits.hits] == [rows for rows, ok in decided if ok]
+            rejected += sum(not ok for _, ok in decided)
+    assert rejected > 0
 
 
 def row_residue(weights, sign, points):
@@ -300,7 +317,7 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
     with pytest.raises(ValueError):
         select_filter(m, n, bound, T_POINTS, rows + [((1, 2), 2)])
     kernel, _ = select_filter(m, n, bound, T_POINTS, rows)
-    mask = bytearray(b"\x07\x07")
+    mask = _Hits(2)
     for heads, tails, m_, count in [
         ((0,), range(1, 3), m + 1, 2),      # another m
         ((0, 1, 2), range(1, 3), m, 2),     # too many heads
@@ -322,19 +339,19 @@ def test_residue_join_rejects_rows_outside_its_parameters(bad):
             kernel(heads, tails, m_, n, count, T_POINTS, mask)
     with pytest.raises(ValueError):
         kernel((0,), range(1, 3), m, n, 2, L_POINTS, mask)
-    assert mask == b"\x07\x07"
+    assert mask.hits == []
     # the block size the calls above exceed: 3 pairs from row 1
     assert block_size(range(1, 3), 3) == 3
 
 
 def test_residue_join_rejects_pair_table_calls_outside_its_parameters():
     # m - 3 heads, three free rows: for m = 4 every such call that breaks
-    # the kernel's parameters raises before a byte is written; the block of tails range(1, 3) holds (1, 1, 1), (1, 1, 2),
+    # the kernel's parameters raises before anything is written; the block of tails range(1, 3) holds (1, 1, 1), (1, 1, 2),
     # (1, 2, 2) and (2, 2, 2)
     rows = [((1, -1), 1), ((2, 1), -1), ((1, 1), 1)]
     kernel, _ = select_filter(4, 2, 3, T_POINTS, rows)
     assert block_size(range(1, 3), 3, 3) == 4
-    mask = bytearray(b"\x07" * 5)
+    mask = _Hits(5)
     for heads, tails, m_, count in [
         ((), range(1, 3), 4, 4),            # m - 4 heads, four free rows
         ((3,), range(1, 3), 4, 4),          # a head past the rows
@@ -352,13 +369,13 @@ def test_residue_join_rejects_pair_table_calls_outside_its_parameters():
     with pytest.raises(ValueError):
         kernel((0,), range(1, 3), 4, 2, 4, L_POINTS, mask)
     with pytest.raises(ValueError):
-        kernel((0,), range(1, 3), 4, 2, 4, T_POINTS, bytearray(3))  # a short mask
-    assert mask == b"\x07" * 5
+        kernel((0,), range(1, 3), 4, 2, 4, T_POINTS, _Hits(3))  # a short mask
+    assert mask.hits == []
     # no m = 3 kernel takes m - 3 heads
     kernel3, _ = select_filter(3, 2, 3, T_POINTS, rows)
     with pytest.raises(ValueError):
         kernel3((), range(1, 3), 3, 2, 4, T_POINTS, mask)
-    assert mask == b"\x07" * 5
+    assert mask.hits == []
 
 
 GOOD_ROW = ((1, -1), 1)

@@ -479,57 +479,8 @@ def test_pair_partition_returns_the_documented_pairs(matrix):
 # -- structural function identities -------------------------------------------
 
 
-def random_matrices(rng, count, allow_negative=True, max_m=3, max_n=3):
-    for _ in range(count):
-        m, n = rng.randint(1, max_m), rng.randint(1, max_n)
-        values = [w for w in range(-6, 7) if w] if allow_negative else list(range(1, 7))
-        yield wm(
-            *(
-                ([rng.choice(values) for _ in range(n)], rng.choice((1, -1)))
-                for _ in range(m)
-            )
-        )
-
-
-def test_row_and_column_permutation_invariance():
-    rng = random.Random(3)
-    for matrix in random_matrices(rng, 20):
-        rows = list(matrix.rows)
-        rng.shuffle(rows)
-        rows = [Row(tuple(rng.sample(r.weights, len(r.weights))), r.sign) for r in rows]
-        permuted = WeightMatrix(tuple(rows))
-        for z0 in (2, 3):
-            for x0, y0 in ((1, 1), (2, 1)):
-                assert value_at(matrix, z0, x0, y0) == value_at(permuted, z0, x0, y0)
-
-
 def negated(matrix):
     return WeightMatrix(tuple(Row(tuple(-w for w in r.weights), r.sign) for r in matrix.rows))
-
-
-def test_reciprocal_law():
-    # for all-positive weights, the x=y=1 function satisfies f(1/z) = (-1)^n f(z);
-    # (1/z)^w = z^(-w), so f(1/z) is the function of the weight-negated matrix at z
-    rng = random.Random(4)
-    for matrix in random_matrices(rng, 20, allow_negative=False):
-        sign = (-1) ** matrix.n
-        for z0 in (2, 3, 5, 7):
-            assert value_at(negated(matrix), z0) == sign * value_at(matrix, z0)
-        z0 = Fraction(9, 2)
-        assert (function_value(matrix.rows, 1 / z0, 1, 1)
-                == sign * function_value(matrix.rows, z0, 1, 1))
-
-
-def test_scaling_law():
-    rng = random.Random(6)
-    for matrix in random_matrices(rng, 15):
-        for lam in (2, 3):
-            scaled = WeightMatrix(
-                tuple(Row(tuple(lam * w for w in r.weights), r.sign) for r in matrix.rows)
-            )
-            for z0 in (2, 3):
-                for x0, y0 in ((1, 1), (2, 1)):
-                    assert value_at(scaled, z0, x0, y0) == value_at(matrix, z0**lam, x0, y0)
 
 
 def test_scaling_preserves_rigidity_verdict():
