@@ -24,6 +24,12 @@ from .rigidity import WeightMatrix, exact_int, is_rigid
 
 ChernExponents = Tuple[int, ...]
 
+# The most columns the realizability and boundary screens take.  They walk
+# every exponent tuple of weighted degree at most n, sum_{k <= n} p(k) of
+# them: 177970 at n = 40 and 5.67 million at n = 60, so past 60 a screen
+# cannot finish.
+MAX_SCREEN_N = 60
+
 
 class WrongFixedPointCount(ValueError):
     """The two-fixed-point classifier needs exactly two rows."""
@@ -119,15 +125,26 @@ def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
     return _chern_value(_residues(matrix), r)
 
 
+def _screen_columns(matrix: WeightMatrix) -> int:
+    """The ``n`` of a matrix to screen; past ``MAX_SCREEN_N`` it raises
+    ``ValueError``."""
+    n = matrix.n
+    if n > MAX_SCREEN_N:
+        raise ValueError(f"the realizability and boundary screens take at most "
+                         f"{MAX_SCREEN_N} columns, got n = {n}")
+    return n
+
+
 def realizability_screen(matrix: WeightMatrix) -> List[Violation]:
     """Low-degree residue sums that fail to vanish.
 
     Every exponent tuple of weighted degree strictly below ``n`` (including
     the empty product, degree 0) must give zero for weight data coming from
     a closed unitary circle manifold; any nonzero value returned here rules
-    the matrix out.
+    the matrix out.  A matrix of more than ``MAX_SCREEN_N`` columns raises
+    ``ValueError``.
     """
-    n = matrix.n
+    n = _screen_columns(matrix)
     residues = _residues(matrix)
     violations = []
     for r in exponent_tuples(n, n - 1):
@@ -141,9 +158,10 @@ def is_boundary_candidate(matrix: WeightMatrix) -> bool:
     """True when every top-degree residue sum vanishes.
 
     Stably complex manifolds are cobordant exactly when all their Chern
-    numbers agree, so all-zero top numbers mark the data of a boundary.
+    numbers agree, so all-zero top numbers mark the data of a boundary.  A
+    matrix of more than ``MAX_SCREEN_N`` columns raises ``ValueError``.
     """
-    n = matrix.n
+    n = _screen_columns(matrix)
     residues = _residues(matrix)
     return all(
         _chern_value(residues, r) == 0

@@ -25,7 +25,7 @@ import functools
 import json
 import re
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Form, format_rational
 from .bott import (
@@ -41,9 +41,11 @@ from .rigidity import (
     is_l_rigid,
     is_rigid,
     quasilinear,
+    row_text,
 )
 from .search import (
     BudgetExceeded,
+    Find,
     SearchReport,
     SearchSpec,
     check_pool,
@@ -262,10 +264,12 @@ def _cmd_quasilinear(args) -> int:
     return 0
 
 
-def _report_records(report: SearchReport, constants: Sequence[str]) -> Iterator[dict]:
+def _report_records(report: SearchReport, finds: Iterable[str]) -> Iterator[str]:
+    """The ``--out`` lines of a sweep: its spec record, ``finds``, the find
+    records of :func:`_find_lines`, and its summary record."""
     # every record's keys are in sorted order, so _ENCODER need not sort them
     spec = report.spec
-    yield {
+    yield _ENCODER.encode({
         "bound": spec.bound,
         "check_budget": spec.check_budget,
         "enum_budget": spec.enum_budget,
@@ -275,50 +279,103 @@ def _report_records(report: SearchReport, constants: Sequence[str]) -> Iterator[
         # always null: SearchSpec has no sign policy; kept so --out bytes stay the same
         "sign_policy": None,
         "type": "spec",
-    }
-    for f, constant in zip(report.found, constants):
-        yield {
-            "constant": constant,
-            "constant_value": f.constant.constant_value() if f.constant.is_constant() else None,
-            "kosniowski_ok": f.kosniowski_ok,
-            "label": f.label.kind if f.label is not None else None,
-            "pairable": f.pairable,
-            "quasilinear": f.quasilinear_seed or None,
-            "rows": [r.weights for r in f.matrix.rows],
-            "signs": [r.sign for r in f.matrix.rows],
-            "type": "find",
-        }
-    yield {
+    }) + "\n"
+    yield from finds
+    yield _ENCODER.encode({
         "enumerated": report.stats.enumerated,
         "exact_checks": report.stats.exact_checks,
         "found": len(report.found),
         "rejected": report.stats.rejected,
         "type": "summary",
-    }
+    }) + "\n"
 
 
-# shared by every record (json.dumps builds one per call); records hold no
-# cycles, and each is built with its keys in sorted order
+# Encodes the records whose keys are built in sorted order, so it need not
+# sort them, and which hold no cycles.  JSONEncoder.encode builds a new C
+# encoder on every call, so it encodes only the few records of a report
+# (and the per-report fragments of _find_lines), never one per find.
 _ENCODER = json.JSONEncoder(check_circular=False)
 
 
-def _write_records(handle, records) -> None:
+def _row_texts(row: Row) -> tuple:
+    """A row's ``--out`` weights and sign, and its :func:`row_text`.
+
+    A matrix's weights and signs are ``int`` values, which ``_ENCODER``
+    writes as their ``int.__repr__``, their ``str``.  The row text is
+    ``"+: "`` or ``"-: "`` and then the weights' ``str`` joined by spaces,
+    so the weights' JSON list is that tail with ``", "`` for each space."""
+    text = row_text(row)
+    return f"[{text[3:].replace(' ', ', ')}]", str(row.sign), text
+
+
+def _seed_text(seed) -> str:
+    """A find's ``quasilinear`` value: null, or its seed's ``int`` values."""
+    return f"[{', '.join(map(str, seed))}]" if seed else "null"
+
+
+def _constant_texts(coeffs: tuple) -> tuple:
+    """``str`` of the constant ``Form(coeffs)``, and the start of a find
+    record up to its constant's value."""
+    constant = Form(coeffs)
+    text = str(constant)
+    value = constant.constant_value() if constant.is_constant() else None
+    return text, f'{{"constant": {_ENCODER.encode(text)}, "constant_value": {_ENCODER.encode(value)}, '
+
+
+def _find_lines(found: Sequence[Find]) -> Tuple[List[str], Iterator[str]]:
+    """Each find's stdout line, and an iterator over their ``--out`` lines.
+
+    The stdout line is ``f"  {f.tag:<12} constant={f.constant!s:<20}
+    {f.matrix}"``, and the ``--out`` line is ``_ENCODER.encode`` of the
+    find's record, its keys in sorted order, and a newline.  The encoder
+    writes a dict as ``"key": value`` items joined by ``", "`` in braces and
+    a tuple or list as its items joined by ``", "`` in brackets, and
+    ``str(f.matrix)`` joins its rows' :func:`row_text` by ``"; "`` in
+    brackets.  So both lines are spliced from the encoded values and row
+    texts, each made once per distinct row, constant, label, seed and flag
+    of the report, and no find builds a record dict or an encoder.  The
+    ``--out`` lines are made only as they are read, after the stdout lines,
+    so the two sets are not held at once.
+    """
+    # each cache lives for this report only
+    rows, constants = functools.cache(_row_texts), functools.cache(_constant_texts)
+
+    def line(f: Find) -> str:
+        *_, texts = zip(*map(rows, f.matrix.rows))
+        return f"  {f.tag:<12} constant={constants(f.constant.coeffs)[0]:<20} [{'; '.join(texts)}]"
+
+    def records() -> Iterator[str]:
+        seeds, encoded = functools.cache(_seed_text), functools.cache(_ENCODER.encode)
+        for f in found:
+            weights, signs, _ = zip(*map(rows, f.matrix.rows))
+            label = f.label.kind if f.label is not None else None
+            yield (f'{constants(f.constant.coeffs)[1]}"kosniowski_ok": {encoded(f.kosniowski_ok)}, '
+                   f'"label": {encoded(label)}, "pairable": {encoded(f.pairable)}, '
+                   f'"quasilinear": {seeds(f.quasilinear_seed)}, '
+                   f'"rows": [{", ".join(weights)}], "signs": [{", ".join(signs)}], '
+                   f'"type": "find"}}\n')
+
+    return list(map(line, found)), records()
+
+
+def _write_records(handle, lines) -> None:
+    """Empty ``handle`` and write ``lines``, each ending in a newline."""
     handle.seek(0)
     handle.truncate()
-    handle.write("".join(_ENCODER.encode(record) + "\n" for record in records))
+    handle.write("".join(lines))
 
 
-def _print_report(report: SearchReport, constants: Sequence[str]) -> None:
-    """The sweep report, in one ``print``; ``constants[i]`` is ``str(report.found[i].constant)``."""
+def _print_report(report: SearchReport, find_lines: Sequence[str]) -> None:
+    """The sweep report, in one ``print``; ``find_lines`` are its finds'
+    lines (see :func:`_find_lines`)."""
     spec, stats = report.spec, report.stats
     lines = [
         f"sweep m={spec.m} n={spec.n} bound={spec.bound} mode={spec.mode}",
         f"enumerated {stats.enumerated}, pre-filter rejected {stats.rejected}, "
         f"exact checks {stats.exact_checks}, found {len(report.found)}, "
         f"wall {stats.wall_time:.2f}s",
+        *find_lines,
     ]
-    lines += (f"  {f.tag:<12} constant={constant:<20} {f.matrix}"
-              for f, constant in zip(report.found, constants))
     violations = report.violations()
     lines.append(f"CONJECTURE VIOLATIONS ({len(violations)}):" if violations
                  else "conjecture violations: none")
@@ -365,7 +422,8 @@ def _cmd_search(args) -> int:
                 print(f"  a={list(a)} b={list(b)} c={list(c)}")
             if args.out:
                 records = [{"a": a, "b": b, "c": c, "type": "solution"} for a, b, c in solutions]
-                _write_records(out, records + [{"solutions": len(solutions), "type": "summary"}])
+                records.append({"solutions": len(solutions), "type": "summary"})
+                _write_records(out, (_ENCODER.encode(record) + "\n" for record in records))
             return 0
 
         exceeded = False
@@ -374,10 +432,11 @@ def _cmd_search(args) -> int:
         except BudgetExceeded as exc:
             report = exc.report
             exceeded = True
-        constants = [str(f.constant) for f in report.found]
-        _print_report(report, constants)
+        lines, finds = _find_lines(report.found)
+        _print_report(report, lines)
+        del lines  # printed: only the records are held while they are written
         if args.out:
-            _write_records(out, _report_records(report, constants))
+            _write_records(out, _report_records(report, finds))
     if exceeded:
         print("budget exceeded: results are partial", file=sys.stderr)
         return 3

@@ -135,11 +135,28 @@ class WeightMatrix:
         return WeightMatrix(tuple(Row(r.weights, -r.sign) for r in self.rows))
 
     def __str__(self) -> str:
-        body = "; ".join(
-            ("+" if row.sign == 1 else "-") + ": " + " ".join(map(str, row.weights))
-            for row in self.rows
-        )
-        return f"[{body}]"
+        return f"[{'; '.join(map(row_text, self.rows))}]"
+
+
+def row_text(row: Row) -> str:
+    """A row as ``str`` of a matrix shows it: ``"+: 3 1"`` or ``"-: 3 1"``."""
+    return ("+" if row.sign == 1 else "-") + ": " + " ".join(map(str, row.weights))
+
+
+def _valid_matrix(rows: Tuple[Row, ...]) -> WeightMatrix:
+    """The :class:`WeightMatrix` of ``rows`` without its checks.
+
+    Precondition, which the caller must guarantee: ``rows`` is a nonempty
+    tuple of ``Row`` objects, each holding a tuple of the same number ``n
+    >= 1`` of nonzero ``int`` weights and an ``int`` sign ±1; that is, a
+    tuple that ``WeightMatrix(rows)`` would accept and store as it is.  The
+    rows of :func:`rigidpow.search.row_universe` are such rows, so a
+    candidate drawn from them is valid by construction.  The result equals
+    ``WeightMatrix(rows)``, hashes alike and pickles through
+    ``WeightMatrix``, which checks the rows again on loading."""
+    matrix = object.__new__(WeightMatrix)
+    object.__setattr__(matrix, "rows", rows)
+    return matrix
 
 
 class Witness(NamedTuple):
@@ -371,12 +388,20 @@ def _cancels(rows: Sequence[Row], fold: bool) -> bool:
     rows as ``-`` rows; with ``fold``, after each negative weight has been
     made positive and its sign folded into the row sign (see
     :func:`fold_signs`).  Rows that pair off like that are even in number,
-    so an odd count is turned away before a row is looked at."""
+    so an odd count is turned away before a row is looked at.
+
+    One pass tallies each row's sign under its sorted (and, with ``fold``,
+    sign-folded) weights: the rows pair off exactly when every tally is 0,
+    which is :func:`rows_cancel` of the sorted, folded rows."""
     if len(rows) % 2:
         return False
-    if fold:
-        rows = map(fold_signs, rows)
-    return rows_cancel((sorted(weights), sign) for weights, sign in rows)
+    tally = {}
+    for weights, sign in rows:
+        if fold:
+            weights, sign = _folded(weights, sign)
+        key = tuple(sorted(weights))
+        tally[key] = tally.get(key, 0) + sign
+    return not any(tally.values())
 
 
 def rows_cancel(rows) -> bool:
@@ -433,11 +458,17 @@ def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
 def fold_signs(row: Row) -> Row:
     """``row`` with every negative weight made positive and each flip
     folded into the row sign; its ``x = y = 1`` term is unchanged."""
-    sign = row.sign
-    for w in row.weights:
+    weights, sign = _folded(*row)
+    return Row(tuple(weights), sign)
+
+
+def _folded(weights, sign: int):
+    """:func:`fold_signs` of the row ``(weights, sign)`` as a plain pair:
+    an iterator over the weights' absolute values, and the folded sign."""
+    for w in weights:
         if w < 0:
             sign = -sign
-    return Row(tuple(map(abs, row.weights)), sign)
+    return map(abs, weights), sign
 
 
 def normalize_signs(matrix: WeightMatrix) -> WeightMatrix:

@@ -37,8 +37,9 @@ from .prefilter import block_size, sample_points, select_filter
 from .rigidity import (
     Row,
     WeightMatrix,
+    _folded,
+    _valid_matrix,
     exact_int,
-    fold_signs,
     is_l_rigid,
     is_rigid,
     pair_partition,
@@ -159,13 +160,18 @@ class SearchReport(NamedTuple):
         return anomalies
 
 
-def _canonical_rows(rows: Iterable[Row], mode: str) -> Tuple[Row, ...]:
-    """The rows of :func:`canonical_form`, as plain ``Row`` tuples."""
+def _canonical_rows(rows: Iterable[Row], mode: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The rows of :func:`canonical_form`, as sorted ``(weights, sign)``
+    tuples; L mode first folds each row's signs (see
+    :func:`rigidpow.rigidity.fold_signs`)."""
     if mode not in ("T", "L"):
         raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
-    if mode == "L":
-        rows = map(fold_signs, rows)
-    return tuple(sorted(Row(tuple(sorted(r.weights, reverse=True)), r.sign) for r in rows))
+    canonical = []
+    for weights, sign in rows:
+        if mode == "L":
+            weights, sign = _folded(weights, sign)
+        canonical.append((tuple(sorted(weights, reverse=True)), sign))
+    return tuple(sorted(canonical))
 
 
 def canonical_form(matrix: WeightMatrix, mode: str = "T") -> WeightMatrix:
@@ -284,7 +290,10 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     :func:`_blocks`).  A block that reaches past the enum budget is cut
     before the kernel is called, so the kernel decides no candidate past
     the budget, and its mask, a :class:`_Hits`, holds the block's survivors
-    only, each with its rows."""
+    only, each with its rows.  Those rows are items of the row universe,
+    valid by construction, so each survivor is built as a matrix by
+    :func:`rigidpow.rigidity._valid_matrix`, without the checks of
+    ``WeightMatrix``."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
@@ -334,7 +343,7 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                     result.exceeded = True
                     continue
                 result.exact_checks += 1
-                matrix = WeightMatrix(rows)
+                matrix = _valid_matrix(rows)  # rows of the universe
                 verdict = decide(matrix)
                 if verdict.rigid:
                     result.found.append((matrix, verdict.constant))
@@ -343,14 +352,27 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     return results
 
 
-def _annotate(spec: SearchSpec, matrix: WeightMatrix, constant: Form) -> Find:
-    label = classify_two_fixed_points(matrix) if matrix.m == 2 else None
-    seed = None
-    if matrix.m == matrix.n + 1:
-        seed = quasilinearity_test(matrix, mode=spec.mode)
-    pairable = pair_partition(matrix) is not None
-    k_ok = constant.is_zero() or matrix.m >= kosniowski_bound(matrix.n)
-    return Find(matrix, constant, label, seed, k_ok, pairable)
+def _annotate(spec: SearchSpec, pairs: Iterable[Tuple[WeightMatrix, Form]]) -> Iterator[Find]:
+    """Each ``(matrix, constant)`` of ``pairs``, a rigid matrix of ``spec``
+    and its constant, as an annotated :class:`Find`.
+
+    Every such matrix has ``spec.m`` rows of ``spec.n`` weights, so which
+    annotations apply is settled once per sweep: the two-fixed-point class
+    when ``m = 2``, a quasilinear seed when ``m = n + 1``, and whether ``m``
+    reaches the Kosniowski floor, which a find with a zero constant need not
+    reach.  Every find's pairing is :func:`pair_partition`, called once per
+    find.
+    """
+    label = seed = None
+    classify, quasi = spec.m == 2, spec.m == spec.n + 1
+    enough = spec.m >= kosniowski_bound(spec.n)
+    for matrix, constant in pairs:
+        if classify:
+            label = classify_two_fixed_points(matrix)
+        if quasi:
+            seed = quasilinearity_test(matrix, mode=spec.mode)
+        pairable = pair_partition(matrix) is not None
+        yield Find(matrix, constant, label, seed, enough or constant.is_zero(), pairable)
 
 
 def check_pool(shards: int, workers: int) -> None:
@@ -388,7 +410,7 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
         results = _run_shards(spec, range(shards), shards, enum_cap, check_cap)
 
     pairs = sorted((pair for r in results for pair in r.found), key=lambda pair: pair[0].rows)
-    finds = tuple(_annotate(spec, matrix, constant) for matrix, constant in pairs)
+    finds = tuple(_annotate(spec, pairs))
     stats = SweepStats(
         enumerated=sum(r.enumerated for r in results),
         rejected=sum(r.rejected for r in results),
@@ -426,20 +448,29 @@ def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple
     the match is up to the sign symmetries the x=y=1 function cannot see:
     per-weight flips folded into row signs, and global sign negation.
     Difference rows are compared as canonical row tuples; no matrix is built.
+
+    In T mode two quick rejects come first.  Every difference row is a
+    ``+`` row, and the difference matrix of a seed ``a`` holds ``a_i - a_j``
+    at row ``i`` and ``a_j - a_i`` at row ``j`` for each pair ``i != j``,
+    so its entries sum to 0; permuting rows or columns keeps the sum.  So a
+    matrix with a ``-`` row or whose weights do not sum to 0 matches no
+    seed and gets None at once.
     """
     if matrix.m != matrix.n + 1:
         raise WrongShape(f"need m = n + 1, got m = {matrix.m}, n = {matrix.n}")
-    if mode == "T" and any(sign < 0 for _, sign in matrix.rows):
-        return None  # every difference row is a + row
-    targets = {_canonical_rows(matrix.rows, mode)}
+    rows = matrix.rows
+    if mode == "T":
+        if any(sign < 0 for _, sign in rows) or sum(w for weights, _ in rows for w in weights):
+            return None
+    target = _canonical_rows(rows, mode)
+    targets = {target}
     if mode == "L":
-        targets.add(_canonical_rows((Row(w, -s) for w, s in matrix.rows), "L"))
+        targets.add(tuple(sorted([(weights, -sign) for weights, sign in target])))
     for sigma in product((1, -1) if mode == "L" else (1,), repeat=matrix.n):
-        seed = (0, *(-s * w for s, w in zip(sigma, matrix.rows[0].weights)))
+        seed = (0, *(-s * w for s, w in zip(sigma, rows[0].weights)))
         if len(set(seed)) != len(seed):
             continue
-        rows = (Row(tuple(a - b for b in seed if b != a), 1) for a in seed)
-        if _canonical_rows(rows, mode) in targets:
+        if _canonical_rows([(tuple(a - b for b in seed if b != a), 1) for a in seed], mode) in targets:
             return seed
     return None
 

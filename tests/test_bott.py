@@ -8,6 +8,7 @@ import pytest
 
 from rigidpow.algebra import ZSparse
 from rigidpow.bott import (
+    MAX_SCREEN_N,
     WrongFixedPointCount,
     chern_number,
     classify_two_fixed_points,
@@ -163,6 +164,13 @@ def test_boundary_candidates():
     assert is_boundary_candidate(wm(([1, 2], 1), ([1, 2], -1)))
     assert not is_boundary_candidate(wm(([1], 1), ([-1], 1)))
     assert not is_boundary_candidate(wm(([1, 1, -2], 1), ([-1, -1, 2], 1)))
+
+
+def test_screens_refuse_more_columns_than_they_can_walk():
+    wide = wm((list(range(1, MAX_SCREEN_N + 2)), 1), (list(range(1, MAX_SCREEN_N + 2)), -1))
+    for screen in (realizability_screen, is_boundary_candidate):
+        with pytest.raises(ValueError, match=f"at most {MAX_SCREEN_N} columns, got n = 61"):
+            screen(wide)
 
 
 # -- classification -----------------------------------------------------------

@@ -186,6 +186,20 @@ def test_screen(tmp_path, capsys):
     assert "boundary candidate: all Chern numbers vanish" in out
 
 
+@pytest.mark.parametrize("n", [61, 1100])
+def test_screen_past_its_column_limit_is_an_input_error(n, tmp_path, capsys):
+    # the screens would walk sum_{k <= n} p(k) exponent tuples; at n = 1100
+    # the walk once overflowed the recursion limit and exited 4
+    path = tmp_path / "wide.txt"
+    path.write_text(f"1 {n}\n+: " + " ".join(map(str, range(1, n + 1))) + "\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "screen", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: the realizability and boundary screens take at most 60 columns, "
+                   f"got n = {n}\n")
+
+
 def test_quasilinear_command(capsys):
     code, out, _ = run_cli(capsys, "quasilinear", "0", "1", "2")
     assert code == 0
