@@ -359,10 +359,13 @@ def _find_lines(found: Sequence[Find]) -> Tuple[List[str], Iterator[str]]:
 
 
 def _write_records(handle, lines) -> None:
-    """Empty ``handle`` and write ``lines``, each ending in a newline."""
+    """Empty ``handle`` and write ``lines``, each ending in a newline.  The
+    lines are all rendered first, so a failure while rendering leaves the
+    old file as it was."""
+    text = "".join(lines)
     handle.seek(0)
     handle.truncate()
-    handle.write("".join(lines))
+    handle.write(text)
 
 
 def _print_report(report: SearchReport, find_lines: Sequence[str]) -> None:

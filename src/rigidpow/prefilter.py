@@ -1,10 +1,9 @@
-"""Exact sample-point pre-filter for the sweeps.
+"""Sample-point residue pre-filter for the sweeps.
 
 The filter is a sound rejection test: a matrix whose function is constant
 agrees with its forced constant at every valid sample point, so no rigid
-matrix is ever rejected.  Survivors still go through the full symbolic
-check.  Every candidate is decided exactly, by unbounded Python integers
-or by a residue sum that is nonzero.
+matrix is ever rejected.  Every candidate it passes goes through the full
+symbolic check, which alone decides it.
 
 A candidate's function minus its forced constant is the sum, over its
 rows, of each row's value minus that row's constant, and a row's term at a
@@ -21,10 +20,10 @@ second-to-last row and looks the last one up by the negated residue sum (a
 residue join, the 2-SUM step).  For m >= 4 it can also fix every row but
 the last three: it tables every pair of rows by its residue sum once and
 looks the last two up together for each choice of the third-to-last row
-(Horowitz and Sahni, 1974).  Only the rare candidate whose residues do sum
-to zero is decided by :func:`matches_constant`.  That function certifies
-a candidate whose rows cancel in pairs and evaluates any other from
-scratch, in exact integers; it is the oracle the kernel is tested against.
+(Horowitz and Sahni, 1974).  Every candidate whose residues sum to zero
+passes, with no exact re-evaluation: a residue collision, a candidate
+whose residues sum to zero though its terms do not, would cost one
+symbolic check, which rejects it.  None has been seen at the real prime.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from math import comb
 from operator import ge, mod, sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .rigidity import exact_int, point_value, rows_cancel
+from .rigidity import exact_int
 
 # Exact sample points (z, x, y) used by the sweeps, one tuple each.  Any
 # |z| >= 2 avoids all denominator roots.
@@ -58,30 +57,6 @@ def sample_points(mode: str) -> Tuple[Point, ...]:
     if mode == "L":
         return L_POINTS
     raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
-
-
-def matches_constant(rows, points) -> bool:
-    """Whether one candidate matches its forced constant at every point.
-
-    This is the exact oracle for the kernel :func:`select_filter` returns:
-    it evaluates the candidate from scratch with
-    :func:`rigidpow.rigidity.point_value`, the evaluator behind every
-    witness point too.  ``rows`` is a sequence of ``(weights, sign)``
-    rows, with nonzero integer weights and ``sign`` in ±1, and ``points``
-    a sequence of ``(z, x, y)`` triples with every ``z >= 2``.  The answer
-    is True when the row sum of products of ``(x*z^w + y) / (z^w - 1)``
-    equals the sign-count constant at every point, and False at the first
-    point where it does not.  Rows that cancel in pairs (see
-    :func:`rigidpow.rigidity.rows_cancel`) are 0 at every point with
-    constant 0, so they are answered True before any point is evaluated.
-    """
-    if rows_cancel(rows):
-        return True
-    for z, x, y in points:
-        top, bottom, constant = point_value(rows, z, x, y)
-        if top != constant * bottom:
-            return False
-    return True
 
 
 def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: int,
@@ -177,11 +152,11 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     A sweep with ``m = 1`` has no such block and never calls the kernel.
 
     ``out`` is the caller's mask: any object with ``len()`` and item
-    assignment.  For each survivor, a candidate that
-    :func:`matches_constant` accepts, the kernel sets ``out[k]``, ``k``
-    its offset in the block, to the candidate itself, the tuple of its
-    ``m`` items of ``rows``, in increasing ``k``, and it sets nothing
-    else, so the caller never maps an offset back to rows.  Each row's
+    assignment.  For each survivor, a candidate whose row residues sum to
+    0 modulo ``_PRIME``, the kernel sets ``out[k]``, ``k`` its offset in
+    the block, to the candidate itself, the tuple of its ``m`` items of
+    ``rows``, in increasing ``k``, and it sets nothing else, so the caller
+    never maps an offset back to rows.  Each row's
     residue (see :func:`_row_residues`) is computed once, here, and kept
     in order in ``kernel.residues``, and the rows are indexed by residue.
     A call adds up the fixed rows' residues once; the rows ``j`` of
@@ -196,10 +171,11 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     (``len(rows) (len(rows) + 1) / 2`` entries, kept for later calls), a
     row ``j`` counts only if its partner sum has a pair with ``k >= j``,
     and the pairs under that sum, cut by bisection to ``k >= j`` and to
-    ``count``, are the only candidates whose residues sum to zero.  Each
-    of them is decided by :func:`matches_constant`, so ``out`` receives
-    exactly the survivors among the first ``count`` candidates, and a
-    residue collision that it rejects leaves ``out`` as it was.  Every
+    ``count``, are the only candidates whose residues sum to zero.  So
+    ``out`` receives exactly the candidates, among the first ``count``,
+    whose residues sum to 0 modulo ``_PRIME``; no point is evaluated
+    exactly, and a residue collision is left to the caller's symbolic
+    check, where it costs one check and is rejected.  Every
     point needs ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound``
     must be below ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes
     modulo ``_PRIME``.  A point that is not such a tuple or a row that
@@ -275,8 +251,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                 at = positions[target - residues[j]]
                 fixed = (*map(rows.__getitem__, heads), rows[j])
                 for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
-                    if matches_constant(candidate := fixed + (rows[p],), points):
-                        out[offset + p - j] = candidate
+                    out[offset + p - j] = fixed + (rows[p],)
             return
         if not pair_starts:
             for k, residue in enumerate(residues):
@@ -297,9 +272,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             fixed = (*map(rows.__getitem__, heads), rows[j])
             for rank in at[bisect_left(at, first):bisect_left(at, first + count - offset)]:
                 k = bisect_right(pair_starts, rank) - 1
-                candidate = fixed + (rows[k], rows[k + rank - pair_starts[k]])
-                if matches_constant(candidate, points):
-                    out[offset + rank - first] = candidate
+                out[offset + rank - first] = fixed + (rows[k], rows[k + rank - pair_starts[k]])
 
     residue_join.residues = residues
     return residue_join, "residue-join"

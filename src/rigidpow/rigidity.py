@@ -391,8 +391,9 @@ def _cancels(rows: Sequence[Row], fold: bool) -> bool:
     so an odd count is turned away before a row is looked at.
 
     One pass tallies each row's sign under its sorted (and, with ``fold``,
-    sign-folded) weights: the rows pair off exactly when every tally is 0,
-    which is :func:`rows_cancel` of the sorted, folded rows."""
+    sign-folded) weights: the rows pair off exactly when every tally is 0.
+    This is the only place a sweep looks for cancelling rows, so each
+    cancelling survivor is tallied once, by its verdict."""
     if len(rows) % 2:
         return False
     tally = {}
@@ -400,20 +401,6 @@ def _cancels(rows: Sequence[Row], fold: bool) -> bool:
         if fold:
             weights, sign = _folded(weights, sign)
         key = tuple(sorted(weights))
-        tally[key] = tally.get(key, 0) + sign
-    return not any(tally.values())
-
-
-def rows_cancel(rows) -> bool:
-    """Whether every weights sequence of ``rows``, ``(weights, sign)``
-    pairs, is held by as many ``+`` rows as ``-`` rows.  Such rows pair off
-    into a ``+`` and a ``-`` row with equal terms, so their function is 0 at
-    every point, and so is their sign-count constant.  Sequences are
-    compared as given: rows whose weights are the same multiset in another
-    order count as different here."""
-    tally = {}
-    for weights, sign in rows:
-        key = tuple(weights)
         tally[key] = tally.get(key, 0) + sign
     return not any(tally.values())
 

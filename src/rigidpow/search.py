@@ -2,11 +2,12 @@
 
 A sweep enumerates every canonical representative with ``|w| <= bound``
 (in L mode, weights are positive after sign normalization and every sign
-pattern is covered), rejects candidates that fail exact evaluation at a
-few sample points, and runs the full symbolic constancy check on the
-survivors.  Rejection is sound -- a constant function matches its forced
-constant at every valid point -- so no rigid matrix is ever skipped, and
-false positives are caught by the symbolic check.
+pattern is covered), rejects candidates whose row residues at a few
+sample points (see :mod:`rigidpow.prefilter`) do not sum to zero, and runs
+the full symbolic constancy check on the survivors.  Rejection is sound --
+a constant function matches its forced constant at every valid point --
+so no rigid matrix is ever skipped, and the symbolic check is the only
+confirmation: a residue collision would cost one check and be rejected.
 
 Enumeration generates canonical forms directly: weights inside a row are
 non-increasing and the row list is non-decreasing, so each equivalence
@@ -251,7 +252,8 @@ class _Hits:
     in the increasing ``k`` the kernel writes.  ``len`` is ``size``, the
     kernel's bound on ``count``.  ``count`` is there for the benchmark's
     tracer, which reads ``count(1)``: the number of survivors, as a mask
-    of one byte per candidate would count its 1s."""
+    of one byte per candidate would count its 1s.  A survivor is a residue
+    hit, not yet a find: the caller decides it with its symbolic check."""
 
     __slots__ = ("size", "hits")
 
@@ -290,10 +292,11 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     :func:`_blocks`).  A block that reaches past the enum budget is cut
     before the kernel is called, so the kernel decides no candidate past
     the budget, and its mask, a :class:`_Hits`, holds the block's survivors
-    only, each with its rows.  Those rows are items of the row universe,
-    valid by construction, so each survivor is built as a matrix by
-    :func:`rigidpow.rigidity._valid_matrix`, without the checks of
-    ``WeightMatrix``."""
+    only, each with its rows.  Each survivor costs one symbolic check, the
+    only confirmation, which would reject a residue collision.  Its rows
+    are items of the row universe, valid by construction, so it is built
+    as a matrix by :func:`rigidpow.rigidity._valid_matrix`, without the
+    checks of ``WeightMatrix``."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)

@@ -2,20 +2,27 @@
 
 ``stream_candidates`` yields a shard's canonical candidates one by one, in
 canonical order, and ``stream_shard`` and ``stream_triples`` decide them
-the way sweeps did before the join: ``matches_constant`` on every
-candidate, in chunks of ``CHUNK``.  ``chunk_mask`` gives its mask, one
-byte per candidate, and ``join_mask`` the sweep's mask for the same
-candidates, in the same order, block by block in either block shape: the
-kernel's survivors for m > 1 and all zero for m = 1.  ``block_candidates``
-lists the candidates of one block, and ``hits_mask`` turns the survivors
-one kernel call hands a ``search._Hits`` into a mask of the same form,
-checking each survivor's rows against the block's candidate at its offset.
+the way sweeps did before the join: ``matches_constant``, an exact
+evaluation at every sample point, on every candidate, in chunks of
+``CHUNK``.  ``chunk_mask`` gives its mask, one byte per candidate, and
+``join_mask`` the sweep's mask for the same candidates, in the same order,
+block by block in either block shape: the kernel's survivors for m > 1 and
+all zero for m = 1.  At the real prime the two masks agree.  The kernel
+itself only sums residues: a residue collision, which would be a survivor
+that ``matches_constant`` rejects, would spend one exact check in a sweep
+and be rejected there.  ``block_candidates`` lists the candidates of one
+block, and ``hits_mask`` turns the survivors one kernel call hands a
+``search._Hits`` into a mask of the same form, checking each survivor's
+rows against the block's candidate at its offset.  ``residue_offsets`` is
+the kernel's own contract, for a prime small enough that residues
+collide: the offsets of the candidates whose row residues sum to 0 modulo
+the prime.
 """
 
 from itertools import combinations_with_replacement, islice
 
-from rigidpow.prefilter import block_size, matches_constant, sample_points, select_filter
-from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid
+from rigidpow.prefilter import block_size, sample_points, select_filter
+from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid, point_value
 from rigidpow.search import _blocks, _Hits
 
 CHUNK = 1024
@@ -26,6 +33,26 @@ def stream_candidates(universe, m, shard_index, shard_count):
     for i in range(shard_index, len(universe), shard_count):
         yield from map((universe[i],).__add__,
                        combinations_with_replacement(universe[i:], m - 1))
+
+
+def matches_constant(rows, points) -> bool:
+    """Whether one candidate matches its forced constant at every point.
+
+    This is the exact oracle for the kernel ``select_filter`` returns: it
+    evaluates the candidate from scratch with ``rigidity.point_value``,
+    the evaluator behind every witness point too.  ``rows`` is a sequence
+    of ``(weights, sign)`` rows, with nonzero integer weights and ``sign``
+    in ±1, and ``points`` a sequence of ``(z, x, y)`` triples with every
+    ``z >= 2``.  The answer is True when the row sum of products of ``(x*z^w
+    + y) / (z^w - 1)`` equals the sign-count constant at every point, and
+    False at the first point where it does not.  At the real prime the
+    kernel's residue hits are exactly these candidates; a residue
+    collision would be a hit that this rejects."""
+    for z, x, y in points:
+        top, bottom, constant = point_value(rows, z, x, y)
+        if top != constant * bottom:
+            return False
+    return True
 
 
 def chunk_mask(candidates, points):
@@ -44,6 +71,15 @@ def block_rows(universe, heads, tails, m):
     """A block's candidates as tuples of rows of ``universe``, in block order."""
     return [tuple(map(universe.__getitem__, indices))
             for indices in block_candidates(heads, tails, m, len(universe))]
+
+
+def residue_offsets(residues, heads, tails, m, count, prime):
+    """The residue oracle for one kernel call: the offsets, among the
+    block's first ``count`` candidates, of those whose rows' ``residues``
+    (the kernel's, one per row) sum to 0 modulo ``prime``."""
+    candidates = block_candidates(heads, tails, m, len(residues))[:count]
+    return [k for k, indices in enumerate(candidates)
+            if sum(map(residues.__getitem__, indices)) % prime == 0]
 
 
 def hits_mask(kernel, call, candidates):

@@ -353,6 +353,36 @@ def test_search_that_fails_keeps_the_old_out(flags, error, tmp_path, capsys, mon
     assert stale.read_text() == "stale\n"
 
 
+class SummaryFails:
+    """An encoder that encodes as ``cli._ENCODER`` does but raises
+    ``error`` on a summary record, the last record of every report."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def encode(self, record):
+        if type(record) is dict and record.get("type") == "summary":
+            raise self.error
+        return json.JSONEncoder(check_circular=False).encode(record)
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_search_that_fails_while_rendering_keeps_the_old_out(flags, error, tmp_path, capsys,
+                                                             monkeypatch):
+    # the search has finished and its earlier records are rendered when the
+    # summary record fails; the old report must still be there, unemptied
+    monkeypatch.setattr(cli, "_ENCODER", SummaryFails(error))
+    stale = tmp_path / "stale.jsonl"
+    stale.write_bytes(b"stale\n" * 3)
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["search", *flags, "--out", str(stale)])
+    else:
+        assert run_cli(capsys, "search", *flags, "--out", str(stale))[0] == 4
+    assert stale.read_bytes() == b"stale\n" * 3
+
+
 def test_search_out_is_truncated_and_written_at_the_end(tmp_path, capsys):
     fresh, stale = tmp_path / "fresh.jsonl", tmp_path / "stale.jsonl"
     stale.write_text("stale\n" * 1000)

@@ -7,17 +7,18 @@ from itertools import combinations_with_replacement
 import pytest
 
 from rigidpow import prefilter
-from rigidpow.prefilter import (
-    L_POINTS,
-    T_POINTS,
-    block_size,
-    matches_constant,
-    sample_points,
-    select_filter,
-)
+from rigidpow.prefilter import L_POINTS, T_POINTS, block_size, sample_points, select_filter
 from rigidpow.search import _blocks, _Hits, row_universe
 from exact_values import forced_constant, function_value, row_constant, row_value
-from stream_oracle import block_rows, chunk_mask, hits_mask, join_mask, stream_candidates
+from stream_oracle import (
+    block_rows,
+    chunk_mask,
+    hits_mask,
+    join_mask,
+    matches_constant,
+    residue_offsets,
+    stream_candidates,
+)
 
 
 def random_batch(rng, m, n, bound, count):
@@ -208,46 +209,41 @@ def test_residue_join_agrees_with_matches_constant_at_large_bounds(m, n, bound):
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_residue_join_collisions_are_decided_by_matches_constant(monkeypatch, m, n, bound, mode):
+def test_residue_join_hands_over_every_zero_residue_sum_modulo_a_small_prime(monkeypatch, m, n,
+                                                                            bound, mode):
     # modulo the safe prime 23 = 2 * 11 + 1 about one candidate in 23
-    # collides; matches_constant, called on every hit, must still give its mask
+    # collides; the mask holds exactly the candidates whose residues sum to
+    # 0 modulo 23, so the exact oracle's survivors and every collision
     monkeypatch.setattr(prefilter, "_PRIME", 23)
-    hits = []
-    monkeypatch.setattr(prefilter, "matches_constant",
-                        lambda *args: hits.append(args) or matches_constant(*args))
+    universe = row_universe(n, bound, mode)
+    residues = select_filter(m, n, bound, sample_points(mode), universe)[0].residues
+    want = bytearray(sum(map(residues.__getitem__, indices)) % 23 == 0
+                     for indices in combinations_with_replacement(range(len(universe)), m))
     for free in [min(m, 2)] + [3] * (m >= 4):
-        hits.clear()
-        got, want = canonical_masks(m, n, bound, mode, free)
+        got, exact = canonical_masks(m, n, bound, mode, free)
         assert got == want
-        assert len(hits) > sum(got)
+        assert all(map(int.__ge__, got, exact)) and sum(got) > sum(exact)
 
 
 @pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_a_residue_collision_that_matches_constant_rejects_records_nothing(monkeypatch, m, n,
-                                                                           bound, mode):
-    # modulo the safe prime 23 many residue hits are collisions; the mask
-    # receives the candidates matches_constant accepts, in the order it
-    # decides them, and nothing for those it rejects
+def test_a_residue_collision_reaches_the_mask_like_any_hit(monkeypatch, m, n, bound, mode):
+    # modulo the safe prime 23 many residue hits are collisions; block by
+    # block, the mask receives every candidate whose residues sum to 0
+    # modulo 23, in block order, whether the exact oracle accepts it or not
     monkeypatch.setattr(prefilter, "_PRIME", 23)
-    decided = []
-
-    def recording_matches_constant(rows, points):
-        decided.append((rows, matches_constant(rows, points)))
-        return decided[-1][1]
-
-    monkeypatch.setattr(prefilter, "matches_constant", recording_matches_constant)
     universe = row_universe(n, bound, mode)
     points = sample_points(mode)
     kernel, _ = select_filter(m, n, bound, points, universe)
-    rejected = 0
+    collisions = 0
     for free in [min(m, 2)] + [3] * (m >= 4):
         for heads, tails in _blocks(m, len(universe), 0, 1, free):
-            decided.clear()
             hits = _Hits(block_size(tails, len(universe), free))
             kernel(heads, tails, m, n, len(hits), points, hits)
-            assert [rows for _, rows in hits.hits] == [rows for rows, ok in decided if ok]
-            rejected += sum(not ok for _, ok in decided)
-    assert rejected > 0
+            candidates = block_rows(universe, heads, tails, m)
+            offsets = residue_offsets(kernel.residues, heads, tails, m, len(hits), 23)
+            assert hits.hits == [(k, candidates[k]) for k in offsets]
+            collisions += sum(not matches_constant(rows, points) for _, rows in hits.hits)
+    assert collisions > 0
 
 
 def row_residue(weights, sign, points):

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from rigidpow import search
+from rigidpow import prefilter, search
 from rigidpow.prefilter import sample_points
 from rigidpow.rigidity import is_l_rigid, is_rigid
 from rigidpow.search import BudgetExceeded, SearchSpec, row_universe, sweep, triple_identity_search
@@ -82,6 +82,43 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 4), (2, 6)])
 def test_triple_search_on_the_join_matches_the_stream(n, bound):
     assert triple_identity_search(n, bound) == stream_triples(n, bound)
+
+
+def test_residue_collisions_reach_the_verdict_and_die_there(monkeypatch):
+    # modulo the safe prime 23 residues collide, and the kernel hands every
+    # collision over as a survivor; each costs one exact check and is
+    # rejected there, so the finds, the budget outcome and the enumerated
+    # counts are those at the real prime.  An m = 4 sweep runs whole, on
+    # the pair table, and one candidate short, on blocks of two free rows.
+    checks = []
+
+    def counting(decide):
+        return lambda matrix: checks.append(matrix) or decide(matrix)
+
+    monkeypatch.setattr(search, "is_rigid", counting(is_rigid))
+    monkeypatch.setattr(search, "is_l_rigid", counting(is_l_rigid))
+
+    def outcomes():
+        runs = []
+        for mode, m, n, bound in [("T", 2, 2, 4), ("L", 2, 3, 3), ("T", 3, 2, 3),
+                                  ("L", 3, 2, 4), ("T", 4, 1, 3), ("L", 4, 2, 3)]:
+            total = math.comb(len(row_universe(n, bound, mode)) + m - 1, m)
+            for enum_budget in (total, total - 1)[:1 + (m >= 4)]:
+                spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget)
+                runs.append(sweep_outcome(spec, 1))
+        checks.clear()  # count the triple search's checks only
+        return runs, triple_identity_search(2, 6), len(checks)
+
+    real_runs, real_triples, real_checks = outcomes()
+    monkeypatch.setattr(prefilter, "_PRIME", 23)
+    small_runs, small_triples, small_checks = outcomes()
+    assert small_triples == real_triples and len(real_triples) == 9
+    assert small_checks > real_checks
+    for (finds, enumerated, _, exact_checks, exceeded), small in zip(real_runs, small_runs):
+        assert finds and exact_checks == len(finds)
+        assert (small[0], small[1], small[4]) == (finds, enumerated, exceeded)
+        assert small[3] >= exact_checks
+    assert any(small[3] > len(small[0]) for small in small_runs)
 
 
 @pytest.mark.parametrize("mode, m, n, bound", [

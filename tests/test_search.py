@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rigidpow import search
 from rigidpow.bott import ClassLabel
-from rigidpow.prefilter import block_size, matches_constant, sample_points
+from rigidpow.prefilter import block_size, sample_points
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -36,7 +36,13 @@ from rigidpow.search import (
     sweep,
     triple_identity_search,
 )
-from stream_oracle import block_candidates, chunk_mask, join_mask, stream_candidates
+from stream_oracle import (
+    block_candidates,
+    chunk_mask,
+    join_mask,
+    matches_constant,
+    stream_candidates,
+)
 
 
 def wm(*rows):
