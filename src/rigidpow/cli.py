@@ -165,11 +165,7 @@ def parse_matrix_json(text: str) -> WeightMatrix:
 
 def render_matrix(matrix: WeightMatrix) -> str:
     """The document form of a matrix; re-parses to an equal matrix."""
-    lines = [f"{matrix.m} {matrix.n}"]
-    for row in matrix.rows:
-        sign = "+" if row.sign == 1 else "-"
-        lines.append(f"{sign}: " + " ".join(str(w) for w in row.weights))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{matrix.m} {matrix.n}", *map(row_text, matrix.rows)]) + "\n"
 
 
 def _load_matrix(args) -> WeightMatrix:

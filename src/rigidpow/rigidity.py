@@ -150,7 +150,8 @@ def _valid_matrix(rows: Tuple[Row, ...]) -> WeightMatrix:
     tuple of ``Row`` objects, each holding a tuple of the same number ``n
     >= 1`` of nonzero ``int`` weights and an ``int`` sign ±1; that is, a
     tuple that ``WeightMatrix(rows)`` would accept and store as it is.  The
-    rows of :func:`rigidpow.search.row_universe` are such rows, so a
+    rows of :func:`rigidpow.search.row_universe` and of the row list of
+    :func:`rigidpow.search.triple_identity_search` are such rows, so a
     candidate drawn from them is valid by construction.  The result equals
     ``WeightMatrix(rows)``, hashes alike and pickles through
     ``WeightMatrix``, which checks the rows again on loading."""
@@ -187,7 +188,7 @@ class RigidityVerdict(NamedTuple):
         w = self.witness
         if w is not None and w.point is not None:
             return (
-                f"not rigid; at (z, x, y) = {tuple(map(str, w.point))} the value is "
+                f"not rigid; at (z, x, y) = ({', '.join(map(str, w.point))}) the value is "
                 f"{format_rational(w.value_at_point)}, "
                 f"expected {format_rational(w.expected_at_point)}"
             )

@@ -401,8 +401,10 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     # the pool forks all its processes at the first submit
     workers = min(workers, shards, os.cpu_count() or 1)
     if workers > 1:
-        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=workers) as pool:
+        # imported here, so a process that never runs a pool never loads
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_shards, spec, range(w, shards, workers), shards,
                             enum_cap, check_cap)
@@ -427,18 +429,6 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
             report,
         )
     return report
-
-
-def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use (PEP 562) and cached
-    in this module, so a process that never runs a pool never loads
-    ``multiprocessing``; :func:`sweep` reads the cached name, so a patched
-    one wins."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
 
 
 def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple[int, ...]]:
@@ -508,7 +498,7 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
         mask = _Hits(count)
         kernel((c,), tails, 3, n, count, points, mask)
         for _, (minus, a, b) in mask.hits:
-            matrix = WeightMatrix((a, b, minus))
+            matrix = _valid_matrix((a, b, minus))  # rows of the search's own list
             verdict = is_l_rigid(matrix)
             if verdict.rigid and verdict.constant.constant_value() == 1:
                 solutions.append(tuple(row.weights for row in matrix.rows))

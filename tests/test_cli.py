@@ -154,6 +154,14 @@ def test_classify(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_prints_its_witness_point_as_numbers(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 2\n+: 1 2\n+: -1 -2\n"))
+    code, out, _ = run_cli(capsys, "classify", "-")
+    assert code == 0
+    assert out == ("classification: unclassified (not rigid; at (z, x, y) = (2, 1, 1) "
+                   "the value is 10, expected 2)\n")
+
+
 def test_chern(tmp_path, capsys):
     path = tmp_path / "doc.txt"
     path.write_text(S3_DOC)

@@ -84,6 +84,18 @@ def test_triple_search_on_the_join_matches_the_stream(n, bound):
     assert triple_identity_search(n, bound) == stream_triples(n, bound)
 
 
+def test_triple_search_builds_its_hits_without_the_matrix_checks(monkeypatch):
+    # each kernel hit holds rows of the search's own list, so it is built
+    # unchecked, as sweep survivors are
+    want = {args: stream_triples(*args) for args in [(2, 4), (3, 6), (4, 4)]}
+
+    def refuse(rows):
+        raise AssertionError("a kernel hit was built with the checks")
+
+    monkeypatch.setattr(search, "WeightMatrix", refuse)
+    assert {args: triple_identity_search(*args) for args in want} == want
+
+
 def test_residue_collisions_reach_the_verdict_and_die_there(monkeypatch):
     # modulo the safe prime 23 residues collide, and the kernel hands every
     # collision over as a survivor; each costs one exact check and is

@@ -1,11 +1,11 @@
 """Canonical enumeration, sweeps against closed-form families, the
 difference-matrix seed test, and the triple identity search."""
 
+import concurrent.futures
 import os
 import pickle
 import random
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -298,13 +298,6 @@ def test_spec_budget_defaults_are_class_attributes():
     assert (spec.mode, spec.check_budget, spec.enum_budget) == ("T", 100_000, 10_000_000)
 
 
-def test_process_pool_is_a_lazy_module_attribute():
-    assert search.ProcessPoolExecutor is ProcessPoolExecutor
-    assert vars(search)["ProcessPoolExecutor"] is ProcessPoolExecutor  # cached for sweep
-    with pytest.raises(AttributeError):
-        search.NoSuchName
-
-
 def test_sweep_paired_family_l_mode():
     report = sweep(SearchSpec(m=2, n=1, bound=4, mode="L"))
     expected = {
@@ -372,7 +365,7 @@ def test_sweep_asks_for_at_most_one_process_per_cpu(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
@@ -384,7 +377,8 @@ def test_sweep_asks_for_at_most_one_process_per_cpu(monkeypatch):
         universes.append(args)
         return row_universe(*args)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    # sweep imports the pool class from concurrent.futures when it runs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(search, "row_universe", counted_row_universe)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spec = SearchSpec(m=2, n=2, bound=3, mode="T")
