@@ -23,7 +23,9 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
+import stat
 import sys
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -355,13 +357,21 @@ def _find_lines(found: Sequence[Find]) -> Tuple[List[str], Iterator[str]]:
 
 
 def _write_records(handle, lines) -> None:
-    """Empty ``handle`` and write ``lines``, each ending in a newline.  The
-    lines are all rendered first, so a failure while rendering leaves the
-    old file as it was."""
+    """Make ``lines``, each ending in a newline, the whole content of
+    ``handle``.  The lines are all rendered first, so a failure while
+    rendering, or before, leaves the old file as it was.  A regular file is
+    then overwritten in place from its start and cut at the new end, so its
+    blocks are reused rather than freed and allocated again; a process
+    killed during that one ``write`` leaves a prefix of the new text
+    followed by old bytes.  Anything else (a device, a pipe) gets the text
+    written as a stream."""
     text = "".join(lines)
-    handle.seek(0)
-    handle.truncate()
-    handle.write(text)
+    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        handle.seek(0)
+        handle.write(text)
+        handle.truncate()
+    else:
+        handle.write(text)
 
 
 def _print_report(report: SearchReport, find_lines: Sequence[str]) -> None:
@@ -394,8 +404,9 @@ def _print_report(report: SearchReport, find_lines: Sequence[str]) -> None:
 
 def _cmd_search(args) -> int:
     # Every flag is checked, and --out opened, before the work starts: a
-    # bad flag or path costs no sweep.  --out is opened for appending, so a
-    # run that fails keeps the old report; it is emptied only to be written.
+    # bad flag or path costs no sweep.  --out is opened without truncating,
+    # so a run that fails keeps the old report; it is rewritten only once
+    # the records are ready.
     if args.problem24:
         if args.n is None or args.bound is None:
             raise ValueError("--problem24 requires --n and --bound")
@@ -412,14 +423,15 @@ def _cmd_search(args) -> int:
             enum_budget=args.enum_budget,
         )
     check_pool(args.shards, args.workers)
-    with (open(args.out, "a", encoding="utf-8", newline="\n") if args.out
+    with (open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+               encoding="utf-8", newline="\n") if args.out is not None
           else contextlib.nullcontext()) as out:
         if args.problem24:
             solutions = triple_identity_search(args.n, args.bound)
             print(f"{len(solutions)} solutions")
             for a, b, c in solutions:
                 print(f"  a={list(a)} b={list(b)} c={list(c)}")
-            if args.out:
+            if out is not None:
                 records = [{"a": a, "b": b, "c": c, "type": "solution"} for a, b, c in solutions]
                 records.append({"solutions": len(solutions), "type": "summary"})
                 _write_records(out, (_ENCODER.encode(record) + "\n" for record in records))
@@ -434,7 +446,7 @@ def _cmd_search(args) -> int:
         lines, finds = _find_lines(report.found)
         _print_report(report, lines)
         del lines  # printed: only the records are held while they are written
-        if args.out:
+        if out is not None:
             _write_records(out, _report_records(report, finds))
     if exceeded:
         print("budget exceeded: results are partial", file=sys.stderr)

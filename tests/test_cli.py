@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -398,6 +399,44 @@ def test_search_out_is_truncated_and_written_at_the_end(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "search", *PROBLEM24_FLAGS, "--out", str(report))
         assert code == 0
     assert stale.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+@pytest.mark.parametrize("size", ["longer", "same", "shorter"])
+def test_search_rewrites_a_stale_out_in_place(flags, size, tmp_path, capsys):
+    fresh, stale = tmp_path / "fresh.jsonl", tmp_path / "stale.jsonl"
+    assert run_cli(capsys, "search", *flags, "--out", str(fresh))[0] == 0
+    length = len(fresh.read_bytes()) + {"longer": 4096, "same": 0, "shorter": -20}[size]
+    stale.write_bytes(b"x" * length)
+    stale.chmod(0o640)
+    before = stale.stat()
+    assert run_cli(capsys, "search", *flags, "--out", str(stale))[0] == 0
+    after = stale.stat()
+    assert stale.read_bytes() == fresh.read_bytes()
+    assert after.st_ino == before.st_ino
+    assert after.st_mode & 0o7777 == 0o640
+
+
+def unwall(stdout):
+    return re.sub(r", wall [0-9.]+s", "", stdout)
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+def test_search_out_to_a_device_is_written_as_a_stream(flags, capsys):
+    plain = run_cli(capsys, "search", *flags)
+    to_null = run_cli(capsys, "search", *flags, "--out", os.devnull)
+    assert plain[0] == to_null[0] == 0
+    assert unwall(to_null[1]) == unwall(plain[1])
+    assert to_null[2] == ""
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+def test_search_empty_out_path_fails_before_the_work(flags, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", no_work)
+    monkeypatch.setattr(cli, "triple_identity_search", no_work)
+    code, out, err = run_cli(capsys, "search", *flags, "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_help_shows_the_spec_budgets(capsys):
