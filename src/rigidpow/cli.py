@@ -358,20 +358,27 @@ def _find_lines(found: Sequence[Find]) -> Tuple[List[str], Iterator[str]]:
 
 def _write_records(handle, lines) -> None:
     """Make ``lines``, each ending in a newline, the whole content of
-    ``handle``.  The lines are all rendered first, so a failure while
-    rendering, or before, leaves the old file as it was.  A regular file is
-    then overwritten in place from its start and cut at the new end, so its
-    blocks are reused rather than freed and allocated again; a process
-    killed during that one ``write`` leaves a prefix of the new text
-    followed by old bytes.  Anything else (a device, a pipe) gets the text
-    written as a stream."""
+    ``handle``, a text handle fresh from opening (at offset 0).  The lines
+    are all rendered first, so a failure while rendering, or before, leaves
+    the old file as it was.  A regular file is then overwritten in place
+    and cut at the new end, so its blocks are reused rather than freed and
+    allocated again.  A write that raises (a full disk, an I/O error, an
+    interrupt) empties the file and closes ``handle`` without flushing it,
+    so no new lines are left ahead of the old report's tail; only a process
+    killed during the write leaves a prefix of the new text followed by old
+    bytes.  Anything else (a device, a pipe) gets the text written as a
+    stream."""
     text = "".join(lines)
-    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-        handle.seek(0)
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    try:
         handle.write(text)
-        handle.truncate()
-    else:
-        handle.write(text)
+        if regular:
+            handle.truncate()
+    except BaseException:
+        if regular:
+            os.ftruncate(handle.fileno(), 0)
+            handle.buffer.raw.close()  # what is still buffered is dropped
+        raise
 
 
 def _print_report(report: SearchReport, find_lines: Sequence[str]) -> None:
@@ -405,8 +412,8 @@ def _print_report(report: SearchReport, find_lines: Sequence[str]) -> None:
 def _cmd_search(args) -> int:
     # Every flag is checked, and --out opened, before the work starts: a
     # bad flag or path costs no sweep.  --out is opened without truncating,
-    # so a run that fails keeps the old report; it is rewritten only once
-    # the records are ready.
+    # so a run that fails before its records are ready keeps the old
+    # report; see _write_records for a failure while they are written.
     if args.problem24:
         if args.n is None or args.bound is None:
             raise ValueError("--problem24 requires --n and --bound")

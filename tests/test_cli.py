@@ -417,6 +417,41 @@ def test_search_rewrites_a_stale_out_in_place(flags, size, tmp_path, capsys):
     assert after.st_mode & 0o7777 == 0o640
 
 
+class CutShortWrite(io.TextIOWrapper):
+    """A report handle whose write puts the first half of the text in the
+    file, leaves a few more characters buffered and then raises ``error``,
+    as a write cut short by a full disk or an interrupt would."""
+
+    error: BaseException
+
+    def write(self, text):
+        half = len(text) // 2
+        super().write(text[:half])
+        self.flush()
+        super().write(text[half:half + 10])
+        raise self.error
+
+
+@pytest.mark.parametrize("flags", [SWEEP_FLAGS, PROBLEM24_FLAGS])
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_search_whose_write_is_cut_short_leaves_an_empty_out(flags, error, tmp_path, capsys,
+                                                             monkeypatch):
+    # the old report is longer than the new one: a cut-short rewrite must
+    # not leave new lines followed by the old report's tail and summary
+    monkeypatch.setattr(CutShortWrite, "error", error, raising=False)
+    monkeypatch.setattr(cli, "open", lambda fd, mode, **kwargs: CutShortWrite(
+        open(fd, "wb"), **kwargs), raising=False)
+    stale = tmp_path / "stale.jsonl"
+    stale.write_bytes(b'{"type": "summary"}\n' * 1000)
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(["search", *flags, "--out", str(stale)])
+    else:
+        code, _, err = run_cli(capsys, "search", *flags, "--out", str(stale))
+        assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
+    assert stale.read_bytes() == b""
+
+
 def unwall(stdout):
     return re.sub(r", wall [0-9.]+s", "", stdout)
 
