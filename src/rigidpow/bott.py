@@ -12,13 +12,19 @@ data realized by a closed unitary circle manifold this value is an integer
 when the weighted degree ``r_1 + 2 r_2 + .. + n r_n`` equals ``n`` and zero
 when it is smaller; arbitrary matrices need not satisfy either, which is
 exactly what the screens report.
+
+Both screens come from one walk of the exponent tuples of weighted degree
+at most ``n`` (see :func:`screen`): each row's product of sigma powers is
+carried down the walk, so each step costs one multiplication per row, and a
+``Fraction`` is built only for a nonzero low-degree sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .rigidity import WeightMatrix, exact_int, is_rigid
 
@@ -63,31 +69,6 @@ def _sigmas(values: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
-def elementary_symmetric(k: int, values: Sequence[int]) -> int:
-    """sigma_k of the given integers; sigma_0 is 1."""
-    if k < 0 or k > len(values):
-        raise IndexError(f"sigma_{k} undefined for {len(values)} values")
-    return _sigmas(values)[k]
-
-
-def weighted_degree(r: Sequence[int]) -> int:
-    return sum((k + 1) * rk for k, rk in enumerate(r))
-
-
-def exponent_tuples(n: int, max_degree: int) -> Iterator[ChernExponents]:
-    """All tuples ``(r_1, .., r_n)`` with weighted degree at most ``max_degree``,
-    in lexicographic order."""
-
-    def rec(k: int, remaining: int, prefix: Tuple[int, ...]) -> Iterator[ChernExponents]:
-        if k > n:
-            yield prefix
-            return
-        for rk in range(remaining // k + 1):
-            yield from rec(k + 1, remaining - k * rk, prefix + (rk,))
-
-    yield from rec(1, max_degree, ())
-
-
 _Residues = Tuple[List[Tuple[Tuple[int, ...], int]], int]
 
 
@@ -97,18 +78,6 @@ def _residues(matrix: WeightMatrix) -> _Residues:
     dens = [row.sign * math.prod(row.weights) for row in matrix.rows]
     common = math.lcm(*dens)
     return [(_sigmas(row.weights), common // den) for row, den in zip(matrix.rows, dens)], common
-
-
-def _chern_value(residues: _Residues, r: ChernExponents) -> Fraction:
-    rows, common = residues
-    total = 0
-    for sigma, cofactor in rows:
-        numerator = cofactor
-        for k, rk in enumerate(r, start=1):
-            if rk:
-                numerator *= sigma[k] ** rk
-        total += numerator
-    return Fraction(total, common)
 
 
 def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
@@ -122,7 +91,14 @@ def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
         raise ValueError(f"need {matrix.n} exponents, got {len(r)}")
     if any(v < 0 for v in r):
         raise ValueError("exponents must be nonnegative")
-    return _chern_value(_residues(matrix), r)
+    rows, common = _residues(matrix)
+    total = 0
+    for sigma, cofactor in rows:
+        for k, rk in enumerate(r, start=1):
+            if rk:
+                cofactor *= sigma[k] ** rk
+        total += cofactor
+    return Fraction(total, common)
 
 
 def _screen_columns(matrix: WeightMatrix) -> int:
@@ -135,23 +111,53 @@ def _screen_columns(matrix: WeightMatrix) -> int:
     return n
 
 
+def screen(matrix: WeightMatrix) -> Tuple[List[Violation], bool]:
+    """:func:`realizability_screen` and :func:`is_boundary_candidate` of
+    ``matrix`` from one walk of its exponent tuples.
+
+    The walk picks ``r_1``, then ``r_2``, .., each in increasing order, so
+    it meets every tuple of weighted degree at most ``n`` in lexicographic
+    order.  It carries each row's cofactor times its sigma powers chosen so
+    far, so a step that raises ``r_k`` by one multiplies each row's product
+    by its ``sigma_k``, and once ``k`` exceeds the degree left every later
+    exponent is 0 and the products sum to the tuple's numerator.  Only a
+    nonzero sum becomes a ``Fraction``, and only below the top degree.  A
+    matrix of more than ``MAX_SCREEN_N`` columns raises ``ValueError``
+    before any sigma is computed.
+    """
+    n = _screen_columns(matrix)
+    rows, common = _residues(matrix)
+    columns = list(zip(*(sigma for sigma, _ in rows)))  # columns[k]: each row's sigma_k
+    violations, top = [], []
+
+    def walk(k: int, left: int, prefix: ChernExponents, products: List[int]) -> None:
+        if left < k:
+            total = sum(products)
+            if total and left:
+                violations.append(Violation(prefix + (0,) * (n + 1 - k), Fraction(total, common)))
+            elif total:
+                top.append(prefix)
+            return
+        walk(k + 1, left, prefix + (0,), products)
+        column = columns[k]
+        for rk in range(1, left // k + 1):
+            products = list(map(operator.mul, products, column))
+            walk(k + 1, left - k * rk, prefix + (rk,), products)
+
+    walk(1, n, (), [cofactor for _, cofactor in rows])
+    return violations, not top
+
+
 def realizability_screen(matrix: WeightMatrix) -> List[Violation]:
     """Low-degree residue sums that fail to vanish.
 
     Every exponent tuple of weighted degree strictly below ``n`` (including
     the empty product, degree 0) must give zero for weight data coming from
     a closed unitary circle manifold; any nonzero value returned here rules
-    the matrix out.  A matrix of more than ``MAX_SCREEN_N`` columns raises
-    ``ValueError``.
+    the matrix out, in lexicographic order of the exponents.  A matrix of
+    more than ``MAX_SCREEN_N`` columns raises ``ValueError``.
     """
-    n = _screen_columns(matrix)
-    residues = _residues(matrix)
-    violations = []
-    for r in exponent_tuples(n, n - 1):
-        value = _chern_value(residues, r)
-        if value != 0:
-            violations.append(Violation(r, value))
-    return violations
+    return screen(matrix)[0]
 
 
 def is_boundary_candidate(matrix: WeightMatrix) -> bool:
@@ -161,13 +167,7 @@ def is_boundary_candidate(matrix: WeightMatrix) -> bool:
     numbers agree, so all-zero top numbers mark the data of a boundary.  A
     matrix of more than ``MAX_SCREEN_N`` columns raises ``ValueError``.
     """
-    n = _screen_columns(matrix)
-    residues = _residues(matrix)
-    return all(
-        _chern_value(residues, r) == 0
-        for r in exponent_tuples(n, n)
-        if weighted_degree(r) == n
-    )
+    return screen(matrix)[1]
 
 
 def kosniowski_bound(n: int) -> int:

@@ -33,12 +33,12 @@ from .algebra import Form, format_rational
 from .bott import (
     chern_number,
     classify_two_fixed_points,
-    is_boundary_candidate,
-    realizability_screen,
+    screen,
 )
 from .rigidity import (
     Row,
     WeightMatrix,
+    _valid_matrix,
     candidate_constant,
     is_l_rigid,
     is_rigid,
@@ -64,6 +64,7 @@ class ParseError(ValueError):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_SIGNS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
 
 
 def integer(token: str) -> int:
@@ -86,9 +87,9 @@ def parse_matrix_text(text: str) -> WeightMatrix:
     difference matrix of those seeds.
     """
     content = [
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
+        (i, line)
+        for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
     ]
     if not content:
         raise ParseError(1, "empty document")
@@ -117,27 +118,28 @@ def parse_matrix_text(text: str) -> WeightMatrix:
         raise ParseError(head_line, f"expected {m} rows, found {len(content) - 1}")
     rows = []
     for line_no, line in content[1:]:
-        if ":" not in line:
+        sign_token, colon, weight_part = line.partition(":")
+        if not colon:
             raise ParseError(line_no, f"expected 'sign: w1 ... wn', got {line!r}")
-        sign_token, _, weight_part = line.partition(":")
-        sign_token = sign_token.strip()
-        if sign_token in ("+", "+1"):
-            sign = 1
-        elif sign_token in ("-", "-1"):
-            sign = -1
-        else:
-            raise ParseError(line_no, f"row sign must be + or -, got {sign_token!r}")
+        sign = _SIGNS.get(sign_token.strip())
+        if sign is None:
+            raise ParseError(line_no, f"row sign must be + or -, got {sign_token.strip()!r}")
         tokens = weight_part.split()
         if len(tokens) != n:
             raise ParseError(line_no, f"expected {n} weights, found {len(tokens)}")
         try:
-            weights = tuple(integer(t) for t in tokens)
+            # int() alone would take 1_0 and non-ASCII digits, and it raises
+            # ValueError past Python's int-conversion digit limit
+            if not all(map(_INTEGER.fullmatch, tokens)):
+                raise ValueError
+            weights = tuple(map(int, tokens))
         except ValueError:
             raise ParseError(line_no, f"weights must be integers: {weight_part.strip()!r}") from None
-        if any(w == 0 for w in weights):
+        if 0 in weights:
             raise ParseError(line_no, "weights must be nonzero")
         rows.append(Row(weights, sign))
-    return WeightMatrix(tuple(rows))
+    # every row holds n nonzero int weights and a sign of +1 or -1
+    return _valid_matrix(tuple(rows))
 
 
 def parse_matrix_json(text: str) -> WeightMatrix:
@@ -241,18 +243,15 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    matrix = _load_matrix(args)
-    violations = realizability_screen(matrix)
+    violations, boundary = screen(_load_matrix(args))
     if violations:
-        print(f"realizability violations: {len(violations)}")
-        for v in violations:
-            print(f"  exponents {v.exponents}: value = {format_rational(v.value)}")
+        lines = [f"realizability violations: {len(violations)}"]
+        lines += (f"  exponents {v.exponents}: value = {format_rational(v.value)}" for v in violations)
     else:
-        print("realizability violations: none")
-    if is_boundary_candidate(matrix):
-        print("boundary candidate: all Chern numbers vanish")
-    else:
-        print("not a boundary candidate: nonzero top-degree Chern number present")
+        lines = ["realizability violations: none"]
+    lines.append("boundary candidate: all Chern numbers vanish" if boundary
+                 else "not a boundary candidate: nonzero top-degree Chern number present")
+    print("\n".join(lines))
     return 0
 
 

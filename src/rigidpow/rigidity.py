@@ -131,9 +131,6 @@ class WeightMatrix:
     def n(self) -> int:
         return len(self.rows[0].weights)
 
-    def with_signs_negated(self) -> "WeightMatrix":
-        return WeightMatrix(tuple(Row(r.weights, -r.sign) for r in self.rows))
-
     def __str__(self) -> str:
         return f"[{'; '.join(map(row_text, self.rows))}]"
 
@@ -152,7 +149,8 @@ def _valid_matrix(rows: Tuple[Row, ...]) -> WeightMatrix:
     tuple that ``WeightMatrix(rows)`` would accept and store as it is.  The
     rows of :func:`rigidpow.search.row_universe` and of the row list of
     :func:`rigidpow.search.triple_identity_search` are such rows, so a
-    candidate drawn from them is valid by construction.  The result equals
+    candidate drawn from them is valid by construction, and so are the rows
+    :func:`rigidpow.cli.parse_matrix_text` has checked.  The result equals
     ``WeightMatrix(rows)``, hashes alike and pickles through
     ``WeightMatrix``, which checks the rows again on loading."""
     matrix = object.__new__(WeightMatrix)
@@ -459,23 +457,6 @@ def _folded(weights, sign: int):
     return map(abs, weights), sign
 
 
-def normalize_signs(matrix: WeightMatrix) -> WeightMatrix:
-    """Flip every negative weight positive, folding each flip into the row
-    sign (see :func:`fold_signs`).  The ``x = y = 1`` function is unchanged
-    by this transformation."""
-    return WeightMatrix(tuple(map(fold_signs, matrix.rows)))
-
-
-def parity_check(matrix: WeightMatrix, constant: int) -> bool:
-    """Structural parity constraint on a matrix whose x=y=1 function is the
-    given constant: odd ``n`` forces constant 0 and even ``m``; even ``n``
-    forces constant ≡ m (mod 2)."""
-    m, n = matrix.m, matrix.n
-    if n % 2 == 1:
-        return constant == 0 and m % 2 == 0
-    return (constant - m) % 2 == 0
-
-
 def quasilinear(seed: Sequence[int]) -> WeightMatrix:
     """The (n+1) x n difference matrix of n+1 distinct integers.
 
@@ -502,10 +483,10 @@ def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
     """Partition all weight entries into cross-row pairs of equal absolute
     values.
 
-    Signs are ignored, so a matrix pairs exactly as its
-    :func:`normalize_signs` form does.  For each absolute value, pairing
-    succeeds exactly when its total count is even and no single row holds
-    more than half of the occurrences.  The occurrences are listed in row
+    Signs are ignored, so a matrix pairs exactly as it does with every
+    negative weight made positive (see :func:`fold_signs`).  For each
+    absolute value, pairing succeeds exactly when its total count is even
+    and no single row holds more than half of the occurrences.  The occurrences are listed in row
     order, so each row's are contiguous, and occurrence ``t`` is paired
     with occurrence ``t + half``: under that condition the two lie in
     different rows, and otherwise some such pair shares a row.  The

@@ -16,7 +16,6 @@ from rigidpow.algebra import Form
 from rigidpow.bott import (
     chern_number,
     classify_two_fixed_points,
-    exponent_tuples,
     is_boundary_candidate,
     kosniowski_bound,
     realizability_screen,
@@ -26,7 +25,6 @@ from rigidpow.rigidity import (
     Row,
     WeightMatrix,
     is_rigid,
-    normalize_signs,
     quasilinear,
 )
 from rigidpow.search import (
@@ -38,6 +36,8 @@ from rigidpow.search import (
     triple_identity_search,
 )
 from exact_values import function_value
+from matrix_helpers import normalize_signs, signs_negated
+from screen_oracle import exponent_tuples
 from stream_oracle import chunk_mask, join_mask, stream_candidates
 from test_rigidity import negated, value_at
 
@@ -172,7 +172,7 @@ def test_criterion_4_three_point_quasilinearity(three_point_sweep):
         for s in range(1, t):
             q = quasilinear([0, s, t])
             expected.add(canonical_form(q, "L"))
-            expected.add(canonical_form(q.with_signs_negated(), "L"))
+            expected.add(canonical_form(signs_negated(q), "L"))
     assert {f.matrix for f in report.found} == expected
     conclude(
         4,

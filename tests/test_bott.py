@@ -12,14 +12,12 @@ from rigidpow.bott import (
     WrongFixedPointCount,
     chern_number,
     classify_two_fixed_points,
-    elementary_symmetric,
-    exponent_tuples,
     is_boundary_candidate,
     kosniowski_bound,
     realizability_screen,
-    weighted_degree,
 )
 from rigidpow.rigidity import Row, WeightMatrix, quasilinear
+from screen_oracle import elementary_symmetric, exponent_tuples, weighted_degree
 from test_rigidity import value_at
 
 def wm(*rows):

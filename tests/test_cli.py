@@ -690,6 +690,19 @@ def test_chern_huge_value_prints_digit_count(tmp_path, capsys):
     assert out == "chern number for exponents (10000,): <6990 digits> (integer)\n"
 
 
+@needs_str_limit
+@pytest.mark.parametrize("command", [["check"], ["check", "--mode", "L"], ["screen"],
+                                     ["chern", "--partition", "1"]])
+def test_over_long_weight_is_a_parse_error_with_its_line(command, tmp_path, capsys):
+    # 5000 digits is past the int-conversion limit, so int() raises a bare
+    # ValueError there; the document error must still name its line
+    path = tmp_path / "doc.txt"
+    path.write_text(f"2 1\n+: {'7' * 5000}\n-: 1\n")
+    code, out, err = run_cli_with_str_limit(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: weights must be integers: {'7' * 5000!r}\n"
+
+
 @settings(max_examples=200)
 @given(st.integers(-10**60, 10**60))
 def test_digit_count(value):

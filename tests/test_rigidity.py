@@ -19,14 +19,13 @@ from rigidpow.rigidity import (
     is_l_rigid,
     is_rigid,
     l_series,
-    normalize_signs,
     pair_partition,
-    parity_check,
     point_value,
     quasilinear,
     t_series,
 )
 from exact_values import function_value, row_value
+from matrix_helpers import normalize_signs
 
 def wm(*rows):
     return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
@@ -354,6 +353,16 @@ def test_normalize_signs_preserves_l_series_values():
             assert value_at(matrix, z0) == value_at(normalized, z0)
         z0 = Fraction(2, 3)
         assert function_value(matrix.rows, z0, 1, 1) == function_value(normalized.rows, z0, 1, 1)
+
+
+def parity_check(matrix, constant):
+    """Structural parity constraint on a matrix whose x=y=1 function is the
+    given constant: odd ``n`` forces constant 0 and even ``m``; even ``n``
+    forces constant = m (mod 2)."""
+    m, n = matrix.m, matrix.n
+    if n % 2 == 1:
+        return constant == 0 and m % 2 == 0
+    return (constant - m) % 2 == 0
 
 
 def test_parity_check():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from rigidpow.rigidity import Row, WeightMatrix, quasilinear
 from rigidpow.search import canonical_form, quasilinearity_test
+from matrix_helpers import signs_negated
 
 
 def oracle(matrix, mode):
@@ -27,7 +28,7 @@ def oracle(matrix, mode):
     else:
         sign_choices = list(product((1, -1), repeat=len(first)))
         targets = {canonical_form(matrix, "L"),
-                   canonical_form(matrix.with_signs_negated(), "L")}
+                   canonical_form(signs_negated(matrix), "L")}
     for sigma in sign_choices:
         seed = (0, *(-s * w for s, w in zip(sigma, first)))
         if len(set(seed)) != len(seed):
@@ -69,7 +70,7 @@ def flipped_matrices(draw):
             sign = -sign
         rows.append(Row(tuple(weights), sign))
     matrix = WeightMatrix(tuple(rows))
-    return matrix.with_signs_negated() if draw(st.booleans()) else matrix
+    return signs_negated(matrix) if draw(st.booleans()) else matrix
 
 
 @st.composite
