@@ -101,16 +101,6 @@ def chern_number(matrix: WeightMatrix, r: Sequence[int]) -> Fraction:
     return Fraction(total, common)
 
 
-def _screen_columns(matrix: WeightMatrix) -> int:
-    """The ``n`` of a matrix to screen; past ``MAX_SCREEN_N`` it raises
-    ``ValueError``."""
-    n = matrix.n
-    if n > MAX_SCREEN_N:
-        raise ValueError(f"the realizability and boundary screens take at most "
-                         f"{MAX_SCREEN_N} columns, got n = {n}")
-    return n
-
-
 def screen(matrix: WeightMatrix) -> Tuple[List[Violation], bool]:
     """:func:`realizability_screen` and :func:`is_boundary_candidate` of
     ``matrix`` from one walk of its exponent tuples.
@@ -125,18 +115,22 @@ def screen(matrix: WeightMatrix) -> Tuple[List[Violation], bool]:
     matrix of more than ``MAX_SCREEN_N`` columns raises ``ValueError``
     before any sigma is computed.
     """
-    n = _screen_columns(matrix)
+    n = matrix.n
+    if n > MAX_SCREEN_N:
+        raise ValueError(f"the realizability and boundary screens take at most "
+                         f"{MAX_SCREEN_N} columns, got n = {n}")
     rows, common = _residues(matrix)
     columns = list(zip(*(sigma for sigma, _ in rows)))  # columns[k]: each row's sigma_k
-    violations, top = [], []
+    violations, boundary = [], True
 
     def walk(k: int, left: int, prefix: ChernExponents, products: List[int]) -> None:
+        nonlocal boundary
         if left < k:
             total = sum(products)
             if total and left:
                 violations.append(Violation(prefix + (0,) * (n + 1 - k), Fraction(total, common)))
             elif total:
-                top.append(prefix)
+                boundary = False
             return
         walk(k + 1, left, prefix + (0,), products)
         column = columns[k]
@@ -145,7 +139,7 @@ def screen(matrix: WeightMatrix) -> Tuple[List[Violation], bool]:
             walk(k + 1, left - k * rk, prefix + (rk,), products)
 
     walk(1, n, (), [cofactor for _, cofactor in rows])
-    return violations, not top
+    return violations, boundary
 
 
 def realizability_screen(matrix: WeightMatrix) -> List[Violation]:
