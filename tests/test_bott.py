@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rigidpow import bott
 from rigidpow.algebra import ZSparse
 from rigidpow.bott import (
     MAX_SCREEN_N,
@@ -164,9 +165,14 @@ def test_boundary_candidates():
     assert not is_boundary_candidate(wm(([1, 1, -2], 1), ([-1, -1, 2], 1)))
 
 
-def test_screens_refuse_more_columns_than_they_can_walk():
+def test_screens_refuse_more_columns_than_they_can_walk(monkeypatch):
+    def no_sigmas(values):
+        raise AssertionError("a sigma was computed")
+
+    # the refusal comes before any sigma is computed
+    monkeypatch.setattr(bott, "_sigmas", no_sigmas)
     wide = wm((list(range(1, MAX_SCREEN_N + 2)), 1), (list(range(1, MAX_SCREEN_N + 2)), -1))
-    for screen in (realizability_screen, is_boundary_candidate):
+    for screen in (bott.screen, realizability_screen, is_boundary_candidate):
         with pytest.raises(ValueError, match=f"at most {MAX_SCREEN_N} columns, got n = 61"):
             screen(wide)
 
