@@ -463,62 +463,122 @@ def _cmd_search(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    call; parsing leaves it unchanged."""
+    call; parsing leaves it unchanged.  Its ``commands`` maps each
+    subcommand's name to its parser and the actions declared on it, which
+    :func:`_walk` reads."""
     parser = argparse.ArgumentParser(
         prog="rigidpow",
         description="Exact rigidity checks, Chern numbers and exhaustive searches "
         "for circle-action fixed-point weight data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def add_document(p):
-        p.add_argument("document", help="matrix document path, or - for stdin")
-        p.add_argument("--json", action="store_true", help="read the JSON document form")
+    def command(name, func, summary, document=True):
+        """Add a subcommand; returns its ``add_argument``, which keeps the
+        actions it makes."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        actions = []
+        parser.commands[name] = (p, actions)
 
-    p_check = sub.add_parser("check", help="decide rigidity of a weight matrix")
-    add_document(p_check)
-    p_check.add_argument("--mode", choices=("T", "L"), default="T")
-    p_check.set_defaults(func=_cmd_check)
+        def add(*names, **kwargs):
+            actions.append(p.add_argument(*names, **kwargs))
+        if document:
+            add("document", help="matrix document path, or - for stdin")
+            add("--json", action="store_true", help="read the JSON document form")
+        return add
 
-    p_classify = sub.add_parser("classify", help="match a two-row matrix against the rigid families")
-    add_document(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    add = command("check", _cmd_check, "decide rigidity of a weight matrix")
+    add("--mode", choices=("T", "L"), default="T")
+    command("classify", _cmd_classify, "match a two-row matrix against the rigid families")
+    add = command("chern", _cmd_chern, "exact Chern number for an exponent tuple")
+    add("--partition", required=True, metavar="r1,...,rn")
+    command("screen", _cmd_screen, "realizability and boundary screens")
 
-    p_chern = sub.add_parser("chern", help="exact Chern number for an exponent tuple")
-    add_document(p_chern)
-    p_chern.add_argument("--partition", required=True, metavar="r1,...,rn")
-    p_chern.set_defaults(func=_cmd_chern)
+    add = command("search", _cmd_search, "exhaustive sweep of a bounded weight space",
+                  document=False)
+    add("--m", type=integer)
+    add("--n", type=integer)
+    add("--bound", type=integer)
+    add("--mode", choices=("T", "L"), default="T")
+    add("--budget", type=integer, default=SearchSpec.check_budget,
+        help="exact-check budget (default %(default)s)")
+    add("--enum-budget", type=integer, default=SearchSpec.enum_budget,
+        help="enumeration budget (default %(default)s)")
+    add("--shards", type=integer, default=1)
+    add("--workers", type=integer, default=1)
+    add("--out", metavar="PATH", help="write the machine-readable report here")
+    add("--problem24", action="store_true",
+        help="search signature-sum identity triples instead of matrices")
 
-    p_screen = sub.add_parser("screen", help="realizability and boundary screens")
-    add_document(p_screen)
-    p_screen.set_defaults(func=_cmd_screen)
-
-    p_search = sub.add_parser("search", help="exhaustive sweep of a bounded weight space")
-    p_search.add_argument("--m", type=integer)
-    p_search.add_argument("--n", type=integer)
-    p_search.add_argument("--bound", type=integer)
-    p_search.add_argument("--mode", choices=("T", "L"), default="T")
-    p_search.add_argument("--budget", type=integer, default=SearchSpec.check_budget,
-                          help="exact-check budget (default %(default)s)")
-    p_search.add_argument("--enum-budget", type=integer, default=SearchSpec.enum_budget,
-                          help="enumeration budget (default %(default)s)")
-    p_search.add_argument("--shards", type=integer, default=1)
-    p_search.add_argument("--workers", type=integer, default=1)
-    p_search.add_argument("--out", metavar="PATH", help="write the machine-readable report here")
-    p_search.add_argument("--problem24", action="store_true",
-                          help="search signature-sum identity triples instead of matrices")
-    p_search.set_defaults(func=_cmd_search)
-
-    p_quasi = sub.add_parser("quasilinear", help="emit the difference matrix of distinct integers")
-    p_quasi.add_argument("entries", type=integer, nargs="+")
-    p_quasi.set_defaults(func=_cmd_quasilinear)
+    add = command("quasilinear", _cmd_quasilinear,
+                  "emit the difference matrix of distinct integers", document=False)
+    add("entries", type=integer, nargs="+")
 
     return parser
 
 
+def _walk(argv: Sequence[str], commands: dict) -> Optional[argparse.Namespace]:
+    """The Namespace ``parse_args(argv)`` gives, read in one walk, for an
+    argv of the plain shape: a subcommand's name, then its option strings
+    written in full, each store option followed by one value that does not
+    start with ``-``, and positionals that fill its positional action;
+    every value passes its action's ``type`` and ``choices``.  Anything
+    else (help, an error, an abbreviation, ``--opt=value``, ``--``, a value
+    that starts with ``-``) gives None, for argparse to parse."""
+    if not argv or argv[0] not in commands:
+        return None
+    sub, actions = commands[argv[0]]
+    values = {action.dest: action.default for action in actions}
+    options = {s: action for action in actions for s in action.option_strings}
+    given, free, tokens = set(), [], iter(argv[1:])
+
+    def value(action, token):
+        result = token if action.type is None else action.type(token)
+        if action.choices is not None and result not in action.choices:
+            raise ValueError(token)
+        return result
+
+    try:
+        for token in tokens:
+            action = options.get(token)
+            if action is None:
+                if token[:1] == "-" and token != "-":
+                    return None
+                free.append(token)
+                continue
+            given.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")
+            if action.nargs is not None or token[:1] == "-":
+                return None
+            values[action.dest] = value(action, token)
+        for action in actions:
+            if action.option_strings:
+                if action.required and action not in given:
+                    return None
+            elif action.nargs is None and len(free) == 1:
+                values[action.dest] = value(action, free.pop())
+            elif action.nargs == "+" and free:
+                values[action.dest] = [value(action, token) for token in free]
+                free = []
+            else:
+                return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse refuses these
+        return None
+    return None if free else argparse.Namespace(command=argv[0], **values,
+                                                 func=sub.get_default("func"))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # a well-formed argv is read in one walk; argparse parses the rest
+    args = _walk(sys.argv[1:] if argv is None else argv, parser.commands)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

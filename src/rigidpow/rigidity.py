@@ -386,7 +386,7 @@ def _cancels(rows: Sequence[Row], fold: bool) -> bool:
     """Whether every weight multiset of ``rows`` is held by as many ``+``
     rows as ``-`` rows; with ``fold``, after each negative weight has been
     made positive and its sign folded into the row sign (see
-    :func:`fold_signs`).  Rows that pair off like that are even in number,
+    :func:`_folded`).  Rows that pair off like that are even in number,
     so an odd count is turned away before a row is looked at.
 
     One pass tallies each row's sign under its sorted (and, with ``fold``,
@@ -441,16 +441,11 @@ def is_l_rigid(matrix: WeightMatrix) -> RigidityVerdict:
     return _packed_decide(matrix, 0, _candidate(matrix, 0), ((1, 1),))
 
 
-def fold_signs(row: Row) -> Row:
-    """``row`` with every negative weight made positive and each flip
-    folded into the row sign; its ``x = y = 1`` term is unchanged."""
-    weights, sign = _folded(*row)
-    return Row(tuple(weights), sign)
-
-
 def _folded(weights, sign: int):
-    """:func:`fold_signs` of the row ``(weights, sign)`` as a plain pair:
-    an iterator over the weights' absolute values, and the folded sign."""
+    """The row ``(weights, sign)`` with every negative weight made positive
+    and each flip folded into the row sign, as a plain pair: an iterator
+    over the weights' absolute values, and the folded sign.  The row's
+    ``x = y = 1`` term is unchanged."""
     for w in weights:
         if w < 0:
             sign = -sign
@@ -484,7 +479,7 @@ def pair_partition(matrix: WeightMatrix) -> Optional[PairList]:
     values.
 
     Signs are ignored, so a matrix pairs exactly as it does with every
-    negative weight made positive (see :func:`fold_signs`).  For each
+    negative weight made positive (see :func:`_folded`).  For each
     absolute value, pairing succeeds exactly when its total count is even
     and no single row holds more than half of the occurrences.  The occurrences are listed in row
     order, so each row's are contiguous, and occurrence ``t`` is paired

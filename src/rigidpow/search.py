@@ -147,10 +147,13 @@ class SearchReport(NamedTuple):
 
     def small_nonzero_anomalies(self) -> List[Find]:
         """Evidence scan for L-mode sweeps: finds with a nonzero constant
-        and at most n+1 rows that break the only known pattern (exactly
-        n+1 rows, constant of absolute value 1).  Empty output means the
-        sweep is consistent with that pattern; anything here is a
-        discovery to surface, not suppress."""
+        and at most n+1 rows that break the pattern of the difference
+        matrices (exactly n+1 rows, constant of absolute value 1).  That
+        pattern is not the only one known: the three-row L finds at n = 4
+        (the data of HP^2) and n = 8 (the Cayley plane OP^2) break it and
+        are listed here too.  Empty output means the sweep is consistent
+        with the pattern; anything here is a discovery to surface, not
+        suppress."""
         anomalies = []
         for f in self.found:
             if f.constant.is_zero() or f.matrix.m > f.matrix.n + 1:
@@ -164,7 +167,7 @@ class SearchReport(NamedTuple):
 def _canonical_rows(rows: Iterable[Row], mode: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """The rows of :func:`canonical_form`, as sorted ``(weights, sign)``
     tuples; L mode first folds each row's signs (see
-    :func:`rigidpow.rigidity.fold_signs`)."""
+    :func:`rigidpow.rigidity._folded`)."""
     if mode not in ("T", "L"):
         raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
     canonical = []

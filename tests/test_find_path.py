@@ -33,7 +33,6 @@ from rigidpow.rigidity import (
     WeightMatrix,
     _cancels,
     _valid_matrix,
-    fold_signs,
 )
 from rigidpow.search import (
     Find,
@@ -44,6 +43,7 @@ from rigidpow.search import (
     row_universe,
     sweep,
 )
+from matrix_helpers import fold_signs
 
 # -- survivors built without checks -------------------------------------------
 
