@@ -1,4 +1,4 @@
-"""Sample-point residue pre-filter for the sweeps.
+"""Sample-point residue pre-filter for the sweeps and the triple search.
 
 The filter is a sound rejection test: a matrix whose function is constant
 agrees with its forced constant at every valid sample point, so no rigid
@@ -20,7 +20,12 @@ second-to-last row and looks the last one up by the negated residue sum (a
 residue join, the 2-SUM step).  For m >= 4 it can also fix every row but
 the last three: it tables every pair of rows by its residue sum once and
 looks the last two up together for each choice of the third-to-last row
-(Horowitz and Sahni, 1974).  Every candidate whose residues sum to zero
+(Horowitz and Sahni, 1974).  The triple search of :mod:`rigidpow.search`
+decides all its ``(a, b, c)`` triples, two plus rows ``a <= b`` and a minus
+row ``c``, as one block of three free rows at m = 3, the triple block: the
+kernel walks ``a`` and, for all ``b >= a`` in one chain, looks up the
+minus rows whose residue completes the sum, one lookup per pair ``a <= b``
+(a 3-SUM taken pair-major).  Every candidate whose residues sum to zero
 passes, with no exact re-evaluation: a residue collision, a candidate
 whose residues sum to zero though its terms do not, would cost one
 symbolic check, which rejects it.  None has been seen at the real prime.
@@ -142,14 +147,21 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     out)`` and decides the first ``count`` candidates of a block whose
     first rows, ``heads``, are fixed indices into ``rows`` and whose last
     ``free = m - len(heads)`` rows are free: two for any ``m``, or three
-    for ``m >= 4``.  ``tails`` is a consecutive ``range`` (step 1) of row
+    for ``m >= 3``.  ``tails`` is a consecutive ``range`` (step 1) of row
     indices, and the block is ``heads + (j, p)`` for ``j`` in ``tails`` and
-    ``j <= p < len(rows)``, or with three free rows ``heads + (j, k, p)``
-    for ``j`` in ``tails`` and ``j <= k <= p < len(rows)``, in
+    ``j <= p < len(rows)``, or with three free rows and ``m >= 4`` ``heads
+    + (j, k, p)`` for ``j`` in ``tails`` and ``j <= k <= p < len(rows)``, in
     lexicographic order (see :func:`block_size`).  So ``tails = range(j0,
     len(rows))`` is a triangle of ``L (L + 1) / 2`` candidates, or a
     tetrahedron of ``L (L + 1) (L + 2) / 6``, with ``L = len(rows) - j0``.
     A sweep with ``m = 1`` has no such block and never calls the kernel.
+    The triple block, three free rows and no heads at ``m = 3``, is ``(j,
+    k, p)`` for ``j <= k`` in ``tails`` and ``tails.stop <= p <
+    len(rows)``, also in lexicographic order: the ``L (L + 1) / 2`` pairs
+    of the ``L = len(tails)`` rows, each followed by every one of the ``W
+    = len(rows) - tails.stop`` rows past ``tails``, so the candidate ``(j,
+    k, p)`` has the offset ``rank(j, k) W + p - tails.stop``, ``rank`` the
+    pair's rank in lexicographic order.
 
     ``out`` is the caller's mask: any object with ``len()`` and item
     assignment.  For each survivor, a candidate whose row residues sum to
@@ -165,13 +177,20 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     with no Python code run per row.  With two free rows the partner is one row's
     residue, and for each such ``j`` the positions holding it, cut by
     bisection to the block's ``p`` range, are the only candidates whose
-    residues sum to zero (a 2-SUM over the last two rows).  With three it
-    is the residue sum of a pair ``k <= p``: the first such call tables
-    every pair of ``rows`` by its residue sum, in lexicographic order
-    (``len(rows) (len(rows) + 1) / 2`` entries, kept for later calls), a
-    row ``j`` counts only if its partner sum has a pair with ``k >= j``,
-    and the pairs under that sum, cut by bisection to ``k >= j`` and to
-    ``count``, are the only candidates whose residues sum to zero.  So
+    residues sum to zero (a 2-SUM over the last two rows).  The triple
+    block is a 3-SUM taken pair-major: the call walks ``j`` through
+    ``tails``, the rows ``k >= j`` of ``tails`` for which ``j``'s partner
+    less ``k``'s residue occurs come out of one such chain per ``j``, and
+    the positions holding that residue from ``tails.stop`` on, cut to
+    ``count``, are the rows ``p``: one lookup per pair, ``L (L + 1) / 2``
+    for the block's ``L (L + 1) W / 2`` candidates.  With three free rows
+    and ``m >= 4`` the partner is the residue sum of a pair ``k <= p``: the
+    first such call tables every pair of ``rows`` by its residue sum, in
+    lexicographic order (``len(rows) (len(rows) + 1) / 2`` entries, kept
+    for later calls), a row ``j`` counts only if its partner sum has a pair
+    with ``k >= j``, and the pairs under that sum, cut by bisection to ``k
+    >= j`` and to ``count``, are the only candidates whose residues sum to
+    zero.  So
     ``out`` receives exactly the candidates, among the first ``count``,
     whose residues sum to 0 modulo ``_PRIME``; no point is evaluated
     exactly, and a residue collision is left to the caller's symbolic
@@ -218,14 +237,14 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     last_pair: Dict[int, int] = {}
     shared: Dict[int, List[int]] = {}
     pair_starts: List[int] = []
-    shapes = (2, 3) if m >= 4 else (2,)  # the numbers of free rows a call may have
+    shapes = (2, 3) if m >= 3 else (2,)  # the numbers of free rows a call may have
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
         free = m - len(heads)
         if (m_ != m or n_ != n or free not in shapes
                 or type(tails) is not range or tails.step != 1
                 or points_ is not points and tuple(points_) != points):
-            raise ValueError(f"the kernel needs {m - 2} heads (or {m - 3} for m >= 4), a "
+            raise ValueError(f"the kernel needs {m - 2} heads (or {m - 3} for m >= 3), a "
                              f"consecutive range of tails, m = {m}, n = {n} and the points "
                              f"it was built for")
         target = 0
@@ -235,7 +254,10 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             target -= residues[h]
         if tails and (tails.start < 0 or tails.stop > size):
             raise ValueError(f"tails {tails} are not in range({size})")
-        block = block_size(tails, size, free)
+        if free == m == 3:  # the triple block
+            block = block_size(tails, tails.stop) * (size - tails.stop)
+        else:
+            block = block_size(tails, size, free)
         if not 0 <= count <= min(block, len(out)):
             raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
         target %= _PRIME
@@ -252,6 +274,22 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                 fixed = (*map(rows.__getitem__, heads), rows[j])
                 for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
                     out[offset + p - j] = fixed + (rows[p],)
+            return
+        if m == 3:
+            # the triple block: for each j, the rows k whose partner residue
+            # (j's partner less k's residue) occurs come out of one lazy
+            # chain, and the positions holding it from tails.stop on are
+            # the rows p
+            stop, width = tails.stop, size - tails.stop
+            first = 0  # the rank of the pair (j, j) among the pairs j <= k < stop
+            for j, partner in zip(tails, map(mod, partners, repeat(_PRIME))):
+                found = map(positions.__contains__, map(sub, repeat(partner), residues[j:stop]))
+                for k in compress(range(j, stop), found):
+                    offset = (first + k - j) * width
+                    at = positions[partner - residues[k]]
+                    for p in at[bisect_left(at, stop):bisect_left(at, stop + count - offset)]:
+                        out[offset + p - stop] = (rows[j], rows[k], rows[p])
+                first += stop - j
             return
         if not pair_starts:
             for k, residue in enumerate(residues):

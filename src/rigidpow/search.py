@@ -473,9 +473,13 @@ def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple
 
 def check_triple_args(n: int, bound: int) -> None:
     """Reject a triple search's ``n`` or ``bound`` that is not an int of at
-    least 1."""
+    least 1, or whose row list, the size of an L-mode row universe, would
+    hold more than ``MAX_UNIVERSE_ROWS`` rows."""
     if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
         raise ValueError("n and bound must be at least 1")
+    if _universe_rows(n, bound, "L") > MAX_UNIVERSE_ROWS:
+        raise ValueError(f"the row list of n = {n}, bound = {bound} has more than "
+                         f"{MAX_UNIVERSE_ROWS} rows")
 
 
 def triple_identity_search(n: int, bound: int) -> List[Triple]:
@@ -483,28 +487,28 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
 
     Searches sorted lists ``a``, ``b``, ``c`` with ``n`` entries in
     ``[1, bound]`` and ``a <= b``, keeping those for which the matrix with
-    rows ``a``, ``b``, ``c`` signed +, +, - has a constant x=y=1 function;
-    the constant is then automatically 1, making the rows satisfy
-    ``L_a(z) + L_b(z) = L_c(z) + 1`` identically.
+    rows ``a``, ``b``, ``c`` signed +, +, - has a constant x=y=1 function,
+    in the order of ``(a, b, c)``.  The constant is then 1, so the rows
+    satisfy ``L_a(z) + L_b(z) = L_c(z) + 1`` identically: three rows cannot
+    cancel in pairs, so a rigid verdict's constant is the candidate, the
+    sum of the row signs times ``(-1)`` to the number of negative weights
+    in each row, here ``1 + 1 - 1``.
+
+    The row list is the plus rows, in increasing order of their weights,
+    then the same weights as minus rows, and the kernel decides the whole
+    search as one triple block (see :func:`rigidpow.prefilter.select_filter`):
+    every ``(a, b, c)`` in lexicographic order of the row indices, which is
+    the order of the weight lists, so its hits need no sorting.
     """
     check_triple_args(n, bound)
     plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
-    # minus rows first: each c is one block whose two free rows are the
-    # plus pairs a <= b
-    rows = [Row(v.weights, -1) for v in plus] + plus
+    rows = plus + [Row(v.weights, -1) for v in plus]
     points = sample_points("L")
     kernel, _ = select_filter(3, n, bound, points, rows)
-    tails = range(len(plus), len(rows))
-    count = block_size(tails, len(rows))
-    solutions: List[Triple] = []
-    for c in range(len(plus)):
-        mask = _Hits(count)
-        kernel((c,), tails, 3, n, count, points, mask)
-        for _, (minus, a, b) in mask.hits:
-            matrix = _valid_matrix((a, b, minus))  # rows of the search's own list
-            verdict = is_l_rigid(matrix)
-            if verdict.rigid and verdict.constant.constant_value() == 1:
-                solutions.append(tuple(row.weights for row in matrix.rows))
-    # weight lists are in index order, so this is the order of (a, b, c)
-    solutions.sort()
-    return solutions
+    tails = range(len(plus))
+    count = block_size(tails, len(plus)) * len(plus)
+    mask = _Hits(count)
+    kernel((), tails, 3, n, count, points, mask)
+    # each hit holds rows of the search's own list
+    return [tuple(row.weights for row in hit) for _, hit in mask.hits
+            if is_l_rigid(_valid_matrix(hit)).rigid]

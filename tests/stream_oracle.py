@@ -62,7 +62,12 @@ def chunk_mask(candidates, points):
 def block_candidates(heads, tails, m, size):
     """A block's candidates over ``size`` rows as row indices, in block
     order: ``heads`` plus ``m - len(heads)`` free rows, non-decreasing,
-    the first of them from ``tails``."""
+    the first of them from ``tails``; or the triple block, three free rows
+    at m = 3, whose candidates are two rows ``j <= k`` of ``tails`` and
+    then any row from ``tails.stop`` on."""
+    if m == 3 and not heads:
+        return [(j, k, p) for j in tails for k in range(j, tails.stop)
+                for p in range(tails.stop, size)]
     return [(*heads, j, *rest) for j in tails
             for rest in combinations_with_replacement(range(j, size), m - len(heads) - 1)]
 

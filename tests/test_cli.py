@@ -304,16 +304,24 @@ def test_search_flag_errors_leave_out_unopened(flags, tmp_path, capsys, monkeypa
     assert not report.exists()
 
 
-def test_search_with_a_universe_past_the_cap_fails_at_once(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
     # 4 * 10^9 rows: building them would exhaust memory long before a sweep
+    (["--m", "2", "--n", "1", "--bound", "1000000000"],
+     "the row universe of n = 1, bound = 1000000000 in T mode has more than 10000000 rows"),
+    # the row list of a triple search is as large as an L-mode universe:
+    # about 1.1e23 rows at n = 40, b = 40, and 2 * 10^9 at n = 1, b = 10^9
+    (["--problem24", "--n", "40", "--bound", "40"],
+     "the row list of n = 40, bound = 40 has more than 10000000 rows"),
+    (["--problem24", "--n", "1", "--bound", "1000000000"],
+     "the row list of n = 1, bound = 1000000000 has more than 10000000 rows"),
+])
+def test_search_with_a_universe_past_the_cap_fails_at_once(flags, message, tmp_path, capsys):
     report = tmp_path / "x.jsonl"
     started = time.perf_counter()
-    code, out, err = run_cli(capsys, "search", "--m", "2", "--n", "1",
-                             "--bound", "1000000000", "--out", str(report))
+    code, out, err = run_cli(capsys, "search", *flags, "--out", str(report))
     assert time.perf_counter() - started < 1
     assert (code, out) == (2, "")
-    assert err == ("error: the row universe of n = 1, bound = 1000000000 in T mode "
-                   "has more than 10000000 rows\n")
+    assert err == f"error: {message}\n"
     assert not report.exists()
 
 

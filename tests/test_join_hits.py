@@ -1,6 +1,8 @@
 """The hits-only kernel mask, ``search._Hits``, against the oracle, and
 the oracle ``matches_constant`` against exact values from the definition."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 import stream_oracle
@@ -62,11 +64,70 @@ def test_hits_equal_the_oracle_on_every_sweep_block(monkeypatch, mode, m, n, bou
 
 @pytest.mark.parametrize("n, bound, solutions", [(3, 4, 0), (2, 6, 9)])
 def test_hits_equal_the_oracle_on_every_triple_search_block(monkeypatch, n, bound, solutions):
+    # one triple block: every pair a <= b of the plus rows, each followed
+    # by every minus row c
     calls = record_kernel_calls(monkeypatch)
     assert len(search.triple_identity_search(n, bound)) == solutions
-    assert len(calls) == len(row_universe(n, bound, "L")) // 2  # one block per minus row
-    hits = sum(assert_hits_match_the_oracle(*call) for call in calls)
-    assert hits >= solutions
+    plus = len(row_universe(n, bound, "L")) // 2
+    [(rows, call, hits)] = calls
+    assert call[:5] == ((), range(plus), 3, n, plus * plus * (plus + 1) // 2)
+    assert [sign for _, sign in rows] == [1] * plus + [-1] * plus
+    assert assert_hits_match_the_oracle(rows, call, hits) >= solutions
+
+
+@pytest.mark.parametrize("specs, candidates, survivors", [
+    ([(4, 5), (3, 6)], 263326, 7),  # the benchmark's triple workload
+    ([(2, 4)], 550, 4),             # and its tiny size
+])
+def test_triple_search_makes_one_kernel_call_per_spec(monkeypatch, specs, candidates,
+                                                      survivors):
+    calls = record_kernel_calls(monkeypatch)
+    for n, bound in specs:
+        search.triple_identity_search(n, bound)
+    assert len(calls) == len(specs)
+    assert sum(call[4] for _, call, _ in calls) == candidates
+    assert sum(out.count(1) for _, _, out in calls) == survivors
+
+
+def test_triple_block_hits_equal_the_oracle_at_every_count():
+    # n = 2, b = 4: 10 plus rows, then the 10 minus rows; the block holds
+    # 55 pairs times 10 minus rows, and its 4 survivors are the solutions
+    rows = [(v, 1) for v in combinations_with_replacement(range(1, 5), 2)]
+    rows += [(v, -1) for v, _ in rows]
+    points = sample_points("L")
+    kernel, _ = select_filter(3, 2, 4, points, rows)
+    block = block_rows(rows, (), range(10), 3)
+    assert len(block) == 550
+    for tails in (range(10), range(3, 10), range(0, 4)):
+        for count in range(len(block_rows(rows, (), tails, 3)) + 1):
+            hits = _Hits(count)
+            call = ((), tails, 3, 2, count, points)
+            kernel(*call, hits)
+            found = assert_hits_match_the_oracle(rows, call, hits)
+        if tails == range(10):
+            assert found == 4
+
+
+def test_triple_block_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatch):
+    # modulo 23 the residues collide: some pairs j <= k have partners among
+    # the rows of tails, which the block leaves out, as well as past them
+    monkeypatch.setattr(prefilter, "_PRIME", 23)
+    rows = [(v, 1) for v in combinations_with_replacement(range(1, 5), 2)]
+    rows += [(v, -1) for v, _ in rows]
+    points = sample_points("L")
+    kernel, _ = select_filter(3, 2, 4, points, rows)
+    residues = kernel.residues
+    candidates = block_rows(rows, (), range(10), 3)
+    survivors = []
+    for count in (len(candidates), 300, 0):
+        hits = _Hits(count)
+        kernel((), range(10), 3, 2, count, points, hits)
+        offsets = residue_offsets(residues, (), range(10), 3, count, 23)
+        assert hits.hits == [(k, candidates[k]) for k in offsets]
+        survivors.append(len(offsets))
+    assert survivors[0] > survivors[1] > survivors[2] == 0 and survivors[0] > 4
+    assert any((residues[j] + residues[k] + residues[p]) % 23 == 0
+               for j in range(10) for k in range(j, 10) for p in range(10))
 
 
 # T m=3 n=2 b=3 (42 rows): the block of head row 2 holds candidates

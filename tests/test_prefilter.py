@@ -367,10 +367,21 @@ def test_residue_join_rejects_pair_table_calls_outside_its_parameters():
     with pytest.raises(ValueError):
         kernel((0,), range(1, 3), 4, 2, 4, T_POINTS, _Hits(3))  # a short mask
     assert mask.hits == []
-    # no m = 3 kernel takes m - 3 heads
+    # an m = 3 call with no heads is the triple block: the pairs j <= k of
+    # tails, then each row past tails; tails range(0, 2) leave row 2, so the
+    # block holds (0, 0, 2), (0, 1, 2) and (1, 1, 2)
     kernel3, _ = select_filter(3, 2, 3, T_POINTS, rows)
-    with pytest.raises(ValueError):
-        kernel3((), range(1, 3), 3, 2, 4, T_POINTS, mask)
+    for tails, count, out in [
+        (range(1, 3), 4, mask),             # no row past tails: an empty block
+        (range(0, 2), 4, mask),             # count above the block size (3)
+        (range(0, 2), 3, _Hits(2)),         # a short mask
+        (range(-1, 2), 3, mask),            # a negative tail
+        (range(0, 4), 0, mask),             # a tail past the rows
+        (range(0, 2, 2), 1, mask),          # tails not consecutive
+        ([0, 1], 3, mask),                  # tails not a range
+    ]:
+        with pytest.raises(ValueError):
+            kernel3((), tails, 3, 2, count, T_POINTS, out)
     assert mask.hits == []
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpow import search
+from rigidpow import prefilter, search
+from rigidpow.algebra import Form
 from rigidpow.bott import ClassLabel
 from rigidpow.prefilter import block_size, sample_points
 from rigidpow.rigidity import (
@@ -451,6 +452,16 @@ def test_triple_search_rejects_non_integers(n, bound):
         triple_identity_search(n, bound)
 
 
+def test_triple_search_caps_its_row_list_like_an_l_universe():
+    # n = 1: 2 * bound rows, the plus and the minus row of each weight
+    cap = search.MAX_UNIVERSE_ROWS
+    search.check_triple_args(1, cap // 2)
+    with pytest.raises(ValueError, match="has more than"):
+        search.check_triple_args(1, cap // 2 + 1)
+    with pytest.raises(ValueError, match="has more than"):
+        triple_identity_search(40, 40)
+
+
 @pytest.mark.parametrize("shards, workers", [(2.0, 1), (1, True)])
 def test_sweep_rejects_non_integer_shards_and_workers(shards, workers):
     with pytest.raises(ValueError):
@@ -544,6 +555,27 @@ def test_triple_search_matches_difference_matrix_family():
         verdict = is_l_rigid(matrix)
         assert verdict.rigid and verdict.constant.constant_value() == 1
         assert quasilinearity_test(matrix, mode="L") is not None
+
+
+def test_every_rigid_triple_hit_has_the_constant_1(monkeypatch):
+    # the search keeps a hit on its verdict alone: three rows cannot cancel
+    # in pairs, so a rigid verdict's constant is the candidate, 1 + 1 - 1;
+    # modulo the safe prime 23 the kernel also hands over collisions,
+    # which are not rigid
+    verdicts = []
+
+    def recording(matrix):
+        verdicts.append(is_l_rigid(matrix))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "is_l_rigid", recording)
+    specs = [(2, 6), (4, 5), (3, 6), (1, 5)]
+    solutions = sum(len(triple_identity_search(n, bound)) for n, bound in specs)
+    monkeypatch.setattr(prefilter, "_PRIME", 23)
+    assert sum(len(triple_identity_search(n, bound)) for n, bound in specs) == solutions
+    rigid = [verdict for verdict in verdicts if verdict.rigid]
+    assert len(rigid) == 2 * solutions > 0 and len(verdicts) > len(rigid)
+    assert {verdict.constant for verdict in rigid} == {Form((1,))}
 
 
 def test_triple_search_odd_size_has_no_solutions():
