@@ -20,15 +20,25 @@ second-to-last row and looks the last one up by the negated residue sum (a
 residue join, the 2-SUM step).  For m >= 4 it can also fix every row but
 the last three: it tables every pair of rows by its residue sum once and
 looks the last two up together for each choice of the third-to-last row
-(Horowitz and Sahni, 1974).  The triple search of :mod:`rigidpow.search`
+(Horowitz and Sahni, 1974).  An m = 3 sweep that its budget cannot cut is
+one block of three free rows, the tetrahedron of every ``j <= k <= p``.
+The rows of a sweep's universe come in sign twins: rows ``2t`` and ``2t +
+1`` hold the same weights signed -1 and +1, so their residues are
+negations.  Every triple has two rows of one sign, so the zero-sum triples
+are those with two plus rows, found by one lookup per pair of plus rows,
+and their twins; the first tetrahedron call tables them, a 3-SUM over a
+quarter of the pairs.  The triple search of :mod:`rigidpow.search`
 decides all its ``(a, b, c)`` triples, two plus rows ``a <= b`` and a minus
 row ``c``, as one block of three free rows at m = 3, the triple block: the
 kernel walks ``a`` and, for all ``b >= a`` in one chain, looks up the
 minus rows whose residue completes the sum, one lookup per pair ``a <= b``
-(a 3-SUM taken pair-major).  Every candidate whose residues sum to zero
-passes, with no exact re-evaluation: a residue collision, a candidate
-whose residues sum to zero though its terms do not, would cost one
-symbolic check, which rejects it.  None has been seen at the real prime.
+(a 3-SUM taken pair-major).  A head-less m = 3 call is the tetrahedron
+over rows in twin layout and the triple block over any other rows, such
+as the triple search's plus rows then minus rows.  Every candidate whose
+residues sum to zero passes, with no exact re-evaluation: a residue
+collision, a candidate whose residues sum to zero though its terms do
+not, would cost one symbolic check, which rejects it.  None has been seen
+at the real prime.
 """
 
 from __future__ import annotations
@@ -126,6 +136,16 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     return residues
 
 
+def _twin_layout(rows: Sequence[Tuple[Tuple[int, ...], int]]) -> bool:
+    """Whether rows ``2t`` and ``2t + 1`` of ``rows`` hold the same weights
+    with the signs ``-1`` and ``+1``, for every ``t``, as in
+    :func:`rigidpow.search.row_universe`.  Row ``2t + 1``'s residue is then
+    row ``2t``'s negated modulo ``_PRIME``: :func:`_row_residues` gives
+    both the residue of their weights times their sign."""
+    return len(rows) % 2 == 0 and all(row[0] == twin[0] and row[1] == -1 and twin[1] == 1
+                                      for row, twin in zip(rows[0::2], rows[1::2]))
+
+
 def block_size(tails: range, size: int, free: int = 2) -> int:
     """The number of candidates in a kernel block with ``free`` free rows
     over a universe of ``size`` rows: the non-decreasing ``free``-tuples of
@@ -149,19 +169,22 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     ``free = m - len(heads)`` rows are free: two for any ``m``, or three
     for ``m >= 3``.  ``tails`` is a consecutive ``range`` (step 1) of row
     indices, and the block is ``heads + (j, p)`` for ``j`` in ``tails`` and
-    ``j <= p < len(rows)``, or with three free rows and ``m >= 4`` ``heads
-    + (j, k, p)`` for ``j`` in ``tails`` and ``j <= k <= p < len(rows)``, in
+    ``j <= p < len(rows)``, or with three free rows ``heads + (j, k, p)``
+    for ``j`` in ``tails`` and ``j <= k <= p < len(rows)``, in
     lexicographic order (see :func:`block_size`).  So ``tails = range(j0,
     len(rows))`` is a triangle of ``L (L + 1) / 2`` candidates, or a
     tetrahedron of ``L (L + 1) (L + 2) / 6``, with ``L = len(rows) - j0``.
     A sweep with ``m = 1`` has no such block and never calls the kernel.
-    The triple block, three free rows and no heads at ``m = 3``, is ``(j,
-    k, p)`` for ``j <= k`` in ``tails`` and ``tails.stop <= p <
-    len(rows)``, also in lexicographic order: the ``L (L + 1) / 2`` pairs
-    of the ``L = len(tails)`` rows, each followed by every one of the ``W
-    = len(rows) - tails.stop`` rows past ``tails``, so the candidate ``(j,
-    k, p)`` has the offset ``rank(j, k) W + p - tails.stop``, ``rank`` the
-    pair's rank in lexicographic order.
+    At ``m = 3`` three free rows, no heads, make that tetrahedron only when
+    ``rows`` is in twin layout: rows ``2t`` and ``2t + 1`` hold the same
+    weights with the signs -1 and +1, for every ``t``, as in
+    :func:`rigidpow.search.row_universe`.  Over any other rows they make
+    the triple block, ``(j, k, p)`` for ``j <= k`` in ``tails`` and
+    ``tails.stop <= p < len(rows)``, also in lexicographic order: the ``L
+    (L + 1) / 2`` pairs of the ``L = len(tails)`` rows, each followed by
+    every one of the ``W = len(rows) - tails.stop`` rows past ``tails``, so
+    the candidate ``(j, k, p)`` has the offset ``rank(j, k) W + p -
+    tails.stop``, ``rank`` the pair's rank in lexicographic order.
 
     ``out`` is the caller's mask: any object with ``len()`` and item
     assignment.  For each survivor, a candidate whose row residues sum to
@@ -183,9 +206,21 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     less ``k``'s residue occurs come out of one such chain per ``j``, and
     the positions holding that residue from ``tails.stop`` on, cut to
     ``count``, are the rows ``p``: one lookup per pair, ``L (L + 1) / 2``
-    for the block's ``L (L + 1) W / 2`` candidates.  With three free rows
-    and ``m >= 4`` the partner is the residue sum of a pair ``k <= p``: the
-    first such call tables every pair of ``rows`` by its residue sum, in
+    for the block's ``L (L + 1) W / 2`` candidates.  The tetrahedron reads
+    a table that its first call builds and later calls keep: every
+    zero-sum triple ``j <= k <= p`` of ``rows``, by its rank in
+    lexicographic order.  A twin's residue is the negation, and every
+    triple has two rows of one sign, so the table takes one lookup per pair
+    ``a <= b`` of plus rows, ``(U / 2) (U / 2 + 1) / 2`` for ``U =
+    len(rows)``, each of them the positions holding the residue that
+    completes the sum: a triple whose other row is a minus row, or a plus
+    row ``p >= b``, so that a triple of three plus rows is listed once, and
+    with it its twin, every row swapped for its twin.  A call's candidates
+    are the ranks from that of ``(tails.start, tails.start, tails.start)``
+    on, so its hits are one bisected slice of the table.  With three free
+    rows and ``m >= 4`` the partner is the residue sum of a pair ``k <=
+    p``: the first such call tables every pair of ``rows`` by its residue
+    sum, in
     lexicographic order (``len(rows) (len(rows) + 1) / 2`` entries, kept
     for later calls), a row ``j`` counts only if its partner sum has a pair
     with ``k >= j``, and the pairs under that sum, cut by bisection to ``k
@@ -238,6 +273,14 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     shared: Dict[int, List[int]] = {}
     pair_starts: List[int] = []
     shapes = (2, 3) if m >= 3 else (2,)  # the numbers of free rows a call may have
+    # rows 2t and 2t + 1 are sign twins, as in row_universe: a head-less
+    # m = 3 call is then the tetrahedron, not the triple block
+    tetrahedron = m == 3 and _twin_layout(rows)
+    # the tetrahedron's table, built on its first call: the rank of each
+    # zero-sum triple j <= k <= p among all such triples of the rows in
+    # lexicographic order, increasing, and the triple's rows
+    triple_ranks: List[int] = []
+    triple_rows: List[tuple] = []
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
         free = m - len(heads)
@@ -254,7 +297,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             target -= residues[h]
         if tails and (tails.start < 0 or tails.stop > size):
             raise ValueError(f"tails {tails} are not in range({size})")
-        if free == m == 3:  # the triple block
+        if free == m == 3 and not tetrahedron:  # the triple block
             block = block_size(tails, tails.stop) * (size - tails.stop)
         else:
             block = block_size(tails, size, free)
@@ -262,6 +305,16 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
         target %= _PRIME
         start = tails.start
+        if free == m == 3 and tetrahedron:
+            if not triple_ranks:
+                zero_triples()
+            # the block's candidates are the ranks from that of (start,
+            # start, start) on, so its first count are one slice
+            base = block_size(range(start), size, 3)
+            lo, hi = bisect_left(triple_ranks, base), bisect_left(triple_ranks, base + count)
+            for rank, found in zip(triple_ranks[lo:hi], triple_rows[lo:hi]):
+                out[rank - base] = found
+            return
         # the rows j whose partner residue occurs, found without a Python
         # frame per row; compress is lazy, so the count cut below stops it
         partners = map(sub, repeat(target), residues[start:tails.stop])
@@ -311,6 +364,28 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             for rank in at[bisect_left(at, first):bisect_left(at, first + count - offset)]:
                 k = bisect_right(pair_starts, rank) - 1
                 out[offset + rank - first] = fixed + (rows[k], rows[k + rank - pair_starts[k]])
+
+    def zero_triples():
+        # A twin's residue is the negation, and every triple has two rows of
+        # one sign, so the zero-sum triples are those with two + rows a <=
+        # b, one lookup per pair, and their twins.  A triple of three +
+        # rows is kept once, from its two lowest rows (p >= b).
+        triples = []
+        for a in range(1, size, 2):
+            partner = -residues[a] % _PRIME
+            found = map(positions.__contains__, map(sub, repeat(partner), residues[a::2]))
+            for b in compress(range(a, size, 2), found):
+                for p in positions[partner - residues[b]]:
+                    if p & 1 and p < b:
+                        continue
+                    triples.append(sorted((a, b, p)))
+                    triples.append(sorted((a ^ 1, b ^ 1, p ^ 1)))
+        triples.sort()
+        for j, k, p in triples:
+            triple_ranks.append(block_size(range(j), size, 3) + block_size(range(j, k), size)
+                                + p - k)
+            triple_rows.append((rows[j], rows[k], rows[p]))
+        triple_ranks.append(comb(size + 2, 3))  # past every candidate: the table is built
 
     residue_join.residues = residues
     return residue_join, "residue-join"

@@ -13,16 +13,18 @@ Enumeration generates canonical forms directly: weights inside a row are
 non-increasing and the row list is non-decreasing, so each equivalence
 class under row and column permutation appears exactly once.  A candidate
 is a non-decreasing list of indices into the sorted row universe, and the
-candidates are walked in blocks that share their first m - 2 rows, or for
-m >= 4 their first m - 3; the pre-filter decides a whole block with one
-residue lookup per choice of its first free row (see
-:mod:`rigidpow.prefilter`) and hands the block's mask only its survivors,
-each as its offset and its rows (no byte per candidate), so only
-survivors are ever built as matrices.  A one-row candidate never
-survives, so an m = 1 sweep only counts its candidates.  Shards fix the
-first (smallest) row; each shard is independently enumerable and the
-merged result is a deterministic sorted union, so shard count never
-changes the outcome of a completed sweep.
+candidates are walked in blocks that share their first m - 2 rows, or, when
+the enum budget cannot cut the walk and m >= 3, their first m - 3.  The
+pre-filter decides a block of two free rows with one residue lookup per
+choice of its first free row, a block of three at m >= 4 from a table of
+row pairs, and one at m = 3, the whole unsharded sweep, from a table of
+the zero-sum triples (see :mod:`rigidpow.prefilter`).  It hands the
+block's mask only its survivors, each as its offset and its rows (no byte
+per candidate), so only survivors are ever built as matrices.  A one-row
+candidate never survives, so an m = 1 sweep only counts its candidates.
+Shards fix the first (smallest) row; each shard is independently
+enumerable and the merged result is a deterministic sorted union, so shard
+count never changes the outcome of a completed sweep.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ class SearchSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a SearchSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a SearchSpec is immutable")
 
 
 class SweepStats(NamedTuple):
@@ -224,16 +229,17 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int, free: int
     candidate ≡ shard_index mod shard_count.  ``heads`` indexes the first
     ``m - free`` rows and the last ``free`` are free, the first of them in
     ``tails`` (see :func:`rigidpow.prefilter.block_size`): ``free`` is
-    ``min(m, 2)``, or 3 for a pair-table walk with ``m >= 4``.  Every
-    block with ``m > 1`` is a kernel block (see
+    ``min(m, 2)``, or 3 for a walk that reads a table, with ``m >= 3``.
+    Every block with ``m > 1`` is a kernel block (see
     :func:`rigidpow.prefilter.select_filter`).  A walk with no heads (``m
-    = free``) is one block ``((), range(size))`` when unsharded, and
-    otherwise has the block ``((), range(i, i + 1))`` of each first row
-    ``i``, so that tails stay consecutive.  Otherwise each prefix ``heads``
-    has the block ``range(heads[-1], size)`` of all rows after it.
-    Building the one-head blocks directly keeps the walk linear in
-    ``size``, where ``combinations_with_replacement`` would copy the whole
-    range for every first row."""
+    = free``: m <= 2, or the tetrahedron of m = 3) is one block ``((),
+    range(size))`` when unsharded, and otherwise has the block ``((),
+    range(i, i + 1))`` of each first row ``i``, so that tails stay
+    consecutive.  Otherwise each prefix ``heads`` has the block
+    ``range(heads[-1], size)`` of all rows after it.  Building the one-head
+    blocks directly keeps the walk linear in ``size``, where
+    ``combinations_with_replacement`` would copy the whole range for every
+    first row."""
     if m == free and shard_count == 1:
         yield (), range(size)
         return
@@ -289,17 +295,20 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     candidates through the pre-filter and at most ``check_cap`` survivors
     through the symbolic check.  The row universe and its residues are
     built once for all of them (an m = 1 sweep, which never calls the
-    kernel, builds no residues).  A walk of ``m >= 4`` rows that its enum
+    kernel, builds no residues).  A walk of ``m >= 3`` rows that its enum
     budget cannot cut has three free rows per block, so it makes one kernel
-    call per choice of its first ``m - 3`` rows; any other has two (see
-    :func:`_blocks`).  A block that reaches past the enum budget is cut
-    before the kernel is called, so the kernel decides no candidate past
-    the budget, and its mask, a :class:`_Hits`, holds the block's survivors
-    only, each with its rows.  Each survivor costs one symbolic check, the
-    only confirmation, which would reject a residue collision.  Its rows
-    are items of the row universe, valid by construction, so it is built
-    as a matrix by :func:`rigidpow.rigidity._valid_matrix`, without the
-    checks of ``WeightMatrix``."""
+    call per choice of its first ``m - 3`` rows: for m = 3 one call when
+    unsharded and one per first row when sharded, read from the kernel's
+    table of zero-sum triples.  Any other walk has two free rows and builds
+    no table (see :func:`_blocks`).  A block that reaches past the enum
+    budget is cut before the kernel is called, so the kernel decides no
+    candidate past the budget, and its mask, a :class:`_Hits`, holds the
+    block's survivors only, each with its rows.  Each survivor costs one
+    symbolic check, the only confirmation, which would reject a residue
+    collision.  Its rows are items of the row universe, valid by
+    construction, so it is built as a matrix by
+    :func:`rigidpow.rigidity._valid_matrix`, without the checks of
+    ``WeightMatrix``."""
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
@@ -311,12 +320,13 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
         results.append(result)
         limit = enum_cap
         enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
-        # pair-table blocks only for a walk its enum budget cannot cut, so
-        # that the table's U (U + 1) / 2 entries stay below the candidates
-        # the walk decides
+        # three free rows, and so a table, only for a walk its enum budget
+        # cannot cut, so that the table's work, U (U + 1) / 2 pairs for m
+        # >= 4 and (U / 2) (U / 2 + 1) / 2 lookups for m = 3, stays below
+        # the candidates the walk decides
         totals = accumulate(block_size(range(i, i + 1), size, m)
                             for i in range(shard_index, size, shard_count))
-        free = 3 if m >= 4 and all(total <= limit for total in totals) else min(m, 2)
+        free = 3 if m >= 3 and all(total <= limit for total in totals) else min(m, 2)
         for heads, tails in _blocks(m, size, shard_index, shard_count, free):
             start = enumerated
             count = block_size(tails, size, free)

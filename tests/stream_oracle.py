@@ -6,7 +6,7 @@ the way sweeps did before the join: ``matches_constant``, an exact
 evaluation at every sample point, on every candidate, in chunks of
 ``CHUNK``.  ``chunk_mask`` gives its mask, one byte per candidate, and
 ``join_mask`` the sweep's mask for the same candidates, in the same order,
-block by block in either block shape: the kernel's survivors for m > 1 and
+block by block in any block shape: the kernel's survivors for m > 1 and
 all zero for m = 1.  At the real prime the two masks agree.  The kernel
 itself only sums residues: a residue collision, which would be a survivor
 that ``matches_constant`` rejects, would spend one exact check in a sweep
@@ -59,13 +59,22 @@ def chunk_mask(candidates, points):
     return bytearray(matches_constant(rows, points) for rows in candidates)
 
 
-def block_candidates(heads, tails, m, size):
+def twin_layout(rows):
+    """Whether each pair of rows ``2t``, ``2t + 1`` is one weight list
+    signed -1 and then +1, as in ``row_universe``."""
+    return len(rows) % 2 == 0 and all(
+        rows[i][0] == rows[i + 1][0] and (rows[i][1], rows[i + 1][1]) == (-1, 1)
+        for i in range(0, len(rows), 2))
+
+
+def block_candidates(heads, tails, m, size, twins=False):
     """A block's candidates over ``size`` rows as row indices, in block
     order: ``heads`` plus ``m - len(heads)`` free rows, non-decreasing,
-    the first of them from ``tails``; or the triple block, three free rows
-    at m = 3, whose candidates are two rows ``j <= k`` of ``tails`` and
-    then any row from ``tails.stop`` on."""
-    if m == 3 and not heads:
+    the first of them from ``tails``.  Three free rows at m = 3 are that
+    tetrahedron only over rows in ``twins`` layout (see ``twin_layout``);
+    over any other rows they are the triple block, whose candidates are two
+    rows ``j <= k`` of ``tails`` and then any row from ``tails.stop`` on."""
+    if m == 3 and not heads and not twins:
         return [(j, k, p) for j in tails for k in range(j, tails.stop)
                 for p in range(tails.stop, size)]
     return [(*heads, j, *rest) for j in tails
@@ -75,14 +84,16 @@ def block_candidates(heads, tails, m, size):
 def block_rows(universe, heads, tails, m):
     """A block's candidates as tuples of rows of ``universe``, in block order."""
     return [tuple(map(universe.__getitem__, indices))
-            for indices in block_candidates(heads, tails, m, len(universe))]
+            for indices in block_candidates(heads, tails, m, len(universe),
+                                            twin_layout(universe))]
 
 
-def residue_offsets(residues, heads, tails, m, count, prime):
+def residue_offsets(residues, heads, tails, m, count, prime, twins=False):
     """The residue oracle for one kernel call: the offsets, among the
     block's first ``count`` candidates, of those whose rows' ``residues``
-    (the kernel's, one per row) sum to 0 modulo ``prime``."""
-    candidates = block_candidates(heads, tails, m, len(residues))[:count]
+    (the kernel's, one per row) sum to 0 modulo ``prime``; ``twins`` says
+    whether the rows are in twin layout (see ``block_candidates``)."""
+    candidates = block_candidates(heads, tails, m, len(residues), twins)[:count]
     return [k for k, indices in enumerate(candidates)
             if sum(map(residues.__getitem__, indices)) % prime == 0]
 
@@ -111,9 +122,9 @@ def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1, free=No
     residue-join kernel's survivors (see ``hits_mask``), and for m = 1,
     where sweeps count each one-row block without the kernel, all zero.
     ``free`` defaults to the shape of a walk that no enum budget cuts:
-    three free rows for m >= 4."""
+    three free rows for m >= 3."""
     if free is None:
-        free = 3 if m >= 4 else min(m, 2)
+        free = 3 if m >= 3 else min(m, 2)
     points = sample_points(mode)
     kernel, name = select_filter(m, n, bound, points, universe)
     assert name == "residue-join"

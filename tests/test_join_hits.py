@@ -130,6 +130,55 @@ def test_triple_block_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatc
                for j in range(10) for k in range(j, 10) for p in range(10))
 
 
+def test_tetrahedron_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatch):
+    # modulo 23 some L rows of n = 2, b = 3 have residue 0, as their twins
+    # do, and residues collide: each head-less m = 3 block over the row
+    # universe, whole or cut, from row 0 or past it, holds exactly the
+    # candidates j <= k <= p whose residues sum to 0 modulo 23
+    monkeypatch.setattr(prefilter, "_PRIME", 23)
+    universe = row_universe(2, 3, "L")
+    size = len(universe)
+    points = sample_points("L")
+    kernel, _ = select_filter(3, 2, 3, points, universe)
+    residues = kernel.residues
+    assert 0 in residues
+    blocks = [range(size), range(5, size), range(0, 4), range(3, 8)]
+    blocks += [range(i, i + 1) for i in range(size)]
+    survivors, signs = 0, set()
+    for tails in blocks:
+        block = block_size(tails, size, 3)
+        candidates = block_rows(universe, (), tails, 3)
+        assert len(candidates) == block
+        for count in sorted({block, block // 2, 1, 0}):
+            hits = _Hits(count)
+            kernel((), tails, 3, 2, count, points, hits)
+            offsets = residue_offsets(residues, (), tails, 3, count, 23, twins=True)
+            assert hits.hits == [(k, candidates[k]) for k in offsets], (tails, count)
+        if tails == range(size):
+            survivors = len(offsets)
+            signs = {tuple(sorted(sign for _, sign in rows)) for _, rows in hits.hits}
+    # hits of all four sign patterns, each found directly or as a twin,
+    # and collisions, which the exact oracle rejects
+    assert signs == {(-1, -1, -1), (-1, -1, 1), (-1, 1, 1), (1, 1, 1)}
+    assert survivors > sum(matches_constant(rows, points) for rows in block_rows(
+        universe, (), range(size), 3))
+
+
+def test_benchmark_sweep_makes_one_kernel_call_per_unsharded_three_row_spec(monkeypatch):
+    # the benchmark's sweep specs: each m = 3 sweep is one call, where its
+    # one-head walk made one per row (228 for the two), and the m = 2 and
+    # m = 4 sweeps make one per first row; the candidates and survivors are
+    # the benchmark's pinned counts
+    calls = record_kernel_calls(monkeypatch)
+    for mode, m, n, bound in [("L", 2, 1, 6), ("L", 4, 1, 6), ("T", 2, 1, 5), ("T", 2, 2, 5),
+                              ("T", 2, 3, 5), ("L", 3, 2, 8), ("T", 3, 2, 6), ("L", 4, 2, 5)]:
+        sweep(SearchSpec(m, n, bound, mode))
+    assert len(calls) == 48
+    assert sum(1 for _, call, _ in calls if call[2] == 3) == 2
+    assert sum(call[4] for _, call, _ in calls) == 855478
+    assert sum(out.count(1) for _, _, out in calls) == 614
+
+
 # T m=3 n=2 b=3 (42 rows): the block of head row 2 holds candidates
 # 1764..2583 of the sweep, and its hits are at block offsets 263 and 661
 CUT_SPEC = (3, 2, 3, "T")

@@ -132,7 +132,7 @@ def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
                                             (4, 1, 4, "L")])
 def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound, mode):
     # every cut of a few blocks around the first canonical survivor, with
-    # two free rows and, for m >= 4, three: the survivors are the whole
+    # two free rows and, for m >= 3, three: the survivors are the whole
     # block's among the first count candidates, and none is recorded at or
     # past count; m = 1 sweeps skip the kernel, and no one-row candidate
     # passes
@@ -146,7 +146,7 @@ def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound,
     else:
         canonical = list(combinations_with_replacement(range(size), m))
         mask = chunk_mask([tuple(map(universe.__getitem__, c)) for c in canonical], points)
-        for free in [2] + [3] * (m >= 4):
+        for free in [2] + [3] * (m >= 3):
             *heads, j = canonical[mask.index(1)][:m - free + 1]
             heads = tuple(heads)
             blocks += [(heads, range(j, size)), (heads, range(max(j - 2, 0), j + 1)),
@@ -191,8 +191,9 @@ def test_residue_join_decides_a_long_block_cut_anywhere():
     (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"), (5, 2, 2, "T"), (5, 2, 3, "L"),
 ])
 def test_residue_join_agrees_with_matches_constant_on_every_canonical_candidate(m, n, bound, mode):
-    # m >= 4 in both block shapes: the pair table's and the two-free-row one
-    for free in [min(m, 2)] + [3] * (m >= 4):
+    # m >= 3 in both block shapes: two free rows, and three (the
+    # tetrahedron for m = 3, the pair table's for m >= 4)
+    for free in [min(m, 2)] + [3] * (m >= 3):
         got, want = canonical_masks(m, n, bound, mode, free)
         assert got == want, free
         assert 0 < sum(got) < len(got)
@@ -219,7 +220,7 @@ def test_residue_join_hands_over_every_zero_residue_sum_modulo_a_small_prime(mon
     residues = select_filter(m, n, bound, sample_points(mode), universe)[0].residues
     want = bytearray(sum(map(residues.__getitem__, indices)) % 23 == 0
                      for indices in combinations_with_replacement(range(len(universe)), m))
-    for free in [min(m, 2)] + [3] * (m >= 4):
+    for free in [min(m, 2)] + [3] * (m >= 3):
         got, exact = canonical_masks(m, n, bound, mode, free)
         assert got == want
         assert all(map(int.__ge__, got, exact)) and sum(got) > sum(exact)
@@ -235,12 +236,13 @@ def test_a_residue_collision_reaches_the_mask_like_any_hit(monkeypatch, m, n, bo
     points = sample_points(mode)
     kernel, _ = select_filter(m, n, bound, points, universe)
     collisions = 0
-    for free in [min(m, 2)] + [3] * (m >= 4):
+    for free in [min(m, 2)] + [3] * (m >= 3):
         for heads, tails in _blocks(m, len(universe), 0, 1, free):
             hits = _Hits(block_size(tails, len(universe), free))
             kernel(heads, tails, m, n, len(hits), points, hits)
             candidates = block_rows(universe, heads, tails, m)
-            offsets = residue_offsets(kernel.residues, heads, tails, m, len(hits), 23)
+            offsets = residue_offsets(kernel.residues, heads, tails, m, len(hits), 23,
+                                      twins=True)
             assert hits.hits == [(k, candidates[k]) for k in offsets]
             collisions += sum(not matches_constant(rows, points) for _, rows in hits.hits)
     assert collisions > 0
@@ -285,6 +287,45 @@ def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound,
     for (ws, sign), residue in zip(rows, kernel.residues):
         assert residue == row_residue(ws, sign, points)
         assert residue == fraction_residue(ws, sign, points)
+
+
+@pytest.mark.parametrize("mode, n, bound", [("T", 1, 3), ("T", 2, 4), ("T", 3, 2), ("L", 1, 5),
+                                           ("L", 2, 5), ("L", 4, 3)])
+def test_row_universe_lists_each_row_after_its_sign_twin(mode, n, bound):
+    # the tetrahedron's table rests on this: rows 2t and 2t + 1 hold the
+    # same weights signed -1 and +1, so the residue of 2t + 1 is the
+    # negation of that of 2t
+    universe = row_universe(n, bound, mode)
+    residues = select_filter(3, n, bound, sample_points(mode), universe)[0].residues
+    assert len(universe) % 2 == 0 and universe
+    for t in range(len(universe) // 2):
+        (minus, sign), (plus, twin_sign) = universe[2 * t], universe[2 * t + 1]
+        assert minus == plus and (sign, twin_sign) == (-1, 1)
+        assert residues[2 * t + 1] == -residues[2 * t] % prefilter._PRIME
+
+
+def test_a_head_less_three_row_call_outside_the_twin_layout_is_the_triple_block():
+    # T n=2 b=2 (20 rows) with one twin pair swapped, with its last row cut
+    # off, and as the triple search lists it (plus rows, then minus rows):
+    # a head-less m = 3 call over ten tails is the triple block of 55 pairs
+    # times the rows past them, and a count of the tetrahedron's size raises
+    universe = row_universe(2, 2, "T")
+    swapped = [universe[1], universe[0]] + universe[2:]
+    listed = universe[1::2] + universe[0::2]
+    survivors = 0
+    for rows in (swapped, universe[:-1], listed):
+        kernel, _ = select_filter(3, 2, 2, T_POINTS, rows)
+        tails = range(10)
+        count = block_size(tails, 10) * (len(rows) - 10)
+        candidates = block_rows(rows, (), tails, 3)
+        assert len(candidates) == count
+        mask = hits_mask(kernel, ((), tails, 3, 2, count, T_POINTS), candidates)
+        assert mask == chunk_mask(candidates, T_POINTS)
+        survivors += sum(mask)
+        with pytest.raises(ValueError):
+            kernel((), tails, 3, 2, block_size(tails, len(rows), 3), T_POINTS,
+                   _Hits(block_size(tails, len(rows), 3)))
+    assert survivors > 0
 
 
 # The largest bound select_filter accepts: a table over every |w| up to it

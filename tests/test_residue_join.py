@@ -186,11 +186,14 @@ def test_no_kernel_mask_outgrows_the_enum_budget(monkeypatch):
     assert lengths == [(5000, 5000)]
 
 
-@pytest.mark.parametrize("mode, m, n, bound", [("T", 4, 1, 3), ("L", 4, 2, 3)])
+@pytest.mark.parametrize("mode, m, n, bound", [("T", 3, 2, 2), ("L", 3, 2, 3), ("T", 4, 1, 3),
+                                            ("L", 4, 2, 3)])
 def test_only_a_walk_its_budget_cannot_cut_uses_the_pair_table(monkeypatch, mode, m, n, bound):
-    # an enum budget of total candidates leaves the walk whole: one block
-    # of m - 3 heads per first row; one less cuts it, and every block keeps
-    # m - 2 heads; both match the stream
+    # an enum budget of total candidates leaves the walk whole, read from a
+    # table: for m = 3 one tetrahedron, from the table of zero-sum triples,
+    # and for m = 4 one pair-table block per first row; one less cuts it,
+    # and every block keeps m - 2 heads, the last one left out; both match
+    # the stream
     name = "is_rigid" if mode == "T" else "is_l_rigid"
     decide = functools.lru_cache(maxsize=None)(is_rigid if mode == "T" else is_l_rigid)
     monkeypatch.setattr(search, name, decide)
@@ -198,8 +201,9 @@ def test_only_a_walk_its_budget_cannot_cut_uses_the_pair_table(monkeypatch, mode
     size = len(row_universe(n, bound, mode))
     total = math.comb(size + m - 1, m)
     candidates, mask = shard_stream(mode, m, n, bound, 0, 1)
-    for enum_budget, want_heads, blocks in ((total, m - 3, size),
-                                            (total - 1, m - 2, math.comb(size + 1, 2) - 1)):
+    for enum_budget, want_heads, blocks in (
+            (total, m - 3, math.comb(size + m - 4, m - 3)),
+            (total - 1, m - 2, math.comb(size + m - 3, m - 2) - 1)):
         calls.clear()
         spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget)
         [got] = search._run_shards(spec, [0], 1, enum_budget, spec.check_budget)
@@ -207,6 +211,22 @@ def test_only_a_walk_its_budget_cannot_cut_uses_the_pair_table(monkeypatch, mode
         assert [(matrix.rows, c) for matrix, c in got.found] == want[0]
         assert (got.enumerated, got.rejected, got.exact_checks, got.exceeded) == want[1:]
         assert [len(args[0]) for _, args, _ in calls] == [want_heads] * blocks
+
+
+@pytest.mark.parametrize("mode, n, bound", [("T", 2, 3), ("L", 2, 4)])
+def test_a_sharded_three_row_walk_makes_one_call_per_first_row(monkeypatch, mode, n, bound):
+    # each shard's uncut walk is a tetrahedron cut to one first row per
+    # call, and the finds are those of the one-call walk
+    calls = record_kernel_calls(monkeypatch)
+    whole = sweep(SearchSpec(3, n, bound, mode))
+    assert [call[:2] for _, call, _ in calls] == [((), range(len(calls[0][0])))]
+    calls.clear()
+    sharded = sweep(SearchSpec(3, n, bound, mode), shards=3)
+    size = len(row_universe(n, bound, mode))
+    assert sorted(call[1].start for _, call, _ in calls) == list(range(size))
+    assert all(call[0] == () and len(call[1]) == 1 for _, call, _ in calls)
+    assert sharded.found == whole.found and whole.found
+    assert sharded.stats[:3] == whole.stats[:3]
 
 
 def test_a_capped_four_row_sweep_makes_no_pair_table_call(monkeypatch):

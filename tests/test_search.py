@@ -291,7 +291,14 @@ def test_matrices_specs_and_records_refuse_assignment():
         before = getattr(record, field)
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
         assert getattr(record, field) is before
+    # no field of a spec can be deleted, and a spec still pickles
+    for field in vars(spec):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(spec, field)
+    assert vars(pickle.loads(pickle.dumps(spec))) == vars(spec)
 
 
 def test_spec_budget_defaults_are_class_attributes():
