@@ -39,6 +39,12 @@ residues sum to zero passes, with no exact re-evaluation: a residue
 collision, a candidate whose residues sum to zero though its terms do
 not, would cost one symbolic check, which rejects it.  None has been seen
 at the real prime.
+
+The filter checks once, when it is built, what makes it sound: the sample
+points and the bound that keep every ``z^w - 1`` invertible modulo
+``_PRIME``.  It does not re-check the rows and kernel calls that
+:mod:`rigidpow.search` builds itself; :func:`select_filter` states what
+they must be.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ def sample_points(mode: str) -> Tuple[Point, ...]:
     raise ValueError(f"mode must be 'T' or 'L', got {mode!r}")
 
 
-def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: int,
+def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int,
                   points: Sequence[Point]) -> List[int]:
     """Each row's term minus its constant at every ``(z, x, y)`` point of
     ``points``, reduced modulo ``_PRIME``, the ``p``-th point weighted by
@@ -82,6 +88,13 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     its term is ``sign`` times the product of the weights' factors
     ``(x z^w + y) / (z^w - 1)`` and its constant ``sign`` times the product
     of ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``).
+
+    The rows are not checked: each ``weights`` must be a tuple of ``n``
+    ``int`` weights with ``1 <= |w| <= bound``, each ``sign`` the ``int``
+    1 or -1, for the ``bound`` and the points that :func:`select_filter`
+    checks, so that no ``z^w - 1`` vanishes modulo ``_PRIME``.  The rows
+    of :func:`rigidpow.search.row_universe` and of the triple search are
+    such rows by construction.
 
     The factors are tabled: for each point and each distinct ``|w| = a``
     that occurs in ``rows`` (never every ``a`` up to ``bound``, which may
@@ -91,23 +104,9 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
     A row's constants depend only on its sign and its number ``k`` of
     negative weights; their weighted sum is tabled for each ``k`` that
     occurs, and the rest of a residue, up to its sign, once per weights.
-
-    Each distinct weight is range-checked once: a row is checked weight by
-    weight only when it holds a value not seen before, or a weight whose
-    type is not ``int`` (``True`` and ``1.0`` equal ``1`` in a set).
     """
-    checked, negatives = set(), []
-    for weights, sign in rows:
-        if len(weights) != n:
-            raise ValueError(f"a row needs {n} weights, got {len(weights)}")
-        if not checked.issuperset(weights) or not {int}.issuperset(map(type, weights)):
-            if not all(1 <= abs(exact_int("weight", w)) <= bound for w in weights):
-                raise ValueError(f"row weights must be nonzero with |w| <= {bound}: {weights}")
-            checked.update(weights)
-        if exact_int("sign", sign) not in (1, -1):
-            raise ValueError(f"a row sign must be 1 or -1, got {sign}")
-        negatives.append(sum(map((0).__gt__, weights)))
-    magnitudes = set(map(abs, checked))
+    totals = dict.fromkeys(weights for weights, _ in rows)
+    magnitudes = {abs(w) for weights in totals for w in weights}
     tables = []
     scale = 1
     for z, x, y in points:
@@ -119,21 +118,18 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int, bound: in
             factor[-a] = -(x + y * zp) * inverse % _PRIME
         tables.append((factor, scale, x, y))
         scale = scale * _BASE % _PRIME
-    offsets = {k: sum(scale * pow(x, n - k, _PRIME) * pow(-y, k, _PRIME)
-                      for _, scale, x, y in tables)
-               for k in set(negatives)}
-    residues, totals = [], {}
-    for (weights, sign), k in zip(rows, negatives):
-        key = tuple(weights)
-        if (total := totals.get(key)) is None:
-            total = -offsets[k]
-            for factor, scale, _, _ in tables:
-                for w in key:
-                    scale = scale * factor[w] % _PRIME
-                total += scale
-            totals[key] = total
-        residues.append(sign * total % _PRIME)
-    return residues
+    offsets = {}  # the weighted constants of a + row with k negative weights
+    for weights in totals:
+        if (k := sum(map((0).__gt__, weights))) not in offsets:
+            offsets[k] = sum(scale * pow(x, n - k, _PRIME) * pow(-y, k, _PRIME)
+                             for _, scale, x, y in tables)
+        total = -offsets[k]
+        for factor, scale, _, _ in tables:
+            for w in weights:
+                scale = scale * factor[w] % _PRIME
+            total += scale
+        totals[weights] = total
+    return [sign * totals[weights] % _PRIME for weights, sign in rows]
 
 
 def _twin_layout(rows: Sequence[Tuple[Tuple[int, ...], int]]) -> bool:
@@ -229,15 +225,22 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     ``out`` receives exactly the candidates, among the first ``count``,
     whose residues sum to 0 modulo ``_PRIME``; no point is evaluated
     exactly, and a residue collision is left to the caller's symbolic
-    check, where it costs one check and is rejected.  Every
-    point needs ``2 <= z < _PRIME - 1`` and ``x, y >= 1``, and ``bound``
-    must be below ``(_PRIME - 1) // 2``, so that no ``z^w - 1`` vanishes
-    modulo ``_PRIME``.  A point that is not such a tuple or a row that
-    breaks the parameters raises ``ValueError`` here, and a call that
-    breaks them, or whose ``count`` is negative or above the block size or
-    ``len(out)``, raises ``ValueError`` before anything is written to
-    ``out``.  With no ``rows`` nothing is computed and the kernel can
-    decide no candidate.
+    check, where it costs one check and is rejected.  With no ``rows``
+    nothing is computed and the kernel can decide no candidate.
+
+    The filter is sound when every point has ``2 <= z < _PRIME - 1`` and
+    ``x, y >= 1`` and ``bound`` is below ``(_PRIME - 1) // 2``, so that no
+    ``z^w - 1`` vanishes modulo ``_PRIME``.  These conditions and ``m, n,
+    bound >= 1`` are checked here, once, and break with ``ValueError``.
+    Nothing else is: the rows and the kernel calls come from
+    :mod:`rigidpow.search`, which builds them itself.  So each row must be
+    a ``(weights, sign)`` pair of a tuple of ``n`` ``int`` weights with ``1
+    <= |w| <= bound`` and the ``int`` sign 1 or -1 (see
+    :func:`_row_residues`), and each call must pass this ``m``, ``n`` and
+    ``points``, ``m - 2`` heads or, for ``m >= 3``, ``m - 3``, each in
+    ``range(len(rows))``, ``tails`` a ``range`` with step 1 inside
+    ``range(len(rows))``, and ``0 <= count <= len(out)`` and at most the
+    block's size.
     ``perfbench/run.py`` calls this through ``search.select_filter`` and
     wraps the kernel to trace every call.
     """
@@ -255,7 +258,7 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             raise ValueError(f"sample point {point!r} must be a tuple (z, x, y) "
                              f"with 2 <= z < _PRIME - 1 and x, y > 0")
     rows = tuple(rows)
-    residues = _row_residues(rows, n, bound, points)
+    residues = _row_residues(rows, n, points)
     # Each residue r is a key both as r and as r - _PRIME, so that for a
     # target and a residue in [0, _PRIME) the partner residue target -
     # residue, in (-_PRIME, _PRIME), is a key as it is, with no reduction.
@@ -272,7 +275,6 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     last_pair: Dict[int, int] = {}
     shared: Dict[int, List[int]] = {}
     pair_starts: List[int] = []
-    shapes = (2, 3) if m >= 3 else (2,)  # the numbers of free rows a call may have
     # rows 2t and 2t + 1 are sign twins, as in row_universe: a head-less
     # m = 3 call is then the tetrahedron, not the triple block
     tetrahedron = m == 3 and _twin_layout(rows)
@@ -283,29 +285,8 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     triple_rows: List[tuple] = []
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
-        free = m - len(heads)
-        if (m_ != m or n_ != n or free not in shapes
-                or type(tails) is not range or tails.step != 1
-                or points_ is not points and tuple(points_) != points):
-            raise ValueError(f"the kernel needs {m - 2} heads (or {m - 3} for m >= 3), a "
-                             f"consecutive range of tails, m = {m}, n = {n} and the points "
-                             f"it was built for")
-        target = 0
-        for h in heads:
-            if not 0 <= h < size:
-                raise ValueError(f"head {h} is not in range({size})")
-            target -= residues[h]
-        if tails and (tails.start < 0 or tails.stop > size):
-            raise ValueError(f"tails {tails} are not in range({size})")
-        if free == m == 3 and not tetrahedron:  # the triple block
-            block = block_size(tails, tails.stop) * (size - tails.stop)
-        else:
-            block = block_size(tails, size, free)
-        if not 0 <= count <= min(block, len(out)):
-            raise ValueError(f"count {count} is not in range({min(block, len(out)) + 1})")
-        target %= _PRIME
-        start = tails.start
-        if free == m == 3 and tetrahedron:
+        start, stop = tails.start, tails.stop
+        if tetrahedron and not heads:
             if not triple_ranks:
                 zero_triples()
             # the block's candidates are the ranks from that of (start,
@@ -315,10 +296,21 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             for rank, found in zip(triple_ranks[lo:hi], triple_rows[lo:hi]):
                 out[rank - base] = found
             return
+        if m == 3 and not heads:
+            # the triple block: each pair j <= k of tails whose partner
+            # residue occurs, with the positions holding it from stop on,
+            # the rows p
+            width = size - stop
+            for j, k, at in zero_pairs(tails):
+                offset = (block_size(range(start, j), stop) + k - j) * width
+                for p in at[bisect_left(at, stop):bisect_left(at, stop + count - offset)]:
+                    out[offset + p - stop] = (rows[j], rows[k], rows[p])
+            return
+        target = -sum(map(residues.__getitem__, heads)) % _PRIME
         # the rows j whose partner residue occurs, found without a Python
         # frame per row; compress is lazy, so the count cut below stops it
-        partners = map(sub, repeat(target), residues[start:tails.stop])
-        if free == 2:
+        partners = map(sub, repeat(target), residues[start:stop])
+        if len(heads) == m - 2:
             for j in compress(tails, map(positions.__contains__, partners)):
                 offset = block_size(range(start, j), size)  # the offset of candidate (j, j)
                 if offset >= count:
@@ -327,22 +319,6 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                 fixed = (*map(rows.__getitem__, heads), rows[j])
                 for p in at[bisect_left(at, j):bisect_left(at, j + count - offset)]:
                     out[offset + p - j] = fixed + (rows[p],)
-            return
-        if m == 3:
-            # the triple block: for each j, the rows k whose partner residue
-            # (j's partner less k's residue) occurs come out of one lazy
-            # chain, and the positions holding it from tails.stop on are
-            # the rows p
-            stop, width = tails.stop, size - tails.stop
-            first = 0  # the rank of the pair (j, j) among the pairs j <= k < stop
-            for j, partner in zip(tails, map(mod, partners, repeat(_PRIME))):
-                found = map(positions.__contains__, map(sub, repeat(partner), residues[j:stop]))
-                for k in compress(range(j, stop), found):
-                    offset = (first + k - j) * width
-                    at = positions[partner - residues[k]]
-                    for p in at[bisect_left(at, stop):bisect_left(at, stop + count - offset)]:
-                        out[offset + p - stop] = (rows[j], rows[k], rows[p])
-                first += stop - j
             return
         if not pair_starts:
             for k, residue in enumerate(residues):
@@ -365,21 +341,30 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                 k = bisect_right(pair_starts, rank) - 1
                 out[offset + rank - first] = fixed + (rows[k], rows[k + rank - pair_starts[k]])
 
+    def zero_pairs(firsts):
+        # each pair a <= b of the rows of firsts, a range, whose partner
+        # residue (the negated sum of theirs) occurs, with the positions
+        # holding it, pair-major: for each a the rows b come out of one
+        # lazy chain, with no Python frame per row
+        step, stop = firsts.step, firsts.stop
+        for a in firsts:
+            partner = -residues[a] % _PRIME
+            found = map(positions.__contains__, map(sub, repeat(partner), residues[a:stop:step]))
+            for b in compress(range(a, stop, step), found):
+                yield a, b, positions[partner - residues[b]]
+
     def zero_triples():
         # A twin's residue is the negation, and every triple has two rows of
         # one sign, so the zero-sum triples are those with two + rows a <=
         # b, one lookup per pair, and their twins.  A triple of three +
         # rows is kept once, from its two lowest rows (p >= b).
         triples = []
-        for a in range(1, size, 2):
-            partner = -residues[a] % _PRIME
-            found = map(positions.__contains__, map(sub, repeat(partner), residues[a::2]))
-            for b in compress(range(a, size, 2), found):
-                for p in positions[partner - residues[b]]:
-                    if p & 1 and p < b:
-                        continue
-                    triples.append(sorted((a, b, p)))
-                    triples.append(sorted((a ^ 1, b ^ 1, p ^ 1)))
+        for a, b, at in zero_pairs(range(1, size, 2)):
+            for p in at:
+                if p & 1 and p < b:
+                    continue
+                triples.append(sorted((a, b, p)))
+                triples.append(sorted((a ^ 1, b ^ 1, p ^ 1)))
         triples.sort()
         for j, k, p in triples:
             triple_ranks.append(block_size(range(j), size, 3) + block_size(range(j, k), size)

@@ -81,10 +81,11 @@ class SearchSpec:
     Budgets default to ``SearchSpec.enum_budget`` = 10**7 enumerations and
     ``SearchSpec.check_budget`` = 10**5 exact checks.  Every number must be
     an ``int`` (``bool`` and floats raise ``ValueError``).  ``bound`` limits
-    every ``|w|``, and the pre-filter needs it below ``(_PRIME - 1) // 2``
-    (see :func:`rigidpow.prefilter.select_filter`), and the row universe
-    of ``n`` and ``bound`` may hold at most ``MAX_UNIVERSE_ROWS`` rows.  A
-    spec is immutable.
+    every ``|w|``, and the row universe of ``n`` and ``bound`` may hold at
+    most ``MAX_UNIVERSE_ROWS`` rows.  That cap also keeps ``bound`` below
+    the pre-filter's guard ``(_PRIME - 1) // 2`` (see
+    :func:`rigidpow.prefilter.select_filter`): the universe holds at least
+    ``2 bound`` rows.  A spec is immutable.
     """
 
     enum_budget = 10_000_000
@@ -376,12 +377,14 @@ def _annotate(spec: SearchSpec, pairs: Iterable[Tuple[WeightMatrix, Form]]) -> I
     annotations apply is settled once per sweep: the two-fixed-point class
     when ``m = 2``, a quasilinear seed when ``m = n + 1``, and whether ``m``
     reaches the Kosniowski floor, which a find with a zero constant need not
-    reach.  Every find's pairing is :func:`pair_partition`, called once per
-    find.
+    reach.  The floor is a conjecture about unitary circle actions, so it
+    applies in T mode only: L-mode data carry only an orientation, and the
+    data of HP^2 and the Cayley plane have three rows.  Every find's
+    pairing is :func:`pair_partition`, called once per find, in both modes.
     """
     label = seed = None
     classify, quasi = spec.m == 2, spec.m == spec.n + 1
-    enough = spec.m >= kosniowski_bound(spec.n)
+    enough = spec.mode == "L" or spec.m >= kosniowski_bound(spec.n)
     for matrix, constant in pairs:
         if classify:
             label = classify_two_fixed_points(matrix)

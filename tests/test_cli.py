@@ -243,6 +243,23 @@ def test_search_command_and_report_determinism(tmp_path, capsys):
     assert {r["label"] for r in finds} == {"Z", "L1"}
 
 
+def test_l_mode_finds_below_the_kosniowski_floor_are_anomalies_not_violations(capsys):
+    # the ten three-row L finds of n = 8, b = 7 are the Cayley plane's
+    # fixed-point data: the floor, a conjecture about unitary actions, does
+    # not apply to oriented data, but the finds are still surfaced
+    code, stdout, _ = run_cli(
+        capsys, "search", "--m", "3", "--n", "8", "--bound", "7", "--mode", "L",
+        "--enum-budget", "1000000000000",
+    )
+    assert code == 0
+    lines = stdout.splitlines()
+    assert "found 10" in lines[1]
+    assert "conjecture violations: none" in lines
+    anomalies = lines.index("SMALL-m NONZERO-CONSTANT ANOMALIES (10):")
+    assert len(lines[anomalies + 1:]) == 10
+    assert all(line.endswith(("constant 1", "constant -1")) for line in lines[anomalies + 1:])
+
+
 def test_search_budget_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "search", "--m", "2", "--n", "1", "--bound", "5", "--budget", "2",

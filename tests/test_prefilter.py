@@ -6,9 +6,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from rigidpow import prefilter
+from rigidpow import prefilter, search
 from rigidpow.prefilter import L_POINTS, T_POINTS, block_size, sample_points, select_filter
-from rigidpow.search import _blocks, _Hits, row_universe
+from rigidpow.rigidity import Row
+from rigidpow.search import SearchSpec, _blocks, _Hits, row_universe
 from exact_values import forced_constant, function_value, row_constant, row_value
 from stream_oracle import (
     block_rows,
@@ -291,7 +292,7 @@ def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound,
 
 @pytest.mark.parametrize("mode, n, bound", [("T", 1, 3), ("T", 2, 4), ("T", 3, 2), ("L", 1, 5),
                                            ("L", 2, 5), ("L", 4, 3)])
-def test_row_universe_lists_each_row_after_its_sign_twin(mode, n, bound):
+def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, bound):
     # the tetrahedron's table rests on this: rows 2t and 2t + 1 hold the
     # same weights signed -1 and +1, so the residue of 2t + 1 is the
     # negation of that of 2t
@@ -303,12 +304,38 @@ def test_row_universe_lists_each_row_after_its_sign_twin(mode, n, bound):
         assert minus == plus and (sign, twin_sign) == (-1, 1)
         assert residues[2 * t + 1] == -residues[2 * t] % prefilter._PRIME
 
+    # the kernel checks no row: every row the sweep and the triple search
+    # hand it (plus rows, then minus rows) is a Row of n int weights with
+    # 1 <= |w| <= bound and an int sign of 1 or -1
+    handed = []
+
+    def recording(m, n_, bound_, points, rows=()):
+        handed.append(rows)
+        return select_filter(m, n_, bound_, points, rows)
+
+    monkeypatch.setattr(search, "select_filter", recording)
+    search.triple_identity_search(n, bound)
+    for rows in (universe, *handed):
+        assert rows
+        for row in rows:
+            assert type(row) is Row and len(row.weights) == n
+            assert all(type(w) is int and 1 <= abs(w) <= bound for w in row.weights)
+            assert type(row.sign) is int and row.sign in (1, -1)
+    # nor does the kernel check the bound against the guard: the universe
+    # cap refuses every bound that could reach it, in both modes
+    guard = (prefilter._PRIME - 1) // 2
+    for size in (1, 2, 3):
+        with pytest.raises(ValueError, match="row universe"):
+            SearchSpec(2, size, guard, mode)
+        with pytest.raises(ValueError, match="row list"):
+            search.check_triple_args(size, guard)
+
 
 def test_a_head_less_three_row_call_outside_the_twin_layout_is_the_triple_block():
     # T n=2 b=2 (20 rows) with one twin pair swapped, with its last row cut
     # off, and as the triple search lists it (plus rows, then minus rows):
     # a head-less m = 3 call over ten tails is the triple block of 55 pairs
-    # times the rows past them, and a count of the tetrahedron's size raises
+    # times the rows past them
     universe = row_universe(2, 2, "T")
     swapped = [universe[1], universe[0]] + universe[2:]
     listed = universe[1::2] + universe[0::2]
@@ -322,10 +349,13 @@ def test_a_head_less_three_row_call_outside_the_twin_layout_is_the_triple_block(
         mask = hits_mask(kernel, ((), tails, 3, 2, count, T_POINTS), candidates)
         assert mask == chunk_mask(candidates, T_POINTS)
         survivors += sum(mask)
-        with pytest.raises(ValueError):
-            kernel((), tails, 3, 2, block_size(tails, len(rows), 3), T_POINTS,
-                   _Hits(block_size(tails, len(rows), 3)))
     assert survivors > 0
+    # over three rows, tails range(1, 3) hold 3 pairs (1, 1), (1, 2) and
+    # (2, 2), and 4 triples (1, 1, 1), (1, 1, 2), (1, 2, 2) and (2, 2, 2);
+    # the triple block of tails range(0, 2) is (0, 0, 2), (0, 1, 2) and
+    # (1, 1, 2)
+    assert block_size(range(1, 3), 3) == 3 and block_size(range(1, 3), 3, 3) == 4
+    assert block_size(range(0, 2), 2) * (3 - 2) == 3
 
 
 # The largest bound select_filter accepts: a table over every |w| up to it
@@ -343,115 +373,6 @@ def test_select_filter_tables_only_the_weights_that_occur():
     kernel, _ = select_filter(2, 2, TOP_BOUND, T_POINTS, rows)
     assert kernel.residues == [row_residue(ws, sign, T_POINTS) for ws, sign in rows]
     assert kernel.residues[2] == fraction_residue(*rows[2], T_POINTS)
-
-
-@pytest.mark.parametrize("bad", [(0, 1), (1, 4), (-4, 1), (1, 2, 3), (1,), (1.5, 1)])
-def test_residue_join_rejects_rows_outside_its_parameters(bad):
-    m, n, bound = 3, 2, 3
-    rows = [((1, -1), 1), ((2, 1), -1), ((1, 1), 1)]
-    with pytest.raises(ValueError):
-        select_filter(m, n, bound, T_POINTS, rows + [(bad, 1)])
-    with pytest.raises(ValueError):
-        select_filter(m, n, bound, T_POINTS, rows + [((1, 2), 2)])
-    kernel, _ = select_filter(m, n, bound, T_POINTS, rows)
-    mask = _Hits(2)
-    for heads, tails, m_, count in [
-        ((0,), range(1, 3), m + 1, 2),      # another m
-        ((0, 1, 2), range(1, 3), m, 2),     # too many heads
-        ((), range(1, 3), m, 2),            # too few
-        ((3,), range(1, 3), m, 2),          # a head past the rows
-        ((-1,), range(1, 3), m, 2),         # a negative head
-        ((0, 1), range(1, 3), m, 2),        # m - 1 heads, one free row
-        ((0,), range(2, 4), m, 2),          # a tail past the rows
-        ((0,), range(-1, 1), m, 2),         # a negative tail
-        ((0, 2), range(2, 3), m, 1),        # m - 1 heads, a one-candidate block
-        ((0,), range(2, 0, -1), m, 2),      # tails not ascending
-        ((0,), range(0, 3, 2), m, 2),       # tails not consecutive
-        ((0,), range(2, 3), m, 2),          # count above the block size (1)
-        ((0, 1), range(1, 3), m, 0),        # m - 1 heads, no candidate
-        ((0,), range(1, 3), m, -1),         # a negative count
-        ((0,), [1, 2], m, 2),               # tails not a range
-    ]:
-        with pytest.raises(ValueError):
-            kernel(heads, tails, m_, n, count, T_POINTS, mask)
-    with pytest.raises(ValueError):
-        kernel((0,), range(1, 3), m, n, 2, L_POINTS, mask)
-    assert mask.hits == []
-    # the block size the calls above exceed: 3 pairs from row 1
-    assert block_size(range(1, 3), 3) == 3
-
-
-def test_residue_join_rejects_pair_table_calls_outside_its_parameters():
-    # m - 3 heads, three free rows: for m = 4 every such call that breaks
-    # the kernel's parameters raises before anything is written; the block of tails range(1, 3) holds (1, 1, 1), (1, 1, 2),
-    # (1, 2, 2) and (2, 2, 2)
-    rows = [((1, -1), 1), ((2, 1), -1), ((1, 1), 1)]
-    kernel, _ = select_filter(4, 2, 3, T_POINTS, rows)
-    assert block_size(range(1, 3), 3, 3) == 4
-    mask = _Hits(5)
-    for heads, tails, m_, count in [
-        ((), range(1, 3), 4, 4),            # m - 4 heads, four free rows
-        ((3,), range(1, 3), 4, 4),          # a head past the rows
-        ((-1,), range(1, 3), 4, 4),         # a negative head
-        ((0,), range(2, 4), 4, 1),          # a tail past the rows
-        ((0,), range(-1, 1), 4, 1),         # a negative tail
-        ((0,), range(0, 3, 2), 4, 1),       # tails not consecutive
-        ((0,), range(1, 3), 4, 5),          # count above the block size (4)
-        ((0,), range(1, 3), 4, -1),         # a negative count
-        ((0,), range(1, 3), 5, 4),          # another m
-        ((0,), (1, 2), 4, 4),               # tails not a range
-    ]:
-        with pytest.raises(ValueError):
-            kernel(heads, tails, m_, 2, count, T_POINTS, mask)
-    with pytest.raises(ValueError):
-        kernel((0,), range(1, 3), 4, 2, 4, L_POINTS, mask)
-    with pytest.raises(ValueError):
-        kernel((0,), range(1, 3), 4, 2, 4, T_POINTS, _Hits(3))  # a short mask
-    assert mask.hits == []
-    # an m = 3 call with no heads is the triple block: the pairs j <= k of
-    # tails, then each row past tails; tails range(0, 2) leave row 2, so the
-    # block holds (0, 0, 2), (0, 1, 2) and (1, 1, 2)
-    kernel3, _ = select_filter(3, 2, 3, T_POINTS, rows)
-    for tails, count, out in [
-        (range(1, 3), 4, mask),             # no row past tails: an empty block
-        (range(0, 2), 4, mask),             # count above the block size (3)
-        (range(0, 2), 3, _Hits(2)),         # a short mask
-        (range(-1, 2), 3, mask),            # a negative tail
-        (range(0, 4), 0, mask),             # a tail past the rows
-        (range(0, 2, 2), 1, mask),          # tails not consecutive
-        ([0, 1], 3, mask),                  # tails not a range
-    ]:
-        with pytest.raises(ValueError):
-            kernel3((), tails, 3, 2, count, T_POINTS, out)
-    assert mask.hits == []
-
-
-GOOD_ROW = ((1, -1), 1)
-
-
-@pytest.mark.parametrize("rows, message", [
-    ([GOOD_ROW, ((1, 0), 1), ((1,), 1)], "row weights must be nonzero with |w| <= 3: (1, 0)"),
-    ([GOOD_ROW, ((1,), 1), ((1, 0), 1)], "a row needs 2 weights, got 1"),
-    ([GOOD_ROW, ((1, 1, 1), 1)], "a row needs 2 weights, got 3"),
-    ([((1, 1), 1), ((True, 1), 1)], "weight must be an integer, got True"),
-    ([((1, 1), 1), ((1, 1.0), 1)], "weight must be an integer, got 1.0"),
-    ([((1, 1), 1), ((1, "1"), 1)], "weight must be an integer, got '1'"),
-    ([((1, 1), 1), ((-4, 1), 1)], "row weights must be nonzero with |w| <= 3: (-4, 1)"),
-    ([((4, 1), 2)], "row weights must be nonzero with |w| <= 3: (4, 1)"),
-    ([((2, 1), 1), ((2, 1), 2)], "a row sign must be 1 or -1, got 2"),
-    ([((2, 1), True)], "sign must be an integer, got True"),
-    ([((1, 1), 1), ((1, 1), 1.0)], "sign must be an integer, got 1.0"),
-])
-def test_row_validation_names_the_first_offending_row(monkeypatch, rows, message):
-    # weights already seen are not range-checked again, but a bool or a
-    # float equal to one of them still fails, and nothing is computed first
-    def no_residue(*args):
-        raise AssertionError("a residue was computed")
-
-    monkeypatch.setattr(prefilter, "pow", no_residue, raising=False)
-    with pytest.raises(ValueError) as error:
-        select_filter(2, 2, 3, T_POINTS, rows)
-    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("points", [
