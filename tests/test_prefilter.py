@@ -9,7 +9,7 @@ import pytest
 from rigidpow import prefilter, search
 from rigidpow.prefilter import L_POINTS, T_POINTS, block_size, sample_points, select_filter
 from rigidpow.rigidity import Row
-from rigidpow.search import SearchSpec, _blocks, _Hits, row_universe
+from rigidpow.search import BudgetExceeded, SearchSpec, _blocks, _Hits, row_universe, sweep
 from exact_values import forced_constant, function_value, row_constant, row_value
 from stream_oracle import (
     block_rows,
@@ -20,6 +20,7 @@ from stream_oracle import (
     residue_offsets,
     stream_candidates,
 )
+from test_join_hits import record_kernel_calls
 
 
 def random_batch(rng, m, n, bound, count):
@@ -329,6 +330,57 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
             SearchSpec(2, size, guard, mode)
         with pytest.raises(ValueError, match="row list"):
             search.check_triple_args(size, guard)
+
+
+@pytest.mark.parametrize("mode, m, n, bound, shards, enum_budget", [
+    ("T", 2, 2, 3, 1, None), ("T", 2, 1, 6, 3, None), ("L", 2, 3, 2, 1, None),
+    ("T", 2, 2, 2, 2, 7), ("T", 3, 2, 2, 1, None), ("T", 3, 2, 3, 3, None),
+    ("L", 3, 2, 3, 1, 50), ("L", 3, 1, 5, 2, None), ("T", 4, 1, 3, 1, None),
+    ("T", 4, 1, 3, 1, 100), ("L", 4, 2, 2, 2, None), ("T", 5, 1, 3, 1, None),
+    ("L", 5, 1, 3, 3, 1000),
+])
+def test_every_kernel_call_of_a_sweep_keeps_the_calling_convention(monkeypatch, mode, m, n,
+                                                                   bound, shards, enum_budget):
+    # the kernel checks no call: every call a sweep makes, whole, sharded
+    # or cut by its enum budget, is a nonempty block of its own universe
+    # with m - 2 heads (or m - 3, for m >= 3), ascending heads no later
+    # than a consecutive range of tails, and a mask of exactly count
+    # entries, 1 <= count <= the block's size; the calls decide each
+    # enumerated candidate once
+    calls = record_kernel_calls(monkeypatch)
+    budget = {} if enum_budget is None else {"enum_budget": enum_budget}
+    spec = SearchSpec(m, n, bound, mode, **budget)
+    try:
+        stats = sweep(spec, shards=shards).stats
+    except BudgetExceeded as exceeded:
+        assert enum_budget is not None
+        stats = exceeded.report.stats
+    universe = row_universe(n, bound, mode)
+    size = len(universe)
+    assert calls
+    for rows, (heads, tails, m_, n_, count, points), out in calls:
+        assert rows == universe and (m_, n_, points) == (m, n, sample_points(mode))
+        free = m - len(heads)
+        assert free in ((2, 3) if m >= 3 else (2,))
+        assert list(heads) == sorted(heads) and all(0 <= h < size for h in heads)
+        assert type(tails) is range and tails.step == 1 and 0 <= tails.start < tails.stop <= size
+        assert not heads or heads[-1] <= tails.start
+        assert 1 <= count <= block_size(tails, size, free) and len(out) == count
+    assert sum(call[4] for _, call, _ in calls) == stats.enumerated
+
+
+@pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 3), (2, 6)])
+def test_the_triple_search_makes_one_call_of_the_whole_triple_block(monkeypatch, n, bound):
+    # the triple search's one call is the triple block of its plus rows
+    # times its minus rows, outside the twin layout, with a mask of exactly
+    # that many entries
+    calls = record_kernel_calls(monkeypatch)
+    search.triple_identity_search(n, bound)
+    [(rows, (heads, tails, m, n_, count, points), out)] = calls
+    plus = len(rows) // 2
+    assert not prefilter._twin_layout(rows) and (m, n_, points) == (3, n, L_POINTS)
+    assert heads == () and tails == range(plus) and type(tails) is range
+    assert count == block_size(tails, plus) * plus == len(out) > 0
 
 
 def test_a_head_less_three_row_call_outside_the_twin_layout_is_the_triple_block():
