@@ -20,25 +20,23 @@ second-to-last row and looks the last one up by the negated residue sum (a
 residue join, the 2-SUM step).  For m >= 4 it can also fix every row but
 the last three: it tables every pair of rows by its residue sum once and
 looks the last two up together for each choice of the third-to-last row
-(Horowitz and Sahni, 1974).  An m = 3 sweep that its budget cannot cut is
-one block of three free rows, the tetrahedron of every ``j <= k <= p``.
-The rows of a sweep's universe come in sign twins: rows ``2t`` and ``2t +
-1`` hold the same weights signed -1 and +1, so their residues are
-negations.  Every triple has two rows of one sign, so the zero-sum triples
-are those with two plus rows, found by one lookup per pair of plus rows,
-and their twins; the first tetrahedron call tables them, a 3-SUM over a
-quarter of the pairs.  The triple search of :mod:`rigidpow.search`
-decides all its ``(a, b, c)`` triples, two plus rows ``a <= b`` and a minus
-row ``c``, as one block of three free rows at m = 3, the triple block: the
-kernel walks ``a`` and, for all ``b >= a`` in one chain, looks up the
-minus rows whose residue completes the sum, one lookup per pair ``a <= b``
-(a 3-SUM taken pair-major).  A head-less m = 3 call is the tetrahedron
-over rows in twin layout and the triple block over any other rows, such
-as the triple search's plus rows then minus rows.  Every candidate whose
-residues sum to zero passes, with no exact re-evaluation: a residue
-collision, a candidate whose residues sum to zero though its terms do
-not, would cost one symbolic check, which rejects it.  None has been seen
-at the real prime.
+(Horowitz and Sahni, 1974).  Every row list the filter is handed is in
+sign-twin layout: rows ``2t`` and ``2t + 1`` hold the same weights signed
+-1 and +1, so their residues are negations.  An m = 3 sweep that its
+budget cannot cut is one block of three free rows, the tetrahedron of
+every ``j <= k <= p``.  Every triple has two rows of one sign, so the
+zero-sum triples are those with two plus rows, found by one lookup per
+pair of plus rows, and their twins; the first tetrahedron call tables
+them, a 3-SUM over a quarter of the pairs.  The triple search of
+:mod:`rigidpow.search` decides all its ``(a, b, c)`` triples, two plus
+rows ``a <= b`` and a minus row ``c``, as one block at m = 3, the triple
+block, whose first free rows are the plus rows: the kernel walks the same
+pairs of plus rows as the tetrahedron's table and keeps, for each, the
+minus rows whose residue completes the sum (a 3-SUM taken pair-major).
+Every candidate whose residues sum to zero passes, with no exact
+re-evaluation: a residue collision, a candidate whose residues sum to zero
+though its terms do not, would cost one symbolic check, which rejects it.
+None has been seen at the real prime.
 
 The filter checks once, when it is built, what makes it sound: the sample
 points and the bound that keep every ``z^w - 1`` invertible modulo
@@ -92,9 +90,11 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int,
     The rows are not checked: each ``weights`` must be a tuple of ``n``
     ``int`` weights with ``1 <= |w| <= bound``, each ``sign`` the ``int``
     1 or -1, for the ``bound`` and the points that :func:`select_filter`
-    checks, so that no ``z^w - 1`` vanishes modulo ``_PRIME``.  The rows
-    of :func:`rigidpow.search.row_universe` and of the triple search are
-    such rows by construction.
+    checks, so that no ``z^w - 1`` vanishes modulo ``_PRIME``, and they
+    must be in sign-twin layout: rows ``2t`` and ``2t + 1`` hold the same
+    weights signed -1 and +1, so that their residues are negations.  The
+    rows of :func:`rigidpow.search.row_universe` and of the triple search
+    are such rows by construction.
 
     The factors are tabled: for each point and each distinct ``|w| = a``
     that occurs in ``rows`` (never every ``a`` up to ``bound``, which may
@@ -132,16 +132,6 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int,
     return [sign * totals[weights] % _PRIME for weights, sign in rows]
 
 
-def _twin_layout(rows: Sequence[Tuple[Tuple[int, ...], int]]) -> bool:
-    """Whether rows ``2t`` and ``2t + 1`` of ``rows`` hold the same weights
-    with the signs ``-1`` and ``+1``, for every ``t``, as in
-    :func:`rigidpow.search.row_universe`.  Row ``2t + 1``'s residue is then
-    row ``2t``'s negated modulo ``_PRIME``: :func:`_row_residues` gives
-    both the residue of their weights times their sign."""
-    return len(rows) % 2 == 0 and all(row[0] == twin[0] and row[1] == -1 and twin[1] == 1
-                                      for row, twin in zip(rows[0::2], rows[1::2]))
-
-
 def block_size(tails: range, size: int, free: int = 2) -> int:
     """The number of candidates in a kernel block with ``free`` free rows
     over a universe of ``size`` rows: the non-decreasing ``free``-tuples of
@@ -159,6 +149,9 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     each a ``(weights, sign)`` pair of ``n`` weights with ``|w| <= bound``,
     at ``points``, a sequence of ``(z, x, y)`` tuples, plus its name.
 
+    ``rows`` is in sign-twin layout: rows ``2t`` and ``2t + 1`` hold the
+    same weights with the signs -1 and +1, for every ``t``, as in
+    :func:`rigidpow.search.row_universe` and the triple search's row list.
     The kernel is called as ``kernel(heads, tails, m, n, count, points,
     out)`` and decides the first ``count`` candidates of a block whose
     first rows, ``heads``, are fixed indices into ``rows`` and whose last
@@ -170,17 +163,16 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     lexicographic order (see :func:`block_size`).  So ``tails = range(j0,
     len(rows))`` is a triangle of ``L (L + 1) / 2`` candidates, or a
     tetrahedron of ``L (L + 1) (L + 2) / 6``, with ``L = len(rows) - j0``.
-    A sweep with ``m = 1`` has no such block and never calls the kernel.
-    At ``m = 3`` three free rows, no heads, make that tetrahedron only when
-    ``rows`` is in twin layout: rows ``2t`` and ``2t + 1`` hold the same
-    weights with the signs -1 and +1, for every ``t``, as in
-    :func:`rigidpow.search.row_universe`.  Over any other rows they make
-    the triple block, ``(j, k, p)`` for ``j <= k`` in ``tails`` and
-    ``tails.stop <= p < len(rows)``, also in lexicographic order: the ``L
-    (L + 1) / 2`` pairs of the ``L = len(tails)`` rows, each followed by
-    every one of the ``W = len(rows) - tails.stop`` rows past ``tails``, so
-    the candidate ``(j, k, p)`` has the offset ``rank(j, k) W + p -
-    tails.stop``, ``rank`` the pair's rank in lexicographic order.
+    A sweep with ``m = 1``, or in T mode with odd ``m`` and odd ``n``, has
+    no rigid candidate and never calls the kernel.
+    At ``m = 3`` three free rows, no heads, over plus rows, ``tails =
+    range(j0, len(rows), 2)`` with an odd ``j0``, make the triple block:
+    ``(j, k, p)`` for ``j <= k`` in ``tails`` and ``p`` any minus row, also
+    in lexicographic order: the ``L (L + 1) / 2`` pairs of the ``L =
+    len(tails)`` plus rows, each followed by every one of the ``W =
+    len(rows) / 2`` minus rows, so the candidate ``(j, k, p)`` has the
+    offset ``rank(j, k) W + p / 2``, with ``rank(j, k)`` the number of
+    pairs of ``tails`` before ``(j, j)`` plus ``(k - j) / 2``.
 
     ``out`` is the caller's mask: any object with ``len()`` and item
     assignment.  For each survivor, a candidate whose row residues sum to
@@ -200,9 +192,9 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     block is a 3-SUM taken pair-major: the call walks ``j`` through
     ``tails``, the rows ``k >= j`` of ``tails`` for which ``j``'s partner
     less ``k``'s residue occurs come out of one such chain per ``j``, and
-    the positions holding that residue from ``tails.stop`` on, cut to
-    ``count``, are the rows ``p``: one lookup per pair, ``L (L + 1) / 2``
-    for the block's ``L (L + 1) W / 2`` candidates.  The tetrahedron reads
+    the even positions holding that residue, cut to ``count``, are the
+    minus rows ``p``: one lookup per pair, ``L (L + 1) / 2`` for the
+    block's ``L (L + 1) W / 2`` candidates.  The tetrahedron reads
     a table that its first call builds and later calls keep: every
     zero-sum triple ``j <= k <= p`` of ``rows``, by its rank in
     lexicographic order.  A twin's residue is the negation, and every
@@ -238,9 +230,10 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     <= |w| <= bound`` and the ``int`` sign 1 or -1 (see
     :func:`_row_residues`), and each call must pass this ``m``, ``n`` and
     ``points``, ``m - 2`` heads or, for ``m >= 3``, ``m - 3``, each in
-    ``range(len(rows))``, ``tails`` a ``range`` with step 1 inside
-    ``range(len(rows))``, and ``0 <= count <= len(out)`` and at most the
-    block's size.
+    ``range(len(rows))``, ``tails`` a ``range`` inside
+    ``range(len(rows))`` with step 1, or step 2 over plus rows for the
+    triple block, and ``0 <= count <= len(out)`` and at most the block's
+    size.  The twin layout is not checked either.
     ``perfbench/run.py`` calls this through ``search.select_filter`` and
     wraps the kernel to trace every call.
     """
@@ -275,9 +268,6 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     last_pair: Dict[int, int] = {}
     shared: Dict[int, List[int]] = {}
     pair_starts: List[int] = []
-    # rows 2t and 2t + 1 are sign twins, as in row_universe: a head-less
-    # m = 3 call is then the tetrahedron, not the triple block
-    tetrahedron = m == 3 and _twin_layout(rows)
     # the tetrahedron's table, built on its first call: the rank of each
     # zero-sum triple j <= k <= p among all such triples of the rows in
     # lexicographic order, increasing, and the triple's rows
@@ -286,7 +276,9 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
 
     def residue_join(heads, tails, m_, n_, count, points_, out):
         start, stop = tails.start, tails.stop
-        if tetrahedron and not heads:
+        # a head-less m = 3 call is the tetrahedron over consecutive tails
+        # and the triple block over + rows (step 2)
+        if m == 3 and not heads and tails.step == 1:
             if not triple_ranks:
                 zero_triples()
             # the block's candidates are the ranks from that of (start,
@@ -297,14 +289,15 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
                 out[rank - base] = found
             return
         if m == 3 and not heads:
-            # the triple block: each pair j <= k of tails whose partner
-            # residue occurs, with the positions holding it from stop on,
-            # the rows p
-            width = size - stop
+            # the triple block: each pair j <= k of the + rows of tails whose
+            # partner residue occurs, with the - rows p among the positions
+            # holding it
             for j, k, at in zero_pairs(tails):
-                offset = (block_size(range(start, j), stop) + k - j) * width
-                for p in at[bisect_left(at, stop):bisect_left(at, stop + count - offset)]:
-                    out[offset + p - stop] = (rows[j], rows[k], rows[p])
+                rank = block_size(range(tails.index(j)), len(tails)) + (k - j) // 2
+                offset = rank * (size // 2)
+                for p in at[:bisect_left(at, 2 * (count - offset))]:
+                    if not p & 1:
+                        out[offset + p // 2] = (rows[j], rows[k], rows[p])
             return
         target = -sum(map(residues.__getitem__, heads)) % _PRIME
         # the rows j whose partner residue occurs, found without a Python

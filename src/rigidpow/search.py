@@ -21,7 +21,9 @@ row pairs, and one at m = 3, the whole unsharded sweep, from a table of
 the zero-sum triples (see :mod:`rigidpow.prefilter`).  It hands the
 block's mask only its survivors, each as its offset and its rows (no byte
 per candidate), so only survivors are ever built as matrices.  A one-row
-candidate never survives, so an m = 1 sweep only counts its candidates.
+candidate never survives, and no T candidate with odd m and odd n is
+rigid, so such sweeps only count their candidates (see
+:func:`_run_shards`).
 Shards fix the first (smallest) row; each shard is independently
 enumerable and the merged result is a deterministic sorted union, so shard
 count never changes the outcome of a completed sweep.
@@ -295,13 +297,30 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     """The listed shards of a sweep, each with its first ``enum_cap``
     candidates through the pre-filter and at most ``check_cap`` survivors
     through the symbolic check.  The row universe and its residues are
-    built once for all of them (an m = 1 sweep, which never calls the
-    kernel, builds no residues).  A walk of ``m >= 3`` rows that its enum
-    budget cannot cut has three free rows per block, so it makes one kernel
-    call per choice of its first ``m - 3`` rows: for m = 3 one call when
-    unsharded and one per first row when sharded, read from the kernel's
-    table of zero-sum triples.  Any other walk has two free rows and builds
-    no table (see :func:`_blocks`).  A block that reaches past the enum
+    built once for all of them.  Two kinds of sweep have no rigid
+    candidate, so they only count their candidates: they build no residues
+    and never call the kernel.
+
+    - m = 1.  At a sample point (z >= 2, x, y >= 1) a weight w > 0 has the
+      factor x + (x + y) / (z^w - 1), larger than its constant x, and w =
+      -a the factor -(y + (x + y) / (z^a - 1)), larger in size than its
+      constant -y, so a row's value is larger in size than its constant.
+    - T mode with odd m and odd n.  A weight's factor F(w; z, x, y) = (x z^w
+      + y) / (z^w - 1) obeys F(w; 1/z, x, y) = -F(w; z, y, x), so a
+      matrix's function obeys f(1/z; x, y) = (-1)^n f(z; y, x).  A rigid
+      matrix's function is its constant c(x, y) = sum_k N_k x^(n-k) (-y)^k,
+      N_k the sum of the signs of the rows with k negative weights, so c(x,
+      y) = (-1)^n c(y, x), and comparing the coefficients of x^(n-k) y^k
+      gives N_k = N_(n-k).  For odd n, k and n - k differ, so the N_k pair
+      off and their sum, the sum of all m signs, is even; a sum of m signs
+      is m modulo 2, so m is even.
+
+    A walk of ``m >= 3`` rows that its enum budget cannot cut has three
+    free rows per block, so it makes one kernel call per choice of its
+    first ``m - 3`` rows: for m = 3 one call when unsharded and one per
+    first row when sharded, read from the kernel's table of zero-sum
+    triples.  Any other walk has two free rows and builds no table (see
+    :func:`_blocks`).  A block that reaches past the enum
     budget is cut before the kernel is called, so the kernel decides no
     candidate past the budget, and its mask, a :class:`_Hits`, holds the
     block's survivors only, each with its rows.  Each survivor costs one
@@ -313,7 +332,8 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     universe = row_universe(spec.n, spec.bound, spec.mode)
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
-    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, universe if spec.m > 1 else ())
+    counted = spec.m == 1 or spec.mode == "T" and spec.m % 2 == spec.n % 2 == 1
+    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, () if counted else universe)
     m, n, size = spec.m, spec.n, len(universe)
     results = []
     for shard_index in shard_indices:
@@ -337,14 +357,8 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                     break
                 count = limit - start
             enumerated += count
-            if m == 1:
-                # No one-row candidate survives: at a sample point (z >= 2,
-                # x, y >= 1) a weight w > 0 has the factor x + (x + y) /
-                # (z^w - 1), larger than its constant x, and w = -a the
-                # factor -(y + (x + y) / (z^a - 1)), larger in size than its
-                # constant -y, so a row's value is larger in size than its
-                # constant.
-                continue
+            if counted:
+                continue  # no candidate is rigid (see above)
             mask = _Hits(count)
             kernel(heads, tails, m, n, count, points, mask)
             for k, rows in mask.hits:
@@ -507,19 +521,21 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     sum of the row signs times ``(-1)`` to the number of negative weights
     in each row, here ``1 + 1 - 1``.
 
-    The row list is the plus rows, in increasing order of their weights,
-    then the same weights as minus rows, and the kernel decides the whole
-    search as one triple block (see :func:`rigidpow.prefilter.select_filter`):
-    every ``(a, b, c)`` in lexicographic order of the row indices, which is
-    the order of the weight lists, so its hits need no sorting.
+    The row list is in sign-twin layout, as the row universe is: row
+    ``2t`` is weight list ``t`` signed -1 and row ``2t + 1`` the same list
+    signed +1, the lists in increasing order.  The kernel decides the whole
+    search as one triple block over the plus rows (see
+    :func:`rigidpow.prefilter.select_filter`): every ``(a, b, c)`` in
+    lexicographic order of the row indices, which is the order of the
+    weight lists, so its hits need no sorting.
     """
     check_triple_args(n, bound)
-    plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
-    rows = plus + [Row(v.weights, -1) for v in plus]
+    rows = [Row(v, sign) for v in combinations_with_replacement(range(1, bound + 1), n)
+            for sign in (-1, 1)]
     points = sample_points("L")
     kernel, _ = select_filter(3, n, bound, points, rows)
-    tails = range(len(plus))
-    count = block_size(tails, len(plus)) * len(plus)
+    tails = range(1, len(rows), 2)
+    count = block_size(range(len(tails)), len(tails)) * len(tails)
     mask = _Hits(count)
     kernel((), tails, 3, n, count, points, mask)
     # each hit holds rows of the search's own list

@@ -59,24 +59,17 @@ def chunk_mask(candidates, points):
     return bytearray(matches_constant(rows, points) for rows in candidates)
 
 
-def twin_layout(rows):
-    """Whether each pair of rows ``2t``, ``2t + 1`` is one weight list
-    signed -1 and then +1, as in ``row_universe``."""
-    return len(rows) % 2 == 0 and all(
-        rows[i][0] == rows[i + 1][0] and (rows[i][1], rows[i + 1][1]) == (-1, 1)
-        for i in range(0, len(rows), 2))
-
-
-def block_candidates(heads, tails, m, size, twins=False):
+def block_candidates(heads, tails, m, size):
     """A block's candidates over ``size`` rows as row indices, in block
     order: ``heads`` plus ``m - len(heads)`` free rows, non-decreasing,
-    the first of them from ``tails``.  Three free rows at m = 3 are that
-    tetrahedron only over rows in ``twins`` layout (see ``twin_layout``);
-    over any other rows they are the triple block, whose candidates are two
-    rows ``j <= k`` of ``tails`` and then any row from ``tails.stop`` on."""
-    if m == 3 and not heads and not twins:
-        return [(j, k, p) for j in tails for k in range(j, tails.stop)
-                for p in range(tails.stop, size)]
+    the first of them from ``tails``.  Three free rows at m = 3 over tails
+    of step 2, the plus rows of a row list in twin layout (rows ``2t`` and
+    ``2t + 1`` one weight list signed -1 and then +1), are the triple
+    block instead: two rows ``j <= k`` of ``tails`` and then any minus
+    row, an even index."""
+    if m == 3 and not heads and tails.step == 2:
+        return [(j, k, p) for j in tails for k in range(j, tails.stop, 2)
+                for p in range(0, size, 2)]
     return [(*heads, j, *rest) for j in tails
             for rest in combinations_with_replacement(range(j, size), m - len(heads) - 1)]
 
@@ -84,16 +77,14 @@ def block_candidates(heads, tails, m, size, twins=False):
 def block_rows(universe, heads, tails, m):
     """A block's candidates as tuples of rows of ``universe``, in block order."""
     return [tuple(map(universe.__getitem__, indices))
-            for indices in block_candidates(heads, tails, m, len(universe),
-                                            twin_layout(universe))]
+            for indices in block_candidates(heads, tails, m, len(universe))]
 
 
-def residue_offsets(residues, heads, tails, m, count, prime, twins=False):
+def residue_offsets(residues, heads, tails, m, count, prime):
     """The residue oracle for one kernel call: the offsets, among the
     block's first ``count`` candidates, of those whose rows' ``residues``
-    (the kernel's, one per row) sum to 0 modulo ``prime``; ``twins`` says
-    whether the rows are in twin layout (see ``block_candidates``)."""
-    candidates = block_candidates(heads, tails, m, len(residues), twins)[:count]
+    (the kernel's, one per row) sum to 0 modulo ``prime``."""
+    candidates = block_candidates(heads, tails, m, len(residues))[:count]
     return [k for k, indices in enumerate(candidates)
             if sum(map(residues.__getitem__, indices)) % prime == 0]
 

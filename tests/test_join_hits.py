@@ -64,14 +64,14 @@ def test_hits_equal_the_oracle_on_every_sweep_block(monkeypatch, mode, m, n, bou
 
 @pytest.mark.parametrize("n, bound, solutions", [(3, 4, 0), (2, 6, 9)])
 def test_hits_equal_the_oracle_on_every_triple_search_block(monkeypatch, n, bound, solutions):
-    # one triple block: every pair a <= b of the plus rows, each followed
-    # by every minus row c
+    # one triple block: every pair a <= b of the plus rows, the odd rows
+    # of the twin layout, each followed by every minus row c
     calls = record_kernel_calls(monkeypatch)
     assert len(search.triple_identity_search(n, bound)) == solutions
     plus = len(row_universe(n, bound, "L")) // 2
     [(rows, call, hits)] = calls
-    assert call[:5] == ((), range(plus), 3, n, plus * plus * (plus + 1) // 2)
-    assert [sign for _, sign in rows] == [1] * plus + [-1] * plus
+    assert call[:5] == ((), range(1, 2 * plus, 2), 3, n, plus * plus * (plus + 1) // 2)
+    assert [sign for _, sign in rows] == [-1, 1] * plus
     assert assert_hits_match_the_oracle(rows, call, hits) >= solutions
 
 
@@ -89,45 +89,52 @@ def test_triple_search_makes_one_kernel_call_per_spec(monkeypatch, specs, candid
     assert sum(out.count(1) for _, _, out in calls) == survivors
 
 
+def twin_rows(n, bound):
+    """The triple search's row list: each weight list signed -1, then +1."""
+    return [(v, sign) for v in combinations_with_replacement(range(1, bound + 1), n)
+            for sign in (-1, 1)]
+
+
 def test_triple_block_hits_equal_the_oracle_at_every_count():
-    # n = 2, b = 4: 10 plus rows, then the 10 minus rows; the block holds
-    # 55 pairs times 10 minus rows, and its 4 survivors are the solutions
-    rows = [(v, 1) for v in combinations_with_replacement(range(1, 5), 2)]
-    rows += [(v, -1) for v, _ in rows]
+    # n = 2, b = 4: 10 weight lists, each as a minus row and then a plus
+    # row; the block of the 10 plus rows holds 55 pairs times 10 minus
+    # rows, and its 4 survivors are the solutions
+    rows = twin_rows(2, 4)
     points = sample_points("L")
     kernel, _ = select_filter(3, 2, 4, points, rows)
-    block = block_rows(rows, (), range(10), 3)
+    block = block_rows(rows, (), range(1, 20, 2), 3)
     assert len(block) == 550
-    for tails in (range(10), range(3, 10), range(0, 4)):
+    for tails in (range(1, 20, 2), range(7, 20, 2), range(1, 8, 2)):
         for count in range(len(block_rows(rows, (), tails, 3)) + 1):
             hits = _Hits(count)
             call = ((), tails, 3, 2, count, points)
             kernel(*call, hits)
             found = assert_hits_match_the_oracle(rows, call, hits)
-        if tails == range(10):
+        if tails == range(1, 20, 2):
             assert found == 4
 
 
 def test_triple_block_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatch):
-    # modulo 23 the residues collide: some pairs j <= k have partners among
-    # the rows of tails, which the block leaves out, as well as past them
+    # modulo 23 the residues collide: some pairs j <= k of plus rows have
+    # partners among the plus rows, which the block leaves out, as well as
+    # among the minus rows
     monkeypatch.setattr(prefilter, "_PRIME", 23)
-    rows = [(v, 1) for v in combinations_with_replacement(range(1, 5), 2)]
-    rows += [(v, -1) for v, _ in rows]
+    rows = twin_rows(2, 4)
     points = sample_points("L")
     kernel, _ = select_filter(3, 2, 4, points, rows)
     residues = kernel.residues
-    candidates = block_rows(rows, (), range(10), 3)
+    plus = range(1, 20, 2)
+    candidates = block_rows(rows, (), plus, 3)
     survivors = []
     for count in (len(candidates), 300, 0):
         hits = _Hits(count)
-        kernel((), range(10), 3, 2, count, points, hits)
-        offsets = residue_offsets(residues, (), range(10), 3, count, 23)
+        kernel((), plus, 3, 2, count, points, hits)
+        offsets = residue_offsets(residues, (), plus, 3, count, 23)
         assert hits.hits == [(k, candidates[k]) for k in offsets]
         survivors.append(len(offsets))
     assert survivors[0] > survivors[1] > survivors[2] == 0 and survivors[0] > 4
     assert any((residues[j] + residues[k] + residues[p]) % 23 == 0
-               for j in range(10) for k in range(j, 10) for p in range(10))
+               for j in plus for k in range(j, 20, 2) for p in plus)
 
 
 def test_tetrahedron_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatch):
@@ -152,7 +159,7 @@ def test_tetrahedron_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatch
         for count in sorted({block, block // 2, 1, 0}):
             hits = _Hits(count)
             kernel((), tails, 3, 2, count, points, hits)
-            offsets = residue_offsets(residues, (), tails, 3, count, 23, twins=True)
+            offsets = residue_offsets(residues, (), tails, 3, count, 23)
             assert hits.hits == [(k, candidates[k]) for k in offsets], (tails, count)
         if tails == range(size):
             survivors = len(offsets)
@@ -162,6 +169,9 @@ def test_tetrahedron_hits_are_the_zero_residue_sums_at_a_small_prime(monkeypatch
     assert signs == {(-1, -1, -1), (-1, -1, 1), (-1, 1, 1), (1, 1, 1)}
     assert survivors > sum(matches_constant(rows, points) for rows in block_rows(
         universe, (), range(size), 3))
+    # over three rows, tails range(1, 3) hold 3 pairs (1, 1), (1, 2) and
+    # (2, 2), and 4 triples (1, 1, 1), (1, 1, 2), (1, 2, 2) and (2, 2, 2)
+    assert block_size(range(1, 3), 3) == 3 and block_size(range(1, 3), 3, 3) == 4
 
 
 def test_benchmark_sweep_makes_one_kernel_call_per_unsharded_three_row_spec(monkeypatch):

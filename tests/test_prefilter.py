@@ -243,8 +243,7 @@ def test_a_residue_collision_reaches_the_mask_like_any_hit(monkeypatch, m, n, bo
             hits = _Hits(block_size(tails, len(universe), free))
             kernel(heads, tails, m, n, len(hits), points, hits)
             candidates = block_rows(universe, heads, tails, m)
-            offsets = residue_offsets(kernel.residues, heads, tails, m, len(hits), 23,
-                                      twins=True)
+            offsets = residue_offsets(kernel.residues, heads, tails, m, len(hits), 23)
             assert hits.hits == [(k, candidates[k]) for k in offsets]
             collisions += sum(not matches_constant(rows, points) for _, rows in hits.hits)
     assert collisions > 0
@@ -294,20 +293,11 @@ def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound,
 @pytest.mark.parametrize("mode, n, bound", [("T", 1, 3), ("T", 2, 4), ("T", 3, 2), ("L", 1, 5),
                                            ("L", 2, 5), ("L", 4, 3)])
 def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, bound):
-    # the tetrahedron's table rests on this: rows 2t and 2t + 1 hold the
-    # same weights signed -1 and +1, so the residue of 2t + 1 is the
-    # negation of that of 2t
+    # the tetrahedron's table and the triple block rest on this: in every
+    # row list the kernel is handed, the sweep's universe and the triple
+    # search's list alike, rows 2t and 2t + 1 hold the same weights signed
+    # -1 and +1, so the residue of 2t + 1 is the negation of that of 2t
     universe = row_universe(n, bound, mode)
-    residues = select_filter(3, n, bound, sample_points(mode), universe)[0].residues
-    assert len(universe) % 2 == 0 and universe
-    for t in range(len(universe) // 2):
-        (minus, sign), (plus, twin_sign) = universe[2 * t], universe[2 * t + 1]
-        assert minus == plus and (sign, twin_sign) == (-1, 1)
-        assert residues[2 * t + 1] == -residues[2 * t] % prefilter._PRIME
-
-    # the kernel checks no row: every row the sweep and the triple search
-    # hand it (plus rows, then minus rows) is a Row of n int weights with
-    # 1 <= |w| <= bound and an int sign of 1 or -1
     handed = []
 
     def recording(m, n_, bound_, points, rows=()):
@@ -316,6 +306,18 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
 
     monkeypatch.setattr(search, "select_filter", recording)
     search.triple_identity_search(n, bound)
+    assert len(handed) == 1
+    for rows in (universe, *handed):
+        residues = select_filter(3, n, bound, sample_points(mode), rows)[0].residues
+        assert len(rows) % 2 == 0 and rows
+        for t in range(len(rows) // 2):
+            (minus, sign), (plus, twin_sign) = rows[2 * t], rows[2 * t + 1]
+            assert minus == plus and (sign, twin_sign) == (-1, 1)
+            assert residues[2 * t + 1] == -residues[2 * t] % prefilter._PRIME
+
+    # the kernel checks no row: every row the sweep and the triple search
+    # hand it is a Row of n int weights with 1 <= |w| <= bound and an int
+    # sign of 1 or -1
     for rows in (universe, *handed):
         assert rows
         for row in rows:
@@ -336,7 +338,7 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
     ("T", 2, 2, 3, 1, None), ("T", 2, 1, 6, 3, None), ("L", 2, 3, 2, 1, None),
     ("T", 2, 2, 2, 2, 7), ("T", 3, 2, 2, 1, None), ("T", 3, 2, 3, 3, None),
     ("L", 3, 2, 3, 1, 50), ("L", 3, 1, 5, 2, None), ("T", 4, 1, 3, 1, None),
-    ("T", 4, 1, 3, 1, 100), ("L", 4, 2, 2, 2, None), ("T", 5, 1, 3, 1, None),
+    ("T", 4, 1, 3, 1, 100), ("L", 4, 2, 2, 2, None), ("T", 5, 2, 2, 1, None),
     ("L", 5, 1, 3, 3, 1000),
 ])
 def test_every_kernel_call_of_a_sweep_keeps_the_calling_convention(monkeypatch, mode, m, n,
@@ -371,43 +373,17 @@ def test_every_kernel_call_of_a_sweep_keeps_the_calling_convention(monkeypatch, 
 
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 3), (2, 6)])
 def test_the_triple_search_makes_one_call_of_the_whole_triple_block(monkeypatch, n, bound):
-    # the triple search's one call is the triple block of its plus rows
-    # times its minus rows, outside the twin layout, with a mask of exactly
-    # that many entries
+    # the triple search's one call is the triple block of its plus rows,
+    # the odd rows of its list, times its minus rows, with a mask of
+    # exactly that many entries
     calls = record_kernel_calls(monkeypatch)
     search.triple_identity_search(n, bound)
     [(rows, (heads, tails, m, n_, count, points), out)] = calls
     plus = len(rows) // 2
-    assert not prefilter._twin_layout(rows) and (m, n_, points) == (3, n, L_POINTS)
-    assert heads == () and tails == range(plus) and type(tails) is range
-    assert count == block_size(tails, plus) * plus == len(out) > 0
-
-
-def test_a_head_less_three_row_call_outside_the_twin_layout_is_the_triple_block():
-    # T n=2 b=2 (20 rows) with one twin pair swapped, with its last row cut
-    # off, and as the triple search lists it (plus rows, then minus rows):
-    # a head-less m = 3 call over ten tails is the triple block of 55 pairs
-    # times the rows past them
-    universe = row_universe(2, 2, "T")
-    swapped = [universe[1], universe[0]] + universe[2:]
-    listed = universe[1::2] + universe[0::2]
-    survivors = 0
-    for rows in (swapped, universe[:-1], listed):
-        kernel, _ = select_filter(3, 2, 2, T_POINTS, rows)
-        tails = range(10)
-        count = block_size(tails, 10) * (len(rows) - 10)
-        candidates = block_rows(rows, (), tails, 3)
-        assert len(candidates) == count
-        mask = hits_mask(kernel, ((), tails, 3, 2, count, T_POINTS), candidates)
-        assert mask == chunk_mask(candidates, T_POINTS)
-        survivors += sum(mask)
-    assert survivors > 0
-    # over three rows, tails range(1, 3) hold 3 pairs (1, 1), (1, 2) and
-    # (2, 2), and 4 triples (1, 1, 1), (1, 1, 2), (1, 2, 2) and (2, 2, 2);
-    # the triple block of tails range(0, 2) is (0, 0, 2), (0, 1, 2) and
-    # (1, 1, 2)
-    assert block_size(range(1, 3), 3) == 3 and block_size(range(1, 3), 3, 3) == 4
-    assert block_size(range(0, 2), 2) * (3 - 2) == 3
+    assert (m, n_, points) == (3, n, L_POINTS)
+    assert heads == () and tails == range(1, len(rows), 2) and type(tails) is range
+    assert count == block_size(range(plus), plus) * plus == len(out) > 0
+    assert len(block_rows(rows, heads, tails, m)) == count
 
 
 # The largest bound select_filter accepts: a table over every |w| up to it

@@ -16,7 +16,7 @@ from test_join_hits import record_kernel_calls
 
 SPECS = [
     ("T", 1, 2, 3), ("T", 2, 2, 3), ("T", 2, 2, 4), ("T", 3, 2, 2), ("T", 3, 2, 3),
-    ("T", 4, 1, 3), ("T", 5, 2, 2),
+    ("T", 4, 1, 3), ("T", 5, 2, 2), ("T", 3, 1, 3), ("T", 3, 3, 2), ("T", 5, 1, 2),
     ("L", 1, 2, 4), ("L", 2, 1, 6), ("L", 2, 3, 3), ("L", 3, 2, 4), ("L", 4, 1, 4),
     ("L", 4, 2, 3), ("L", 5, 2, 3),
 ]
@@ -51,8 +51,12 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
     total = math.comb(size + m - 1, m)
     streams = [shard_stream(mode, m, n, bound, s, shards) for s in range(shards)]
     assert sum(len(candidates) for candidates, _ in streams) == total
-    # no single row is constant, so only m > 1 has survivors to spend budgets on
-    assert any(any(mask) for _, mask in streams) == (m > 1)
+    # no single row is constant, and no T candidate with odd m and odd n is
+    # rigid, so only the other sweeps have survivors to spend budgets on,
+    # and only they call the kernel
+    counted = m == 1 or mode == "T" and m % 2 == n % 2 == 1
+    assert any(any(mask) for _, mask in streams) == (not counted)
+    calls = record_kernel_calls(monkeypatch)
 
     enum_budgets = sorted({b for b in (1, 50, 1023, 1024, 1025, total - 1, total) if b >= 1})
     for enum_budget in enum_budgets:
@@ -77,6 +81,7 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
 
     report = sweep(SearchSpec(m, n, bound, mode), shards=shards)
     assert report.stats.enumerated == total
+    assert bool(calls) == (not counted)
 
 
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 4), (2, 6)])

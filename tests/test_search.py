@@ -231,6 +231,30 @@ def test_one_row_sweeps_reject_every_candidate(mode, n, bound):
     assert (stats.rejected, stats.exact_checks) == (stats.enumerated, 0)
 
 
+@pytest.mark.parametrize("m, n, bound", [(2, 1, 4), (3, 2, 4), (2, 3, 3), (4, 3, 3), (4, 2, 3)])
+def test_t_finds_sign_counts_are_symmetric(m, n, bound):
+    # f(1/z; x, y) = (-1)^n f(z; y, x), so a rigid T matrix's constant
+    # obeys c(x, y) = (-1)^n c(y, x): N_k = N_(n-k), with N_k the sum of
+    # the signs of the rows with k negative weights.  Odd m at odd n skips
+    # the kernel on this premise.  A zero constant has every N_k = 0, so
+    # each spec has finds with a nonzero one.
+    report = sweep(SearchSpec(m, n, bound, "T"))
+    assert any(not f.constant.is_zero() for f in report.found)
+    for f in report.found:
+        counts = [0] * (n + 1)
+        for weights, sign in f.matrix.rows:
+            counts[sum(w < 0 for w in weights)] += sign
+        assert counts == counts[::-1], f.matrix
+
+
+@pytest.mark.parametrize("m, n, bound", [(2, 1, 6), (4, 1, 5), (2, 3, 3), (4, 3, 2)])
+def test_l_finds_at_odd_n_have_constant_zero(m, n, bound):
+    # at x = y = 1 the symmetry reads f(1/z) = (-1)^n f(z), so a constant
+    # L function at odd n equals its own negation
+    report = sweep(SearchSpec(m, n, bound, "L"))
+    assert report.found and all(f.constant.is_zero() for f in report.found)
+
+
 def test_sweep_found_is_sorted_and_unique():
     report = sweep(SearchSpec(m=2, n=2, bound=2, mode="T"))
     keys = [f.matrix.rows for f in report.found]
