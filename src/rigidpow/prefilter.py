@@ -38,11 +38,16 @@ re-evaluation: a residue collision, a candidate whose residues sum to zero
 though its terms do not, would cost one symbolic check, which rejects it.
 None has been seen at the real prime.
 
-The filter checks once, when it is built, what makes it sound: the sample
-points and the bound that keep every ``z^w - 1`` invertible modulo
-``_PRIME``.  It does not re-check the rows and kernel calls that
-:mod:`rigidpow.search` builds itself; :func:`select_filter` states what
-they must be.
+The filter is sound exactly when every ``z^a - 1`` it inverts, for the
+``z`` of a sample point and a magnitude ``a = |w|`` of its rows, is a unit
+modulo ``_PRIME``.  That is enforced in one place, the one inversion per
+point and magnitude in :func:`_row_residues`, which raises ``ValueError``
+exactly when ``z^a = 1`` modulo ``_PRIME``.  No sweep row is refused there:
+every point of ``T_POINTS`` and ``L_POINTS`` has ``2 <= z < _PRIME - 1``,
+and the universe cap keeps every ``|w|`` below ``q`` (see
+:class:`rigidpow.search.SearchSpec`).  Nothing else is checked: the rows
+and kernel calls come from :mod:`rigidpow.search`, which builds them
+itself; :func:`select_filter` states what they must be.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ from itertools import compress, repeat
 from math import comb
 from operator import ge, mod, sub
 from typing import Callable, Dict, List, Sequence, Tuple
-
-from .rigidity import exact_int
 
 # Exact sample points (z, x, y) used by the sweeps, one tuple each.  Any
 # |z| >= 2 avoids all denominator roots.
@@ -87,14 +90,16 @@ def _row_residues(rows: Sequence[Tuple[Tuple[int, ...], int]], n: int,
     ``(x z^w + y) / (z^w - 1)`` and its constant ``sign`` times the product
     of ``x`` (for ``w > 0``) and ``-y`` (for ``w < 0``).
 
-    The rows are not checked: each ``weights`` must be a tuple of ``n``
-    ``int`` weights with ``1 <= |w| <= bound``, each ``sign`` the ``int``
-    1 or -1, for the ``bound`` and the points that :func:`select_filter`
-    checks, so that no ``z^w - 1`` vanishes modulo ``_PRIME``, and they
-    must be in sign-twin layout: rows ``2t`` and ``2t + 1`` hold the same
-    weights signed -1 and +1, so that their residues are negations.  The
-    rows of :func:`rigidpow.search.row_universe` and of the triple search
-    are such rows by construction.
+    This is where the filter's soundness is enforced: the factors of ``a``
+    at a point hold the inverse ``pow(z^a - 1, -1, _PRIME)``, which raises
+    ``ValueError`` exactly when ``z^a = 1`` modulo ``_PRIME``, the one case
+    in which a factor has no residue.  Nothing else is checked: each
+    ``weights`` must be a tuple of ``n`` nonzero ``int`` weights, each
+    ``sign`` the ``int`` 1 or -1, each point a tuple of ``int`` values, and
+    the rows must be in sign-twin layout: rows ``2t`` and ``2t + 1`` hold
+    the same weights signed -1 and +1, so that their residues are
+    negations.  The rows of :func:`rigidpow.search.row_universe` and of the
+    triple search are such rows by construction.
 
     The factors are tabled: for each point and each distinct ``|w| = a``
     that occurs in ``rows`` (never every ``a`` up to ``bound``, which may
@@ -137,9 +142,9 @@ def block_size(tails: range, size: int, free: int = 2) -> int:
     over a universe of ``size`` rows: the non-decreasing ``free``-tuples of
     rows below ``size`` whose first row is in ``tails``: those from
     ``tails.start`` on less those from ``tails.stop`` on.  For ``free = 2``
-    these are the pairs ``j <= p`` with ``j`` in ``tails``."""
-    if not tails:
-        return 0
+    these are the pairs ``j <= p`` with ``j`` in ``tails``.  Every range
+    it is given has ``tails.stop >= tails.start``, so an empty one gives
+    0."""
     return comb(size - tails.start + free - 1, free) - comb(size - tails.stop + free - 1, free)
 
 
@@ -174,14 +179,13 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     offset ``rank(j, k) W + p / 2``, with ``rank(j, k)`` the number of
     pairs of ``tails`` before ``(j, j)`` plus ``(k - j) / 2``.
 
-    ``out`` is the caller's mask: any object with ``len()`` and item
-    assignment.  For each survivor, a candidate whose row residues sum to
-    0 modulo ``_PRIME``, the kernel sets ``out[k]``, ``k`` its offset in
-    the block, to the candidate itself, the tuple of its ``m`` items of
-    ``rows``, in increasing ``k``, and it sets nothing else, so the caller
-    never maps an offset back to rows.  Each row's
-    residue (see :func:`_row_residues`) is computed once, here, and kept
-    in order in ``kernel.residues``, and the rows are indexed by residue.
+    ``out`` is the caller's mask: any object with item assignment.  For
+    each survivor, a candidate whose row residues sum to 0 modulo
+    ``_PRIME``, the kernel sets ``out[k]``, ``k`` its offset in the block,
+    to the candidate itself, the tuple of its ``m`` items of ``rows``, in
+    increasing ``k``, and it sets nothing else, so the caller never maps an
+    offset back to rows.  Each row's residue (see :func:`_row_residues`)
+    is computed once, here, and the rows are indexed by residue.
     A call adds up the fixed rows' residues once; the rows ``j`` of
     ``tails`` whose partner residue (that sum's negation minus ``j``'s
     residue) occurs come out of one lazy ``map`` and ``compress`` chain,
@@ -220,37 +224,19 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     check, where it costs one check and is rejected.  With no ``rows``
     nothing is computed and the kernel can decide no candidate.
 
-    The filter is sound when every point has ``2 <= z < _PRIME - 1`` and
-    ``x, y >= 1`` and ``bound`` is below ``(_PRIME - 1) // 2``, so that no
-    ``z^w - 1`` vanishes modulo ``_PRIME``.  These conditions and ``m, n,
-    bound >= 1`` are checked here, once, and break with ``ValueError``.
-    Nothing else is: the rows and the kernel calls come from
-    :mod:`rigidpow.search`, which builds them itself.  So each row must be
-    a ``(weights, sign)`` pair of a tuple of ``n`` ``int`` weights with ``1
-    <= |w| <= bound`` and the ``int`` sign 1 or -1 (see
-    :func:`_row_residues`), and each call must pass this ``m``, ``n`` and
-    ``points``, ``m - 2`` heads or, for ``m >= 3``, ``m - 3``, each in
-    ``range(len(rows))``, ``tails`` a ``range`` inside
-    ``range(len(rows))`` with step 1, or step 2 over plus rows for the
-    triple block, and ``0 <= count <= len(out)`` and at most the block's
-    size.  The twin layout is not checked either.
-    ``perfbench/run.py`` calls this through ``search.select_filter`` and
-    wraps the kernel to trace every call.
+    The filter is sound when no ``z^|w| - 1`` vanishes modulo ``_PRIME``,
+    and :func:`_row_residues` raises ``ValueError`` where one would.
+    Nothing else is checked: ``m``, ``n``, the points, the rows and the
+    kernel calls come from :mod:`rigidpow.search`, which builds them
+    itself.  So each row must be as :func:`_row_residues` states, and each
+    call must pass this ``m``, ``n`` and ``points``, ``m - 2`` heads or,
+    for ``m >= 3``, ``m - 3``, each in ``range(len(rows))``, ``tails`` a
+    ``range`` inside ``range(len(rows))`` with step 1, or step 2 over plus
+    rows for the triple block, and ``count`` from 0 to the block's size.  ``bound`` is not read: ``perfbench/run.py`` calls
+    ``select_filter(m, n, b, points)`` to name the kernel, and calls it
+    through ``search.select_filter``, wrapping the kernel to trace every
+    call.
     """
-    if min(exact_int("m", m), exact_int("n", n), exact_int("bound", bound)) < 1:
-        raise ValueError("m, n and bound must all be at least 1")
-    if bound >= (_PRIME - 1) // 2:
-        raise ValueError(f"bound must be below {(_PRIME - 1) // 2}, got {bound}")
-    points = tuple(points)
-    if not points:
-        raise ValueError("points must be a nonempty sequence of (z, x, y) tuples")
-    for point in points:
-        if (not isinstance(point, tuple) or len(point) != 3
-                or not 2 <= exact_int("z", point[0]) < _PRIME - 1
-                or min(exact_int("x", point[1]), exact_int("y", point[2])) < 1):
-            raise ValueError(f"sample point {point!r} must be a tuple (z, x, y) "
-                             f"with 2 <= z < _PRIME - 1 and x, y > 0")
-    rows = tuple(rows)
     residues = _row_residues(rows, n, points)
     # Each residue r is a key both as r and as r - _PRIME, so that for a
     # target and a residue in [0, _PRIME) the partner residue target -
@@ -365,5 +351,4 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
             triple_rows.append((rows[j], rows[k], rows[p]))
         triple_ranks.append(comb(size + 2, 3))  # past every candidate: the table is built
 
-    residue_join.residues = residues
     return residue_join, "residue-join"

@@ -54,9 +54,15 @@ from .rigidity import (
 # counts still follow those chunks; see _run_shards.
 _CHUNK = 1024
 
-# The most rows a sweep's row universe may hold; a larger one could not be
-# built in memory, let alone swept.
+# The most rows a sweep's row universe may hold, and the most weights,
+# rows times n; a larger one could not be built in memory, let alone swept.
+# The weight cap passes every universe of n <= 10 that the row cap passes.
+# The row cap keeps every |w| at most MAX_UNIVERSE_ROWS // 2, far below the
+# q of the pre-filter's safe prime 2q + 1, so the pre-filter, which refuses
+# a row only where some z^|w| - 1 is not a unit, refuses no row of a sweep
+# or a triple search (see rigidpow.prefilter._row_residues).
 MAX_UNIVERSE_ROWS = 10_000_000
+MAX_UNIVERSE_WEIGHTS = 10 * MAX_UNIVERSE_ROWS
 
 Triple = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
@@ -84,10 +90,13 @@ class SearchSpec:
     ``SearchSpec.check_budget`` = 10**5 exact checks.  Every number must be
     an ``int`` (``bool`` and floats raise ``ValueError``).  ``bound`` limits
     every ``|w|``, and the row universe of ``n`` and ``bound`` may hold at
-    most ``MAX_UNIVERSE_ROWS`` rows.  That cap also keeps ``bound`` below
-    the pre-filter's guard ``(_PRIME - 1) // 2`` (see
-    :func:`rigidpow.prefilter.select_filter`): the universe holds at least
-    ``2 bound`` rows.  A spec is immutable.
+    most ``MAX_UNIVERSE_ROWS`` rows and ``MAX_UNIVERSE_WEIGHTS`` weights
+    (rows times ``n``).  The universe holds at least ``2 bound`` rows, so
+    the row cap also keeps every ``|w|`` below the ``q`` of the
+    pre-filter's prime ``_PRIME = 2q + 1``.  Each ``z^|w| - 1`` of a
+    sample point is then a unit modulo ``_PRIME``, the pre-filter's one
+    soundness condition, which :func:`rigidpow.prefilter._row_residues`
+    enforces and no sweep row fails.  A spec is immutable.
     """
 
     enum_budget = 10_000_000
@@ -105,9 +114,8 @@ class SearchSpec:
             raise ValueError(f"mode must be 'T' or 'L', got {self.mode!r}")
         if self.enum_budget < 1 or self.check_budget < 1:
             raise ValueError("budgets must be positive")
-        if _universe_rows(self.n, self.bound, self.mode) > MAX_UNIVERSE_ROWS:
-            raise ValueError(f"the row universe of n = {self.n}, bound = {self.bound} in "
-                             f"{self.mode} mode has more than {MAX_UNIVERSE_ROWS} rows")
+        _check_universe(f"the row universe of n = {n}, bound = {bound} in {mode} mode",
+                        n, bound, mode)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a SearchSpec is immutable")
@@ -225,6 +233,17 @@ def _universe_rows(n: int, bound: int, mode: str) -> int:
     return rows
 
 
+def _check_universe(name: str, n: int, bound: int, mode: str) -> None:
+    """Refuse the row universe of ``n``, ``bound`` and ``mode``, called
+    ``name``, if it holds more than ``MAX_UNIVERSE_ROWS`` rows or more than
+    ``MAX_UNIVERSE_WEIGHTS`` weights, without building it."""
+    rows = _universe_rows(n, bound, mode)
+    if rows > MAX_UNIVERSE_ROWS:
+        raise ValueError(f"{name} has more than {MAX_UNIVERSE_ROWS} rows")
+    if rows * n > MAX_UNIVERSE_WEIGHTS:
+        raise ValueError(f"{name} has more than {MAX_UNIVERSE_WEIGHTS} weights")
+
+
 def _blocks(m: int, size: int, shard_index: int, shard_count: int, free: int
             ) -> Iterator[Tuple[Tuple[int, ...], range]]:
     """A shard's canonical candidates over a universe of ``size`` rows, as
@@ -258,29 +277,26 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int, free: int
 
 
 class _Hits:
-    """A kernel mask over ``size`` candidates that keeps only the
-    survivors the kernel hands it: ``mask[k] = rows`` appends ``(k,
-    rows)``, a survivor's offset in the block and its rows, to ``hits``,
-    in the increasing ``k`` the kernel writes.  ``len`` is ``size``, the
-    kernel's bound on ``count``.  ``count`` is there for the benchmark's
-    tracer, which reads ``count(1)``: the number of survivors, as a mask
-    of one byte per candidate would count its 1s.  A survivor is a residue
-    hit, not yet a find: the caller decides it with its symbolic check."""
+    """A kernel mask that keeps only the survivors the kernel hands it:
+    ``mask[k] = rows`` appends ``(k, rows)``, a survivor's offset in the
+    block and its rows, to ``hits``, in the increasing ``k`` the kernel
+    writes.  ``count`` is there for the benchmark's tracer, which reads
+    ``count(1)``: the number of survivors, as a mask of one byte per
+    candidate would count its 1s.  A survivor is a residue hit, not yet a
+    find: the caller decides it with its symbolic check.  Its residues
+    were computed without a refusal, so every ``z^|w| - 1`` of its rows is
+    a unit modulo the filter's prime (see :mod:`rigidpow.prefilter`)."""
 
-    __slots__ = ("size", "hits")
+    __slots__ = ("hits",)
 
-    def __init__(self, size: int):
-        self.size, self.hits = size, []
-
-    def __len__(self) -> int:
-        return self.size
+    def __init__(self):
+        self.hits = []
 
     def __setitem__(self, k: int, rows) -> None:
         self.hits.append((k, rows))
 
     def count(self, byte: int) -> int:
-        hits = len(self.hits)
-        return {1: hits, 0: self.size - hits}.get(byte, 0)
+        return len(self.hits) if byte == 1 else 0
 
 
 class _ShardResult:
@@ -359,7 +375,7 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
             enumerated += count
             if counted:
                 continue  # no candidate is rigid (see above)
-            mask = _Hits(count)
+            mask = _Hits()
             kernel(heads, tails, m, n, count, points, mask)
             for k, rows in mask.hits:
                 if start + k >= limit:
@@ -420,29 +436,34 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     Raises :class:`BudgetExceeded` (carrying the partial report) when a
     budget runs out.  With ``shards > 1`` the budgets are split evenly
     across shards; with ``workers > 1`` shards run in separate processes,
-    at most one per shard and one per CPU; each of those k processes builds
-    the row universe and its residues once and runs every k-th shard.
-    Either way the found set of a completed sweep is identical.
+    at most one per walked shard and one per CPU; each of those k processes
+    builds the row universe and its residues once and runs every k-th
+    shard.  Either way the found set of a completed sweep is identical.
+    Shard ``i`` holds the candidates whose first row is ``i`` modulo
+    ``shards``, so a shard from the universe's size ``U`` on holds none
+    and adds nothing to the report: only the first ``min(shards, U)`` are
+    walked, and an empty shard costs nothing.
     """
     check_pool(shards, workers)
     started = time.perf_counter()
     enum_cap = max(1, spec.enum_budget // shards)
     check_cap = max(1, spec.check_budget // shards)
+    walked = min(shards, _universe_rows(spec.n, spec.bound, spec.mode))  # exact: the spec is capped
     # the pool forks all its processes at the first submit
-    workers = min(workers, shards, os.cpu_count() or 1)
+    workers = min(workers, walked, os.cpu_count() or 1)
     if workers > 1:
         # imported here, so a process that never runs a pool never loads
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_shards, spec, range(w, shards, workers), shards,
+                pool.submit(_run_shards, spec, range(w, walked, workers), shards,
                             enum_cap, check_cap)
                 for w in range(workers)
             ]
             results = [r for f in futures for r in f.result()]
     else:
-        results = _run_shards(spec, range(shards), shards, enum_cap, check_cap)
+        results = _run_shards(spec, range(walked), shards, enum_cap, check_cap)
 
     pairs = sorted((pair for r in results for pair in r.found), key=lambda pair: pair[0].rows)
     finds = tuple(_annotate(spec, pairs))
@@ -501,12 +522,11 @@ def quasilinearity_test(matrix: WeightMatrix, mode: str = "T") -> Optional[Tuple
 def check_triple_args(n: int, bound: int) -> None:
     """Reject a triple search's ``n`` or ``bound`` that is not an int of at
     least 1, or whose row list, the size of an L-mode row universe, would
-    hold more than ``MAX_UNIVERSE_ROWS`` rows."""
+    hold more than ``MAX_UNIVERSE_ROWS`` rows or ``MAX_UNIVERSE_WEIGHTS``
+    weights."""
     if exact_int("n", n) < 1 or exact_int("bound", bound) < 1:
         raise ValueError("n and bound must be at least 1")
-    if _universe_rows(n, bound, "L") > MAX_UNIVERSE_ROWS:
-        raise ValueError(f"the row list of n = {n}, bound = {bound} has more than "
-                         f"{MAX_UNIVERSE_ROWS} rows")
+    _check_universe(f"the row list of n = {n}, bound = {bound}", n, bound, "L")
 
 
 def triple_identity_search(n: int, bound: int) -> List[Triple]:
@@ -536,7 +556,7 @@ def triple_identity_search(n: int, bound: int) -> List[Triple]:
     kernel, _ = select_filter(3, n, bound, points, rows)
     tails = range(1, len(rows), 2)
     count = block_size(range(len(tails)), len(tails)) * len(tails)
-    mask = _Hits(count)
+    mask = _Hits()
     kernel((), tails, 3, n, count, points, mask)
     # each hit holds rows of the search's own list
     return [tuple(row.weights for row in hit) for _, hit in mask.hits

@@ -3,6 +3,11 @@
 from rigidpow.rigidity import Row, WeightMatrix, _folded
 
 
+def wm(*rows):
+    """The weight matrix of ``rows``, each a ``(weights, sign)`` pair."""
+    return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
+
+
 def signs_negated(matrix):
     """``matrix`` with every row sign flipped: its global sign reversal."""
     return WeightMatrix(tuple(Row(r.weights, -r.sign) for r in matrix.rows))

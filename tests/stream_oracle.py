@@ -96,11 +96,11 @@ def hits_mask(kernel, call, candidates):
     candidates as rows (see ``block_rows``).  The kernel gets a ``_Hits``;
     its offsets must increase and stay below ``count``, and each
     survivor's rows must be the candidate at its offset."""
-    hits = _Hits(call[4])
+    hits = _Hits()
     kernel(*call, hits)
     offsets = [k for k, _ in hits.hits]
-    assert all(a < b for a, b in zip(offsets, offsets[1:] + [len(hits)])), offsets
-    mask = bytearray(len(hits))
+    assert all(a < b for a, b in zip(offsets, offsets[1:] + [call[4]])), offsets
+    mask = bytearray(call[4])
     for k, rows in hits.hits:
         assert rows == candidates[k], (k, rows)
         mask[k] = 1

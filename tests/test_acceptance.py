@@ -36,14 +36,10 @@ from rigidpow.search import (
     triple_identity_search,
 )
 from exact_values import function_value
-from matrix_helpers import normalize_signs, signs_negated
+from matrix_helpers import normalize_signs, signs_negated, wm
 from screen_oracle import exponent_tuples
 from stream_oracle import chunk_mask, join_mask, stream_candidates
 from test_rigidity import negated, value_at
-
-
-def wm(*rows):
-    return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
 
 
 def conclude(criterion: int, condition: bool, detail: str):

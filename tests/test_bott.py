@@ -18,12 +18,9 @@ from rigidpow.bott import (
     realizability_screen,
 )
 from rigidpow.rigidity import Row, WeightMatrix, quasilinear
+from matrix_helpers import wm
 from screen_oracle import elementary_symmetric, exponent_tuples, weighted_degree
 from test_rigidity import value_at
-
-def wm(*rows):
-    return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
-
 
 # -- elementary symmetric functions -------------------------------------------
 

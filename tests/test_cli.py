@@ -26,12 +26,8 @@ from rigidpow.cli import (
     parse_matrix_text,
     render_matrix,
 )
-from rigidpow.rigidity import Row, WeightMatrix
 from rigidpow.search import SearchSpec, canonical_form
-
-
-def wm(*rows):
-    return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
+from matrix_helpers import wm
 
 
 QUASILINEAR_DOC = "3 2\n+: -1 -2\n+: 1 -1\n+: 2 1\n"

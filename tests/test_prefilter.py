@@ -219,7 +219,7 @@ def test_residue_join_hands_over_every_zero_residue_sum_modulo_a_small_prime(mon
     # 0 modulo 23, so the exact oracle's survivors and every collision
     monkeypatch.setattr(prefilter, "_PRIME", 23)
     universe = row_universe(n, bound, mode)
-    residues = select_filter(m, n, bound, sample_points(mode), universe)[0].residues
+    residues = prefilter._row_residues(universe, n, sample_points(mode))
     want = bytearray(sum(map(residues.__getitem__, indices)) % 23 == 0
                      for indices in combinations_with_replacement(range(len(universe)), m))
     for free in [min(m, 2)] + [3] * (m >= 3):
@@ -237,13 +237,15 @@ def test_a_residue_collision_reaches_the_mask_like_any_hit(monkeypatch, m, n, bo
     universe = row_universe(n, bound, mode)
     points = sample_points(mode)
     kernel, _ = select_filter(m, n, bound, points, universe)
+    residues = prefilter._row_residues(universe, n, points)
     collisions = 0
     for free in [min(m, 2)] + [3] * (m >= 3):
         for heads, tails in _blocks(m, len(universe), 0, 1, free):
-            hits = _Hits(block_size(tails, len(universe), free))
-            kernel(heads, tails, m, n, len(hits), points, hits)
+            count = block_size(tails, len(universe), free)
+            hits = _Hits()
+            kernel(heads, tails, m, n, count, points, hits)
             candidates = block_rows(universe, heads, tails, m)
-            offsets = residue_offsets(kernel.residues, heads, tails, m, len(hits), 23)
+            offsets = residue_offsets(residues, heads, tails, m, count, 23)
             assert hits.hits == [(k, candidates[k]) for k in offsets]
             collisions += sum(not matches_constant(rows, points) for _, rows in hits.hits)
     assert collisions > 0
@@ -282,10 +284,10 @@ def fraction_residue(weights, sign, points):
 def test_residue_join_residues_are_exact_row_terms_modulo_the_prime(m, n, bound, mode):
     points = sample_points(mode)
     rows = row_universe(n, bound, "T")
-    kernel, _ = select_filter(m, n, bound, points, rows)
-    assert len(kernel.residues) == len(rows)
+    residues = prefilter._row_residues(rows, n, points)
+    assert len(residues) == len(rows)
 
-    for (ws, sign), residue in zip(rows, kernel.residues):
+    for (ws, sign), residue in zip(rows, residues):
         assert residue == row_residue(ws, sign, points)
         assert residue == fraction_residue(ws, sign, points)
 
@@ -308,7 +310,7 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
     search.triple_identity_search(n, bound)
     assert len(handed) == 1
     for rows in (universe, *handed):
-        residues = select_filter(3, n, bound, sample_points(mode), rows)[0].residues
+        residues = prefilter._row_residues(rows, n, sample_points(mode))
         assert len(rows) % 2 == 0 and rows
         for t in range(len(rows) // 2):
             (minus, sign), (plus, twin_sign) = rows[2 * t], rows[2 * t + 1]
@@ -324,8 +326,8 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
             assert type(row) is Row and len(row.weights) == n
             assert all(type(w) is int and 1 <= abs(w) <= bound for w in row.weights)
             assert type(row.sign) is int and row.sign in (1, -1)
-    # nor does the kernel check the bound against the guard: the universe
-    # cap refuses every bound that could reach it, in both modes
+    # nor does the kernel check the bound: the universe cap refuses every
+    # bound that could reach the prime's (P - 1) // 2, in both modes
     guard = (prefilter._PRIME - 1) // 2
     for size in (1, 2, 3):
         with pytest.raises(ValueError, match="row universe"):
@@ -346,9 +348,8 @@ def test_every_kernel_call_of_a_sweep_keeps_the_calling_convention(monkeypatch, 
     # the kernel checks no call: every call a sweep makes, whole, sharded
     # or cut by its enum budget, is a nonempty block of its own universe
     # with m - 2 heads (or m - 3, for m >= 3), ascending heads no later
-    # than a consecutive range of tails, and a mask of exactly count
-    # entries, 1 <= count <= the block's size; the calls decide each
-    # enumerated candidate once
+    # than a consecutive range of tails, and 1 <= count <= the block's
+    # size; the calls decide each enumerated candidate once
     calls = record_kernel_calls(monkeypatch)
     budget = {} if enum_budget is None else {"enum_budget": enum_budget}
     spec = SearchSpec(m, n, bound, mode, **budget)
@@ -367,67 +368,62 @@ def test_every_kernel_call_of_a_sweep_keeps_the_calling_convention(monkeypatch, 
         assert list(heads) == sorted(heads) and all(0 <= h < size for h in heads)
         assert type(tails) is range and tails.step == 1 and 0 <= tails.start < tails.stop <= size
         assert not heads or heads[-1] <= tails.start
-        assert 1 <= count <= block_size(tails, size, free) and len(out) == count
+        assert 1 <= count <= block_size(tails, size, free)
     assert sum(call[4] for _, call, _ in calls) == stats.enumerated
 
 
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 3), (2, 6)])
 def test_the_triple_search_makes_one_call_of_the_whole_triple_block(monkeypatch, n, bound):
     # the triple search's one call is the triple block of its plus rows,
-    # the odd rows of its list, times its minus rows, with a mask of
-    # exactly that many entries
+    # the odd rows of its list, times its minus rows
     calls = record_kernel_calls(monkeypatch)
     search.triple_identity_search(n, bound)
     [(rows, (heads, tails, m, n_, count, points), out)] = calls
     plus = len(rows) // 2
     assert (m, n_, points) == (3, n, L_POINTS)
     assert heads == () and tails == range(1, len(rows), 2) and type(tails) is range
-    assert count == block_size(range(plus), plus) * plus == len(out) > 0
+    assert count == block_size(range(plus), plus) * plus > 0
     assert len(block_rows(rows, heads, tails, m)) == count
 
 
-# The largest bound select_filter accepts: a table over every |w| up to it
-# could never be built.
+# The largest |w| below the q of the prime P = 2q + 1: a table over every
+# |w| up to it could never be built.
 TOP_BOUND = (prefilter._PRIME - 1) // 2 - 1
 
 
 def test_select_filter_with_no_rows_computes_no_residue():
     kernel, name = select_filter(3, 2, TOP_BOUND, T_POINTS)
-    assert (name, kernel.residues) == ("residue-join", [])
+    assert (name, prefilter._row_residues((), 2, T_POINTS)) == ("residue-join", [])
 
 
 def test_select_filter_tables_only_the_weights_that_occur():
     rows = [((TOP_BOUND, -1), 1), ((-TOP_BOUND, 7), -1), ((3, 3), 1)]
-    kernel, _ = select_filter(2, 2, TOP_BOUND, T_POINTS, rows)
-    assert kernel.residues == [row_residue(ws, sign, T_POINTS) for ws, sign in rows]
-    assert kernel.residues[2] == fraction_residue(*rows[2], T_POINTS)
-
-
-@pytest.mark.parametrize("points", [
-    ((1, 1, 1),), ((2, 0, 1),), ((2, 1, -1),), ((2, 1),), ((2.0, 1, 1),),
-    (2, 1, 1),  # the flat layout
-])
-def test_select_filter_rejects_points_outside_the_guard_bound(points):
-    with pytest.raises(ValueError):
-        select_filter(2, 2, 3, points)
-
-
-@pytest.mark.parametrize("m, n, bound", [(0, 1, 1), (1, 1, 0), (True, 1, 1), (2, 1, 3.0)])
-def test_select_filter_rejects_bad_parameters(m, n, bound):
-    with pytest.raises(ValueError):
-        select_filter(m, n, bound, T_POINTS)
+    select_filter(2, 2, TOP_BOUND, T_POINTS, rows)
+    residues = prefilter._row_residues(rows, 2, T_POINTS)
+    assert residues == [row_residue(ws, sign, T_POINTS) for ws, sign in rows]
+    assert residues[2] == fraction_residue(*rows[2], T_POINTS)
 
 
 def test_select_filter_keeps_every_z_power_invertible_modulo_the_prime():
-    # z = P - 1 has order 2, and z^q = 1 for every z of order q
+    # by Fermat z^(P - 1) = 1 for every z, so a row with |w| = P - 1 has a
+    # factor with no residue, and the one inversion per magnitude refuses
+    # it at either point set; every z of the points has order q or 2q, so
+    # |w| = q - 1 passes
     P = prefilter._PRIME
     q = (P - 1) // 2
-    with pytest.raises(ValueError):
-        select_filter(2, 1, 3, ((P - 1, 1, 1),))
-    with pytest.raises(ValueError):
-        select_filter(2, 1, q, T_POINTS)
-    select_filter(2, 1, 3, ((P - 2, 1, 1),))
-    select_filter(2, 1, q - 1, T_POINTS)
+    for points in (T_POINTS, L_POINTS):
+        for w in (P - 1, 1 - P):
+            with pytest.raises(ValueError, match="not invertible"):
+                select_filter(2, 1, 3, points, [((w,), -1), ((w,), 1)])
+        select_filter(2, 1, 3, points, [((q - 1,), -1), ((q - 1,), 1)])
+
+
+def test_the_sample_points_and_the_universe_cap_keep_every_sweep_row_a_unit():
+    # every z has order q or 2q modulo P = 2q + 1, and every |w| of a row
+    # universe the cap passes is at most half its rows, below q
+    P = prefilter._PRIME
+    assert all(2 <= z < P - 1 and min(x, y) >= 1 for z, x, y in T_POINTS + L_POINTS)
+    assert search.MAX_UNIVERSE_ROWS // 2 < (P - 1) // 2
 
 
 def is_prime(n):

@@ -25,11 +25,7 @@ from rigidpow.rigidity import (
     t_series,
 )
 from exact_values import function_value, row_value
-from matrix_helpers import normalize_signs
-
-def wm(*rows):
-    return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
-
+from matrix_helpers import normalize_signs, wm
 
 def prop_constant(n):
     """sum_{k=0..n} x^(n-k) * (-y)^k, the constant of every difference matrix."""

@@ -37,7 +37,7 @@ from rigidpow.search import (
     sweep,
     triple_identity_search,
 )
-from matrix_helpers import signs_negated
+from matrix_helpers import signs_negated, wm
 from stream_oracle import (
     block_candidates,
     chunk_mask,
@@ -45,10 +45,6 @@ from stream_oracle import (
     matches_constant,
     stream_candidates,
 )
-
-
-def wm(*rows):
-    return WeightMatrix(tuple(Row(tuple(ws), s) for ws, s in rows))
 
 
 # -- canonical forms ----------------------------------------------------------
@@ -431,6 +427,24 @@ def test_sweep_asks_for_at_most_one_process_per_cpu(monkeypatch):
     assert sizes == [2]
 
 
+def test_shards_past_the_row_universe_change_nothing_and_cost_nothing():
+    # T m=2 n=1 b=2 has U = 8 rows, and shard i holds the candidates whose
+    # first row is i modulo the shard count, so a shard from U on holds
+    # none; with budgets that cut no shard every count from U on gives the
+    # unsharded report, and 10**9 shards, which once built and walked 10**9
+    # empty shards, return at once
+    spec = SearchSpec(m=2, n=1, bound=2, enum_budget=10**12, check_budget=10**12)
+    size = search._universe_rows(spec.n, spec.bound, spec.mode)
+    assert size == len(row_universe(spec.n, spec.bound, spec.mode)) == 8
+    want = sweep(spec)
+    assert want.found
+    for shards, workers in [(size, 1), (size + 1, 1), (10**5, 1), (10**9, 1), (10**9, 2)]:
+        started = time.perf_counter()
+        got = sweep(spec, shards=shards, workers=workers)
+        assert time.perf_counter() - started < 1
+        assert (got.found, got.stats[:3]) == (want.found, want.stats[:3]), shards
+
+
 def test_sweep_budget_exceeded_carries_partial_report():
     with pytest.raises(BudgetExceeded) as info:
         sweep(SearchSpec(m=2, n=1, bound=6, mode="T", enum_budget=50))
@@ -463,6 +477,16 @@ def test_spec_caps_the_row_universe():
                            (10**6, 10**9, "T"), (2, 10**9, "L")]:
         with pytest.raises(ValueError, match="row universe"):
             SearchSpec(m=2, n=n, bound=bound, mode=mode)
+    # the weight cap, rows times n, passes every universe of n <= 10 that
+    # the row cap passes, and refuses few rows of many weights: 6000002
+    # rows of 3000000 weights, and 2 rows of 10**9
+    assert search.MAX_UNIVERSE_WEIGHTS >= 10 * cap
+    assert 10 * search._universe_rows(10, 8, "T") <= search.MAX_UNIVERSE_WEIGHTS
+    SearchSpec(m=2, n=10, bound=8)
+    assert search._universe_rows(3_000_000, 1, "T") == 6_000_002
+    for n, mode in [(3_000_000, "T"), (10**9, "L")]:
+        with pytest.raises(ValueError, match="row universe .* weights"):
+            SearchSpec(m=2, n=n, bound=1, mode=mode)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -491,6 +515,9 @@ def test_triple_search_caps_its_row_list_like_an_l_universe():
         search.check_triple_args(1, cap // 2 + 1)
     with pytest.raises(ValueError, match="has more than"):
         triple_identity_search(40, 40)
+    # 2 rows of 10**9 weights pass the row cap and not the weight cap
+    with pytest.raises(ValueError, match="has more than .* weights"):
+        search.check_triple_args(10**9, 1)
 
 
 @pytest.mark.parametrize("shards, workers", [(2.0, 1), (1, True)])
