@@ -327,6 +327,14 @@ def test_search_flag_errors_leave_out_unopened(flags, tmp_path, capsys, monkeypa
      "the row list of n = 40, bound = 40 has more than 10000000 rows"),
     (["--problem24", "--n", "1", "--bound", "1000000000"],
      "the row list of n = 1, bound = 1000000000 has more than 10000000 rows"),
+    # few rows of many weights: 6000002 rows of 3 * 10^6 weights, and 2
+    # rows of 10^9 weights, in L mode and in the triple search's list
+    (["--m", "2", "--n", "3000000", "--bound", "1"],
+     "the row universe of n = 3000000, bound = 1 in T mode has more than 100000000 weights"),
+    (["--m", "2", "--n", "1000000000", "--bound", "1", "--mode", "L"],
+     "the row universe of n = 1000000000, bound = 1 in L mode has more than 100000000 weights"),
+    (["--problem24", "--n", "1000000000", "--bound", "1"],
+     "the row list of n = 1000000000, bound = 1 has more than 100000000 weights"),
 ])
 def test_search_with_a_universe_past_the_cap_fails_at_once(flags, message, tmp_path, capsys):
     report = tmp_path / "x.jsonl"
@@ -336,6 +344,22 @@ def test_search_with_a_universe_past_the_cap_fails_at_once(flags, message, tmp_p
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_with_shards_past_the_row_universe_prints_the_same_report(workers, capsys):
+    # m = 2, n = 1, b = 2 has 8 rows, so 10^9 shards walk 8 of them and
+    # return at once; the budget caps still divide by the shard count, so
+    # the report, and its exit code 3, are those of 10^7 shards
+    reports = []
+    for shards in ("1000000000", "10000000"):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "search", "--m", "2", "--n", "1", "--bound", "2",
+                                 "--shards", shards, "--workers", workers)
+        assert time.perf_counter() - started < 5
+        assert code == 3 and "partial" in err
+        reports.append(unwall(out))
+    assert reports[0] == reports[1] != ""
 
 
 def test_search_out_records_have_sorted_keys(tmp_path, capsys):

@@ -445,6 +445,23 @@ def test_shards_past_the_row_universe_change_nothing_and_cost_nothing():
         assert (got.found, got.stats[:3]) == (want.found, want.stats[:3]), shards
 
 
+@pytest.mark.parametrize("m, n, bound, mode", [
+    (1, 3, 2, "T"), (3, 2, 2, "T"), (4, 1, 3, "T"), (2, 2, 3, "L"), (3, 1, 4, "L"),
+])
+def test_shards_past_the_row_universe_give_the_unsharded_report(m, n, bound, mode):
+    # on every walk, the m = 1 path, the tetrahedron, the headed blocks and
+    # L mode, a shard from U on holds no candidate: U, U + 1 and 3 U shards
+    # give the unsharded finds and counts when the budgets cut no shard
+    spec = SearchSpec(m=m, n=n, bound=bound, mode=mode,
+                      enum_budget=10**12, check_budget=10**12)
+    size = search._universe_rows(n, bound, mode)
+    assert size == len(row_universe(n, bound, mode))
+    want = sweep(spec)
+    for shards in (size, size + 1, 3 * size):
+        got = sweep(spec, shards=shards)
+        assert (got.found, got.stats[:3]) == (want.found, want.stats[:3]), shards
+
+
 def test_sweep_budget_exceeded_carries_partial_report():
     with pytest.raises(BudgetExceeded) as info:
         sweep(SearchSpec(m=2, n=1, bound=6, mode="T", enum_budget=50))
@@ -487,6 +504,26 @@ def test_spec_caps_the_row_universe():
     for n, mode in [(3_000_000, "T"), (10**9, "L")]:
         with pytest.raises(ValueError, match="row universe .* weights"):
             SearchSpec(m=2, n=n, bound=1, mode=mode)
+
+
+@pytest.mark.parametrize("edge", ["T", "L", "triple"])
+def test_the_weight_cap_passes_the_largest_n_under_it_and_refuses_the_next(edge):
+    # bound 1 gives 2 (n + 1) rows in T mode and 2 rows in L mode and in the
+    # triple search's list, far below the row cap; the largest n each edge
+    # passes has at most MAX_UNIVERSE_WEIGHTS weights, and n + 1 has more
+    cap = search.MAX_UNIVERSE_WEIGHTS
+    mode = "T" if edge == "T" else "L"
+    n = 7070 if edge == "T" else cap // 2
+    weights = [search._universe_rows(k, 1, mode) * k for k in (n, n + 1)]
+    assert weights[0] <= cap < weights[1]
+    if edge == "triple":
+        search.check_triple_args(n, 1)
+        with pytest.raises(ValueError, match="has more than .* weights"):
+            search.check_triple_args(n + 1, 1)
+    else:
+        SearchSpec(m=2, n=n, bound=1, mode=mode)
+        with pytest.raises(ValueError, match="row universe .* weights"):
+            SearchSpec(m=2, n=n + 1, bound=1, mode=mode)
 
 
 @pytest.mark.parametrize("field, value", [
