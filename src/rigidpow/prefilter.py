@@ -232,10 +232,10 @@ def select_filter(m: int, n: int, bound: int, points: Sequence[Point],
     call must pass this ``m``, ``n`` and ``points``, ``m - 2`` heads or,
     for ``m >= 3``, ``m - 3``, each in ``range(len(rows))``, ``tails`` a
     ``range`` inside ``range(len(rows))`` with step 1, or step 2 over plus
-    rows for the triple block, and ``count`` from 0 to the block's size.  ``bound`` is not read: ``perfbench/run.py`` calls
-    ``select_filter(m, n, b, points)`` to name the kernel, and calls it
-    through ``search.select_filter``, wrapping the kernel to trace every
-    call.
+    rows for the triple block, and ``count`` from 0 to the block's size.
+    ``bound`` is not read: ``perfbench/run.py`` calls ``select_filter(m,
+    n, b, points)`` to name the kernel, and calls it through
+    ``search.select_filter``, wrapping the kernel to trace every call.
     """
     residues = _row_residues(rows, n, points)
     # Each residue r is a key both as r and as r - _PRIME, so that for a

@@ -314,8 +314,9 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     candidates through the pre-filter and at most ``check_cap`` survivors
     through the symbolic check.  The row universe and its residues are
     built once for all of them.  Two kinds of sweep have no rigid
-    candidate, so they only count their candidates: they build no residues
-    and never call the kernel.
+    candidate, so they only count their candidates, from the universe's
+    size alone: they build no row universe and no residues, and never call
+    the kernel.
 
     - m = 1.  At a sample point (z >= 2, x, y >= 1) a weight w > 0 has the
       factor x + (x + y) / (z^w - 1), larger than its constant x, and w =
@@ -345,12 +346,13 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     construction, so it is built as a matrix by
     :func:`rigidpow.rigidity._valid_matrix`, without the checks of
     ``WeightMatrix``."""
-    universe = row_universe(spec.n, spec.bound, spec.mode)
+    m, n = spec.m, spec.n
     decide = is_rigid if spec.mode == "T" else is_l_rigid
     points = sample_points(spec.mode)
-    counted = spec.m == 1 or spec.mode == "T" and spec.m % 2 == spec.n % 2 == 1
-    kernel, _ = select_filter(spec.m, spec.n, spec.bound, points, () if counted else universe)
-    m, n, size = spec.m, spec.n, len(universe)
+    counted = m == 1 or spec.mode == "T" and m % 2 == n % 2 == 1
+    universe = () if counted else row_universe(n, spec.bound, spec.mode)
+    kernel, _ = select_filter(m, n, spec.bound, points, universe)
+    size = _universe_rows(n, spec.bound, spec.mode)  # exact: the spec is capped
     results = []
     for shard_index in shard_indices:
         result = _ShardResult()
@@ -438,7 +440,9 @@ def sweep(spec: SearchSpec, *, shards: int = 1, workers: int = 1) -> SearchRepor
     across shards; with ``workers > 1`` shards run in separate processes,
     at most one per walked shard and one per CPU; each of those k processes
     builds the row universe and its residues once and runs every k-th
-    shard.  Either way the found set of a completed sweep is identical.
+    shard.  A sweep that only counts its candidates (m = 1, or T mode with
+    odd m and odd n; see :func:`_run_shards`) builds no row universe.
+    Either way the found set of a completed sweep is identical.
     Shard ``i`` holds the candidates whose first row is ``i`` modulo
     ``shards``, so a shard from the universe's size ``U`` on holds none
     and adds nothing to the report: only the first ``min(shards, U)`` are

@@ -1,29 +1,30 @@
-"""The candidate stream that the residue join replaced, kept as an oracle.
+"""The exact oracles of the pre-filter kernel, and the candidate stream that
+the residue join replaced.
+
+The kernel's contract is a hit list: for one call over a block, the
+``(k, rows)`` of the candidates it hands over, ``k`` the offset in the
+block, in increasing ``k`` (see ``rigidpow.prefilter.select_filter``).
+``exact_hits`` is that list at the real prime: the candidates that
+``matches_constant``, an exact evaluation at every sample point, accepts.
+The kernel itself only sums residues, so a residue collision, a hit that
+``matches_constant`` rejects, would spend one exact check in a sweep and
+be rejected there.  ``residue_offsets`` is the contract at a prime small
+enough that residues collide: the offsets of the candidates whose row
+residues sum to 0 modulo the prime.  ``call`` makes one kernel call, and
+``record_kernel_calls`` records every call the searches make.
 
 ``stream_candidates`` yields a shard's canonical candidates one by one, in
 canonical order, and ``stream_shard`` and ``stream_triples`` decide them
-the way sweeps did before the join: ``matches_constant``, an exact
-evaluation at every sample point, on every candidate, in chunks of
-``CHUNK``.  ``chunk_mask`` gives its mask, one byte per candidate, and
-``join_mask`` the sweep's mask for the same candidates, in the same order,
-block by block in any block shape: the kernel's survivors for m > 1 and
-all zero for m = 1.  At the real prime the two masks agree.  The kernel
-itself only sums residues: a residue collision, which would be a survivor
-that ``matches_constant`` rejects, would spend one exact check in a sweep
-and be rejected there.  ``block_candidates`` lists the candidates of one
-block, and ``hits_mask`` turns the survivors one kernel call hands a
-``search._Hits`` into a mask of the same form, checking each survivor's
-rows against the block's candidate at its offset.  ``residue_offsets`` is
-the kernel's own contract, for a prime small enough that residues
-collide: the offsets of the candidates whose row residues sum to 0 modulo
-the prime.
+the way sweeps did before the join, with ``matches_constant`` on every
+candidate; ``stream_shard`` counts in chunks of ``CHUNK``, as sweeps did.
 """
 
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 
-from rigidpow.prefilter import block_size, sample_points, select_filter
+from rigidpow import search
+from rigidpow.prefilter import sample_points
 from rigidpow.rigidity import Row, WeightMatrix, is_l_rigid, point_value
-from rigidpow.search import _blocks, _Hits
+from rigidpow.search import _Hits
 
 CHUNK = 1024
 
@@ -55,10 +56,6 @@ def matches_constant(rows, points) -> bool:
     return True
 
 
-def chunk_mask(candidates, points):
-    return bytearray(matches_constant(rows, points) for rows in candidates)
-
-
 def block_candidates(heads, tails, m, size):
     """A block's candidates over ``size`` rows as row indices, in block
     order: ``heads`` plus ``m - len(heads)`` free rows, non-decreasing,
@@ -74,10 +71,18 @@ def block_candidates(heads, tails, m, size):
             for rest in combinations_with_replacement(range(j, size), m - len(heads) - 1)]
 
 
-def block_rows(universe, heads, tails, m):
-    """A block's candidates as tuples of rows of ``universe``, in block order."""
-    return [tuple(map(universe.__getitem__, indices))
-            for indices in block_candidates(heads, tails, m, len(universe))]
+def block_rows(rows, heads, tails, m):
+    """A block's candidates as tuples of items of ``rows``, in block order."""
+    return [tuple(map(rows.__getitem__, indices))
+            for indices in block_candidates(heads, tails, m, len(rows))]
+
+
+def exact_hits(rows, heads, tails, m, count, points):
+    """The exact oracle for one kernel call: the ``(k, rows)`` of the
+    candidates, among the block's first ``count``, that
+    ``matches_constant`` accepts at ``points``."""
+    candidates = block_rows(rows, heads, tails, m)[:count]
+    return [(k, found) for k, found in enumerate(candidates) if matches_constant(found, points)]
 
 
 def residue_offsets(residues, heads, tails, m, count, prime):
@@ -89,59 +94,45 @@ def residue_offsets(residues, heads, tails, m, count, prime):
             if sum(map(residues.__getitem__, indices)) % prime == 0]
 
 
-def hits_mask(kernel, call, candidates):
-    """The survivors of one kernel call as a mask of ``count`` bytes, 1 at
-    each survivor's offset.  ``call`` is the kernel's first six arguments,
-    ``(heads, tails, m, n, count, points)``, and ``candidates`` the block's
-    candidates as rows (see ``block_rows``).  The kernel gets a ``_Hits``;
-    its offsets must increase and stay below ``count``, and each
-    survivor's rows must be the candidate at its offset."""
+def call(kernel, heads, tails, m, n, count, points):
+    """One kernel call on a fresh ``search._Hits``, returned filled."""
     hits = _Hits()
-    kernel(*call, hits)
-    offsets = [k for k, _ in hits.hits]
-    assert all(a < b for a, b in zip(offsets, offsets[1:] + [call[4]])), offsets
-    mask = bytearray(call[4])
-    for k, rows in hits.hits:
-        assert rows == candidates[k], (k, rows)
-        mask[k] = 1
-    return mask
+    kernel(heads, tails, m, n, count, points, hits)
+    return hits
 
 
-def join_mask(universe, m, n, bound, mode, shard_index=0, shard_count=1, free=None):
-    """The sweep's pre-filter mask over the shard's candidates, in
-    canonical order, walked in blocks of ``free`` free rows: the
-    residue-join kernel's survivors (see ``hits_mask``), and for m = 1,
-    where sweeps count each one-row block without the kernel, all zero.
-    ``free`` defaults to the shape of a walk that no enum budget cuts:
-    three free rows for m >= 3."""
-    if free is None:
-        free = 3 if m >= 3 else min(m, 2)
-    points = sample_points(mode)
-    kernel, name = select_filter(m, n, bound, points, universe)
-    assert name == "residue-join"
-    mask = bytearray()
-    for heads, tails in _blocks(m, len(universe), shard_index, shard_count, free):
-        count = block_size(tails, len(universe), free)
-        if m == 1:
-            mask += bytearray(count)
-        else:
-            call = (heads, tails, m, n, count, points)
-            mask += hits_mask(kernel, call, block_rows(universe, heads, tails, m))
-    return mask
+def record_kernel_calls(monkeypatch):
+    """Every kernel call ``search`` makes from now on, with the rows the
+    kernel was built on, its first six arguments and the mask it was
+    passed, appended to the returned list after the call."""
+    calls = []
+    select_filter = search.select_filter
+
+    def recording_select_filter(m, n, bound, points, rows=()):
+        kernel, name = select_filter(m, n, bound, points, rows)
+
+        def recording_kernel(*args):
+            kernel(*args)
+            calls.append((rows, args[:-1], args[-1]))
+
+        return recording_kernel, name
+
+    monkeypatch.setattr(search, "select_filter", recording_select_filter)
+    return calls
 
 
-def stream_shard(candidates, mask, enum_cap, check_cap, decide):
+def stream_shard(candidates, passed, enum_cap, check_cap, decide):
     """A shard run on the stream: ``candidates`` is the shard's whole stream
-    and ``mask`` its pre-filter mask.  Returns ``(found, enumerated,
-    rejected, exact_checks, exceeded)``."""
+    and ``passed`` the pre-filter's verdict on each.  Returns ``(found,
+    enumerated, rejected, exact_checks, exceeded)``."""
     found, enumerated, rejected, checks = [], 0, 0, 0
     stop = min(enum_cap, len(candidates))
     for start in range(0, stop, CHUNK):
         chunk = range(start, min(start + CHUNK, stop))
         enumerated += len(chunk)
-        rejected += sum(not mask[i] for i in chunk)
+        rejected += sum(not passed[i] for i in chunk)
         for i in chunk:
-            if not mask[i]:
+            if not passed[i]:
                 continue
             if checks >= check_cap:
                 return found, enumerated, rejected, checks, True
@@ -156,13 +147,10 @@ def stream_triples(n, bound):
     """``triple_identity_search`` on the stream of (a, b, c) triples."""
     plus = [Row(v, 1) for v in combinations_with_replacement(range(1, bound + 1), n)]
     minus = [Row(v.weights, -1) for v in plus]
-    triples = iter((plus[i], b, c) for i in range(len(plus)) for b in plus[i:] for c in minus)
+    points = sample_points("L")
     solutions = []
-    while True:
-        chunk = list(islice(triples, CHUNK))
-        if not chunk:
-            return solutions
-        for rows, ok in zip(chunk, chunk_mask(chunk, sample_points("L"))):
-            verdict = is_l_rigid(WeightMatrix(rows)) if ok else None
-            if verdict and verdict.rigid and verdict.constant.constant_value() == 1:
-                solutions.append(tuple(row.weights for row in rows))
+    for rows in ((plus[i], b, c) for i in range(len(plus)) for b in plus[i:] for c in minus):
+        verdict = is_l_rigid(WeightMatrix(rows)) if matches_constant(rows, points) else None
+        if verdict and verdict.rigid and verdict.constant.constant_value() == 1:
+            solutions.append(tuple(row.weights for row in rows))
+    return solutions

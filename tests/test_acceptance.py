@@ -20,7 +20,6 @@ from rigidpow.bott import (
     kosniowski_bound,
     realizability_screen,
 )
-from rigidpow.prefilter import sample_points
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -31,14 +30,13 @@ from rigidpow.search import (
     SearchSpec,
     canonical_form,
     quasilinearity_test,
-    row_universe,
     sweep,
     triple_identity_search,
 )
 from exact_values import function_value
 from matrix_helpers import normalize_signs, signs_negated, wm
 from screen_oracle import exponent_tuples
-from stream_oracle import chunk_mask, join_mask, stream_candidates
+from stream_oracle import block_rows, exact_hits, record_kernel_calls
 from test_rigidity import negated, value_at
 
 
@@ -366,13 +364,15 @@ def test_criterion_9_permutation_invariance():
     print("[acceptance] criterion 9d: PASS (row/column permutation invariance)")
 
 
-def test_criterion_9_prefilter_soundness():
-    spec = SearchSpec(m=2, n=2, bound=4, mode="T")
-    universe = row_universe(spec.n, spec.bound, spec.mode)
-    candidates = list(stream_candidates(universe, spec.m, 0, 1))
-    mask = join_mask(universe, spec.m, spec.n, spec.bound, spec.mode)
-    assert mask == chunk_mask(candidates, sample_points(spec.mode))
-    rejected = [rows for rows, ok in zip(candidates, mask) if not ok]
+def test_criterion_9_prefilter_soundness(monkeypatch):
+    # the unsharded m = 2 sweep is one kernel call over every candidate
+    calls = record_kernel_calls(monkeypatch)
+    sweep(SearchSpec(m=2, n=2, bound=4, mode="T"))
+    [(universe, (heads, tails, m, n, count, points), out)] = calls
+    assert out.hits == exact_hits(universe, heads, tails, m, count, points)
+    passed = {k for k, _ in out.hits}
+    rejected = [rows for k, rows in enumerate(block_rows(universe, heads, tails, m))
+                if k not in passed]
     rng = random.Random(45)
     sample = rng.sample(rejected, max(len(rejected) // 100, 100))
     rigid_rejects = sum(1 for rows in sample if is_rigid(WeightMatrix(rows)).rigid)

@@ -1,26 +1,20 @@
-"""The sample-point pre-filter kernel against exact values from the
-definition."""
+"""The pre-filter's parts outside the kernel against exact values from the
+definition: the sample points, the safe prime, each row's residue, the
+twin layout of every row list the kernel is handed, the hits-only mask,
+and the exact oracle ``matches_constant``.  The kernel itself is tested in
+``test_kernel.py``."""
 
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
+import stream_oracle
 from rigidpow import prefilter, search
-from rigidpow.prefilter import L_POINTS, T_POINTS, block_size, sample_points, select_filter
+from rigidpow.prefilter import L_POINTS, T_POINTS, sample_points, select_filter
 from rigidpow.rigidity import Row
-from rigidpow.search import BudgetExceeded, SearchSpec, _blocks, _Hits, row_universe, sweep
+from rigidpow.search import SearchSpec, _Hits, row_universe
 from exact_values import forced_constant, function_value, row_constant, row_value
-from stream_oracle import (
-    block_rows,
-    chunk_mask,
-    hits_mask,
-    join_mask,
-    matches_constant,
-    residue_offsets,
-    stream_candidates,
-)
-from test_join_hits import record_kernel_calls
+from stream_oracle import matches_constant, record_kernel_calls
 
 
 def random_batch(rng, m, n, bound, count):
@@ -36,13 +30,10 @@ def random_batch(rng, m, n, bound, count):
     return candidates
 
 
-def oracle_mask(candidates, points):
+def definition(rows, points):
     """Independent check: the function's value against its forced constant
     at every point, from the definition in Fraction arithmetic."""
-    return bytearray(
-        all(function_value(rows, z0, x0, y0) == forced_constant(rows, x0, y0)
-            for z0, x0, y0 in points)
-        for rows in candidates)
+    return all(function_value(rows, z, x, y) == forced_constant(rows, x, y) for z, x, y in points)
 
 
 def test_sample_points():
@@ -52,203 +43,10 @@ def test_sample_points():
         sample_points("Q")
 
 
-def test_pure_kernel_matches_symbolic_oracle():
-    rng = random.Random(21)
-    m, n, bound, count = 2, 2, 4, 200
-    candidates = random_batch(rng, m, n, bound, count)
-    assert chunk_mask(candidates, T_POINTS) == oracle_mask(candidates, T_POINTS)
-
-
-def both_masks(candidates, m, n, bound, points, free=2):
-    """The residue-join kernel's mask (see ``hits_mask``) and the oracle's
-    on one block per candidate, over the rows that appear in
-    ``candidates``.  The block keeps the candidate's first m - free rows,
-    and its ``free`` free rows are every non-decreasing tuple from the
-    smallest of the candidate's last ``free`` rows on, so the candidate's
-    own rows are in it.  Sweeps decide m = 1 without the kernel, rejecting
-    every row, so for m = 1 the first mask is all zero and the second is
-    the oracle's over every canonical row."""
-    if m == 1:
-        rows = row_universe(n, bound, "T")
-        return bytearray(len(rows)), chunk_mask([(row,) for row in rows], points)
-    rows = sorted({row for candidate in candidates for row in candidate})
-    index = {row: i for i, row in enumerate(rows)}
-    kernel, name = select_filter(m, n, bound, points, rows)
-    assert name == "residue-join"
-    got, blocks = bytearray(), []
-    for candidate in candidates:
-        heads = tuple(index[row] for row in candidate[:m - free])
-        tails = range(min(index[row] for row in candidate[m - free:]), len(rows))
-        count = block_size(tails, len(rows), free)
-        block = block_rows(rows, heads, tails, m)
-        assert len(block) == count
-        got += hits_mask(kernel, (heads, tails, m, n, count, points), block)
-        blocks += block
-    return got, chunk_mask(blocks, points)
-
-
-def canonical_masks(m, n, bound, mode, free=None):
-    """The kernel's and the oracle's masks over every canonical candidate
-    of the sweep, in canonical order, walked in blocks of ``free`` free
-    rows (by default, those of a sweep that no enum budget cuts)."""
-    universe = row_universe(n, bound, mode)
-    candidates = list(stream_candidates(universe, m, 0, 1))
-    got = join_mask(universe, m, n, bound, mode, free=free)
-    return got, chunk_mask(candidates, sample_points(mode))
-
-
-def random_candidates(rng, m, n, bound, count):
-    """Unsorted rows of both signs, plus variants built to pass: a candidate
-    whose rows cancel in pairs, and rows repeated across candidates so the
-    table is read as well as filled."""
-    values = [v for v in range(-bound, bound + 1) if v]
-    pool = [(tuple(rng.choice(values) for _ in range(n)), rng.choice((1, -1)))
-            for _ in range(3 * m)]
-    out = []
-    for _ in range(count):
-        candidate = [rng.choice(pool) for _ in range(m)]
-        out.append(candidate)
-        for i in range(0, m - 1, 2):
-            ws, s = candidate[i]
-            candidate = candidate[:i + 1] + [(ws[::-1], -s)] + candidate[i + 2:]
-        out.append(candidate)
-    return out
-
-
-@pytest.mark.parametrize("points", [T_POINTS, L_POINTS], ids=["T", "L"])
-def test_residue_join_agrees_with_matches_constant_on_a_grid(points):
-    rng = random.Random(4)
-    passed = 0
-    for m in range(1, 5):
-        for n in range(1, 5):
-            for bound in range(1, 9):
-                candidates = random_candidates(rng, m, n, bound, 6)
-                for free in [min(m, 2)] + [3] * (m >= 4):
-                    got, want = both_masks(candidates, m, n, bound, points, free)
-                    assert got == want, (m, n, bound, free)
-                    passed += sum(got)
-    assert passed > 0
-
-
-@pytest.mark.parametrize("m, n, bound, mode", [(1, 2, 3, "T"), (2, 2, 3, "L"), (3, 2, 3, "T"),
-                                            (4, 1, 4, "L")])
-def test_residue_join_decides_the_first_count_candidates_of_a_block(m, n, bound, mode):
-    # every cut of a few blocks around the first canonical survivor, with
-    # two free rows and, for m >= 3, three: the survivors are the whole
-    # block's among the first count candidates, and none is recorded at or
-    # past count; m = 1 sweeps skip the kernel, and no one-row candidate
-    # passes
-    universe = row_universe(n, bound, mode)
-    size = len(universe)
-    points = sample_points(mode)
-    kernel, _ = select_filter(m, n, bound, points, universe)
-    blocks = []
-    if m == 1:
-        assert chunk_mask([(row,) for row in universe], points) == bytes(size)
-    else:
-        canonical = list(combinations_with_replacement(range(size), m))
-        mask = chunk_mask([tuple(map(universe.__getitem__, c)) for c in canonical], points)
-        for free in [2] + [3] * (m >= 3):
-            *heads, j = canonical[mask.index(1)][:m - free + 1]
-            heads = tuple(heads)
-            blocks += [(heads, range(j, size)), (heads, range(max(j - 2, 0), j + 1)),
-                       (heads, range(0, 1)), (heads, range(j, j + 1))]
-    survivors = 0
-    for heads, tails in blocks:
-        candidates = block_rows(universe, heads, tails, m)
-        want = chunk_mask(candidates, points)
-        assert len(want) == block_size(tails, size, m - len(heads))
-        survivors += sum(want)
-        for count in range(len(want) + 1):
-            call = (heads, tails, m, n, count, points)
-            assert hits_mask(kernel, call, candidates) == want[:count], (heads, tails, count)
-    # no single row is constant
-    assert (survivors > 0) == (m > 1)
-
-
-def test_residue_join_decides_a_long_block_cut_anywhere():
-    # a 180300-candidate block, cut at a few counts (two of them around
-    # 2^16); its head is a row of the rigid difference matrix of seed
-    # (0, 1, 2)
-    from rigidpow.rigidity import quasilinear
-    from rigidpow.search import canonical_form
-
-    universe = row_universe(2, 12, "T")
-    size = len(universe)
-    heads = (universe.index(canonical_form(quasilinear((0, 1, 2))).rows[0]),)
-    kernel, _ = select_filter(3, 2, 12, T_POINTS, universe)
-    block = block_size(range(size), size)
-    assert block == 180300
-    candidates = block_rows(universe, heads, range(size), 3)
-    whole = hits_mask(kernel, (heads, range(size), 3, 2, block, T_POINTS), candidates)
-    survivors = [k for k, ok in enumerate(whole) if ok]
-    assert survivors and all(matches_constant(candidates[k], T_POINTS) for k in survivors)
-    for count in ((1 << 16) + 1, 1 << 16, survivors[-1]):
-        call = (heads, range(size), 3, 2, count, T_POINTS)
-        assert hits_mask(kernel, call, candidates) == whole[:count], count
-
-
-@pytest.mark.parametrize("m, n, bound, mode", [
-    (2, 1, 5, "T"), (2, 2, 3, "T"), (3, 2, 2, "T"), (3, 2, 3, "L"),
-    (4, 1, 4, "L"), (2, 3, 2, "T"), (4, 2, 2, "T"), (5, 2, 2, "T"), (5, 2, 3, "L"),
-])
-def test_residue_join_agrees_with_matches_constant_on_every_canonical_candidate(m, n, bound, mode):
-    # m >= 3 in both block shapes: two free rows, and three (the
-    # tetrahedron for m = 3, the pair table's for m >= 4)
-    for free in [min(m, 2)] + [3] * (m >= 3):
-        got, want = canonical_masks(m, n, bound, mode, free)
-        assert got == want, free
-        assert 0 < sum(got) < len(got)
-
-
-@pytest.mark.parametrize("m, n, bound", [(2, 1, 130), (1, 1, 500)])
-def test_residue_join_agrees_with_matches_constant_at_large_bounds(m, n, bound):
-    # these bounds pass w = 61 and w = 122: modulo the Mersenne prime
-    # 2^61 - 1, z = 2 has order 61, so z^w - 1 would have no inverse
-    got, want = canonical_masks(m, n, bound, "T")
-    assert got == want
-    # no single row is constant; two rows are when they cancel
-    assert (sum(got) > 0) == (m > 1)
-
-
-@pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_residue_join_hands_over_every_zero_residue_sum_modulo_a_small_prime(monkeypatch, m, n,
-                                                                            bound, mode):
-    # modulo the safe prime 23 = 2 * 11 + 1 about one candidate in 23
-    # collides; the mask holds exactly the candidates whose residues sum to
-    # 0 modulo 23, so the exact oracle's survivors and every collision
-    monkeypatch.setattr(prefilter, "_PRIME", 23)
-    universe = row_universe(n, bound, mode)
-    residues = prefilter._row_residues(universe, n, sample_points(mode))
-    want = bytearray(sum(map(residues.__getitem__, indices)) % 23 == 0
-                     for indices in combinations_with_replacement(range(len(universe)), m))
-    for free in [min(m, 2)] + [3] * (m >= 3):
-        got, exact = canonical_masks(m, n, bound, mode, free)
-        assert got == want
-        assert all(map(int.__ge__, got, exact)) and sum(got) > sum(exact)
-
-
-@pytest.mark.parametrize("m, n, bound, mode", [(2, 2, 3, "T"), (3, 2, 3, "L"), (4, 1, 4, "L")])
-def test_a_residue_collision_reaches_the_mask_like_any_hit(monkeypatch, m, n, bound, mode):
-    # modulo the safe prime 23 many residue hits are collisions; block by
-    # block, the mask receives every candidate whose residues sum to 0
-    # modulo 23, in block order, whether the exact oracle accepts it or not
-    monkeypatch.setattr(prefilter, "_PRIME", 23)
-    universe = row_universe(n, bound, mode)
-    points = sample_points(mode)
-    kernel, _ = select_filter(m, n, bound, points, universe)
-    residues = prefilter._row_residues(universe, n, points)
-    collisions = 0
-    for free in [min(m, 2)] + [3] * (m >= 3):
-        for heads, tails in _blocks(m, len(universe), 0, 1, free):
-            count = block_size(tails, len(universe), free)
-            hits = _Hits()
-            kernel(heads, tails, m, n, count, points, hits)
-            candidates = block_rows(universe, heads, tails, m)
-            offsets = residue_offsets(residues, heads, tails, m, count, 23)
-            assert hits.hits == [(k, candidates[k]) for k in offsets]
-            collisions += sum(not matches_constant(rows, points) for _, rows in hits.hits)
-    assert collisions > 0
+def test_matches_constant_agrees_with_the_definition_on_random_rows():
+    candidates = random_batch(random.Random(21), 2, 2, 4, 200)
+    want = [definition(rows, T_POINTS) for rows in candidates]
+    assert [matches_constant(rows, T_POINTS) for rows in candidates] == want
 
 
 def row_residue(weights, sign, points):
@@ -300,16 +98,10 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
     # search's list alike, rows 2t and 2t + 1 hold the same weights signed
     # -1 and +1, so the residue of 2t + 1 is the negation of that of 2t
     universe = row_universe(n, bound, mode)
-    handed = []
-
-    def recording(m, n_, bound_, points, rows=()):
-        handed.append(rows)
-        return select_filter(m, n_, bound_, points, rows)
-
-    monkeypatch.setattr(search, "select_filter", recording)
+    calls = record_kernel_calls(monkeypatch)
     search.triple_identity_search(n, bound)
-    assert len(handed) == 1
-    for rows in (universe, *handed):
+    [(handed, _, _)] = calls
+    for rows in (universe, handed):
         residues = prefilter._row_residues(rows, n, sample_points(mode))
         assert len(rows) % 2 == 0 and rows
         for t in range(len(rows) // 2):
@@ -320,7 +112,7 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
     # the kernel checks no row: every row the sweep and the triple search
     # hand it is a Row of n int weights with 1 <= |w| <= bound and an int
     # sign of 1 or -1
-    for rows in (universe, *handed):
+    for rows in (universe, handed):
         assert rows
         for row in rows:
             assert type(row) is Row and len(row.weights) == n
@@ -334,56 +126,6 @@ def test_row_universe_lists_each_row_after_its_sign_twin(monkeypatch, mode, n, b
             SearchSpec(2, size, guard, mode)
         with pytest.raises(ValueError, match="row list"):
             search.check_triple_args(size, guard)
-
-
-@pytest.mark.parametrize("mode, m, n, bound, shards, enum_budget", [
-    ("T", 2, 2, 3, 1, None), ("T", 2, 1, 6, 3, None), ("L", 2, 3, 2, 1, None),
-    ("T", 2, 2, 2, 2, 7), ("T", 3, 2, 2, 1, None), ("T", 3, 2, 3, 3, None),
-    ("L", 3, 2, 3, 1, 50), ("L", 3, 1, 5, 2, None), ("T", 4, 1, 3, 1, None),
-    ("T", 4, 1, 3, 1, 100), ("L", 4, 2, 2, 2, None), ("T", 5, 2, 2, 1, None),
-    ("L", 5, 1, 3, 3, 1000),
-])
-def test_every_kernel_call_of_a_sweep_keeps_the_calling_convention(monkeypatch, mode, m, n,
-                                                                   bound, shards, enum_budget):
-    # the kernel checks no call: every call a sweep makes, whole, sharded
-    # or cut by its enum budget, is a nonempty block of its own universe
-    # with m - 2 heads (or m - 3, for m >= 3), ascending heads no later
-    # than a consecutive range of tails, and 1 <= count <= the block's
-    # size; the calls decide each enumerated candidate once
-    calls = record_kernel_calls(monkeypatch)
-    budget = {} if enum_budget is None else {"enum_budget": enum_budget}
-    spec = SearchSpec(m, n, bound, mode, **budget)
-    try:
-        stats = sweep(spec, shards=shards).stats
-    except BudgetExceeded as exceeded:
-        assert enum_budget is not None
-        stats = exceeded.report.stats
-    universe = row_universe(n, bound, mode)
-    size = len(universe)
-    assert calls
-    for rows, (heads, tails, m_, n_, count, points), out in calls:
-        assert rows == universe and (m_, n_, points) == (m, n, sample_points(mode))
-        free = m - len(heads)
-        assert free in ((2, 3) if m >= 3 else (2,))
-        assert list(heads) == sorted(heads) and all(0 <= h < size for h in heads)
-        assert type(tails) is range and tails.step == 1 and 0 <= tails.start < tails.stop <= size
-        assert not heads or heads[-1] <= tails.start
-        assert 1 <= count <= block_size(tails, size, free)
-    assert sum(call[4] for _, call, _ in calls) == stats.enumerated
-
-
-@pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 3), (2, 6)])
-def test_the_triple_search_makes_one_call_of_the_whole_triple_block(monkeypatch, n, bound):
-    # the triple search's one call is the triple block of its plus rows,
-    # the odd rows of its list, times its minus rows
-    calls = record_kernel_calls(monkeypatch)
-    search.triple_identity_search(n, bound)
-    [(rows, (heads, tails, m, n_, count, points), out)] = calls
-    plus = len(rows) // 2
-    assert (m, n_, points) == (3, n, L_POINTS)
-    assert heads == () and tails == range(1, len(rows), 2) and type(tails) is range
-    assert count == block_size(range(plus), plus) * plus > 0
-    assert len(block_rows(rows, heads, tails, m)) == count
 
 
 # The largest |w| below the q of the prime P = 2q + 1: a table over every
@@ -471,3 +213,37 @@ def test_kernels_accept_rigid_matrices():
     # and the canonical L image passes the L points as well
     matrix = canonical_form(quasilinear((0, 2, 5)), "L")
     assert matches_constant(matrix.rows, L_POINTS)
+
+
+def test_no_row_of_a_universe_matches_its_constant():
+    # sweeps of m = 1 call no kernel: no single row is constant, at either
+    # point set, up to |w| = 500, past w = 61 and 122, where z = 2 has
+    # order 61 modulo the Mersenne prime 2^61 - 1
+    for n, bound in [(n, bound) for n in range(1, 5) for bound in range(1, 9)] + [(1, 500)]:
+        for points in (T_POINTS, L_POINTS):
+            assert not any(matches_constant((row,), points) for row in row_universe(n, bound, "T"))
+
+
+def test_hits_keep_offsets_and_rows_and_count_the_survivors():
+    hits = _Hits()
+    for k, rows in ((1, ("a", "b")), (4, ("c", "d"))):
+        hits[k] = rows
+    assert hits.hits == [(1, ("a", "b")), (4, ("c", "d"))]
+    assert [hits.count(b) for b in (1, 2, True)] == [2, 0, 2]
+
+
+NOT_CANCELLING = [
+    [((2, 1), 1), ((1, 2), -1)],  # the same multiset in another order
+    [((2, 1), 1), ((2, 1), 1)],
+    [((2, 1), 1), ((2, 1), -1), ((1, 1), 1)],
+]
+
+
+@pytest.mark.parametrize("rows", NOT_CANCELLING)
+def test_matches_constant_evaluates_rows_that_do_not_cancel_as_given(monkeypatch, rows):
+    evaluated = []
+    point_value = stream_oracle.point_value
+    monkeypatch.setattr(stream_oracle, "point_value",
+                        lambda *args: evaluated.append(args) or point_value(*args))
+    assert matches_constant(rows, T_POINTS) == definition(rows, T_POINTS)
+    assert evaluated

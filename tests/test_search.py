@@ -2,6 +2,7 @@
 difference-matrix seed test, and the triple identity search."""
 
 import concurrent.futures
+import math
 import os
 import pickle
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from rigidpow import prefilter, search
 from rigidpow.algebra import Form
 from rigidpow.bott import ClassLabel
-from rigidpow.prefilter import block_size, sample_points
+from rigidpow.prefilter import block_size
 from rigidpow.rigidity import (
     Row,
     WeightMatrix,
@@ -40,10 +41,10 @@ from rigidpow.search import (
 from matrix_helpers import signs_negated, wm
 from stream_oracle import (
     block_candidates,
-    chunk_mask,
-    join_mask,
+    block_rows,
+    exact_hits,
     matches_constant,
-    stream_candidates,
+    record_kernel_calls,
 )
 
 
@@ -225,6 +226,20 @@ def test_one_row_sweeps_reject_every_candidate(mode, n, bound):
     stats = sweep(SearchSpec(m=1, n=n, bound=bound, mode=mode), shards=2).stats
     assert stats.enumerated == len(row_universe(n, bound, mode))
     assert (stats.rejected, stats.exact_checks) == (stats.enumerated, 0)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("m, n, bound", [(1, 5, 20), (3, 3, 2)])
+def test_counted_sweeps_build_no_row_universe(monkeypatch, m, n, bound, shards):
+    # m = 1, and T mode with odd m and odd n, only count their candidates:
+    # T m=1 n=5 b=20 has 2172016 rows, which a sweep need not build
+    def refuse(*args):
+        raise AssertionError("a counted sweep built its row universe")
+
+    monkeypatch.setattr(search, "row_universe", refuse)
+    report = sweep(SearchSpec(m, n, bound, enum_budget=10**9), shards=shards)
+    rows = search._universe_rows(n, bound, "T")
+    assert report.stats.enumerated == math.comb(rows + m - 1, m) and not report.found
 
 
 @pytest.mark.parametrize("m, n, bound", [(2, 1, 4), (3, 2, 4), (2, 3, 3), (4, 3, 3), (4, 2, 3)])
@@ -566,16 +581,18 @@ def test_sweep_rejects_non_integer_shards_and_workers(shards, workers):
 # -- pre-filter soundness -----------------------------------------------------
 
 
-def test_prefilter_rejects_are_never_rigid():
-    # every candidate the sweep rejected must fail the symbolic check too
-    spec = SearchSpec(m=2, n=2, bound=3, mode="T")
-    universe = row_universe(spec.n, spec.bound, spec.mode)
-    candidates = list(stream_candidates(universe, spec.m, 0, 1))
-    mask = join_mask(universe, spec.m, spec.n, spec.bound, spec.mode)
-    assert mask == chunk_mask(candidates, sample_points(spec.mode))
+def test_prefilter_rejects_are_never_rigid(monkeypatch):
+    # every candidate the sweep rejected must fail the symbolic check too;
+    # the unsharded m = 2 sweep is one kernel call over every candidate
+    calls = record_kernel_calls(monkeypatch)
+    sweep(SearchSpec(m=2, n=2, bound=3, mode="T"))
+    [(universe, (heads, tails, m, n, count, points), out)] = calls
+    assert out.hits == exact_hits(universe, heads, tails, m, count, points)
+    passed = {k for k, _ in out.hits}
 
     rng = random.Random(12)
-    rejected = [rows for rows, ok in zip(candidates, mask) if not ok]
+    rejected = [rows for k, rows in enumerate(block_rows(universe, heads, tails, m))
+                if k not in passed]
     assert rejected
     sample = rng.sample(rejected, max(len(rejected) // 20, 50))
     for rows in sample:
