@@ -371,7 +371,7 @@ def sweep_outcome(spec, shards):
     return finds, stats.enumerated, stats.rejected, stats.exact_checks, exceeded
 
 
-@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("mode, m, n, bound", SPECS)
 def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, shards):
     decide = cached_verdicts(monkeypatch, mode)
@@ -412,31 +412,32 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
     assert bool(calls) == (not counted)
 
 
+@pytest.mark.parametrize("check_budget", [1, SearchSpec(1, 1, 1).check_budget])
+@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("mode, m, n, bound", [
     ("T", 3, 2, 2), ("T", 4, 1, 2), ("L", 3, 2, 3), ("L", 4, 1, 4),
 ])
-def test_every_enum_budget_cuts_like_the_stream(monkeypatch, mode, m, n, bound):
+def test_every_enum_budget_cuts_like_the_stream(monkeypatch, mode, m, n, bound, shards,
+                                                check_budget):
     # every cut of the walk, mid-row, at a row end and at a block end: the
     # survivor offsets of a cut block map back to the stream's candidates
     decide = cached_verdicts(monkeypatch, mode)
     total = math.comb(len(row_universe(n, bound, mode)) + m - 1, m)
-    for shards in (1, 2):
-        streams = [shard_stream(mode, m, n, bound, s, shards) for s in range(shards)]
-        assert any(streams[0][1])
-        for check_budget in (1, SearchSpec(1, 1, 1).check_budget):
-            check_cap = max(1, check_budget // shards)
-            for enum_budget in range(1, total + 1):
-                spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget,
-                                  check_budget=check_budget)
-                enum_cap = max(1, enum_budget // shards)
-                got = search._run_shards(spec, range(shards), shards, enum_cap, check_cap)
-                for s, (candidates, passed) in enumerate(streams):
-                    want = stream_shard(candidates, passed, enum_cap, check_cap, decide)
-                    result = got[s]
-                    case = (shards, check_budget, enum_budget, s)
-                    assert [(matrix.rows, c) for matrix, c in result.found] == want[0], case
-                    assert (result.enumerated, result.rejected, result.exact_checks,
-                            result.exceeded) == want[1:], case
+    streams = [shard_stream(mode, m, n, bound, s, shards) for s in range(shards)]
+    assert any(streams[0][1])
+    check_cap = max(1, check_budget // shards)
+    for enum_budget in range(1, total + 1):
+        spec = SearchSpec(m, n, bound, mode, enum_budget=enum_budget,
+                          check_budget=check_budget)
+        enum_cap = max(1, enum_budget // shards)
+        got = search._run_shards(spec, range(shards), shards, enum_cap, check_cap)
+        for s, (candidates, passed) in enumerate(streams):
+            want = stream_shard(candidates, passed, enum_cap, check_cap, decide)
+            result = got[s]
+            case = (enum_budget, s)
+            assert [(matrix.rows, c) for matrix, c in result.found] == want[0], case
+            assert (result.enumerated, result.rejected, result.exact_checks,
+                    result.exceeded) == want[1:], case
 
 
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 4), (2, 6), (3, 6), (4, 4)])
