@@ -241,7 +241,8 @@ def test_hits_are_every_zero_residue_sum_at_a_small_prime(monkeypatch, shape, mo
 # sorted blocks ``(heads, tails.start, tails.stop)``, and the last call's
 # heads, tails, count and hit offsets.
 CONVENTION = [
-    ("two free", [("T", 2, 2, 3, 1, None), ("T", 2, 2, 2, 2, 7), ("L", 2, 3, 2, 1, None)], {}),
+    ("two free", [("T", 2, 2, 3, 1, None), ("T", 2, 1, 6, 3, None), ("T", 2, 2, 2, 2, 7),
+                  ("L", 2, 3, 2, 1, None)], {}),
     ("heads", [("T", 4, 1, 3, 1, 100), ("L", 3, 2, 3, 1, 50)], {}),
     ("heads-T cut", [("T", 3, 2, 3, 1, 1764 + 400)], {"last": ((2,), range(2, 42), 400, [263])}),
     # T m=3 n=4 b=8 has 7752 rows, so its first block holds about 3e7
@@ -371,6 +372,12 @@ def sweep_outcome(spec, shards):
     return finds, stats.enumerated, stats.rejected, stats.exact_checks, exceeded
 
 
+def shard_outcome(result):
+    """One shard's result as ``stream_shard`` gives it."""
+    return ([(matrix.rows, c) for matrix, c in result.found], result.enumerated,
+            result.rejected, result.exact_checks, result.exceeded)
+
+
 @pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("mode, m, n, bound", SPECS)
 def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, shards):
@@ -397,10 +404,7 @@ def test_sweep_on_the_join_matches_the_stream(monkeypatch, mode, m, n, bound, sh
             for s, (candidates, passed) in enumerate(streams):
                 [got] = search._run_shards(spec, [s], shards, enum_cap, check_cap)
                 want = stream_shard(candidates, passed, enum_cap, check_cap, decide)
-                case = (enum_budget, check_budget, s)
-                assert [(matrix.rows, c) for matrix, c in got.found] == want[0], case
-                assert (got.enumerated, got.rejected, got.exact_checks, got.exceeded) \
-                    == want[1:], case
+                assert shard_outcome(got) == want, (enum_budget, check_budget, s)
                 wants.append(want)
             finds = sorted(pair for want in wants for pair in want[0])
             counts = [sum(want[i] for want in wants) for i in (1, 2, 3)]
@@ -433,11 +437,7 @@ def test_every_enum_budget_cuts_like_the_stream(monkeypatch, mode, m, n, bound, 
         got = search._run_shards(spec, range(shards), shards, enum_cap, check_cap)
         for s, (candidates, passed) in enumerate(streams):
             want = stream_shard(candidates, passed, enum_cap, check_cap, decide)
-            result = got[s]
-            case = (enum_budget, s)
-            assert [(matrix.rows, c) for matrix, c in result.found] == want[0], case
-            assert (result.enumerated, result.rejected, result.exact_checks,
-                    result.exceeded) == want[1:], case
+            assert shard_outcome(got[s]) == want, (enum_budget, s)
 
 
 @pytest.mark.parametrize("n, bound", [(1, 5), (2, 4), (3, 4), (2, 6), (3, 6), (4, 4)])
