@@ -17,8 +17,10 @@ substitution: both sides are evaluated once, at a power of two large enough
 that every coefficient keeps its own digit (see :func:`_packed_decide`).
 The residual is one int when it fits in ``_PACKED_BITS`` bits, and else a
 :class:`~rigidpow.algebra.ZSparse` dict from z-degree to packed int, built
-lowest degree first.  :func:`t_series` / :func:`l_series` decode the same
-sum.  Before either, a matrix whose rows cancel in pairs is certified
+lowest degree first.  Either way it is summed over a merge tree: groups of
+rows are brought to their partial common denominators and joined pairwise
+(see :func:`_row_sum`).  :func:`t_series` / :func:`l_series` decode the
+same sum.  Before either, a matrix whose rows cancel in pairs is certified
 rigid with constant 0 (see :func:`is_rigid`).
 
 Every exact value at an integer point comes from :func:`point_value`; a
@@ -213,19 +215,53 @@ def _layout(matrix: WeightMatrix, degree: int):
     return needs, den, digit, digit if degree else 0, digit * (degree + 1)
 
 
-def _row_sum(rows, needs, den, ystep: int, zstep: int, total):
-    """``total`` plus the sum of the packed row terms of
-    :func:`_packed_decide`, each over the factors of ``den`` it lacks.
-    ``rows`` holds ``(weights, v)`` pairs, ``v`` the row's starting value
-    on the carrier: an int or a :class:`ZSparse`."""
-    for (weights, v), need in zip(rows, needs):
+def _row_sum(rows, needs, ystep: int, zstep: int, total):
+    """``total`` times ``D`` plus each row term times the factors of ``D``
+    it lacks, packed as in :func:`_packed_decide`, on the carrier of
+    ``total``: an int or a :class:`ZSparse`.
+
+    ``rows`` holds ``(weights, v)`` pairs, ``v`` the row sign on that
+    carrier, and ``needs`` the rows' factor multiplicities, whose
+    per-factor maximum is ``D``.  The sum is taken over a merge tree, the
+    subproduct tree of Moenck and Borodin: each row's weight product is a
+    leaf over its own factors, and ``total``, over none, joins the first
+    leaf.  Adjacent nodes are then joined pairwise, level by level.  A join
+    multiplies each side by the factors ``z^a - 1`` that the other side
+    holds more of, and the sum is over the per-factor maximum of both, so
+    the root is over ``D``.  Grouping changes no value: the result is the
+    one a row by row sum over ``D`` builds, bit for bit.  But a lacking
+    factor is multiplied in once per group of rows that lacks it, at the
+    group's width, where the row by row sum multiplies it into every row at
+    full width.  Neither ``rows`` nor ``needs`` is changed."""
+    values = []
+    for weights, v in rows:
         for w in weights:
             v = (v << w * zstep) + (v << ystep) if w > 0 else -v - (v << (ystep - w * zstep))
-        for a, k in den.items():
-            for _ in range(k - need.get(a, 0)):
-                v = (v << a * zstep) - v
-        total += v
-    return total
+        values.append(v)
+    needs = list(needs)
+    for a, k in needs[0].items():
+        for _ in range(k):
+            total = (total << a * zstep) - total
+    values[0] += total
+    step, size = 1, len(values)
+    while step < size:
+        for i in range(0, size - step, 2 * step):
+            v, u, vneed, uneed = values[i], values[i + step], needs[i], needs[i + step]
+            need = vneed.copy()
+            for a, k in uneed.items():
+                h = vneed.get(a, 0)
+                while h < k:
+                    v = (v << a * zstep) - v
+                    h += 1
+                need[a] = h
+            for a, h in vneed.items():
+                k = uneed.get(a, 0)
+                while k < h:
+                    u = (u << a * zstep) - u
+                    k += 1
+            values[i], needs[i] = v + u, need
+        step *= 2
+    return values[0]
 
 
 def _balanced_digits(block: int, digit: int, count: int) -> List[int]:
@@ -241,12 +277,12 @@ def _balanced_digits(block: int, digit: int, count: int) -> List[int]:
 
 def _series(matrix: WeightMatrix, degree: int) -> LaurentRational:
     """The numerator and denominator that :func:`_packed_decide` compares:
-    its row sum without the candidate row, on an uncapped :class:`ZSparse`,
+    its row sum without the candidate, on an uncapped :class:`ZSparse`,
     with each z-coefficient decoded into its ``degree + 1`` form
     coefficients."""
     needs, den, digit, ystep, zstep = _layout(matrix, degree)
     rows = [(weights, ZSparse({0: sign}, zstep)) for weights, sign in matrix.rows]
-    num = _row_sum(rows, needs, den, ystep, zstep, ZSparse({}, zstep))
+    num = _row_sum(rows, needs, ystep, zstep, ZSparse({}, zstep))
     return LaurentRational(
         {e: _balanced_digits(c, digit, degree + 1) for e, c in num.terms.items()},
         DenomFactors(den))
@@ -324,15 +360,16 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     The denominator ``D`` is the product of ``(z^a - 1)^M_a`` over the
     per-factor maximum multiplicities ``M_a``, and row ``i`` adds to the
     numerator ``sign * prod_w (x z^w + y)``, with a factor ``-(x + y z^a)``
-    for a weight ``-a``, times the factors of ``D`` it lacks.  Evaluating is a ring homomorphism, so each row term is a few
-    shifts and adds on one value ``v`` that starts at the row sign
-    (``x z^a + y`` takes ``v`` to ``(v << a*zstep) + (v << B)``,
-    ``-(x + y z^a)`` to ``-v - (v << (a*zstep + B))``), and each extra
-    factor, in any order, takes ``v`` to ``(v << a*zstep) - v``.  With
-    ``-candidate`` as one more row, of no weights and lacking every factor,
-    the rows sum to the packed residual ``R``, the value of
-    ``numerator - candidate * D`` (see :func:`_row_sum`).  The coefficient
-    of ``x^(d-k) y^k z^e`` sits in base-``2^B`` digit ``e(d+1) + k``.
+    for a weight ``-a``, times the factors of ``D`` it lacks.  Evaluating
+    is a ring homomorphism, so each row's weight product is a few shifts
+    and adds on one value ``v`` that starts at the row sign (``x z^a + y``
+    takes ``v`` to ``(v << a*zstep) + (v << B)``, ``-(x + y z^a)`` to ``-v
+    - (v << (a*zstep + B))``), and each factor ``z^a - 1``, in any order,
+    takes a value ``v`` to ``(v << a*zstep) - v``.  :func:`_row_sum` adds
+    the row terms and ``-candidate * D`` over a merge tree, each group of
+    rows over its partial common denominator, into the packed residual
+    ``R``, the value of ``numerator - candidate * D``.  The coefficient of
+    ``x^(d-k) y^k z^e`` sits in base-``2^B`` digit ``e(d+1) + k``.
 
     Exactness, with ``K = sum_a M_a`` and ``B = K + bitlen(m) + 2``: each
     ``(x z^a + y)``, ``(x + y z^a)`` or ``(z^a - 1)`` factor has L1 norm 2
@@ -344,7 +381,10 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     zero only when every ``r_j`` is, so ``R == 0`` exactly when the
     identity holds.  The residual's lowest z-degree ``k`` and its ``d + 1``
     form coefficients, read as balanced base-``2^B`` digits, are the
-    witness.
+    witness.  The merge tree changes none of this: it groups the same
+    products differently, so ``R`` is the same polynomial.  Digits are
+    read only from ``R``, so a partial sum needs no bound: its carrier, an
+    int or a dict of ints, holds it at any size.
 
     ``R`` is one int when it fits in ``_PACKED_BITS`` bits (``deg D + 1``
     z-degrees of ``zstep`` bits, ``deg D = sum_a a M_a``): the lowest
@@ -354,18 +394,21 @@ def _packed_decide(matrix: WeightMatrix, degree: int, candidate: Form,
     map, so its lowest surviving key is exact; ``cap`` starts at the
     smallest factor exponent and doubles until ``R`` is nonzero or ``cap``
     reaches ``deg D``.  Its lowest key is ``k``, and no point is added.
+    The merge tree leaves this exact too: each of its steps, a shift by a
+    multiple of ``zstep`` (a power of ``z``), a shift by ``B`` (the scalar
+    ``y``), an add or a negation, is a ring operation, so the ring map
+    commutes with it, whatever the grouping.
     """
     needs, den, digit, ystep, zstep = _layout(matrix, degree)
     top = sum(a * k for a, k in den.items())
     packed = sum(c << (digit * k) for k, c in enumerate(candidate.coeffs))
-    rows, needs = (*matrix.rows, ((), -packed)), (*needs, {})
     if zstep * (top + 1) <= _PACKED_BITS:
-        residual = _row_sum(rows, needs, den, ystep, zstep, 0)
+        residual = _row_sum(matrix.rows, needs, ystep, zstep, -packed)
     else:
         cap = min(den)
         while True:
-            starts = [(weights, ZSparse({0: v}, zstep, cap)) for weights, v in rows]
-            residual = _row_sum(starts, needs, den, ystep, zstep, ZSparse({}, zstep, cap))
+            starts = [(weights, ZSparse({0: sign}, zstep, cap)) for weights, sign in matrix.rows]
+            residual = _row_sum(starts, needs, ystep, zstep, ZSparse({0: -packed}, zstep, cap))
             if residual or cap >= top:
                 break
             cap *= 2

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .algebra import Form
@@ -276,6 +277,29 @@ def _blocks(m: int, size: int, shard_index: int, shard_count: int, free: int
                 yield heads, range(heads[-1], size)
 
 
+def _shard_size(size: int, m: int, shard_index: int, shard_count: int) -> int:
+    """The number of canonical ``m``-row candidates over a universe of
+    ``size`` rows whose first row is ``shard_index`` modulo
+    ``shard_count``, in closed form.  The shard's ``t``-th first row ``i``
+    heads ``block_size(range(i, i + 1), size, m) = comb(size - i + m - 2,
+    d)`` of them, ``d = m - 1``: a polynomial ``f(t)`` of degree ``d``.  So
+    the sum over the shard's ``count`` first rows is the sum over ``j <=
+    d`` of ``comb(count, j + 1)`` times the forward difference ``Δ^j
+    f(0)`` (Newton), taken from the first ``m`` values of ``f``.  Each is
+    the product ``x (x - 1) ... (x - d + 1) / d!``, which, unlike
+    ``math.comb``, stays that polynomial where ``x < d``, past the
+    shard's last first row."""
+    count, d = len(range(shard_index, size, shard_count)), m - 1
+    top = size - shard_index - 1 + d
+    diffs = [prod(range(x - d + 1, x + 1)) // factorial(d)
+             for x in range(top, top - m * shard_count, -shard_count)]
+    total = 0
+    for j in range(m):
+        total += comb(count, j + 1) * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
 class _Hits:
     """A kernel mask that keeps only the survivors the kernel hands it:
     ``mask[k] = rows`` appends ``(k, rows)``, a survivor's offset in the
@@ -315,7 +339,8 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
     through the symbolic check.  The row universe and its residues are
     built once for all of them.  Two kinds of sweep have no rigid
     candidate, so they only count their candidates, from the universe's
-    size alone: they build no row universe and no residues, and never call
+    size alone, a shard's in closed form (see :func:`_shard_size`): they
+    build no row universe and no residues, walk no block and never call
     the kernel.
 
     - m = 1.  At a sample point (z >= 2, x, y >= 1) a weight w > 0 has the
@@ -358,14 +383,17 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
         result = _ShardResult()
         results.append(result)
         limit = enum_cap
+        total = _shard_size(size, m, shard_index, shard_count)
+        if counted:  # no candidate is rigid (see above), so none is walked
+            result.enumerated = result.rejected = min(total, limit)
+            result.exceeded = total > limit
+            continue
         enumerated = passed = 0  # passed: pre-filter survivors among the enumerated
         # three free rows, and so a table, only for a walk its enum budget
         # cannot cut, so that the table's work, U (U + 1) / 2 pairs for m
         # >= 4 and (U / 2) (U / 2 + 1) / 2 lookups for m = 3, stays below
         # the candidates the walk decides
-        totals = accumulate(block_size(range(i, i + 1), size, m)
-                            for i in range(shard_index, size, shard_count))
-        free = 3 if m >= 3 and all(total <= limit for total in totals) else min(m, 2)
+        free = 3 if m >= 3 and total <= limit else min(m, 2)
         for heads, tails in _blocks(m, size, shard_index, shard_count, free):
             start = enumerated
             count = block_size(tails, size, free)
@@ -375,8 +403,6 @@ def _run_shards(spec: SearchSpec, shard_indices: Iterable[int], shard_count: int
                     break
                 count = limit - start
             enumerated += count
-            if counted:
-                continue  # no candidate is rigid (see above)
             mask = _Hits()
             kernel(heads, tails, m, n, count, points, mask)
             for k, rows in mask.hits:

@@ -1,6 +1,8 @@
-"""Matrix transformations that only the tests use."""
+"""Matrix transformations and values that only the tests use."""
 
-from rigidpow.rigidity import Row, WeightMatrix, _folded
+from fractions import Fraction
+
+from rigidpow.rigidity import Row, WeightMatrix, _folded, point_value
 
 
 def wm(*rows):
@@ -25,3 +27,16 @@ def normalize_signs(matrix):
     sign (see ``fold_signs``).  The ``x = y = 1`` function is unchanged by
     this transformation."""
     return WeightMatrix(tuple(map(fold_signs, matrix.rows)))
+
+
+def negated(matrix):
+    """``matrix`` with every weight negated and every row sign kept."""
+    return WeightMatrix(tuple(Row(tuple(-w for w in r.weights), r.sign) for r in matrix.rows))
+
+
+def value_at(matrix, z0, x0=1, y0=1):
+    """The function's exact value at integers ``(z0, x0, y0)``, ``|z0| >= 2``,
+    from ``rigidity.point_value``; at ``x0 = y0 = 1`` it is the
+    L-function's."""
+    top, bottom, _ = point_value(matrix.rows, z0, x0, y0)
+    return Fraction(top, bottom)

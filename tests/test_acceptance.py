@@ -34,10 +34,9 @@ from rigidpow.search import (
     triple_identity_search,
 )
 from exact_values import function_value
-from matrix_helpers import normalize_signs, signs_negated, wm
+from matrix_helpers import negated, normalize_signs, signs_negated, value_at, wm
 from screen_oracle import exponent_tuples
 from stream_oracle import block_rows, exact_hits, record_kernel_calls
-from test_rigidity import negated, value_at
 
 
 def conclude(criterion: int, condition: bool, detail: str):

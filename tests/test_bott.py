@@ -18,9 +18,8 @@ from rigidpow.bott import (
     realizability_screen,
 )
 from rigidpow.rigidity import Row, WeightMatrix, quasilinear
-from matrix_helpers import wm
+from matrix_helpers import value_at, wm
 from screen_oracle import elementary_symmetric, exponent_tuples, weighted_degree
-from test_rigidity import value_at
 
 # -- elementary symmetric functions -------------------------------------------
 

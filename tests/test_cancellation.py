@@ -1,6 +1,6 @@
 """The cancellation certificate inside ``is_rigid`` and ``is_l_rigid``
 against the packed identity it goes before and against the independent
-oracle of ``test_core_oracle``.
+oracle of ``core_oracle``.
 
 Every comparison is of the whole ``RigidityVerdict``.  ``_cancels`` is
 asserted too, so that each family is known to take the branch it is
@@ -21,7 +21,7 @@ from rigidpow.rigidity import (
     is_l_rigid,
     is_rigid,
 )
-from test_core_oracle import oracle_l, oracle_t
+from core_oracle import oracle_l, oracle_t
 
 # decide, degree of the candidate, witness grid, oracle, sign folding
 MODES = {

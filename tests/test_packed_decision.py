@@ -1,5 +1,5 @@
 """The packed constancy decision on its two carriers against each other
-and against the independent oracle of ``test_core_oracle``, and the exact
+and against the independent oracle of ``core_oracle``, and the exact
 point evaluator behind every witness point against the definition's
 ``Fraction`` values (``exact_values``).
 
@@ -37,8 +37,8 @@ from rigidpow.rigidity import (
     quasilinear,
 )
 from exact_values import forced_constant, function_value
-from test_core_oracle import matrices as oracle_matrices
-from test_core_oracle import matrix_of, oracle_l, oracle_t
+from core_oracle import matrices as oracle_matrices
+from core_oracle import matrix_of, oracle_l, oracle_t
 
 L_GRID = ((1, 1),)
 

@@ -20,23 +20,15 @@ from rigidpow.rigidity import (
     is_rigid,
     l_series,
     pair_partition,
-    point_value,
     quasilinear,
     t_series,
 )
 from exact_values import function_value, row_value
-from matrix_helpers import normalize_signs, wm
+from matrix_helpers import normalize_signs, value_at, wm
 
 def prop_constant(n):
     """sum_{k=0..n} x^(n-k) * (-y)^k, the constant of every difference matrix."""
     return Form((-1) ** k for k in range(n + 1))
-
-
-def value_at(matrix, z0, x0=1, y0=1):
-    """The function's exact value at integers ``(z0, x0, y0)``, ``|z0| >= 2``,
-    from :func:`point_value`; at ``x0 = y0 = 1`` it is the L-function's."""
-    top, bottom, _ = point_value(matrix.rows, z0, x0, y0)
-    return Fraction(top, bottom)
 
 
 # -- construction and validation ----------------------------------------------
@@ -482,10 +474,6 @@ def test_pair_partition_returns_the_documented_pairs(matrix):
 
 
 # -- structural function identities -------------------------------------------
-
-
-def negated(matrix):
-    return WeightMatrix(tuple(Row(tuple(-w for w in r.weights), r.sign) for r in matrix.rows))
 
 
 def test_scaling_preserves_rigidity_verdict():

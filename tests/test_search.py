@@ -140,6 +140,7 @@ def test_blocks_match_the_general_walk(m):
                     walked += block
                 assert walked == [c for c in combinations_with_replacement(range(size), m)
                                   if c[0] % shard_count == shard_index]
+                assert search._shard_size(size, m, shard_index, shard_count) == len(walked)
 
 
 def test_two_row_walk_is_linear_in_the_universe():
@@ -240,6 +241,52 @@ def test_counted_sweeps_build_no_row_universe(monkeypatch, m, n, bound, shards):
     report = sweep(SearchSpec(m, n, bound, enum_budget=10**9), shards=shards)
     rows = search._universe_rows(n, bound, "T")
     assert report.stats.enumerated == math.comb(rows + m - 1, m) and not report.found
+
+
+def counted_sweep(spec, shards):
+    """The stats of a counted sweep and whether a budget ran out."""
+    try:
+        return sweep(spec, shards=shards).stats, False
+    except BudgetExceeded as exceeded:
+        return exceeded.report.stats, True
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("budget", [10**9, 7, 150, "all"])
+@pytest.mark.parametrize("mode, m, n, bound", [
+    ("T", 1, 2, 3), ("L", 1, 2, 3), ("T", 3, 1, 3), ("T", 3, 3, 1), ("T", 5, 1, 2),
+])
+def test_counted_shards_count_without_a_walk(mode, m, n, bound, budget, shards):
+    # each walked shard counts the candidates whose first row is its index
+    # modulo the shard count, up to its share of the enum budget, and the
+    # budget runs out when one shard holds more; "all" is exactly the
+    # sweep's candidates
+    size = len(row_universe(n, bound, mode))
+    if budget == "all":
+        budget = math.comb(size + m - 1, m)
+    spec = SearchSpec(m, n, bound, mode, enum_budget=budget)
+    per_shard = [0] * min(shards, size)
+    for candidate in combinations_with_replacement(range(size), m):
+        per_shard[candidate[0] % shards] += 1
+    cap = max(1, budget // shards)
+    enumerated = sum(min(total, cap) for total in per_shard)
+    stats, exceeded = counted_sweep(spec, shards)
+    assert stats[:3] == (enumerated, enumerated, 0)
+    assert exceeded == any(total > cap for total in per_shard)
+
+
+@pytest.mark.parametrize("budget", [10**9, 10**6])
+def test_a_sharded_counted_sweep_takes_its_counts_in_closed_form(budget):
+    # 2172016 one-row candidates: walked one block per first row, the
+    # three shards took 1.8 s on a 2-vCPU VM, and unsharded 0.00 s
+    spec = SearchSpec(1, 5, 20, enum_budget=budget)
+    assert counted_sweep(spec, 1)[0][:3] == ((min(budget, 2172016),) * 2 + (0,))
+    started = time.perf_counter()
+    stats, exceeded = counted_sweep(spec, 3)
+    assert time.perf_counter() - started < 0.5
+    enumerated = min(budget // 3, 724006) + 2 * min(budget // 3, 724005)
+    assert stats[:3] == (enumerated, enumerated, 0)
+    assert exceeded == (budget < 2172016)
 
 
 @pytest.mark.parametrize("m, n, bound", [(2, 1, 4), (3, 2, 4), (2, 3, 3), (4, 3, 3), (4, 2, 3)])

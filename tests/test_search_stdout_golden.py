@@ -1,4 +1,4 @@
-"""``search`` stdout on the grid of ``test_search_golden``.
+"""``search`` stdout on the grid of ``search_grid``.
 
 ``data/search_stdout_golden.json`` records, for each invocation in
 ``GRID``, the sha256 of its stdout: the sweep header, every find line, the
@@ -30,7 +30,7 @@ from rigidpow.algebra import Form
 from rigidpow.cli import main
 from rigidpow.rigidity import Row, WeightMatrix
 from rigidpow.search import Find, SearchReport, SearchSpec, SweepStats
-from test_search_golden import GRID
+from search_grid import GRID
 
 DATA = Path(__file__).parent / "data" / "search_stdout_golden.json"
 _WALL = re.compile(r"wall [0-9.]+s")
