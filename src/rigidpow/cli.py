@@ -72,7 +72,9 @@ def integer(token: str) -> int:
 
     Python's ``int`` also takes digit-group underscores (``1_0``) and
     non-ASCII digits (Arabic-Indic, full-width, ...); every integer the
-    program reads, from a document or a flag, goes through here instead.
+    program reads, from a document or a flag, goes through here instead,
+    except a row's weights, which :func:`parse_matrix_text` checks by the
+    same rule a row at a time.
     """
     if not _INTEGER.fullmatch(token):
         raise ValueError(f"not an integer: {token!r}")
@@ -85,6 +87,15 @@ def parse_matrix_text(text: str) -> WeightMatrix:
     A document is either an ``m n`` header followed by ``m`` sign/weight
     rows, or a single ``quasilinear: a1 a2 ... a(n+1)`` line declaring the
     difference matrix of those seeds.
+
+    The header and seed tokens go through :func:`integer`.  A row's weight
+    tokens, as ``str.split`` separates them, are refused together when
+    their join is not ASCII or holds a ``_``; otherwise each goes to
+    ``int``.  On ASCII tokens without whitespace or underscores, ``int``
+    accepts exactly what ``[+-]?[0-9]+`` matches, so the rule is
+    :func:`integer`'s, with one C-level check per row.  It is the joined
+    tokens that are checked, not the row's text: ``str.split`` also
+    separates at non-ASCII spaces such as U+00A0, which the row may hold.
     """
     content = [
         (i, line)
@@ -127,10 +138,11 @@ def parse_matrix_text(text: str) -> WeightMatrix:
         tokens = weight_part.split()
         if len(tokens) != n:
             raise ParseError(line_no, f"expected {n} weights, found {len(tokens)}")
+        joined = "".join(tokens)
         try:
             # int() alone would take 1_0 and non-ASCII digits, and it raises
             # ValueError past Python's int-conversion digit limit
-            if not all(map(_INTEGER.fullmatch, tokens)):
+            if not joined.isascii() or "_" in joined:
                 raise ValueError
             weights = tuple(map(int, tokens))
         except ValueError:
@@ -173,11 +185,24 @@ def render_matrix(matrix: WeightMatrix) -> str:
 
 
 def _load_matrix(args) -> WeightMatrix:
+    """The matrix of ``args.document``, a path or ``-`` for stdin.
+
+    A path is read in one unbuffered ``readall`` and decoded as UTF-8,
+    which is the text a text-mode read (``open(path,
+    encoding="utf-8").read()``) gives before it translates line endings:
+    that read decodes the whole file in one final call, so a decode error
+    names the same byte and position.  Its universal newlines turn each
+    ``\r\n``, then each lone ``\r``, into ``\n``; the same two replaces
+    follow here, only when the text holds a ``\r``.  So the JSON parser's
+    line numbers, which count ``\n`` alone, are the text-mode read's.
+    """
     if args.document == "-":
         text = sys.stdin.read()
     else:
-        with open(args.document, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(args.document, "rb", buffering=0) as handle:
+            text = handle.readall().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_matrix_json(text) if args.json else parse_matrix_text(text)
 
 
@@ -464,7 +489,8 @@ def _cmd_search(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     call; parsing leaves it unchanged.  Its ``commands`` maps each
-    subcommand's name to its parser and the actions declared on it, which
+    subcommand's name to its parser, the actions declared on it, their
+    defaults by ``dest`` and the actions by option string, which
     :func:`_walk` reads."""
     parser = argparse.ArgumentParser(
         prog="rigidpow",
@@ -472,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for circle-action fixed-point weight data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
+    commands = {}
 
     def command(name, func, summary, document=True):
         """Add a subcommand; returns its ``add_argument``, which keeps the
@@ -480,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         actions = []
-        parser.commands[name] = (p, actions)
+        commands[name] = (p, actions)
 
         def add(*names, **kwargs):
             actions.append(p.add_argument(*names, **kwargs))
@@ -516,6 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
                   "emit the difference matrix of distinct integers", document=False)
     add("entries", type=integer, nargs="+")
 
+    parser.commands = {
+        name: (p, actions, {action.dest: action.default for action in actions},
+               {s: action for action in actions for s in action.option_strings})
+        for name, (p, actions) in commands.items()
+    }
     return parser
 
 
@@ -529,9 +560,8 @@ def _walk(argv: Sequence[str], commands: dict) -> Optional[argparse.Namespace]:
     that starts with ``-``) gives None, for argparse to parse."""
     if not argv or argv[0] not in commands:
         return None
-    sub, actions = commands[argv[0]]
-    values = {action.dest: action.default for action in actions}
-    options = {s: action for action in actions for s in action.option_strings}
+    sub, actions, defaults, options = commands[argv[0]]
+    values = defaults.copy()  # the shared defaults stay as they are
     given, free, tokens = set(), [], iter(argv[1:])
 
     def value(action, token):

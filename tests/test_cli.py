@@ -922,6 +922,20 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert search() == (0, SearchSpec.check_budget, SearchSpec.enum_budget)
 
 
+@pytest.mark.parametrize("first, second", [
+    (["check", "a.txt", "--mode", "L", "--json"], ["check", "b.txt"]),
+    (["search", "--m", "2", "--n", "3", "--bound", "5", "--budget", "7", "--out", "r.jsonl"],
+     ["search", "--problem24", "--n", "2", "--bound", "3"]),
+])
+def test_two_walks_in_a_row_share_no_values(first, second):
+    # the walk starts from defaults built once with the parser, so each walk
+    # must take its own copy of them
+    commands = cli.build_parser().commands
+    walked = [cli._walk(argv, commands) for argv in (first, second, first)]
+    assert walked == [cli.build_parser.__wrapped__().parse_args(argv)
+                      for argv in (first, second, first)]
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["search", "--help"]])
 def test_cached_parser_help_matches_a_fresh_parser(argv, capsys):
     outputs = []

@@ -24,7 +24,8 @@ COLONS = [":", " : ", ": ", " :"]
 BAD_COLONS = ["", ";", " "]
 SEPARATORS = [" ", " ", " ", "  ", "\t", "\u00a0", "\u2003", "\x1c", " \x0b "]
 BAD_TOKENS = ["0", "-0", "+0", "00", "1_0", "\u0661\u0662", "\uff11", "1.0", "0x1", "abc", "+",
-              "-", "--1", "+-2", LONG_WEIGHT]
+              "-", "--1", "+-2", LONG_WEIGHT, "1\u0661", "\U0001d7cf", "\u00b2", "1_", "_1",
+              "+\uff11"]
 HEADERS = ["{m} {n}", "  {m}\t{n} ", "\u00a0{m} {n}", "+{m} 0{n}"]
 BAD_HEADERS = ["{m} {n} 1", "{m}", "\ufeff{m} {n}", "{m} -{n}", "0 {n}", "{m}_0 {n}", "{m}, {n}"]
 ENDINGS = ["\n", "\r\n", "\r"]
@@ -100,6 +101,7 @@ def test_one_pass_parser_agrees_with_the_oracle(text):
     "2 1\r+: 1\r-: 1\r",
     "2 2\n+1 : 1 2\n -1: 1\x1c2\n",
     "1 2\n+: 1\u00a02\n",
+    "1 2\n+:1\xa01\n",
     "1 2\n+: 1 1_0\n",
     "1 1\n+ 1\n",
     "1 2\n+: 1 0\n",
